@@ -5,14 +5,15 @@ on chords and one transversal crossing.  Up to homotopy it is recorded by
 which chords it touches, which complementary faces it passes through, and
 the order of its contact points along any chord it meets more than once.
 
-A configuration (PlanarMap) realises a set of disjoint arcs concretely:
-every current strand of the diagram carries an ordered list of contact
-sites, each knowing on which side of the strand its arc segment lives.
-Bypass surgery cuts the strands at the three sites of one arc and
-re-matches the six resulting ends one step around the surrounding
-hexagon; the two nontrivial re-matchings are the two surgery directions.
-All remaining arcs ride along on the strand pieces, so systems of arcs
-can be surgered sequentially in any order.
+Bypass surgery re-matches the six ends cut at an arc's three contact
+points one step around the surrounding hexagon; the two nontrivial
+re-matchings are the two surgery directions.  A single arc is classified
+and surgered on the bare pairing (sfh.bypass_rewire, shared with
+decompose).  A configuration (PlanarMap) realises a system of disjoint
+arcs: every strand carries an ordered list of contact sites, each
+knowing on which side of the strand its arc segment lives, and the
+other arcs ride along on the strand pieces, so systems of arcs can be
+surgered sequentially in any order.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     MoveUndefined,
     NotComparable,
     NotNicelyOrdered,
+    NotPlanar,
     TrivialArc,
 )
 from .words import MINUS, PLUS, Word, partial_leq
@@ -39,9 +41,11 @@ LEFT, RIGHT = 1, -1
 # Which hexagon rotation is the upwards surgery, and which pinwheel
 # chirality obstructs it.  Both bits are pinned by the word-level effect
 # of single bypass moves on basis diagrams (tests assert the anchoring
-# examples; flipping either constant makes those fail).
+# examples; flipping either constant makes those fail).  UP_STEP is the
+# upwards rotation as a bypass_rewire step; a test pins it to UP_MATCHING.
 UP_MATCHING = 2
 DOWN_MATCHING = 1
+UP_STEP = 1
 PINWHEEL_UP_TRAVERSAL = "CE"
 
 
@@ -121,45 +125,39 @@ class PlanarMap:
                     locs[site.idx] = (si, pi)
         return [locs[i] for i in sorted(locs)]
 
-    def signature(self):
-        return tuple(
-            (s.ends, tuple(x.key() for x in s.sites)) for s in self.strands
-        ) + (tuple(self.arc_ids),)
-
     # -- face bookkeeping ---------------------------------------------------
 
     def faces(self) -> "_Faces":
         return _Faces(self)
 
     def validate(self) -> None:
-        """Check planarity: segment faces consistent, non-crossing, Euler."""
+        """Check planarity: segment faces consistent, non-crossing, Euler.
+
+        Raises NotPlanar; the checks are explicit, so they hold under -O.
+        """
         faces = self.faces()
         total_sites = sum(len(s.sites) for s in self.strands)
         n_arcs = len(self.arc_ids)
-        assert total_sites == 3 * n_arcs, "each arc needs exactly three sites"
+        if total_sites != 3 * n_arcs:
+            raise NotPlanar("each arc needs exactly three sites")
+        segments = [self.segment_face(aid, k, faces) for aid in self.arc_ids for k in (0, 1)]
         sub_face_count = 0
         for f in range(faces.count):
-            boundary = faces.boundary_sites(f)
-            order = {id(site): pos for pos, (site, _si) in enumerate(boundary)}
-            segs = []
-            for aid in self.arc_ids:
-                for k in (0, 1):
-                    seg = self.segment_face(aid, k, faces)
-                    if seg[0] == f:
-                        segs.append((order[id(seg[1])], order[id(seg[2])]))
-            m = len(boundary)
-            for i in range(len(segs)):
-                for j in range(i + 1, len(segs)):
-                    a, b = sorted(segs[i])
-                    c, d = sorted(segs[j])
-                    crossing = (a < c < b) != (a < d < b)
-                    assert not crossing, f"segments cross in face {f}"
+            order = {id(site): pos for pos, (site, _si) in enumerate(faces.boundary_sites(f))}
+            segs = [
+                sorted((order[id(s1)], order[id(s2)])) for face, s1, s2 in segments if face == f
+            ]
+            for i, (a, b) in enumerate(segs):
+                for c, d in segs[i + 1 :]:
+                    if (a < c < b) != (a < d < b):
+                        raise NotPlanar(f"segments cross in face {f}")
             sub_face_count += len(segs) + 1
         m = self.point_count()
         V = m + total_sites
         E = m + sum(len(s.sites) + 1 for s in self.strands) + 2 * n_arcs
         F = sub_face_count
-        assert V - E + F == 1, "Euler formula fails for the disc map"
+        if V - E + F != 1:
+            raise NotPlanar("Euler formula fails for the disc map")
 
     def segment_face(self, arc_id: int, k: int, faces: "_Faces"):
         """(face, from_site, to_site) of segment k -> k+1 of the arc."""
@@ -169,7 +167,8 @@ class PlanarMap:
         s2 = self.strands[si2].sites[pi2]
         f1 = faces.face_of(si1, s1.side_next)
         f2 = faces.face_of(si2, s2.side_prev)
-        assert f1 == f2, f"segment of arc {arc_id} has inconsistent faces"
+        if f1 != f2:
+            raise NotPlanar(f"segment of arc {arc_id} has inconsistent faces")
         return (f1, s1, s2)
 
 
@@ -181,16 +180,17 @@ class _Faces:
         pairing = pm.pairing()
         self.cycles = list(_face_cycles(pairing))
         self.count = len(self.cycles)
-        end_to_strand = {}
+        # circle point -> (strand index, +1 from its first end / -1 from its second)
+        self._strand_at: dict[int, tuple[int, int]] = {}
         for si, s in enumerate(pm.strands):
-            end_to_strand[s.ends[0]] = (si, 1)
-            end_to_strand[s.ends[1]] = (si, -1)
+            self._strand_at[s.ends[0]] = (si, 1)
+            self._strand_at[s.ends[1]] = (si, -1)
         self._face_of: dict[tuple[int, int], int] = {}
         self._dir: dict[tuple[int, int], int] = {}
         for f, cyc in enumerate(self.cycles):
             for dart in cyc:
                 if dart[0] == "c":
-                    si, d = end_to_strand[dart[1]]
+                    si, d = self._strand_at[dart[1]]
                     self._face_of[(si, LEFT if d == 1 else RIGHT)] = f
                     self._dir[(f, si)] = d
 
@@ -207,22 +207,16 @@ class _Faces:
             out.append(1 if k % 2 == 0 else -1)
         return out
 
+    def strands_around(self, face: int) -> list[int]:
+        """Strand indices along the face's boundary walk, in traversal order."""
+        return [self._strand_at[dart[1]][0] for dart in self.cycles[face] if dart[0] == "c"]
+
     def boundary_sites(self, face: int) -> list[tuple[Site, int]]:
         """Visible sites around the face, in traversal order."""
         out = []
-        for dart in self.cycles[face]:
-            if dart[0] != "c":
-                continue
-            si, _d = self._strand_of_dart(dart)
+        for si in self.strands_around(face):
             out.extend((s, si) for s in self._visible_on_dart(face, si))
         return out
-
-    def _strand_of_dart(self, dart):
-        p = dart[1]
-        for si, s in enumerate(self.pm.strands):
-            if p in s.ends:
-                return si, (1 if p == s.ends[0] else -1)
-        raise ValueError
 
     def _visible_on_dart(self, face: int, si: int) -> list[Site]:
         d = self._dir[(face, si)]
@@ -246,7 +240,7 @@ class _Faces:
             if dart[0] == "b":
                 out.append(("circle", dart[1]))
                 continue
-            si, _ = self._strand_of_dart(dart)
+            si = self._strand_at[dart[1]][0]
             out.append(("piece", si))
             for s in self._visible_on_dart(face, si):
                 out.append(("site", s))
@@ -473,14 +467,21 @@ def elementary_move(w: Word, kind: str, i: int, j: int) -> Word:
 # -- attaching-arc classes on a bare diagram ----------------------------------
 
 
+def faces_of(diagram: ChordDiagram) -> _Faces:
+    """Face structure of the bare diagram, one strand per chord of chords()."""
+    return _Faces(PlanarMap([Strand(c) for c in diagram.chords()]))
+
+
 @dataclass(frozen=True)
 class AttachingArc:
-    """One homotopy class of attaching arc, with a concrete realisation.
+    """One homotopy class of attaching arc on a bare diagram.
 
-    sites is the public descriptor: (chord, face) for each endpoint and
-    (chord, face_before, face_after) for the middle crossing, written
-    with canonical chord ids (position in the serialized pair list) and
-    region ids (position in regions()).
+    end1, middle and end2 are the public descriptor: (chord, face) for
+    each endpoint and (chord, face_before, face_after) for the middle
+    crossing, written with canonical chord ids (position in the
+    serialized pair list) and region ids (position in regions()).
+    signature is the class as find_attaching_arcs enumerates it (see
+    _single_arc_map); planar_map() realises it on demand.
     """
 
     diagram: ChordDiagram
@@ -492,26 +493,28 @@ class AttachingArc:
     super_kind: str | None = None  # for supertrivial arcs: "direct" | "indirect"
     forwards: bool | None = None  # for nontrivial arcs on basis diagrams
     fa_indices: tuple[int, int] | None = None
-    _pm: PlanarMap | None = field(default=None, compare=False, repr=False)
+    signature: tuple = field(default=(), compare=False, repr=False)
 
     def planar_map(self) -> PlanarMap:
-        return self._pm.clone()
+        return _single_arc_map(self.diagram, self.signature)
 
 
-def _single_arc_map(diagram, si1, bit1, si2, f1_side, si3, bit3, nest=None) -> PlanarMap:
+def _single_arc_map(diagram, signature) -> PlanarMap:
     """Realise one arc: ends on strands si1/si3, crossing strand si2.
 
-    f1_side is the side of strand si2 carrying the first segment; bit1
-    (resp. bit3) orders the end site against the crossing when it sits
-    on the crossed strand itself (True = before in stored direction);
-    nest (supertrivial, both ends on one side) puts the first end
-    closer to the crossing when True.
+    signature is (si2, f1_side, si1, bit1, si3, bit3, nest).  f1_side is
+    the side of strand si2 carrying the first segment; bit1 (resp. bit3)
+    orders the end site against the crossing when it sits on the crossed
+    strand itself (True = before in stored direction); nest
+    (supertrivial, both ends on one side) puts the first end closer to
+    the crossing when True.
     """
-    strands = [Strand((a, b)) for a, b in diagram.chords()]
+    si2, f1_side, si1, bit1, si3, bit3, nest = signature
+    strands = [Strand(c) for c in diagram.chords()]
     s0 = Site(0, 0, "end", None, None)
     s1 = Site(0, 1, "cross", None, None)
     s2 = Site(0, 2, "end", None, None)
-    faces = _Faces(PlanarMap([Strand(x.ends) for x in strands]))
+    faces = faces_of(diagram)
     f1 = faces.face_of(si2, f1_side)
     f2 = faces.face_of(si2, -f1_side)
 
@@ -547,9 +550,9 @@ def _single_arc_map(diagram, si1, bit1, si2, f1_side, si3, bit3, nest=None) -> P
     return PlanarMap(strands, [0])
 
 
-def _classify(diagram: ChordDiagram, pm: PlanarMap, si1, si2, si3, f1_side) -> AttachingArc:
-    chords = diagram.chords()
-    faces = pm.faces()
+def _classify(diagram: ChordDiagram, faces: _Faces, signature) -> AttachingArc:
+    """The class of one signature, read off the pairing and its faces."""
+    si2, f1_side, si1, b1, si3, b3, nest = signature
     f1 = faces.face_of(si2, f1_side)
     f2 = faces.face_of(si2, -f1_side)
     distinct = len({si1, si2, si3})
@@ -557,33 +560,32 @@ def _classify(diagram: ChordDiagram, pm: PlanarMap, si1, si2, si3, f1_side) -> A
     direction = super_kind = None
     forwards = fa = None
     if triviality != "nontrivial":
-        up = _surgery_once(pm.clone(), 0, "up")
-        down = _surgery_once(pm.clone(), 0, "down")
-        up_d = up.diagram() if not is_zero(up) else ZERO
-        down_d = down.diagram() if not is_zero(down) else ZERO
-        assert (up_d == diagram) != (down_d == diagram), "trivial arc must fix one side"
-        direction = "upwards" if up_d == diagram else "downwards"
+        # An end on the crossed chord before the crossing (end1) or after
+        # it (end2) makes the arc downwards; when both ends lie on one
+        # side of the crossing (indirect), the nesting decides instead.
+        indirect = si1 == si3 == si2 and b1 == b3
+        if indirect:
+            downwards = nest == b1
+        else:
+            downwards = b1 if si1 == si2 else not b3
+        direction = "downwards" if downwards else "upwards"
         if triviality == "supertrivial":
-            sites = pm.strands[si2].sites
-            order = [s.idx for s in sites]
-            super_kind = "direct" if order[1] == 1 else "indirect"
+            super_kind = "indirect" if indirect else "direct"
     else:
         dec = sfh.decompose(diagram)
         if len(dec.words) == 1:
             (w,) = dec.words
             data = base_construction(w)
             order = data.chord_order()
-            c1, c3 = chords[si1], chords[si3]
-            prior_si, prior_c = (si1, c1) if order[c1] < order[c3] else (si3, c3)
-            latter_si = si3 if prior_si == si1 else si1
-            # the endpoint site on the prior chord: its outer region
-            prior_site = next(
-                s for s in pm.strands[prior_si].sites if s.kind == "end"
-            ) if prior_si != si2 else None
-            side = prior_site.side_next if prior_site.idx == 0 else prior_site.side_prev
-            outer_face = faces.face_of(prior_si, -side)
-            sign = faces.signs()[outer_face]
-            forwards = sign == -1
+            chords = diagram.chords()
+            # the prior chord's outer region is its face away from the arc
+            (prior_si, arc_face), (latter_si, _) = sorted(
+                ((si1, f1), (si3, f2)), key=lambda end: order[chords[end[0]]]
+            )
+            outer_face = faces.face_of(prior_si, LEFT)
+            if outer_face == arc_face:
+                outer_face = faces.face_of(prior_si, RIGHT)
+            forwards = faces.signs()[outer_face] == -1
             fa = _fa_indices(w, data, chords, prior_si, latter_si, forwards)
     return AttachingArc(
         diagram,
@@ -595,7 +597,7 @@ def _classify(diagram: ChordDiagram, pm: PlanarMap, si1, si2, si3, f1_side) -> A
         super_kind=super_kind,
         forwards=forwards,
         fa_indices=fa,
-        _pm=pm,
+        signature=signature,
     )
 
 
@@ -623,19 +625,15 @@ def _fa_indices(w, base_data, chords, prior_si, latter_si, forwards):
 
 
 def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
-    """One realised representative per homotopy class of attaching arc."""
-    chords = diagram.chords()
-    base = PlanarMap([Strand(c) for c in chords])
-    faces = base.faces()
+    """One class per homotopy class of attaching arc, classified on the pairing."""
+    n = diagram.n
+    faces = faces_of(diagram)
     face_chords = {
-        f: sorted(
-            si for si in range(len(chords))
-            if faces.face_of(si, LEFT) == f or faces.face_of(si, RIGHT) == f
-        )
+        f: [si for si in range(n) if f in (faces.face_of(si, LEFT), faces.face_of(si, RIGHT))]
         for f in range(faces.count)
     }
     raw = []
-    for si2 in range(len(chords)):
+    for si2 in range(n):
         for f1_side in (LEFT, RIGHT):
             f1 = faces.face_of(si2, f1_side)
             f2 = faces.face_of(si2, -f1_side)
@@ -657,12 +655,7 @@ def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
                                 if min(sig, rev, key=_sig_key) != sig:
                                     continue
                                 raw.append(sig)
-    out = []
-    for si2, f1_side, si1, b1, si3, b3, nest in sorted(raw, key=_sig_key):
-        pm = _single_arc_map(diagram, si1, b1, si2, f1_side, si3, b3, nest)
-        pm.validate()
-        out.append(_classify(diagram, pm, si1, si2, si3, f1_side))
-    return out
+    return [_classify(diagram, faces, sig) for sig in sorted(raw, key=_sig_key)]
 
 
 def _sig_key(sig):
@@ -670,15 +663,26 @@ def _sig_key(sig):
 
 
 def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
-    """Single bypass surgery; ZERO absorbs, loops collapse to ZERO."""
+    """Single bypass surgery on the pairing; ZERO absorbs.
+
+    Along a nontrivial arc it is bypass_rewire on the arc's three chords,
+    one step round the hexagon per direction.  A trivial arc gives the
+    diagram back in its own direction and closes a loop (ZERO) in the
+    other.
+    """
     if is_zero(diagram_or_zero):
         return ZERO
     if arc.diagram != diagram_or_zero:
         raise ArcNotOnDiagram("arc realised on a different diagram")
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    result = _surgery_once(arc.planar_map(), 0, direction)
-    return ZERO if is_zero(result) else result.diagram()
+    diagram = arc.diagram
+    if arc.triviality != "nontrivial":
+        return diagram if arc.direction == direction + "wards" else ZERO
+    chords = diagram.chords()
+    points = [chords[si][0] for si in (arc.end1[0], arc.middle[0], arc.end2[0])]
+    step = UP_STEP if direction == "up" else -UP_STEP
+    return ChordDiagram(sfh.bypass_rewire(diagram.pairing, points, step), _validated=True)
 
 
 def bypass_triple(diagram: ChordDiagram, arc: AttachingArc):
@@ -756,8 +760,7 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
         prior_c = base.base_numbered_chord(PLUS, j)
         latter_c = _root_numbered_chord(root, MINUS, i)
         prior_sign, latter_sign = 1, -1
-    pm = PlanarMap([Strand(c) for c in chords])
-    faces = pm.faces()
+    faces = faces_of(diagram)
     signs = faces.signs()
     prior_si = chords.index(prior_c)
     latter_si = chords.index(latter_c)
@@ -938,8 +941,7 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
     chords = diagram.chords()
     m = 2 * diagram.n
     root = root_point(diagram.n, w.e)
-    pm0 = PlanarMap([Strand(c) for c in chords])
-    faces = pm0.faces()
+    faces = faces_of(diagram)
 
     placed: dict[int, list[tuple[Fraction, Site]]] = {si: [] for si in range(len(chords))}
     arc_count = 0
@@ -1280,7 +1282,6 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
         cls = classes[rng.randrange(len(classes))]
         trial = pm.clone()
         src = cls.planar_map()
-        ok = True
         for strand_i, strand in enumerate(src.strands):
             for site in strand.sites:
                 new = Site(placed, site.idx, site.kind, site.side_prev, site.side_next)
@@ -1289,7 +1290,7 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
         trial.arc_ids = list(pm.arc_ids) + [placed]
         try:
             trial.validate()
-        except AssertionError:
+        except NotPlanar:
             continue
         pm = trial
         placed += 1

@@ -80,3 +80,7 @@ class IndexOutOfRange(SuturaError):
 
 class CapExceeded(SuturaError):
     """Requested size exceeds the configured CLI cap."""
+
+
+class NotPlanar(SuturaError):
+    """A realised configuration of arcs is not planar."""

@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import basis as _basis
 from .diagram import ChordDiagram, ZERO, euler_class, is_zero, rotate_points
-from .errors import GradingMismatch, NotComparable, ZeroElement
+from .errors import GradingMismatch, NotComparable, TrivialArc, ZeroElement
 from .words import (
     MINUS,
     PLUS,
@@ -100,27 +100,22 @@ def _strip_minus_at_base(pairing: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _split_at(pairing: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two bypass-surgery rewrites along the arc hugging point p.
+def bypass_rewire(pairing: tuple[int, ...], points, step: int) -> tuple[int, ...]:
+    """Bypass surgery along a nontrivial arc, as a re-matching of six ends.
 
-    Requires no outermost chord at p, i.e. the chords through p-1, p, p+1
-    are three distinct chords.  Returns the rewrites containing the new
-    outermost chords (p-1, p) and (p, p+1) respectively.
+    points holds one end of each of three distinct chords.  Their six
+    ends, in clockwise order, are re-matched one step around the
+    hexagon: the end after x is joined to the end after x's partner
+    (step +1), or the end before x to the end before x's partner (step -1).
+    The two steps give the other two diagrams of the bypass triple.
     """
-    m = len(pairing)
-    lo, hi = (p - 1) % m, (p + 1) % m
-    a, b, c = pairing[lo], pairing[p], pairing[hi]
-    assert len({a, b, c} | {lo, p, hi}) == 6, "split needs three distinct chords"
-
-    def rewire(pairs):
-        out = list(pairing)
-        for x, y in pairs:
-            out[x], out[y] = y, x
-        return tuple(out)
-
-    minus_side = rewire([(lo, p), (hi, a), (b, c)])
-    plus_side = rewire([(p, hi), (lo, c), (a, b)])
-    return minus_side, plus_side
+    ends = sorted({x for p in points for x in (p, pairing[p])})
+    if len(ends) != 6:
+        raise TrivialArc("bypass rewiring needs three distinct chords")
+    out = list(pairing)
+    for i, x in enumerate(ends):
+        out[ends[(i + step) % 6]] = ends[(ends.index(pairing[x]) + step) % 6]
+    return tuple(out)
 
 
 def _decompose_pairing(pairing: tuple[int, ...]) -> frozenset[Word]:
@@ -139,7 +134,8 @@ def _decompose_pairing(pairing: tuple[int, ...]) -> frozenset[Word]:
             inner = _decompose_pairing(_strip_minus_at_base(pairing))
             result = frozenset(Word((MINUS,) + w.bits) for w in inner)
         else:
-            left, right = _split_at(pairing, 0)
+            hug = (m - 1, 0, 1)  # the chords met by the arc hugging the base point
+            left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
             result = _decompose_pairing(left) ^ _decompose_pairing(right)
     _decompose_cache[pairing] = result
     return result
@@ -177,7 +173,8 @@ def decompose_from_root(diagram) -> SfhElement:
                 trimmed = _remove_adjacent(pairing, r)
                 result = frozenset(Word(w.bits + (MINUS,)) for w in rec(trimmed, e + 1))
             else:
-                left, right = _split_at(pairing, r)
+                hug = ((r - 1) % m, r, (r + 1) % m)
+                left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
                 result = rec(left, e) ^ rec(right, e)
         _decompose_root_cache[pairing] = result
         return result
@@ -565,9 +562,6 @@ def rotation_explicit(x: SfhElement) -> SfhElement:
     for w in x.words:
         acc ^= rotation_explicit_word(w)
     return SfhElement(acc)
-
-
-ROTATION = GradedOperator("R", (0, 0), rotation_explicit_word)
 
 
 def rotation(x: SfhElement) -> SfhElement:

@@ -225,15 +225,9 @@ def bypass_cobordism_category(bottom: ChordDiagram, arc) -> tuple[int, int, Boun
     if arc.triviality != "nontrivial":
         raise TrivialArc("bypass cobordisms attach along nontrivial arcs")
     top = _arcs.surgery(bottom, arc, "up")
-    pm = arc.planar_map()
-    faces = pm.faces()
+    faces = _arcs.faces_of(bottom)
     signs = faces.signs()
-    locs = pm.site_locations(0)
-    (si0, pi0), (si1, pi1), (si2, pi2) = locs
-    s0 = pm.strands[si0].sites[pi0]
-    s2 = pm.strands[si2].sites[pi2]
-    f1 = faces.face_of(si0, s0.side_next)
-    f2 = faces.face_of(si2, s2.side_prev)
+    (si0, f1), si1, (si2, f2) = arc.end1, arc.middle[0], arc.end2
     # inner + and inner - regions with their (endpoint chord, crossed chord)
     if signs[f1] == 1:
         plus_face, plus_end = f1, si0
@@ -241,30 +235,23 @@ def bypass_cobordism_category(bottom: ChordDiagram, arc) -> tuple[int, int, Boun
     else:
         plus_face, plus_end = f2, si2
         minus_face, minus_end = f1, si0
-    n_minus = 1 + _chords_between(pm, faces, plus_face, plus_end, si1)
-    n_plus = 1 + _chords_between(pm, faces, minus_face, minus_end, si1)
+    n_minus = 1 + _chords_between(faces, plus_face, plus_end, si1)
+    n_plus = 1 + _chords_between(faces, minus_face, minus_end, si1)
     category = bounded_category(bottom, top)
     return n_minus, n_plus, category
 
 
-def _chords_between(pm, faces, face: int, end_si: int, cross_si: int) -> int:
+def _chords_between(faces, face: int, end_si: int, cross_si: int) -> int:
     """Number of other chords on the inner region between the arc's two chords.
 
     Walking the face boundary from the endpoint chord to the crossed
     chord on the side away from the outer region counts the chords whose
     bypasses survive inside the attachment.
     """
-    cyc = faces.cycles[face]
-    strand_seq = []
-    for dart in cyc:
-        if dart[0] == "c":
-            si, _ = faces._strand_of_dart(dart)
-            strand_seq.append(si)
+    strand_seq = faces.strands_around(face)
     k = len(strand_seq)
     i_end = strand_seq.index(end_si)
     i_cross = strand_seq.index(cross_si)
     # walk forward from the endpoint chord to the crossed chord
     count = (i_cross - i_end) % k - 1
     return count
-
-

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 from .errors import GradingMismatch, LengthMismatch, NotComparable, NotMonotone, ParseError
@@ -183,24 +184,19 @@ def narayana(n_chords: int, e: int) -> int:
     return comb(n + 1, k + 1) * comb(n + 1, k) // (n + 1)
 
 
-def narayana_recursive(n_chords: int, e: int, _memo={}) -> int:
+@lru_cache(maxsize=None)
+def narayana_recursive(n_chords: int, e: int) -> int:
     """The same numbers from the merge recursion (independent implementation)."""
-    key = (n_chords, e)
-    if key in _memo:
-        return _memo[key]
     if n_chords <= 1:
-        val = 1 if key in ((0, 0), (1, 0)) else 0
-    else:
-        n = n_chords - 1
-        if abs(e) > n or (e + n) % 2 != 0:
-            val = 0
-        else:
-            val = narayana_recursive(n, e - 1) + narayana_recursive(n, e + 1)
-            for n1 in range(1, n):
-                n2 = n - n1
-                for e1 in range(-n1, n1 + 1):
-                    val += narayana_recursive(n1, e1) * narayana_recursive(n2, e - e1)
-    _memo[key] = val
+        return 1 if (n_chords, e) in ((0, 0), (1, 0)) else 0
+    n = n_chords - 1
+    if abs(e) > n or (e + n) % 2 != 0:
+        return 0
+    val = narayana_recursive(n, e - 1) + narayana_recursive(n, e + 1)
+    for n1 in range(1, n):
+        n2 = n - n1
+        for e1 in range(-n1, n1 + 1):
+            val += narayana_recursive(n1, e1) * narayana_recursive(n2, e - e1)
     return val
 
 

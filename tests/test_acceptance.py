@@ -1,75 +1,30 @@
 """Acceptance gate: every structural criterion at its stated size bound.
 
-Each test prints one PASS/FAIL line; runtime budgets are enforced where
-the criteria state them.  All arithmetic is exact, tolerance zero.
+The criteria, their bounds and their runtime budgets all come from
+verify._criteria("full", 0), the table behind `sutura verify --level
+full`.  Each test prints one PASS/FAIL line and enforces its budget.
+All arithmetic is exact, tolerance zero.
 """
 
 import time
 
-
 from sutura import verify
 
 
-def _run(number, name, fn, budget=None):
-    start = time.perf_counter()
-    problems = fn()
-    elapsed = time.perf_counter() - start
-    status = "PASS" if not problems else "FAIL"
-    print(f"{status} — criterion {number}: {name} ({elapsed:.1f}s)")
-    assert not problems, f"criterion {number} ({name}): {problems[:5]}"
-    if budget is not None:
+def _criterion_test(number, name, fn, budget):
+    def test():
+        start = time.perf_counter()
+        problems = fn()
+        elapsed = time.perf_counter() - start
+        status = "PASS" if not problems else "FAIL"
+        print(f"{status} — criterion {number}: {name} ({elapsed:.1f}s)")
+        assert not problems, f"criterion {number} ({name}): {problems[:5]}"
         assert elapsed < budget, f"criterion {number} exceeded {budget}s ({elapsed:.1f}s)"
 
-
-def test_criterion_1_counting():
-    _run(1, "Catalan/Narayana counting", lambda: verify.check_counting(8), budget=5.0)
-
-
-def test_criterion_2_basis_and_bypass():
-    _run(
-        2,
-        "basis decomposition and bypass relation",
-        lambda: verify.check_basis_and_triples(7, 6),
-        budget=60.0,
-    )
+    test.__name__ = f"test_criterion_{number}_{name}"
+    return test
 
 
-def test_criterion_3_operator_algebra():
-    _run(3, "creation/annihilation algebra", lambda: verify.check_operator_algebra(6))
-
-
-def test_criterion_4_main_theorem():
-    _run(4, "extreme-pair bijection", lambda: verify.check_main_theorem(7))
-
-
-def test_criterion_5_parity():
-    _run(5, "parity of decompositions", lambda: verify.check_parity(7, 6))
-
-
-def test_criterion_6_stackability():
-    _run(6, "stackability pairing", lambda: verify.check_stackability(6, 5), budget=300.0)
-
-
-def test_criterion_7_categories():
-    _run(7, "bounded categories", lambda: verify.check_categories(5, 5))
-
-
-def test_criterion_8_bypass_systems():
-    _run(
-        8,
-        "bypass systems and pinwheels",
-        lambda: verify.check_bypass_systems(5, 1000, 6, seed=0),
-    )
-
-
-def test_criterion_9_rotation():
-    _run(9, "rotation operator", lambda: verify.check_rotation(6, 5))
-
-
-def test_criterion_10_simplicial():
-    _run(
-        10,
-        "simplicial structure and exactness",
-        lambda: verify.check_simplicial(8, 6, 6),
-        budget=30.0,
-    )
+for _number, (_name, _fn, _budget) in enumerate(verify._criteria("full", 0), start=1):
+    _test = _criterion_test(_number, _name, _fn, _budget)
+    globals()[_test.__name__] = _test

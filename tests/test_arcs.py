@@ -157,14 +157,12 @@ def test_triple_cycle_via_induced_arcs():
 
 
 def test_generic_engine_matches_decompose_split():
-    from sutura.sfh import _split_at
-
     for n in range(2, 6):
         for d in D.enumerate_diagrams(n):
             q = d.pairing[0]
             if q in (1, 2 * n - 1):
                 continue
-            want = set(_split_at(d.pairing, 0))
+            want = {sfh.bypass_rewire(d.pairing, (2 * n - 1, 0, 1), step) for step in (1, -1)}
             si2 = d.chord_index(0)
             ends = {d.chord_index(2 * n - 1), d.chord_index(1)}
             found = False
@@ -221,3 +219,25 @@ def test_triple_relation_is_symmetric():
                 for pairing in triple:
                     other = D.ChordDiagram(pairing)
                     assert triple in triples_from[other], (d, triple)
+
+
+def test_single_arc_route_matches_planar_map_route():
+    # single arcs are classified and surgered on the pairing; the
+    # PlanarMap realisation stays the reference, planarity included
+    for n in range(1, 7):
+        for d in D.enumerate_diagrams(n):
+            for c in arcs.find_attaching_arcs(d):
+                pm = c.planar_map()
+                pm.validate()
+                system = arcs.single_arc_system(c)
+                for direction in ("up", "down"):
+                    want = arcs.surgery_along_system(system, direction)
+                    assert arcs.surgery(d, c, direction) == want, (d, c, direction)
+                if c.triviality == "supertrivial":
+                    order = [site.idx for site in pm.strands[c.middle[0]].sites]
+                    assert (order[1] == 1) == (c.super_kind == "direct"), (d, c)
+
+
+def test_bypass_rewire_needs_three_chords():
+    with pytest.raises(TrivialArc):
+        sfh.bypass_rewire(D.parse("0-1,2-5,3-4").pairing, (0, 1, 2), 1)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sutura
 from sutura import cli, verify
 
 
@@ -115,6 +119,18 @@ def test_verify_quick(capsys):
     payload = json.loads(out)
     assert payload["failures"] == []
     assert len(payload["checks"]) == 10
+
+
+def test_verify_quick_under_optimize():
+    # planarity checks must not be assert statements, which -O strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sutura.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "sutura.cli", "verify", "--level", "quick", "--format", "json"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["failures"] == []
 
 
 def test_mutated_connector_reports_failures():
