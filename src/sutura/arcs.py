@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import sfh
 from .basis import base_construction, root_construction, root_point
-from .diagram import ChordDiagram, ZERO, _face_cycles, is_zero
+from .diagram import ChordDiagram, ZERO, _face_cycles, is_zero, orbit_sign, region_orbits
 from .errors import (
     ArcNotDefined,
     ArcNotOnDiagram,
@@ -173,12 +173,15 @@ class PlanarMap:
 
 
 class _Faces:
-    """Face structure of the underlying diagram of a configuration."""
+    """Face structure of the underlying diagram of a configuration.
+
+    Face f is the orbit cycles[f] of boundary arcs (diagram.region_orbits);
+    the strand after arc k in the walk is the one leaving point k.
+    """
 
     def __init__(self, pm: PlanarMap):
         self.pm = pm
-        pairing = pm.pairing()
-        self.cycles = list(_face_cycles(pairing))
+        self.cycles = _face_cycles(pm.pairing())
         self.count = len(self.cycles)
         # circle point -> (strand index, +1 from its first end / -1 from its second)
         self._strand_at: dict[int, tuple[int, int]] = {}
@@ -187,12 +190,11 @@ class _Faces:
             self._strand_at[s.ends[1]] = (si, -1)
         self._face_of: dict[tuple[int, int], int] = {}
         self._dir: dict[tuple[int, int], int] = {}
-        for f, cyc in enumerate(self.cycles):
-            for dart in cyc:
-                if dart[0] == "c":
-                    si, d = self._strand_at[dart[1]]
-                    self._face_of[(si, LEFT if d == 1 else RIGHT)] = f
-                    self._dir[(f, si)] = d
+        for f, orbit in enumerate(self.cycles):
+            for k in orbit:
+                si, d = self._strand_at[k]
+                self._face_of[(si, LEFT if d == 1 else RIGHT)] = f
+                self._dir[(f, si)] = d
 
     def face_of(self, strand_index: int, side: int) -> int:
         return self._face_of[(strand_index, side)]
@@ -201,24 +203,20 @@ class _Faces:
         return self._dir[(face, strand_index)]
 
     def signs(self) -> list[int]:
-        out = []
-        for cyc in self.cycles:
-            k = next(d[1] for d in cyc if d[0] == "b")
-            out.append(1 if k % 2 == 0 else -1)
-        return out
+        return [orbit_sign(orbit) for orbit in self.cycles]
 
     def strands_around(self, face: int) -> list[int]:
         """Strand indices along the face's boundary walk, in traversal order."""
-        return [self._strand_at[dart[1]][0] for dart in self.cycles[face] if dart[0] == "c"]
+        return [self._strand_at[k][0] for k in self.cycles[face]]
 
     def boundary_sites(self, face: int) -> list[tuple[Site, int]]:
         """Visible sites around the face, in traversal order."""
         out = []
         for si in self.strands_around(face):
-            out.extend((s, si) for s in self._visible_on_dart(face, si))
+            out.extend((s, si) for s in self._visible_sites(face, si))
         return out
 
-    def _visible_on_dart(self, face: int, si: int) -> list[Site]:
+    def _visible_sites(self, face: int, si: int) -> list[Site]:
         d = self._dir[(face, si)]
         face_side = LEFT if d == 1 else RIGHT
         sites = self.pm.strands[si].sites
@@ -236,13 +234,11 @@ class _Faces:
     def boundary_tokens(self, face: int):
         """Full token walk: ('circle', k) / ('piece', si) / ('site', Site)."""
         out = []
-        for dart in self.cycles[face]:
-            if dart[0] == "b":
-                out.append(("circle", dart[1]))
-                continue
-            si = self._strand_at[dart[1]][0]
+        for k in self.cycles[face]:
+            si = self._strand_at[k][0]
+            out.append(("circle", k))
             out.append(("piece", si))
-            for s in self._visible_on_dart(face, si):
+            for s in self._visible_sites(face, si):
                 out.append(("site", s))
                 out.append(("piece", si))
         return out
@@ -1103,9 +1099,12 @@ def bbs(w1: Word, w2: Word) -> BypassSystem:
 def _face_subdivision(pm: PlanarMap, faces: _Faces, face: int):
     """Orbits of the face after cutting along its arc segments.
 
-    Each orbit is a list of darts: ('interval', t, dir, tokens) boundary
-    stretches between consecutive sites, and ('seg', arc_id, 'EC'|'CE')
-    arc segments with their traversal sense (endpoint->crossing or back).
+    The visible sites, matched by the segments, are a non-crossing
+    matching; its regions (diagram.region_orbits) are the sub-faces.
+    Each is a list of sides: ('interval', t, tokens, covered), the
+    boundary stretch from site t+1 back to site t, then ('seg', arc_id,
+    'EC'|'CE', corners), the segment leaving site t with its traversal
+    sense (endpoint->crossing or back).
     """
     boundary = faces.boundary_sites(face)
     if not boundary:
@@ -1158,56 +1157,15 @@ def _face_subdivision(pm: PlanarMap, faces: _Faces, face: int):
                 seg_of[b] = (a, aid)
     assert set(seg_of) == set(range(M)), "every visible site carries one segment"
 
-    # darts: ('i', t, +1) runs interval t from site t to t+1; ('s', v) runs
-    # the segment away from site v
-    def reverse(d):
-        if d[0] == "i":
-            return ("i", d[1], -d[2])
-        return ("s", seg_of[d[1]][0])
-
-    def head(d):
-        if d[0] == "i":
-            return (d[1] + 1) % M if d[2] == 1 else d[1]
-        return seg_of[d[1]][0]
-
-    def rotation(v):
-        return (("i", v, 1), ("s", v), ("i", (v - 1) % M, -1))
-
-    def next_dart(d):
-        rot = rotation(head(d))
-        rev = reverse(d)
-        return rot[(rot.index(rev) + 1) % 3]
-
-    all_darts = [("i", t, d) for t in range(M) for d in (1, -1)] + [("s", v) for v in range(M)]
-    seen, orbits = set(), []
-    for d0 in all_darts:
-        if d0 in seen:
-            continue
-        orbit, d = [], d0
-        while True:
-            orbit.append(d)
-            seen.add(d)
-            d = next_dart(d)
-            if d == d0:
-                break
-        orbits.append(orbit)
-
     out = []
-    for orbit in orbits:
-        if all(d[0] == "i" for d in orbit):
-            continue  # the complement of the polygon
+    for orbit in region_orbits([seg_of[v][0] for v in range(M)]):
         sides = []
-        for d in orbit:
-            if d[0] == "i":
-                toks, covered = intervals[d[1]]
-                sides.append(("interval", d[1], d[2], toks, covered))
-            else:
-                v = d[1]
-                site = sites[v]
-                kind = "EC" if site.kind == "end" else "CE"
-                w = seg_of[v][0]
-                corner_idxs = {site.idx, sites[w].idx}
-                sides.append(("seg", seg_of[v][1], kind, frozenset(corner_idxs)))
+        for t in orbit:
+            toks, covered = intervals[t]
+            sides.append(("interval", t, toks, covered))
+            w, aid = seg_of[t]
+            kind = "EC" if sites[t].kind == "end" else "CE"
+            sides.append(("seg", aid, kind, frozenset({sites[t].idx, sites[w].idx})))
         out.append(sides)
     return out
 
@@ -1243,9 +1201,7 @@ def has_pinwheel(system: BypassSystem, direction: str) -> bool:
 def _is_pinwheel(pm: PlanarMap, orbit, want: str) -> bool:
     segs = [d for d in orbit if d[0] == "seg"]
     ivals = [d for d in orbit if d[0] == "interval"]
-    if not segs or len(segs) != len(ivals):
-        return False
-    if any(tok[0] == "circle" for _, _, _, toks, _cov in ivals for tok in toks):
+    if any(tok[0] == "circle" for _, _, toks, _cov in ivals for tok in toks):
         return False
     arcs_used = [aid for _, aid, _k, _c in segs]
     if len(set(arcs_used)) != len(arcs_used):
@@ -1254,7 +1210,7 @@ def _is_pinwheel(pm: PlanarMap, orbit, want: str) -> bool:
         return False
     # each side arc must not meet the region again: its remaining site
     # may not lie on (the far side of) any boundary chord stretch
-    covered = [cov for _, _t, _d, _toks, cov in ivals if cov is not None]
+    covered = [cov for _, _t, _toks, cov in ivals if cov is not None]
     for _, aid, _kind, corners in segs:
         locs = pm.site_locations(aid)
         for si, k in locs:

@@ -2,8 +2,6 @@
 rendering, and the verification harness.
 
 Exit codes: 0 on success, 1 on a domain error, 2 on a usage error.
-With SUTURA_CACHE_DIR set, the basis-decomposition memo is spilled to a
-plain key-value file between runs.
 """
 
 from __future__ import annotations
@@ -11,48 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import sfh, stacking, verify
 from . import diagram as dg
 from .errors import CapExceeded, SuturaError
-from .words import Word, catalan, narayana, word
-
-
-def _load_cache() -> str | None:
-    cache_dir = os.environ.get("SUTURA_CACHE_DIR")
-    if not cache_dir:
-        return None
-    path = os.path.join(cache_dir, "decompose.kv")
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                key, _, value = line.rstrip("\n").partition("\t")
-                if not key:
-                    continue
-                try:
-                    pairing = tuple(int(x) for x in key.split(","))
-                    words = frozenset(
-                        Word.parse(w) for w in value.split(",") if w
-                    ) if value else frozenset([Word()])
-                except (ValueError, SuturaError):
-                    continue
-                sfh._decompose_cache.setdefault(pairing, words)
-    return path
-
-
-def _save_cache(path: str | None) -> None:
-    if not path:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for pairing, words in sorted(sfh._decompose_cache.items()):
-            key = ",".join(str(x) for x in pairing)
-            value = ",".join(str(w) for w in sorted(words, key=lambda w: w.bits))
-            fh.write(f"{key}\t{value}\n")
-    os.replace(tmp, path)
+from .words import catalan, narayana, word
 
 
 def cmd_enumerate(args) -> int:
@@ -171,28 +133,15 @@ def render_svg(d: dg.ChordDiagram) -> str:
     def fmt(x: float) -> str:
         return f"{x:.2f}"
 
-    for region in dg.face_cycles(d):
-        path = []
-        first = None
-        for dart in region:
-            if dart[0] == "b":
-                k, direction = dart[1], dart[2]
-                a = k if direction == 1 else (k + 1) % m
-                b = (k + 1) % m if direction == 1 else k
-                if first is None:
-                    first = a
-                    path.append(f"M {fmt(pts[a][0])} {fmt(pts[a][1])}")
-                sweep = 1 if direction == 1 else 0
-                path.append(f"A {fmt(R)} {fmt(R)} 0 0 {sweep} {fmt(pts[b][0])} {fmt(pts[b][1])}")
-            else:
-                a = dart[1]
-                b = d.partner(a)
-                if first is None:
-                    first = a
-                    path.append(f"M {fmt(pts[a][0])} {fmt(pts[a][1])}")
-                path.append(f"L {fmt(pts[b][0])} {fmt(pts[b][1])}")
-        arc0 = next(x[1] for x in region if x[0] == "b")
-        fill = "#cfe8ff" if arc0 % 2 == 0 else "#ffd9cf"
+    for orbit in dg.face_cycles(d):
+        # arc k is drawn from k+1 back to k, then the chord from k to its partner
+        x, y = pts[(orbit[0] + 1) % m]
+        path = [f"M {fmt(x)} {fmt(y)}"]
+        for k in orbit:
+            (ax, ay), (px, py) = pts[k], pts[d.pairing[k]]
+            path.append(f"A {fmt(R)} {fmt(R)} 0 0 0 {fmt(ax)} {fmt(ay)}")
+            path.append(f"L {fmt(px)} {fmt(py)}")
+        fill = "#cfe8ff" if orbit[0] % 2 == 0 else "#ffd9cf"
         out.append(f'<path d="{" ".join(path)} Z" fill="{fill}" stroke="none"/>')
     out.append(f'<circle cx="{fmt(C)}" cy="{fmt(C)}" r="{fmt(R)}" fill="none" stroke="black"/>')
     for a, b in d.chords():
@@ -338,15 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_path = _load_cache()
     try:
-        code = args.func(args)
+        return args.func(args)
     except SuturaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        _save_cache(cache_path)
-    return code
 
 
 if __name__ == "__main__":

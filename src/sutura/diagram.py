@@ -135,73 +135,45 @@ def parse(text: str) -> ChordDiagram:
 
 # -- faces ------------------------------------------------------------------
 
-# A dart is ("b", k, d) for boundary arc k traversed from k (d=+1) or from
-# k+1 (d=-1), or ("c", p) for the chord leaving point p.  Faces are orbits
-# of dart -> rotation-successor of its reverse; with the rotation order
-# below, every interior face keeps the disc on a consistent side, and the
-# single all-boundary orbit is the outside of the disc.
+# Boundary arc k runs from point k to point k+1.  Walking a region with the
+# disc on the left, arc k is crossed from k+1 to k and then the chord
+# leaving point k leads to its partner p, where arc p-1 continues the walk.
+# So the regions of any non-crossing matching are the orbits of
+# k -> (pairing[k] - 1) mod m, and all arcs of one region share a parity.
 
 
-def _reverse(dart, pairing):
-    if dart[0] == "b":
-        return ("b", dart[1], -dart[2])
-    return ("c", pairing[dart[1]])
+def region_orbits(pairing) -> tuple[tuple[int, ...], ...]:
+    """Boundary arcs of each region, in walk order from its smallest arc.
 
-
-def _rotation(vertex: int, m: int):
-    # Outgoing darts, cyclically ordered around the vertex.
-    return (
-        ("b", vertex % m, 1),
-        ("c", vertex),
-        ("b", (vertex - 1) % m, -1),
-    )
-
-
-def _dart_head(dart, pairing, m):
-    if dart[0] == "b":
-        return (dart[1] + 1) % m if dart[2] == 1 else dart[1]
-    return pairing[dart[1]]
-
-
-@lru_cache(maxsize=65536)
-def _face_cycles(pairing: tuple[int, ...]) -> tuple[tuple[tuple, ...], ...]:
-    """Oriented boundary cycles of the interior regions (outer face dropped)."""
+    Regions come in order of their smallest arc; the chord after arc k
+    in the walk is the one leaving point k.
+    """
     m = len(pairing)
-    all_darts = [("b", k, d) for k in range(m) for d in (1, -1)]
-    all_darts += [("c", p) for p in range(m)]
-
-    def next_dart(d):
-        head = _dart_head(d, pairing, m)
-        rot = _rotation(head, m)
-        rev = _reverse(d, pairing)
-        i = rot.index(rev)
-        return rot[(i + 1) % 3]
-
-    seen = set()
-    cycles = []
-    for start in all_darts:
-        if start in seen:
-            continue
-        cyc = []
-        d = start
-        while True:
-            cyc.append(d)
-            seen.add(d)
-            d = next_dart(d)
-            if d == start:
-                break
-        cycles.append(tuple(cyc))
-    inner = [c for c in cycles if any(d[0] == "c" for d in c)]
-    outer = [c for c in cycles if all(d[0] == "b" for d in c)]
-    assert len(outer) == 1 and len(inner) == m // 2 + 1
-    return tuple(inner)
+    seen = [False] * m
+    orbits = []
+    for start in range(m):
+        orbit = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            orbit.append(k)
+            k = (pairing[k] - 1) % m
+        if orbit:
+            orbits.append(tuple(orbit))
+    return tuple(orbits)
 
 
-def face_cycles(diagram: ChordDiagram):
-    """Oriented dart cycles of the N+1 regions, deterministic order."""
-    cycles = list(_face_cycles(diagram.pairing))
-    cycles.sort(key=lambda c: min(d[1] for d in c if d[0] == "b"))
-    return cycles
+_face_cycles = lru_cache(maxsize=65536)(region_orbits)
+
+
+def orbit_sign(orbit) -> int:
+    """Sign of a region: +1 when its arcs are even (positive), else -1."""
+    return 1 if orbit[0] % 2 == 0 else -1
+
+
+def face_cycles(diagram: ChordDiagram) -> tuple[tuple[int, ...], ...]:
+    """Boundary-arc orbits of the N+1 regions (see region_orbits)."""
+    return _face_cycles(diagram.pairing)
 
 
 @dataclass(frozen=True)
@@ -216,23 +188,23 @@ class Region:
 
 def regions(diagram: ChordDiagram) -> list[Region]:
     """All N+1 regions with their signs and boundary data."""
-    out = []
-    for i, cyc in enumerate(face_cycles(diagram)):
-        arcs = frozenset(d[1] for d in cyc if d[0] == "b")
-        chords = frozenset(diagram.chord_index(d[1]) for d in cyc if d[0] == "c")
-        signs = {1 if k % 2 == 0 else -1 for k in arcs}
-        assert len(signs) == 1, "region touches arcs of both signs"
-        out.append(Region(i, signs.pop(), arcs, chords))
-    return out
+    chord_at = [0] * (2 * diagram.n)
+    for i, (a, b) in enumerate(diagram.chords()):
+        chord_at[a] = chord_at[b] = i
+    return [
+        Region(
+            i,
+            orbit_sign(orbit),
+            frozenset(orbit),
+            frozenset(chord_at[k] for k in orbit),
+        )
+        for i, orbit in enumerate(face_cycles(diagram))
+    ]
 
 
 def euler_class(diagram: ChordDiagram) -> int:
     """Sum of region signs; equals (#positive - #negative regions)."""
-    e = sum(r.sign for r in regions(diagram))
-    n = diagram.n
-    assert abs(e) <= n - 1 or n == 1, "euler class out of range"
-    assert (e - (n - 1)) % 2 == 0, "euler class has wrong parity"
-    return e
+    return sum(orbit_sign(orbit) for orbit in face_cycles(diagram))
 
 
 # -- elementary diagram operations -------------------------------------------

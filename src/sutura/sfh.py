@@ -119,25 +119,27 @@ def bypass_rewire(pairing: tuple[int, ...], points, step: int) -> tuple[int, ...
 
 
 def _decompose_pairing(pairing: tuple[int, ...]) -> frozenset[Word]:
-    cached = _decompose_cache.get(pairing)
-    if cached is not None:
-        return cached
-    m = len(pairing)
-    if m == 2:
-        result = frozenset((Word(),))
-    else:
-        q = pairing[0]
-        if q == 1:
-            inner = _decompose_pairing(_strip_plus_at_base(pairing))
-            result = frozenset(Word((PLUS,) + w.bits) for w in inner)
+    # Outermost chords at the base point are peeled in a loop and only
+    # bypass splits recurse, so deeply nested diagrams need no deep stack.
+    peeled: list[tuple[tuple[int, ...], int]] = []
+    while pairing not in _decompose_cache:
+        m, q = len(pairing), pairing[0]
+        if m == 2:
+            _decompose_cache[pairing] = frozenset((Word(),))
+        elif q == 1:
+            peeled.append((pairing, PLUS))
+            pairing = _strip_plus_at_base(pairing)
         elif q == m - 1:
-            inner = _decompose_pairing(_strip_minus_at_base(pairing))
-            result = frozenset(Word((MINUS,) + w.bits) for w in inner)
+            peeled.append((pairing, MINUS))
+            pairing = _strip_minus_at_base(pairing)
         else:
             hug = (m - 1, 0, 1)  # the chords met by the arc hugging the base point
             left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
-            result = _decompose_pairing(left) ^ _decompose_pairing(right)
-    _decompose_cache[pairing] = result
+            _decompose_cache[pairing] = _decompose_pairing(left) ^ _decompose_pairing(right)
+    result = _decompose_cache[pairing]
+    for outer, letter in reversed(peeled):
+        result = frozenset(Word((letter,) + w.bits) for w in result)
+        _decompose_cache[outer] = result
     return result
 
 
@@ -645,11 +647,3 @@ def rotation_by_matrix(x: SfhElement) -> SfhElement:
             if mat[row][col]:
                 acc ^= {wr}
     return SfhElement(acc)
-
-
-def clear_caches() -> None:
-    """Reset the decomposition memo tables (mainly for tests)."""
-    _decompose_cache.clear()
-    _decompose_root_cache.clear()
-    _from_pair_cached.cache_clear()
-    rotation_matrix.cache_clear()

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sutura
-from sutura import cli, verify
+from sutura import cli, sfh, verify
 
 
 def run(capsys, *argv):
@@ -101,16 +101,22 @@ def test_render_non_basis_has_no_root(capsys):
     assert 'fill="white"' not in svg
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch, capsys):
+def test_cache_dir_is_not_read(tmp_path, monkeypatch, capsys):
+    # a poisoned memo file left in SUTURA_CACHE_DIR must not change answers
+    (tmp_path / "decompose.kv").write_text("1,0\t+-\n")
     monkeypatch.setenv("SUTURA_CACHE_DIR", str(tmp_path))
-    code, out1, _ = run(capsys, "decompose", "0-3,1-2,4-5")
+    monkeypatch.setattr(sfh, "_decompose_cache", {})  # cold, as in a new process
+    code, out, _ = run(capsys, "decompose", "0-1")
+    assert code == 0 and out == "v_\n"
+
+
+def test_decompose_deeply_nested(capsys):
+    n = 1200
+    nested = ",".join(f"{i}-{2 * n - 1 - i}" for i in range(n))
+    code, out, _ = run(capsys, "decompose", nested, "--format", "json")
     assert code == 0
-    cache = tmp_path / "decompose.kv"
-    assert cache.exists()
-    text = cache.read_text()
-    assert "\t" in text
-    code, out2, _ = run(capsys, "decompose", "0-3,1-2,4-5")
-    assert out1 == out2
+    (only,) = json.loads(out)["words"]
+    assert len(only) == n - 1
 
 
 def test_verify_quick(capsys):

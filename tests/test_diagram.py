@@ -70,6 +70,20 @@ def test_regions():
                     by_chord.setdefault(c, []).append(r.sign)
             for signs in by_chord.values():
                 assert sorted(signs) == [-1, 1]
+            assert set(by_chord) == set(range(n))
+            # the boundary arcs partition the circle, one parity per region
+            arcs = sorted(k for r in rs for k in r.boundary_arcs)
+            assert arcs == list(range(2 * n))
+            for r in rs:
+                assert {1 if k % 2 == 0 else -1 for k in r.boundary_arcs} == {r.sign}
+
+
+def test_euler_class_closed_form_oracle():
+    # each chord with an odd low end turns one positive region negative
+    for n in range(1, 10):
+        for d in D.enumerate_diagrams(n):
+            odd_low = sum(1 for a, _ in d.chords() if a % 2)
+            assert D.euler_class(d) == (n - 1) - 2 * odd_low
 
 
 def test_rotate_points():
