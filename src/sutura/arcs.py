@@ -28,6 +28,7 @@ from .diagram import ChordDiagram, ZERO, _face_cycles, is_zero, orbit_sign, regi
 from .errors import (
     ArcNotDefined,
     ArcNotOnDiagram,
+    BrokenInvariant,
     MoveUndefined,
     NotComparable,
     NotNicelyOrdered,
@@ -628,34 +629,29 @@ def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
         f: [si for si in range(n) if f in (faces.face_of(si, LEFT), faces.face_of(si, RIGHT))]
         for f in range(faces.count)
     }
-    raw = []
+    # each bit is carried with its int key (None -1, False 0, True 1); the
+    # classes come out in the order of those keys
+    both, neither = ((True, 1), (False, 0)), ((None, -1),)
+    raw = {}
     for si2 in range(n):
         for f1_side in (LEFT, RIGHT):
             f1 = faces.face_of(si2, f1_side)
             f2 = faces.face_of(si2, -f1_side)
             for si1 in face_chords[f1]:
-                bits1 = (True, False) if si1 == si2 else (None,)
+                bits1 = both if si1 == si2 else neither
                 for si3 in face_chords[f2]:
-                    bits3 = (True, False) if si3 == si2 else (None,)
-                    for b1 in bits1:
-                        for b3 in bits3:
-                            nests = (None,)
-                            if si1 == si2 == si3 and b1 == b3:
-                                nests = (True, False)
-                            for nest in nests:
-                                sig = (si2, f1_side, si1, b1, si3, b3, nest)
-                                rev = (
-                                    si2, -f1_side, si3, b3, si1, b1,
-                                    None if nest is None else not nest,
-                                )
-                                if min(sig, rev, key=_sig_key) != sig:
+                    bits3 = both if si3 == si2 else neither
+                    for b1, k1 in bits1:
+                        for b3, k3 in bits3:
+                            nests = both if si1 == si2 == si3 and b1 == b3 else neither
+                            for nest, kn in nests:
+                                key = (si2, f1_side, si1, k1, si3, k3, kn)
+                                # the same arc walked from its other end
+                                rev = (si2, -f1_side, si3, k3, si1, k1, kn if kn < 0 else 1 - kn)
+                                if rev < key:
                                     continue
-                                raw.append(sig)
-    return [_classify(diagram, faces, sig) for sig in sorted(raw, key=_sig_key)]
-
-
-def _sig_key(sig):
-    return tuple(int(x) if isinstance(x, bool) else (-1 if x is None else x) for x in sig)
+                                raw[key] = (si2, f1_side, si1, b1, si3, b3, nest)
+    return [_classify(diagram, faces, raw[key]) for key in sorted(raw)]
 
 
 def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
@@ -687,8 +683,8 @@ def bypass_triple(diagram: ChordDiagram, arc: AttachingArc):
         raise TrivialArc("bypass triples need a nontrivial arc")
     up = surgery(diagram, arc, "up")
     down = surgery(diagram, arc, "down")
-    assert not is_zero(up) and not is_zero(down)
-    assert len({diagram, up, down}) == 3
+    if is_zero(up) or is_zero(down) or len({diagram, up, down}) != 3:
+        raise BrokenInvariant("a nontrivial arc must give three distinct diagrams")
     return diagram, up, down
 
 

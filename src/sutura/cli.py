@@ -68,8 +68,7 @@ def cmd_frompair(args) -> int:
 
 def cmd_stack(args) -> int:
     d0, d1 = dg.parse(args.bottom), dg.parse(args.top)
-    graph = stacking.suture_graph(d0, d1)
-    loops = graph.loop_count()
+    loops = stacking.loop_count(d0, d1)
     geo = stacking.m_geometric(d0, d1)
     alg = stacking.m_algebraic(d0, d1)
     payload = {

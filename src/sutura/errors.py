@@ -84,3 +84,7 @@ class CapExceeded(SuturaError):
 
 class NotPlanar(SuturaError):
     """A realised configuration of arcs is not planar."""
+
+
+class BrokenInvariant(SuturaError):
+    """A result the theory guarantees did not come out; the answer would be wrong."""

@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import basis as _basis
 from .diagram import ChordDiagram, ZERO, euler_class, is_zero, rotate_points
-from .errors import GradingMismatch, NotComparable, TrivialArc, ZeroElement
+from .errors import BrokenInvariant, GradingMismatch, NotComparable, TrivialArc, ZeroElement
 from .words import (
     MINUS,
     PLUS,
@@ -157,31 +157,35 @@ def decompose_from_root(diagram) -> SfhElement:
     """Basis decomposition computed from the root point (right to left)."""
     if is_zero(diagram):
         return SfhElement.zero()
+    return SfhElement(_decompose_root_pairing(diagram.pairing, euler_class(diagram)))
 
-    def rec(pairing: tuple[int, ...], e: int) -> frozenset[Word]:
-        cached = _decompose_root_cache.get(pairing)
-        if cached is not None:
-            return cached
+
+def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]:
+    # As _decompose_pairing, from the root point r = (e + N) mod 2N: outermost
+    # chords at the root are peeled in a loop and only bypass splits recurse.
+    peeled: list[tuple[tuple[int, ...], int]] = []
+    while pairing not in _decompose_root_cache:
         m = len(pairing)
+        r = (e + m // 2) % m
         if m == 2:
-            result = frozenset((Word(),))
+            _decompose_root_cache[pairing] = frozenset((Word(),))
+        elif pairing[(r - 1) % m] == r:
+            peeled.append((pairing, PLUS))
+            pairing, e = _remove_adjacent(pairing, (r - 1) % m), e - 1
+        elif pairing[r] == (r + 1) % m:
+            peeled.append((pairing, MINUS))
+            pairing, e = _remove_adjacent(pairing, r), e + 1
         else:
-            n_chords = m // 2
-            r = (e + n_chords) % m
-            if pairing[(r - 1) % m] == r:
-                trimmed = _remove_adjacent(pairing, (r - 1) % m)
-                result = frozenset(Word(w.bits + (PLUS,)) for w in rec(trimmed, e - 1))
-            elif pairing[r] == (r + 1) % m:
-                trimmed = _remove_adjacent(pairing, r)
-                result = frozenset(Word(w.bits + (MINUS,)) for w in rec(trimmed, e + 1))
-            else:
-                hug = ((r - 1) % m, r, (r + 1) % m)
-                left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
-                result = rec(left, e) ^ rec(right, e)
-        _decompose_root_cache[pairing] = result
-        return result
-
-    return SfhElement(rec(diagram.pairing, euler_class(diagram)))
+            hug = ((r - 1) % m, r, (r + 1) % m)
+            left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
+            _decompose_root_cache[pairing] = (
+                _decompose_root_pairing(left, e) ^ _decompose_root_pairing(right, e)
+            )
+    result = _decompose_root_cache[pairing]
+    for outer, letter in reversed(peeled):
+        result = frozenset(Word(w.bits + (letter,)) for w in result)
+        _decompose_root_cache[outer] = result
+    return result
 
 
 def _remove_adjacent(pairing: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -237,7 +241,8 @@ def _from_pair_cached(w_minus: Word, w_plus: Word) -> ChordDiagram:
         return basis_diagram(w_minus)
     system = arcs.fbs(w_minus, w_plus)
     result = arcs.surgery_along_system(system, "down")
-    assert not is_zero(result)
+    if is_zero(result):
+        raise BrokenInvariant(f"downwards surgery from {w_minus} to {w_plus} closed a loop")
     return result
 
 

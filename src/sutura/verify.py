@@ -276,11 +276,11 @@ def check_bypass_systems(
                         problems.append(f"fbs down {w1},{w2}")
                 if arcs.has_pinwheel(system, "up") or arcs.has_pinwheel(system, "down"):
                     problems.append(f"fbs pinwheel {w1},{w2}")
+    by_size = {n: dg.enumerate_diagrams(n) for n in range(2, random_n_max + 1)}
     rng = random.Random(seed)
     done = 0
     while done < random_cases:
-        n = rng.randrange(2, random_n_max + 1)
-        diagrams = dg.enumerate_diagrams(n)
+        diagrams = by_size[rng.randrange(2, random_n_max + 1)]
         d = diagrams[rng.randrange(len(diagrams))]
         system = arcs.random_system(d, rng.randrange(1, 5), rng)
         if system is None:

@@ -3,7 +3,13 @@ import pytest
 from sutura import arcs
 from sutura import diagram as D
 from sutura import sfh
-from sutura.errors import ArcNotDefined, ArcNotOnDiagram, MoveUndefined, TrivialArc
+from sutura.errors import (
+    ArcNotDefined,
+    ArcNotOnDiagram,
+    BrokenInvariant,
+    MoveUndefined,
+    TrivialArc,
+)
 from sutura.words import all_words, word
 
 
@@ -131,6 +137,15 @@ def test_surgery_absorbs_zero_and_checks_diagram():
             x for x in arcs.find_attaching_arcs(g) if x.triviality != "nontrivial"
         )
         arcs.bypass_triple(g, trivial)
+
+
+def test_broken_triple_is_an_error_not_an_assert(monkeypatch):
+    # the guard must survive python -O, so it cannot be an assert
+    g = sfh.basis_diagram(word("-+"))
+    c = nontrivial_arcs(g)[0]
+    monkeypatch.setattr(arcs, "surgery", lambda d, arc, direction: d)
+    with pytest.raises(BrokenInvariant):
+        arcs.bypass_triple(g, c)
 
 
 def test_triples_sum_to_zero():

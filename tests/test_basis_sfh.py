@@ -2,7 +2,7 @@ import pytest
 
 from sutura import diagram as D
 from sutura import sfh
-from sutura.errors import ZeroElement
+from sutura.errors import BrokenInvariant, ZeroElement
 from sutura.words import Word, all_words, word
 
 
@@ -67,6 +67,31 @@ def test_decompose_from_root_agrees():
         for d in D.enumerate_diagrams(n):
             assert sfh.decompose_from_root(d) == sfh.decompose(d)
     assert sfh.decompose_from_root(D.VACUUM).words == frozenset([Word()])
+
+
+@pytest.mark.parametrize("shape", ["nested", "comb"])
+def test_decompose_from_root_agrees_on_1200_chords(shape, monkeypatch):
+    # both routes peel one chord per step; neither may recurse that deep
+    n = 1200
+    if shape == "nested":
+        pairs = ((i, 2 * n - 1 - i) for i in range(n))
+    else:
+        pairs = ((2 * i, 2 * i + 1) for i in range(n))
+    d = D.from_pairing(pairs)
+    # fresh memo tables, dropped after the test with their long pairings
+    monkeypatch.setattr(sfh, "_decompose_cache", {})
+    monkeypatch.setattr(sfh, "_decompose_root_cache", {})
+    (only,) = sfh.decompose_from_root(d).words
+    assert sfh.decompose(d).words == {only} and len(only.bits) == n - 1
+
+
+def test_zero_from_pair_is_an_error_not_an_assert(monkeypatch):
+    from sutura import arcs
+
+    monkeypatch.setattr(arcs, "fbs", lambda w_minus, w_plus: None)
+    monkeypatch.setattr(arcs, "surgery_along_system", lambda system, direction: D.ZERO)
+    with pytest.raises(BrokenInvariant):
+        sfh._from_pair_cached.__wrapped__(word("-+"), word("+-"))
 
 
 def test_decompose_injective_and_nonzero():

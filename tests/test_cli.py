@@ -7,6 +7,8 @@ import pytest
 
 import sutura
 from sutura import cli, sfh, verify
+from sutura import diagram as dg
+from sutura.words import word
 
 
 def run(capsys, *argv):
@@ -127,16 +129,30 @@ def test_verify_quick(capsys):
     assert len(payload["checks"]) == 10
 
 
-def test_verify_quick_under_optimize():
-    # planarity checks must not be assert statements, which -O strips
+def run_process(*argv, optimize=False):
     src = os.path.dirname(os.path.dirname(os.path.abspath(sutura.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "sutura.cli", "verify", "--level", "quick", "--format", "json"],
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "sutura.cli", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
     )
+
+
+def test_verify_quick_under_optimize():
+    # planarity checks must not be assert statements, which -O strips
+    proc = run_process("verify", "--level", "quick", "--format", "json", optimize=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["failures"] == []
+
+
+def test_stack_and_category_under_optimize():
+    # the interval [--++, ++--] of 4-letter words, on its basis diagrams
+    low, high = (dg.serialize(sfh.basis_diagram(word(w))) for w in ("--++", "++--"))
+    for argv in (("stack", low, high), ("stack", high, low), ("category", low, high)):
+        plain, optimized = run_process(*argv), run_process(*argv, optimize=True)
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == plain.stdout
 
 
 def test_mutated_connector_reports_failures():

@@ -1,4 +1,7 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, strategies as st
 
 from sutura import arcs
 from sutura import diagram as D
@@ -13,16 +16,91 @@ def gradings(n):
         yield nm, n - nm
 
 
+def union_find_loops(bottom, top, shift=-1):
+    """Oracle: loops of the 2-regular graph on tagged points whose edges are
+    the bottom chords, the top chords and the connectors B k -- T k+shift."""
+    m = 2 * bottom.n
+    edges = [(("B", a), ("B", b)) for a, b in bottom.chords()]
+    edges += [(("T", a), ("T", b)) for a, b in top.chords()]
+    edges += [(("B", k), ("T", (k + shift) % m)) for k in range(m)]
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    nodes = set()
+    for a, b in edges:
+        nodes.update((a, b))
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(x) for x in nodes})
+
+
+@lru_cache(maxsize=None)
+def tight_pairs(n_max):
+    return [
+        (a, b)
+        for n in range(1, n_max + 1)
+        for a in D.enumerate_diagrams(n)
+        for b in D.enumerate_diagrams(n)
+        if S.m_geometric(a, b) == 1
+    ]
+
+
+def matching(draw, n):
+    """A non-crossing matching on 2n points, one chord from each run's first point."""
+    pairing = [0] * (2 * n)
+    runs = [(0, 2 * n)]
+    while runs:
+        lo, hi = runs.pop()
+        if lo == hi:
+            continue
+        mate = lo + 2 * draw(st.integers(0, (hi - lo) // 2 - 1)) + 1
+        pairing[lo], pairing[mate] = mate, lo
+        runs += [(lo + 1, mate), (mate + 1, hi)]
+    return D.ChordDiagram(pairing)
+
+
+@st.composite
+def stacked_pairs(draw, n_max=12):
+    n = draw(st.integers(1, n_max))
+    return matching(draw, n), matching(draw, n)
+
+
 def test_m_examples_and_calibration():
     g1, g2 = sfh.basis_diagram(word("-+")), sfh.basis_diagram(word("+-"))
     assert S.m_geometric(g1, g2) == 1
     assert S.m_geometric(g2, g1) == 0
-    assert S.suture_graph(g1, g2).loop_count() == 1
+    assert S.loop_count(g1, g2) == 1
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
             assert S.m_geometric(d, d) == 1
     with pytest.raises(SizeMismatch):
         S.m_geometric(D.VACUUM, g1)
+
+
+def test_loop_count_matches_union_find_oracle():
+    for n in range(1, 7):
+        ds = D.enumerate_diagrams(n)
+        for a in ds:
+            for b in ds:
+                for shift in (-1, +1):
+                    loops = union_find_loops(a, b, shift)
+                    assert S.loop_count(a, b, shift) == loops
+                    assert S.m_geometric(a, b, shift) == int(loops == 1)
+
+
+@given(stacked_pairs())
+def test_stacking_on_random_diagrams_hypothesis(pair):
+    a, b = pair
+    for x, y in ((a, b), (a, a)):
+        loops = union_find_loops(x, y)
+        assert S.loop_count(x, y) == loops
+        assert S.m_geometric(x, y) == S.m_algebraic(x, y) == int(loops == 1)
 
 
 def test_opposite_connector_shift_fails_calibration():
@@ -204,6 +282,36 @@ def test_morphism_criterion_matches_nested_oracle():
                 for a in cat.objects:
                     for b in cat.objects:
                         assert cat.leq(a, b) == S.morphism_exists_nested(bot, top, a, b)
+
+
+def test_category_matches_two_sided_existence_route():
+    # the former route: a <= b when b exists between a and the top, and a
+    # between the bottom and b
+    for bot, top in tight_pairs(5):
+        cat = S.bounded_category(bot, top)
+        assert set(cat.objects) == {
+            d for d in D.enumerate_diagrams(bot.n) if S.diagram_exists_in(d, bot, top)
+        }
+        want = {
+            (a, b)
+            for a in cat.objects
+            for b in cat.objects
+            if S.diagram_exists_in(b, a, top) and S.diagram_exists_in(a, bot, b)
+        }
+        assert cat.morphisms == want
+
+
+def test_category_axioms():
+    for bot, top in tight_pairs(5):
+        cat = S.bounded_category(bot, top)
+        for a in cat.objects:
+            assert cat.leq(bot, a) and cat.leq(a, a)
+        for a, b in cat.morphisms:
+            if a != b:
+                assert not cat.leq(b, a), "antisymmetry"
+            for c in cat.objects:
+                if cat.leq(b, c):
+                    assert cat.leq(a, c), "composition"
 
 
 def test_category_json():
