@@ -9,11 +9,16 @@ Bypass surgery re-matches the six ends cut at an arc's three contact
 points one step around the surrounding hexagon; the two nontrivial
 re-matchings are the two surgery directions.  A single arc is classified
 and surgered on the bare pairing (sfh.bypass_rewire, shared with
-decompose).  A configuration (PlanarMap) realises a system of disjoint
-arcs: every strand carries an ordered list of contact sites, each
-knowing on which side of the strand its arc segment lives, and the
-other arcs ride along on the strand pieces, so systems of arcs can be
-surgered sequentially in any order.
+decompose).  A Configuration realises a system of disjoint arcs as one
+perfect matching on integer ends: the 2N boundary points, and two ends
+for each contact site, one on each strand piece the site separates.
+Surgery along one arc glues its six site ends pairwise one step round
+its hexagon: each glue splices the mates of two ends together and drops
+both, and a glue that joins the two ends of one path closes a loop
+(ZERO).  The other arcs' sites ride along untouched, so a system is
+surgered arc by arc in any order.  The faces of a configuration are the
+orbits of one permutation on its ends, as diagram.region_orbits gives
+the regions of a bare diagram.
 """
 
 from __future__ import annotations
@@ -23,8 +28,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import sfh
-from .basis import base_construction, root_construction, root_point
-from .diagram import ChordDiagram, ZERO, _face_cycles, is_zero, orbit_sign, region_orbits
+from .basis import base_construction, basis_diagram, root_construction, root_point
+from .diagram import (
+    ChordDiagram,
+    ZERO,
+    _face_cycles,
+    is_zero,
+    orbit_sign,
+    region_orbits,
+    serialize,
+)
 from .errors import (
     ArcNotDefined,
     ArcNotOnDiagram,
@@ -49,339 +62,251 @@ DOWN_MATCHING = 1
 UP_STEP = 1
 PINWHEEL_UP_TRAVERSAL = "CE"
 
+# The six handles of an arc's hexagon, in cyclic order, are its site ends
+# (see _rewire); each matching glues three pairs of them, one step round
+# from the pairs (0, 5), (1, 4), (2, 3) that the sites themselves join.
+_GLUES = {1: ((0, 1), (2, 5), (3, 4)), 2: ((1, 2), (0, 3), (4, 5))}
 
-class Site:
-    """A contact point of an arc on a strand.
 
-    side_prev/side_next give the side (LEFT/RIGHT of the strand's stored
-    direction) on which the previous/next segment of the arc leaves.
+class Configuration:
+    """A chord diagram with disjoint realised arcs, as a matching on ends.
+
+    Ends 0..m-1 are the boundary points.  Site i of arc a is site
+    s = 3a + i: an endpoint for i = 0, 2 and the crossing for i = 1.  Its
+    two ends m + 2s and m + 2s + 1 lie on the two strand pieces it
+    separates, the second towards the high end of the chord it was
+    placed on.  mate[x] is the other end of the piece at x.  Segment 0
+    of arc a runs from site 0 to site 1, segment 1 from site 1 to site 2;
+    darts[4a:4a+4] holds, segment by segment, the end of each of its two
+    sites on whose side it leaves (at the crossing these are the site's
+    two ends).  Those side bits are relative to the site's own pair of
+    ends, so reading a strand backwards flips nothing.  Ends of dropped
+    sites are never reached from a boundary point.
     """
 
-    __slots__ = ("arc", "idx", "kind", "side_prev", "side_next")
+    __slots__ = ("m", "mate", "darts", "arc_ids")
 
-    def __init__(self, arc, idx, kind, side_prev, side_next):
-        self.arc = arc
-        self.idx = idx
-        self.kind = kind
-        self.side_prev = side_prev
-        self.side_next = side_next
+    def __init__(self, m: int, mate: list[int], darts: tuple[int, ...], arc_ids):
+        self.m = m
+        self.mate = mate
+        self.darts = darts
+        self.arc_ids = list(arc_ids)
 
-    def reversed(self) -> "Site":
-        flip = lambda s: None if s is None else -s
-        return Site(self.arc, self.idx, self.kind, flip(self.side_prev), flip(self.side_next))
+    @classmethod
+    def build(cls, diagram: ChordDiagram, strand_sites: dict, bits, arc_ids) -> "Configuration":
+        """Place sites on the chords of a diagram.
 
-    def key(self):
-        return (self.arc, self.idx, self.kind, self.side_prev, self.side_next)
+        strand_sites maps a chord index (into diagram.chords()) to its
+        sites in order from the chord's low end; arc_ids are 0..A-1.
+        bits[s] picks the end of site s facing its segment (segment 0 at
+        the crossing): 1 for the second end, whose side is the chord's
+        LEFT face (_Faces.face_of).
+        """
+        m = 2 * diagram.n
+        arc_ids = list(arc_ids)
+        mate = list(diagram.pairing) + [-1] * (6 * len(arc_ids))
+        for si, (a, b) in enumerate(diagram.chords()):
+            prev = a
+            for s in strand_sites.get(si, ()):
+                x = m + 2 * s
+                mate[prev], mate[x] = x, prev
+                prev = x + 1
+            mate[prev], mate[b] = b, prev
+        darts = []
+        for aid in arc_ids:
+            x0, x1, x2 = (m + 2 * s + bits[s] for s in range(3 * aid, 3 * aid + 3))
+            darts += (x0, x1, x1 ^ 1, x2)
+        return cls(m, mate, tuple(darts), arc_ids)
 
-    def __repr__(self):
-        return f"Site(a{self.arc}.{self.idx} {self.kind} {self.side_prev}/{self.side_next})"
+    @classmethod
+    def bare(cls, diagram: ChordDiagram) -> "Configuration":
+        return cls.build(diagram, {}, (), ())
 
-
-class Strand:
-    __slots__ = ("ends", "sites")
-
-    def __init__(self, ends, sites=()):
-        self.ends = tuple(ends)
-        self.sites = list(sites)
-
-    def __repr__(self):
-        return f"Strand({self.ends}, {self.sites})"
-
-
-class PlanarMap:
-    """A chord diagram together with disjoint realised arcs."""
-
-    def __init__(self, strands, arc_ids=()):
-        self.strands: list[Strand] = strands
-        self.arc_ids: list[int] = list(arc_ids)
-
-    # -- basic queries ------------------------------------------------------
-
-    def point_count(self) -> int:
-        return 2 * len(self.strands)
-
-    def pairing(self) -> tuple[int, ...]:
-        m = self.point_count()
-        pairing = [-1] * m
-        for s in self.strands:
-            a, b = s.ends
-            pairing[a], pairing[b] = b, a
-        return tuple(pairing)
+    def copy(self) -> "Configuration":
+        return Configuration(self.m, list(self.mate), self.darts, self.arc_ids)
 
     def diagram(self) -> ChordDiagram:
-        return ChordDiagram(self.pairing())
+        return ChordDiagram(_strand_pairing(self.mate, self.m))
 
-    def clone(self) -> "PlanarMap":
-        return PlanarMap(
-            [Strand(s.ends, [Site(*x.key()) for x in s.sites]) for s in self.strands],
-            list(self.arc_ids),
-        )
+    def strands(self) -> list[tuple[tuple[int, int], list[int]]]:
+        """Each strand as ((low end, high end), its sites from the low end),
+        ascending in the low end as ChordDiagram.chords()."""
+        m, mate = self.m, self.mate
+        out = []
+        for a in range(m):
+            sites, z = [], mate[a]
+            while z >= m:
+                sites.append((z - m) >> 1)
+                z = mate[z ^ 1]
+            if a < z:
+                out.append(((a, z), sites))
+        return out
 
-    def site_locations(self, arc_id: int) -> list[tuple[int, int]]:
-        """(strand index, site index) of the arc's sites 0, 1, 2."""
-        locs: dict[int, tuple[int, int]] = {}
-        for si, s in enumerate(self.strands):
-            for pi, site in enumerate(s.sites):
-                if site.arc == arc_id:
-                    locs[site.idx] = (si, pi)
-        return [locs[i] for i in sorted(locs)]
+    def faces(self) -> tuple[list[list[int]], list[int]]:
+        """(walks, face of each end).
 
-    # -- face bookkeeping ---------------------------------------------------
+        Walking a face with it on the left, an end x leads along its piece
+        to mate[x]; a site is crossed to its other end, and at a boundary
+        point p the boundary arc leads on to p - 1, as in
+        diagram.region_orbits.  The faces are the orbits of that
+        permutation, started from the boundary points in order, so face
+        ids are those of diagram._face_cycles.  The side of a site facing
+        end x is the face of x.  Dropped ends get face -1.
+        """
+        m, mate = self.m, self.mate
+        face_at = [-1] * len(mate)
+        walks = []
+        for start in range(m):
+            if face_at[start] >= 0:
+                continue
+            f, walk, x = len(walks), [], start
+            while face_at[x] < 0:
+                face_at[x] = f
+                walk.append(x)
+                y = mate[x]
+                x = (y - 1) % m if y < m else y ^ 1
+            walks.append(walk)
+        return walks, face_at
 
-    def faces(self) -> "_Faces":
-        return _Faces(self)
+    def segments(self) -> dict[int, tuple[int, int]]:
+        """Each end a segment leaves from -> (the segment's other end, arc id)."""
+        seg = {}
+        for aid in self.arc_ids:
+            for k in (4 * aid, 4 * aid + 2):
+                p, q = self.darts[k], self.darts[k + 1]
+                seg[p] = (q, aid)
+                seg[q] = (p, aid)
+        return seg
 
     def validate(self) -> None:
         """Check planarity: segment faces consistent, non-crossing, Euler.
 
         Raises NotPlanar; the checks are explicit, so they hold under -O.
         """
-        faces = self.faces()
-        total_sites = sum(len(s.sites) for s in self.strands)
+        walks, face_at = self.faces()
+        seg = self.segments()
+        for p, (q, aid) in seg.items():
+            if face_at[p] != face_at[q]:
+                raise NotPlanar(f"segment of arc {aid} has inconsistent faces")
+        for f, walk in enumerate(walks):
+            open_ends: list[int] = []
+            for x in walk:
+                if x in seg:
+                    if open_ends and open_ends[-1] == seg[x][0]:
+                        open_ends.pop()
+                    else:
+                        open_ends.append(x)
+            if open_ends:
+                raise NotPlanar(f"segments cross in face {f}")
         n_arcs = len(self.arc_ids)
-        if total_sites != 3 * n_arcs:
-            raise NotPlanar("each arc needs exactly three sites")
-        segments = [self.segment_face(aid, k, faces) for aid in self.arc_ids for k in (0, 1)]
-        sub_face_count = 0
-        for f in range(faces.count):
-            order = {id(site): pos for pos, (site, _si) in enumerate(faces.boundary_sites(f))}
-            segs = [
-                sorted((order[id(s1)], order[id(s2)])) for face, s1, s2 in segments if face == f
-            ]
-            for i, (a, b) in enumerate(segs):
-                for c, d in segs[i + 1 :]:
-                    if (a < c < b) != (a < d < b):
-                        raise NotPlanar(f"segments cross in face {f}")
-            sub_face_count += len(segs) + 1
-        m = self.point_count()
-        V = m + total_sites
-        E = m + sum(len(s.sites) + 1 for s in self.strands) + 2 * n_arcs
-        F = sub_face_count
+        V = self.m + 3 * n_arcs
+        E = self.m + (3 * n_arcs + self.m // 2) + 2 * n_arcs
+        F = len(walks) + 2 * n_arcs
         if V - E + F != 1:
             raise NotPlanar("Euler formula fails for the disc map")
 
-    def segment_face(self, arc_id: int, k: int, faces: "_Faces"):
-        """(face, from_site, to_site) of segment k -> k+1 of the arc."""
-        locs = self.site_locations(arc_id)
-        (si1, pi1), (si2, pi2) = locs[k], locs[k + 1]
-        s1 = self.strands[si1].sites[pi1]
-        s2 = self.strands[si2].sites[pi2]
-        f1 = faces.face_of(si1, s1.side_next)
-        f2 = faces.face_of(si2, s2.side_prev)
-        if f1 != f2:
-            raise NotPlanar(f"segment of arc {arc_id} has inconsistent faces")
-        return (f1, s1, s2)
+    def drop_arcs(self, drop) -> None:
+        """Splice the sites of the given arcs out of their strands."""
+        drop = set(drop)
+        mate = self.mate
+        for aid in drop:
+            for x in range(self.m + 6 * aid, self.m + 6 * aid + 6, 2):
+                p, q = mate[x], mate[x + 1]
+                mate[p], mate[q] = q, p
+        self.arc_ids = [a for a in self.arc_ids if a not in drop]
+
+
+def _strand_pairing(mate: list[int], m: int) -> list[int]:
+    """The pairing of boundary points that the strands join."""
+    pairing = [-1] * m
+    for p in range(m):
+        if pairing[p] < 0:
+            z = mate[p]
+            while z >= m:
+                z = mate[z ^ 1]
+            pairing[p], pairing[z] = z, p
+    return pairing
+
+
+def _rewire(mate: list[int], m: int, darts, aid: int, direction: str) -> bool:
+    """Surger arc aid in place; False when a glue closes a loop.
+
+    The hexagon's handles in cyclic order are: site 0's end facing
+    segment 0, site 1's end facing segment 1, site 2's other end, site
+    2's end facing segment 1, site 1's end facing segment 0, site 0's
+    other end.  Each glue splices mate[x] to mate[y] and drops x and y.
+    """
+    x0, x1, y0, y1 = darts[4 * aid : 4 * aid + 4]
+    handles = (x0, y0, y1 ^ 1, y1, x1, x0 ^ 1)
+    joined = []
+    for a, b in _GLUES[UP_MATCHING if direction == "up" else DOWN_MATCHING]:
+        x, y = handles[a], handles[b]
+        p, q = mate[x], mate[y]
+        if p == y:
+            return False
+        mate[p], mate[q] = q, p
+        joined += (p, q)
+    # a glue may also close a path through other arcs' sites: walk on from
+    # each new junction until a boundary point or back to the start
+    for p in joined:
+        if p < m or p in handles:
+            continue
+        x = p
+        while (z := mate[x]) >= m:
+            x = z ^ 1
+            if x == p:
+                return False
+    return True
+
+
+def surgery_step(pm: Configuration, arc_id: int, direction: str):
+    """One bypass surgery along arc arc_id; the new configuration or ZERO."""
+    out = pm.copy()
+    if not _rewire(out.mate, out.m, out.darts, arc_id, direction):
+        return ZERO
+    out.arc_ids = [a for a in pm.arc_ids if a != arc_id]
+    return out
 
 
 class _Faces:
-    """Face structure of the underlying diagram of a configuration.
+    """Faces of a bare diagram.
 
     Face f is the orbit cycles[f] of boundary arcs (diagram.region_orbits);
-    the strand after arc k in the walk is the one leaving point k.
+    the chord after arc k in the walk is the one leaving point k.  A
+    chord's LEFT face is walked from its low end, its RIGHT face from its
+    high end.
     """
 
-    def __init__(self, pm: PlanarMap):
-        self.pm = pm
-        self.cycles = _face_cycles(pm.pairing())
-        self.count = len(self.cycles)
-        # circle point -> (strand index, +1 from its first end / -1 from its second)
-        self._strand_at: dict[int, tuple[int, int]] = {}
-        for si, s in enumerate(pm.strands):
-            self._strand_at[s.ends[0]] = (si, 1)
-            self._strand_at[s.ends[1]] = (si, -1)
-        self._face_of: dict[tuple[int, int], int] = {}
-        self._dir: dict[tuple[int, int], int] = {}
+    def __init__(self, diagram: ChordDiagram):
+        self.cycles = _face_cycles(diagram.pairing)
+        self._chords = diagram.chords()
+        self._chord_at = [0] * (2 * diagram.n)
+        for si, (a, b) in enumerate(self._chords):
+            self._chord_at[a] = self._chord_at[b] = si
+        self._face_at = [0] * (2 * diagram.n)
         for f, orbit in enumerate(self.cycles):
             for k in orbit:
-                si, d = self._strand_at[k]
-                self._face_of[(si, LEFT if d == 1 else RIGHT)] = f
-                self._dir[(f, si)] = d
+                self._face_at[k] = f
 
     def face_of(self, strand_index: int, side: int) -> int:
-        return self._face_of[(strand_index, side)]
-
-    def direction(self, face: int, strand_index: int) -> int:
-        return self._dir[(face, strand_index)]
+        a, b = self._chords[strand_index]
+        return self._face_at[a if side == LEFT else b]
 
     def signs(self) -> list[int]:
         return [orbit_sign(orbit) for orbit in self.cycles]
 
     def strands_around(self, face: int) -> list[int]:
-        """Strand indices along the face's boundary walk, in traversal order."""
-        return [self._strand_at[k][0] for k in self.cycles[face]]
-
-    def boundary_sites(self, face: int) -> list[tuple[Site, int]]:
-        """Visible sites around the face, in traversal order."""
-        out = []
-        for si in self.strands_around(face):
-            out.extend((s, si) for s in self._visible_sites(face, si))
-        return out
-
-    def _visible_sites(self, face: int, si: int) -> list[Site]:
-        d = self._dir[(face, si)]
-        face_side = LEFT if d == 1 else RIGHT
-        sites = self.pm.strands[si].sites
-        ordered = sites if d == 1 else list(reversed(sites))
-        vis = []
-        for s in ordered:
-            if s.kind == "cross":
-                vis.append(s)
-            else:
-                side = s.side_next if s.idx == 0 else s.side_prev
-                if side == face_side:
-                    vis.append(s)
-        return vis
-
-    def boundary_tokens(self, face: int):
-        """Full token walk: ('circle', k) / ('piece', si) / ('site', Site)."""
-        out = []
-        for k in self.cycles[face]:
-            si = self._strand_at[k][0]
-            out.append(("circle", k))
-            out.append(("piece", si))
-            for s in self._visible_sites(face, si):
-                out.append(("site", s))
-                out.append(("piece", si))
-        return out
+        """Chord indices along the face's boundary walk, in traversal order."""
+        return [self._chord_at[k] for k in self.cycles[face]]
 
 
-# -- single-arc surgery --------------------------------------------------------
-
-
-class _Piece:
-    """A maximal run of a strand between cut points and/or circle ends."""
-
-    __slots__ = ("strand_index", "sites", "left", "right")
-
-    def __init__(self, strand_index, sites, left, right):
-        self.strand_index = strand_index
-        self.sites = sites            # non-cut sites, in stored direction
-        self.left = left              # ("circle", point) or ("cut", Site)
-        self.right = right
-
-    def end(self, which):
-        return self.left if which == 0 else self.right
-
-
-def _cut_strand(si: int, strand: Strand, cut_sites: list[Site]) -> list[_Piece]:
-    positions = [strand.sites.index(s) for s in cut_sites]
-    positions.sort()
-    pieces = []
-    prev_end = ("circle", strand.ends[0])
-    prev_pos = -1
-    for pos in positions:
-        pieces.append(
-            _Piece(si, strand.sites[prev_pos + 1 : pos], prev_end, ("cut", strand.sites[pos]))
-        )
-        prev_end = ("cut", strand.sites[pos])
-        prev_pos = pos
-    pieces.append(_Piece(si, strand.sites[prev_pos + 1 :], prev_end, ("circle", strand.ends[1])))
-    return pieces
-
-
-def _surgery_once(pm: PlanarMap, arc_id: int, direction: str):
-    """Perform one bypass surgery; returns the new PlanarMap or ZERO."""
-    faces = pm.faces()
-    locs = pm.site_locations(arc_id)
-    (si0, pi0), (si1, pi1), (si2, pi2) = locs
-    s0 = pm.strands[si0].sites[pi0]
-    s1 = pm.strands[si1].sites[pi1]
-    s2 = pm.strands[si2].sites[pi2]
-    f1 = faces.face_of(si0, s0.side_next)
-    assert faces.face_of(si1, s1.side_prev) == f1
-    f2 = faces.face_of(si1, s1.side_next)
-    assert faces.face_of(si2, s2.side_prev) == f2
-
-    # cut the involved strands at the arc's sites
-    cuts: dict[int, list[Site]] = {}
-    for si, site in ((si0, s0), (si1, s1), (si2, s2)):
-        cuts.setdefault(si, []).append(site)
-    pieces: list[_Piece] = []
-    piece_of_cut: dict[tuple[int, int], _Piece] = {}  # (id(site), lr) -> piece
-    for si, s in enumerate(pm.strands):
-        if si not in cuts:
-            pieces.append(_Piece(si, list(s.sites), ("circle", s.ends[0]), ("circle", s.ends[1])))
-            continue
-        for p in _cut_strand(si, s, cuts[si]):
-            pieces.append(p)
-            if p.left[0] == "cut":
-                piece_of_cut[(id(p.left[1]), 1)] = p  # piece after the cut
-            if p.right[0] == "cut":
-                piece_of_cut[(id(p.right[1]), 0)] = p  # piece before the cut
-
-    def adjacent(site: Site, after: bool) -> _Piece:
-        return piece_of_cut[(id(site), 1 if after else 0)]
-
-    # hexagon corner pieces on side A (the consistent side of the arc)
-    d0 = faces.direction(f1, si0)
-    g1A = adjacent(s0, after=(d0 == 1))          # next piece after s0 in f1
-    d1 = faces.direction(f1, si1)
-    g2A = adjacent(s1, after=(d1 != 1))          # piece before s1 in f1
-    d1b = faces.direction(f2, si1)
-    next_in_f2_at_s1 = adjacent(s1, after=(d1b == 1))
-    d2 = faces.direction(f2, si2)
-    if next_in_f2_at_s1 is g2A:
-        g3A = adjacent(s2, after=(d2 != 1))      # piece before s2 in f2
-    else:
-        g3A = adjacent(s2, after=(d2 == 1))      # piece after s2 in f2
-    g1B = adjacent(s0, after=(d0 != 1))
-    g2B = adjacent(s1, after=(d1 == 1))
-    g3B = adjacent(s2, after=(g3A is adjacent(s2, after=False)))
-
-    # hexagon slots: handles (piece, cut site), cyclically
-    slots = [(g1A, s0), (g2A, s1), (g3A, s2), (g3B, s2), (g2B, s1), (g1B, s0)]
-    matching = UP_MATCHING if direction == "up" else DOWN_MATCHING
-    if matching == 1:
-        pairs = [(0, 1), (2, 5), (3, 4)]
-    else:
-        pairs = [(1, 2), (0, 3), (4, 5)]
-
-    glue: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def handle_key(piece, site):
-        return (pieces.index(piece), id(site))
-
-    for a, b in pairs:
-        ka, kb = handle_key(*slots[a]), handle_key(*slots[b])
-        glue[ka] = kb
-        glue[kb] = ka
-
-    # walk chains between circle ends; sites ride along on the pieces
-    new_strands: list[Strand] = []
-    visited: set[int] = set()
-    starts = []
-    for i, p in enumerate(pieces):
-        if p.left[0] == "circle":
-            starts.append((i, 0))
-        if p.right[0] == "circle":
-            starts.append((i, 1))
-    for start_piece, start_entry in starts:
-        if start_piece in visited:
-            continue
-        chain_sites: list[Site] = []
-        a_end = pieces[start_piece].end(start_entry)[1]
-        cur, entry = start_piece, start_entry
-        while True:
-            visited.add(cur)
-            piece = pieces[cur]
-            if entry == 0:
-                chain_sites.extend(piece.sites)
-                out_end = piece.right
-            else:
-                chain_sites.extend(s.reversed() for s in reversed(piece.sites))
-                out_end = piece.left
-            if out_end[0] == "circle":
-                b_end = out_end[1]
-                break
-            nxt_key = glue[(cur, id(out_end[1]))]
-            cur = nxt_key[0]
-            nxt = pieces[cur]
-            entry = 0 if (nxt.left[0] == "cut" and id(nxt.left[1]) == nxt_key[1]) else 1
-        new_strands.append(Strand((a_end, b_end), chain_sites))
-    if len(visited) != len(pieces):
-        return ZERO  # a closed loop swallowed some pieces
-    arc_ids = [a for a in pm.arc_ids if a != arc_id]
-    return PlanarMap(new_strands, arc_ids)
+def _facing(faces: _Faces, si: int, f: int) -> int:
+    """Site bit (see Configuration.build) of a site on chord si facing face f."""
+    if faces.face_of(si, LEFT) == f:
+        return 1
+    if faces.face_of(si, RIGHT) == f:
+        return 0
+    raise NotPlanar(f"chord {si} does not bound face {f}")
 
 
 # -- elementary moves on words ---------------------------------------------------
@@ -404,20 +329,11 @@ def strict_move_exists(w: Word, kind: str, i: int, j: int) -> bool:
         return False
     pm = w.minus_positions()[i - 1]
     pp = w.plus_positions()[j - 1]
-    lo, hi = (pm, pp) if kind == "FE" else (pp, pm)
-    between = w.bits[lo + 1 : hi]
-    if kind == "FE":
-        # no '+' before the block of the j'th plus, i.e. between must be -...-+...+
-        switched = False
-        for b in between:
-            if b == PLUS:
-                switched = True
-            elif switched:
-                return False
-        return True
+    lo, hi, second = (pm, pp, PLUS) if kind == "FE" else (pp, pm, MINUS)
+    # between must be -...-+...+ for FE and +...+-...- for BE
     switched = False
-    for b in between:
-        if b == MINUS:
+    for b in w.bits[lo + 1 : hi]:
+        if b == second:
             switched = True
         elif switched:
             return False
@@ -428,36 +344,23 @@ def elementary_move(w: Word, kind: str, i: int, j: int) -> Word:
     """Generalised elementary move FE(i,j) or BE(i,j) applied to w."""
     if not move_exists(w, kind, i, j):
         raise MoveUndefined(f"{kind}({i},{j}) does not exist on {w}")
-    bits = list(w.bits)
-    if kind == "FE":
-        pm = w.minus_positions()[i - 1]
-        pp = w.plus_positions()[j - 1]
-        moved = [p for p in range(pm, pp) if bits[p] == MINUS]
-        kept = [bits[p] for p in range(len(bits)) if not (pm <= p < pp and bits[p] == MINUS)]
-        # after removal the j'th plus ends one slot after its prefix pluses
-        out, plus_seen, inserted = [], 0, False
-        for b in kept:
-            out.append(b)
-            if b == PLUS:
-                plus_seen += 1
-                if plus_seen == j and not inserted:
-                    out.extend([MINUS] * len(moved))
-                    inserted = True
-        assert inserted
-        return Word(out)
     pm = w.minus_positions()[i - 1]
     pp = w.plus_positions()[j - 1]
-    moved = [p for p in range(pp, pm) if bits[p] == PLUS]
-    kept = [bits[p] for p in range(len(bits)) if not (pp <= p < pm and bits[p] == PLUS)]
-    out, minus_seen, inserted = [], 0, False
-    for b in kept:
+    # FE moves the minuses in [pm, pp) to just after the j'th plus, BE the
+    # pluses in [pp, pm) to just after the i'th minus
+    sign, lo, hi, anchor, k = (MINUS, pm, pp, PLUS, j) if kind == "FE" else (PLUS, pp, pm, MINUS, i)
+    moved = w.bits[lo:hi].count(sign)
+    out, seen = [], 0
+    for p, b in enumerate(w.bits):
+        if lo <= p < hi and b == sign:
+            continue
         out.append(b)
-        if b == MINUS:
-            minus_seen += 1
-            if minus_seen == i and not inserted:
-                out.extend([PLUS] * len(moved))
-                inserted = True
-    assert inserted
+        if b == anchor:
+            seen += 1
+            if seen == k:
+                out.extend([sign] * moved)
+    if seen < k:
+        raise BrokenInvariant(f"{kind}({i},{j}) found no anchor for the moved signs on {w}")
     return Word(out)
 
 
@@ -466,7 +369,7 @@ def elementary_move(w: Word, kind: str, i: int, j: int) -> Word:
 
 def faces_of(diagram: ChordDiagram) -> _Faces:
     """Face structure of the bare diagram, one strand per chord of chords()."""
-    return _Faces(PlanarMap([Strand(c) for c in diagram.chords()]))
+    return _Faces(diagram)
 
 
 @dataclass(frozen=True)
@@ -478,7 +381,7 @@ class AttachingArc:
     crossing, written with canonical chord ids (position in the
     serialized pair list) and region ids (position in regions()).
     signature is the class as find_attaching_arcs enumerates it (see
-    _single_arc_map); planar_map() realises it on demand.
+    _single_arc_sites); planar_map() realises it on demand.
     """
 
     diagram: ChordDiagram
@@ -492,59 +395,48 @@ class AttachingArc:
     fa_indices: tuple[int, int] | None = None
     signature: tuple = field(default=(), compare=False, repr=False)
 
-    def planar_map(self) -> PlanarMap:
-        return _single_arc_map(self.diagram, self.signature)
+    def planar_map(self) -> Configuration:
+        sites, bits = _single_arc_sites(faces_of(self.diagram), self.signature)
+        return Configuration.build(self.diagram, sites, bits, [0])
 
 
-def _single_arc_map(diagram, signature) -> PlanarMap:
-    """Realise one arc: ends on strands si1/si3, crossing strand si2.
+def _single_arc_sites(faces: _Faces, signature):
+    """One arc's site indices by chord, from the low end, and their bits.
+
+    The arc ends on chords si1/si3 and crosses chord si2.
 
     signature is (si2, f1_side, si1, bit1, si3, bit3, nest).  f1_side is
-    the side of strand si2 carrying the first segment; bit1 (resp. bit3)
+    the side of chord si2 carrying the first segment; bit1 (resp. bit3)
     orders the end site against the crossing when it sits on the crossed
-    strand itself (True = before in stored direction); nest
-    (supertrivial, both ends on one side) puts the first end closer to
-    the crossing when True.
+    chord itself (True = before, from the low end); nest (supertrivial,
+    both ends on one side) puts the first end closer to the crossing
+    when True.
     """
     si2, f1_side, si1, bit1, si3, bit3, nest = signature
-    strands = [Strand(c) for c in diagram.chords()]
-    s0 = Site(0, 0, "end", None, None)
-    s1 = Site(0, 1, "cross", None, None)
-    s2 = Site(0, 2, "end", None, None)
-    faces = faces_of(diagram)
     f1 = faces.face_of(si2, f1_side)
     f2 = faces.face_of(si2, -f1_side)
-
-    def side_facing(si, f):
-        return LEFT if faces.face_of(si, LEFT) == f else RIGHT
-
-    s0.side_next = side_facing(si1, f1)
-    s1.side_prev = f1_side
-    s1.side_next = -f1_side
-    s2.side_prev = side_facing(si3, f2)
-
+    bits = (_facing(faces, si1, f1), 1 if f1_side == LEFT else 0, _facing(faces, si3, f2))
     if si1 == si2 and si3 == si2:
         if bit1 == bit3:
             # nesting bit: first end closer to the crossing when True
             closer_first = nest if nest is not None else True
             if bit1:  # both before the crossing
-                seq = ([s2, s0] if closer_first else [s0, s2]) + [s1]
+                seq = ([2, 0] if closer_first else [0, 2]) + [1]
             else:
-                seq = [s1] + ([s0, s2] if closer_first else [s2, s0])
+                seq = [1] + ([0, 2] if closer_first else [2, 0])
         else:
-            seq = [s0, s1, s2] if bit1 else [s2, s1, s0]
-        strands[si2].sites = seq
+            seq = [0, 1, 2] if bit1 else [2, 1, 0]
+        return {si2: seq}, bits
+    sites = {si2: [1]}
+    if si1 == si2:
+        sites[si2].insert(0 if bit1 else len(sites[si2]), 0)
     else:
-        strands[si2].sites.append(s1)
-        if si1 == si2:
-            strands[si2].sites.insert(0 if bit1 else len(strands[si2].sites), s0)
-        else:
-            strands[si1].sites.append(s0)
-        if si3 == si2:
-            strands[si3].sites.insert(0 if bit3 else len(strands[si3].sites), s2)
-        else:
-            strands[si3].sites.append(s2)
-    return PlanarMap(strands, [0])
+        sites.setdefault(si1, []).append(0)
+    if si3 == si2:
+        sites[si3].insert(0 if bit3 else len(sites[si3]), 2)
+    else:
+        sites.setdefault(si3, []).append(2)
+    return sites, bits
 
 
 def _classify(diagram: ChordDiagram, faces: _Faces, signature) -> AttachingArc:
@@ -627,7 +519,7 @@ def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
     faces = faces_of(diagram)
     face_chords = {
         f: [si for si in range(n) if f in (faces.face_of(si, LEFT), faces.face_of(si, RIGHT))]
-        for f in range(faces.count)
+        for f in range(len(faces.cycles))
     }
     # each bit is carried with its int key (None -1, False 0, True 1); the
     # classes come out in the order of those keys
@@ -740,17 +632,17 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
     move = "FE" if kind == "FA" else "BE"
     if not move_exists(w, move, i, j):
         raise ArcNotDefined(f"{kind}({i},{j}) does not exist on {w}")
-    diagram = basis_diagram_for(w)
+    diagram = basis_diagram(w)
     chords = diagram.chords()
     base = base_construction(w)
     root = root_construction(w)
     if kind == "FA":
         prior_c = base.base_numbered_chord(MINUS, i)
-        latter_c = _root_numbered_chord(root, PLUS, j)
+        latter_c = root.base_numbered_chord(PLUS, j)
         prior_sign, latter_sign = -1, 1
     else:
         prior_c = base.base_numbered_chord(PLUS, j)
-        latter_c = _root_numbered_chord(root, MINUS, i)
+        latter_c = root.base_numbered_chord(MINUS, i)
         prior_sign, latter_sign = 1, -1
     faces = faces_of(diagram)
     signs = faces.signs()
@@ -767,25 +659,12 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
     path_faces, path_edges = _tree_path(faces, len(chords), prior_region, latter_region)
     if not path_edges or path_edges[0] != prior_si or path_edges[-1] != latter_si:
         raise ArcNotDefined(f"{kind}({i},{j}): outer regions not joined through the chords")
-    assert len(path_edges) % 2 == 1, "generalised arc must meet an odd number of chords"
+    if len(path_edges) % 2 != 1:
+        raise BrokenInvariant(f"{kind}({i},{j}): a generalised arc must meet an odd number of chords")
     return GeneralisedArc(
         w, kind, i, j, prior_si, latter_si, prior_region, latter_region,
         tuple(path_edges), tuple(path_faces),
     )
-
-
-def basis_diagram_for(w: Word) -> ChordDiagram:
-    return base_construction(w).diagram
-
-
-def _root_numbered_chord(root_data, sign, index):
-    seen = 0
-    for pos, b in enumerate(root_data.word.bits):
-        if b == sign:
-            seen += 1
-            if seen == index:
-                return root_data.symbol_chords[pos]
-    raise IndexError
 
 
 def _tree_path(faces: _Faces, n_strands: int, start: int, goal: int):
@@ -805,7 +684,8 @@ def _tree_path(faces: _Faces, n_strands: int, start: int, goal: int):
             if g not in prev:
                 prev[g] = (f, si)
                 queue.append(g)
-    assert goal in prev
+    if goal not in prev:
+        raise BrokenInvariant(f"region {goal} not reached from region {start} in the region tree")
     faces_path, edges = [goal], []
     cur = goal
     while cur != start:
@@ -843,12 +723,9 @@ _SPLIT_OFFSETS = {"FA": (-1, 1), "BA": (1, -1)}
 class BypassSystem:
     """Disjoint attaching arcs realised together on one base diagram."""
 
-    def __init__(self, base: ChordDiagram, pm: PlanarMap, word: Word | None = None,
-                 labels: tuple | None = None):
+    def __init__(self, base: ChordDiagram, pm: Configuration):
         self.base = base
-        self.word = word
         self._pm = pm
-        self.labels = labels if labels is not None else tuple(pm.arc_ids)
 
     @property
     def arc_ids(self) -> list[int]:
@@ -857,31 +734,27 @@ class BypassSystem:
     def __len__(self) -> int:
         return len(self._pm.arc_ids)
 
-    def planar_map(self) -> PlanarMap:
-        return self._pm.clone()
+    def planar_map(self) -> Configuration:
+        return self._pm.copy()
 
     def subsystem(self, keep_ids) -> "BypassSystem":
         keep = set(keep_ids)
-        pm = self._pm.clone()
-        for s in pm.strands:
-            s.sites = [x for x in s.sites if x.arc in keep]
-        pm.arc_ids = [a for a in pm.arc_ids if a in keep]
-        return BypassSystem(self.base, pm, self.word, self.labels)
+        pm = self._pm.copy()
+        pm.drop_arcs(a for a in pm.arc_ids if a not in keep)
+        return BypassSystem(self.base, pm)
 
     def to_json(self) -> dict:
-        faces = self._pm.faces()
+        pm = self._pm
+        _walks, face_at = pm.faces()
+        chord_of = {s: si for si, (_ends, sites) in enumerate(pm.strands()) for s in sites}
         arcs_out = []
-        for aid in self._pm.arc_ids:
-            locs = self._pm.site_locations(aid)
-            sites = [self._pm.strands[si].sites[pi] for si, pi in locs]
-            (si0, _), (si1, _), (si2, _) = locs
-            f1 = faces.face_of(si0, sites[0].side_next)
-            f2 = faces.face_of(si2, sites[2].side_prev)
+        for aid in pm.arc_ids:
+            x0, _x1, _y0, y1 = pm.darts[4 * aid : 4 * aid + 4]
+            si0, si1, si2 = (chord_of[s] for s in range(3 * aid, 3 * aid + 3))
+            f1, f2 = face_at[x0], face_at[y1]
             arcs_out.append(
                 {"end1": [si0, f1], "middle": [si1, f1, f2], "end2": [si2, f2]}
             )
-        from .diagram import serialize
-
         return {"diagram": serialize(self.base), "arcs": arcs_out}
 
 
@@ -892,34 +765,25 @@ def single_arc_system(arc: AttachingArc) -> BypassSystem:
 
 def surgery_along_system(system: BypassSystem, direction: str, subset=None):
     """Surger every arc (or the given subset) in one shared realisation."""
-    pm = system.planar_map()
-    todo = list(system.arc_ids) if subset is None else list(subset)
-    for aid in system.arc_ids:
-        if aid not in todo:
-            continue
-        pm = _surgery_once(pm, aid, direction)
-        if is_zero(pm):
+    pm = system._pm
+    todo = pm.arc_ids if subset is None else set(subset)
+    mate = list(pm.mate)
+    for aid in pm.arc_ids:
+        if aid in todo and not _rewire(mate, pm.m, pm.darts, aid, direction):
             return ZERO
-    # drop untouched arcs before reading off the diagram
-    return pm.diagram()
+    # untouched arcs ride along on the strands read off here
+    return ChordDiagram(_strand_pairing(mate, pm.m))
 
 
 def expand_subsets(system: BypassSystem, direction: str):
     """Mod-2 multiset of surgeries over all subsets of the system."""
-    from collections import Counter
-
-    counts: Counter = Counter()
+    odd: dict = {}  # result -> odd multiplicity so far, in first-seen order
     ids = system.arc_ids
     for mask in range(1 << len(ids)):
         subset = [a for bit, a in enumerate(ids) if (mask >> bit) & 1]
         result = surgery_along_system(system, direction, subset)
-        key = "ZERO" if is_zero(result) else result.pairing
-        counts[key] += 1
-    out = []
-    for key, cnt in counts.items():
-        if cnt % 2:
-            out.append(ZERO if key == "ZERO" else ChordDiagram(key))
-    return out
+        odd[result] = not odd.get(result, False)
+    return [result for result, keep in odd.items() if keep]
 
 
 def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> BypassSystem:
@@ -929,56 +793,41 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
     side (the 'southwest'/'northwest' choice) of all earlier ones: its
     sites take smaller west-coordinates on every shared chord.
     """
-    diagram = basis_diagram_for(w)
+    diagram = basis_diagram(w)
     chords = diagram.chords()
     m = 2 * diagram.n
     root = root_point(diagram.n, w.e)
     faces = faces_of(diagram)
 
-    placed: dict[int, list[tuple[Fraction, Site]]] = {si: [] for si in range(len(chords))}
-    arc_count = 0
-    labels = []
+    placed: dict[int, list[tuple[Fraction, int]]] = {si: [] for si in range(len(chords))}
+    bits: list[int] = []
     off_first, off_second = _SPLIT_OFFSETS[kind]
-
-    def side_facing(si, f):
-        if faces.face_of(si, LEFT) == f:
-            return LEFT
-        assert faces.face_of(si, RIGHT) == f
-        return RIGHT
 
     for v, g in enumerate(gens):
         center = Fraction(1, v + 2)
         eps = Fraction(1, 1000 * (v + 2))
         E, F = g.path_edges, g.path_faces
-        q = len(E) - 1
-        n_arcs = q // 2
+        n_arcs = (len(E) - 1) // 2
         for k in range(n_arcs):
-            aid = arc_count
-            arc_count += 1
-            labels.append((g.kind, g.i, g.j, k))
+            s = len(bits)
             e_start, e_cross, e_end = E[2 * k], E[2 * k + 1], E[2 * k + 2]
             f_before, f_after = F[2 * k + 1], F[2 * k + 2]
-            s0 = Site(aid, 0, "end", None, side_facing(e_start, f_before))
-            s1 = Site(aid, 1, "cross", side_facing(e_cross, f_before), side_facing(e_cross, f_after))
-            s2 = Site(aid, 2, "end", side_facing(e_end, f_after), None)
-            pos0 = center + (eps * off_second if k > 0 else 0)
-            pos2 = center + (eps * off_first if k < n_arcs - 1 else 0)
-            placed[e_start].append((pos0, s0))
-            placed[e_cross].append((center, s1))
-            placed[e_end].append((pos2, s2))
+            bits += (
+                _facing(faces, e_start, f_before),
+                _facing(faces, e_cross, f_before),
+                _facing(faces, e_end, f_after),
+            )
+            placed[e_start].append((center + (eps * off_second if k > 0 else 0), s))
+            placed[e_cross].append((center, s + 1))
+            placed[e_end].append((center + (eps * off_first if k < n_arcs - 1 else 0), s + 2))
 
-    strands = []
+    strand_sites = {}
     for si, chord in enumerate(chords):
-        west = _west_position_end(chord, root, m)
-        entries = placed[si]
-        if chord[0] == west:
-            entries.sort(key=lambda t: t[0])
-        else:
-            entries.sort(key=lambda t: -t[0])
-        strands.append(Strand(chord, [s for _, s in entries]))
-    pm = PlanarMap(strands, list(range(arc_count)))
+        sign = 1 if chord[0] == _west_position_end(chord, root, m) else -1
+        strand_sites[si] = [s for _, s in sorted(placed[si], key=lambda t: sign * t[0])]
+    pm = Configuration.build(diagram, strand_sites, bits, range(len(bits) // 3))
     pm.validate()
-    return BypassSystem(diagram, pm, w, tuple(labels))
+    return BypassSystem(diagram, pm)
 
 
 def arc_to_system(g: GeneralisedArc) -> BypassSystem:
@@ -989,8 +838,8 @@ def arc_to_system(g: GeneralisedArc) -> BypassSystem:
 def nicely_ordered_system(w: Word, gens: list[GeneralisedArc]) -> BypassSystem:
     """Joint realisation of a nicely ordered family of generalised arcs."""
     if not gens:
-        return BypassSystem(basis_diagram_for(w), PlanarMap(
-            [Strand(c) for c in basis_diagram_for(w).chords()]), w, ())
+        diagram = basis_diagram(w)
+        return BypassSystem(diagram, Configuration.bare(diagram))
     kinds = {g.kind for g in gens}
     if len(kinds) != 1:
         raise NotNicelyOrdered("mixed forwards/backwards arcs")
@@ -1003,22 +852,20 @@ def nicely_ordered_system(w: Word, gens: list[GeneralisedArc]) -> BypassSystem:
         ok = all(a < b for a, b in zip(iis, iis[1:])) and all(
             a <= b for a, b in zip(jjs, jjs[1:])
         )
-        order = list(gens)
     else:
         ok = all(a > b for a, b in zip(jjs, jjs[1:])) and all(
             a >= b for a, b in zip(iis, iis[1:])
         )
-        order = list(gens)
     if not ok:
         raise NotNicelyOrdered(f"indices not nicely ordered for {kind}")
-    return _place_generalised(w, order, kind)
+    return _place_generalised(w, gens, kind)
 
 
 def cfbs(w1: Word, w2: Word) -> BypassSystem:
     """Coarse forwards bypass system of a comparable pair, on the lower diagram."""
     if not partial_leq(w1, w2):
         raise NotComparable(f"{w1} is not below {w2}")
-    betas = _plus_counts_before_minus(w2)
+    betas = _opposite_counts_before(w2, MINUS)
     gens = []
     for i in range(1, w1.n_minus + 1):
         j = betas[i - 1]
@@ -1031,7 +878,7 @@ def cbbs(w1: Word, w2: Word) -> BypassSystem:
     """Coarse backwards bypass system of a comparable pair, on the upper diagram."""
     if not partial_leq(w1, w2):
         raise NotComparable(f"{w1} is not below {w2}")
-    deltas = _minus_counts_before_plus(w1)
+    deltas = _opposite_counts_before(w1, PLUS)
     gens = []
     for j in range(w2.n_plus, 0, -1):
         i = deltas[j - 1]
@@ -1040,30 +887,22 @@ def cbbs(w1: Word, w2: Word) -> BypassSystem:
     return nicely_ordered_system(w2, gens)
 
 
-def _plus_counts_before_minus(w: Word) -> list[int]:
-    out, pluses = [], 0
+def _opposite_counts_before(w: Word, sign: int) -> list[int]:
+    """For each sign of this kind, left to right, how many of the other kind precede it."""
+    out, seen = [], 0
     for b in w.bits:
-        if b == PLUS:
-            pluses += 1
+        if b == sign:
+            out.append(seen)
         else:
-            out.append(pluses)
-    return out
-
-
-def _minus_counts_before_plus(w: Word) -> list[int]:
-    out, minuses = [], 0
-    for b in w.bits:
-        if b == MINUS:
-            minuses += 1
-        else:
-            out.append(minuses)
+            seen += 1
     return out
 
 
 def _minimal_subsystem(system: BypassSystem, direction: str, target: ChordDiagram) -> BypassSystem:
     """Greedy reverse deletions until no single arc can be dropped."""
     keep = list(system.arc_ids)
-    assert surgery_along_system(system, direction, keep) == target
+    if surgery_along_system(system, direction, keep) != target:
+        raise BrokenInvariant(f"{direction}wards surgery along the whole system misses its target")
     changed = True
     while changed:
         changed = False
@@ -1079,89 +918,53 @@ def _minimal_subsystem(system: BypassSystem, direction: str, target: ChordDiagra
 def fbs(w1: Word, w2: Word) -> BypassSystem:
     """A minimal forwards bypass system: upwards surgery yields the upper diagram."""
     system = cfbs(w1, w2)
-    return _minimal_subsystem(system, "up", basis_diagram_for(w2))
+    return _minimal_subsystem(system, "up", basis_diagram(w2))
 
 
 @lru_cache(maxsize=None)
 def bbs(w1: Word, w2: Word) -> BypassSystem:
     """A minimal backwards bypass system: downwards surgery yields the lower diagram."""
     system = cbbs(w1, w2)
-    return _minimal_subsystem(system, "down", basis_diagram_for(w1))
+    return _minimal_subsystem(system, "down", basis_diagram(w1))
 
 
 # -- pinwheels -----------------------------------------------------------------
 
 
-def _face_subdivision(pm: PlanarMap, faces: _Faces, face: int):
+def _face_subdivision(pm: Configuration, faces, face: int):
     """Orbits of the face after cutting along its arc segments.
 
-    The visible sites, matched by the segments, are a non-crossing
-    matching; its regions (diagram.region_orbits) are the sub-faces.
-    Each is a list of sides: ('interval', t, tokens, covered), the
-    boundary stretch from site t+1 back to site t, then ('seg', arc_id,
-    'EC'|'CE', corners), the segment leaving site t with its traversal
-    sense (endpoint->crossing or back).
+    The segment ends on the face's walk, matched by the segments, are a
+    non-crossing matching; its regions (diagram.region_orbits) are the
+    sub-faces.  Each is a list of sides: ('interval', t, passed), the
+    walk from segment end t to segment end t+1, where passed is None when
+    it meets the boundary circle and otherwise holds the site ends it
+    passes (sites whose segments lie on the far side); then ('seg',
+    arc_id, 'EC'|'CE', corners), the segment leaving end t with its
+    traversal sense (endpoint->crossing or back) and its two site indices.
     """
-    boundary = faces.boundary_sites(face)
-    if not boundary:
+    walk = faces[0][face]
+    seg = pm.segments()
+    at = [i for i, x in enumerate(walk) if x in seg]
+    if not at:
         return []
-    sites = [s for s, _si in boundary]
-    M = len(sites)
-    pos = {id(s): t for t, (s, _si) in enumerate(boundary)}
-
-    tokens = faces.boundary_tokens(face)
-    start = next(i for i, t in enumerate(tokens) if t[0] == "site")
-    tokens = tokens[start:] + tokens[:start]
-    raw_intervals: list[list] = []
-    cur: list = []
-    order_check = []
-    for t in tokens:
-        if t[0] == "site":
-            if order_check:
-                raw_intervals.append(cur)
-            order_check.append(t[1])
-            cur = []
-        else:
-            cur.append(t)
-    raw_intervals.append(cur)  # wraps to the first site
-    assert len(order_check) == M and [pos[id(s)] for s in order_check] == list(range(M))
-
-    # annotate circle-free intervals with the strand stretch they cover,
-    # so hidden far-side sites lying on them can be detected
-    site_index = {}
-    for si, s in enumerate(pm.strands):
-        for k, x in enumerate(s.sites):
-            site_index[id(x)] = (si, k)
-    intervals = []
-    for t, toks in enumerate(raw_intervals):
-        covered = None
-        if all(tok[0] != "circle" for tok in toks):
-            a, b = sites[t], sites[(t + 1) % M]
-            sia, ka = site_index[id(a)]
-            sib, kb = site_index[id(b)]
-            assert sia == sib
-            covered = (sia, min(ka, kb), max(ka, kb))
-        intervals.append((toks, covered))
-
-    seg_of: dict[int, tuple[int, int]] = {}
-    for aid in pm.arc_ids:
-        for k in (0, 1):
-            f, s_from, s_to = pm.segment_face(aid, k, faces)
-            if f == face:
-                a, b = pos[id(s_from)], pos[id(s_to)]
-                seg_of[a] = (b, aid)
-                seg_of[b] = (a, aid)
-    assert set(seg_of) == set(range(M)), "every visible site carries one segment"
-
+    ends = [walk[i] for i in at]
+    pos = {x: t for t, x in enumerate(ends)}
+    M, m = len(ends), pm.m
+    passed = []
+    for t in range(M):
+        i, j = at[t], at[(t + 1) % M]
+        stretch = walk[i + 1 : j] if i < j else walk[i + 1 :] + walk[:j]
+        passed.append(None if any(x < m for x in stretch) else frozenset(stretch))
     out = []
-    for orbit in region_orbits([seg_of[v][0] for v in range(M)]):
+    for orbit in region_orbits([pos[seg[x][0]] for x in ends]):
         sides = []
         for t in orbit:
-            toks, covered = intervals[t]
-            sides.append(("interval", t, toks, covered))
-            w, aid = seg_of[t]
-            kind = "EC" if sites[t].kind == "end" else "CE"
-            sides.append(("seg", aid, kind, frozenset({sites[t].idx, sites[w].idx})))
+            sides.append(("interval", t, passed[t]))
+            other, aid = seg[ends[t]]
+            idx, other_idx = ((ends[t] - m) >> 1) % 3, ((other - m) >> 1) % 3
+            kind = "CE" if idx == 1 else "EC"
+            sides.append(("seg", aid, kind, frozenset({idx, other_idx})))
         out.append(sides)
     return out
 
@@ -1184,20 +987,19 @@ def has_pinwheel(system: BypassSystem, direction: str) -> bool:
     masks = sorted(range(1, 1 << len(ids)), key=lambda m: bin(m).count("1"))
     for mask in masks:
         keep = [aid for bit, aid in enumerate(ids) if (mask >> bit) & 1]
-        sub = system.subsystem(keep)
-        pm = sub.planar_map()
+        pm = system.subsystem(keep)._pm
         faces = pm.faces()
-        for f in range(faces.count):
+        for f in range(len(faces[0])):
             for orbit in _face_subdivision(pm, faces, f):
                 if _is_pinwheel(pm, orbit, want):
                     return True
     return False
 
 
-def _is_pinwheel(pm: PlanarMap, orbit, want: str) -> bool:
+def _is_pinwheel(pm: Configuration, orbit, want: str) -> bool:
     segs = [d for d in orbit if d[0] == "seg"]
-    ivals = [d for d in orbit if d[0] == "interval"]
-    if any(tok[0] == "circle" for _, _, toks, _cov in ivals for tok in toks):
+    passed = [d[2] for d in orbit if d[0] == "interval"]
+    if any(p is None for p in passed):
         return False
     arcs_used = [aid for _, aid, _k, _c in segs]
     if len(set(arcs_used)) != len(arcs_used):
@@ -1206,16 +1008,11 @@ def _is_pinwheel(pm: PlanarMap, orbit, want: str) -> bool:
         return False
     # each side arc must not meet the region again: its remaining site
     # may not lie on (the far side of) any boundary chord stretch
-    covered = [cov for _, _t, _toks, cov in ivals if cov is not None]
     for _, aid, _kind, corners in segs:
-        locs = pm.site_locations(aid)
-        for si, k in locs:
-            site = pm.strands[si].sites[k]
-            if site.idx in corners:
-                continue
-            for csi, lo, hi in covered:
-                if csi == si and lo < k < hi:
-                    return False
+        for idx in {0, 1, 2} - corners:
+            x = pm.m + 2 * (3 * aid + idx)
+            if any(x in p or x + 1 in p for p in passed):
+                return False
     return True
 
 
@@ -1226,25 +1023,27 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
     random slots, retrying until the joint configuration is planar.
     """
     classes = find_attaching_arcs(diagram)
-    pm = PlanarMap([Strand(c) for c in diagram.chords()])
+    faces = faces_of(diagram)
+    strand_sites: dict[int, list[int]] = {si: [] for si in range(diagram.n)}
+    bits: tuple[int, ...] = ()
+    pm = Configuration.bare(diagram)
     placed = 0
     for _ in range(40 * n_arcs):
         if placed == n_arcs:
             break
         cls = classes[rng.randrange(len(classes))]
-        trial = pm.clone()
-        src = cls.planar_map()
-        for strand_i, strand in enumerate(src.strands):
-            for site in strand.sites:
-                new = Site(placed, site.idx, site.kind, site.side_prev, site.side_next)
-                lst = trial.strands[strand_i].sites
-                lst.insert(rng.randrange(len(lst) + 1), new)
-        trial.arc_ids = list(pm.arc_ids) + [placed]
+        sites, cls_bits = _single_arc_sites(faces, cls.signature)
+        trial = {si: list(lst) for si, lst in strand_sites.items()}
+        for si in sorted(sites):
+            for idx in sites[si]:
+                lst = trial[si]
+                lst.insert(rng.randrange(len(lst) + 1), 3 * placed + idx)
+        trial_pm = Configuration.build(diagram, trial, bits + cls_bits, range(placed + 1))
         try:
-            trial.validate()
+            trial_pm.validate()
         except NotPlanar:
             continue
-        pm = trial
+        strand_sites, bits, pm = trial, bits + cls_bits, trial_pm
         placed += 1
     if placed < n_arcs:
         return None

@@ -21,7 +21,6 @@ from . import arcs as _arcs
 from . import sfh
 from .diagram import ChordDiagram, euler_class
 from .errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
-from .words import partial_leq
 
 
 def loop_count(bottom: ChordDiagram, top: ChordDiagram, _shift: int = -1) -> int:
@@ -48,14 +47,20 @@ def m_geometric(bottom: ChordDiagram, top: ChordDiagram, _shift: int = -1) -> in
 
 
 def m_algebraic(bottom: ChordDiagram, top: ChordDiagram) -> int:
-    """Parity of comparable pairs between the two basis decompositions."""
+    """Parity of comparable pairs between the two basis decompositions.
+
+    Every word of a diagram's decomposition has the grading its chord
+    count and euler class fix, and words of two gradings are never
+    comparable; within one, w0 <= w1 compares minus positions
+    componentwise (words.partial_leq).
+    """
     if bottom.n != top.n:
         raise SizeMismatch("stacking needs equal chord counts")
     if euler_class(bottom) != euler_class(top):
         return 0
-    d0 = sfh.decompose(bottom).words
-    d1 = sfh.decompose(top).words
-    count = sum(1 for w0 in d0 for w1 in d1 if partial_leq(w0, w1))
+    p0 = [w.minus_positions() for w in sfh.decompose(bottom).words]
+    p1 = [w.minus_positions() for w in sfh.decompose(top).words]
+    count = sum(all(p <= q for p, q in zip(a, b)) for a in p0 for b in p1)
     return count % 2
 
 

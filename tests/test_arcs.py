@@ -238,7 +238,7 @@ def test_triple_relation_is_symmetric():
 
 def test_single_arc_route_matches_planar_map_route():
     # single arcs are classified and surgered on the pairing; the
-    # PlanarMap realisation stays the reference, planarity included
+    # Configuration realisation stays the reference, planarity included
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
             for c in arcs.find_attaching_arcs(d):
@@ -249,7 +249,7 @@ def test_single_arc_route_matches_planar_map_route():
                     want = arcs.surgery_along_system(system, direction)
                     assert arcs.surgery(d, c, direction) == want, (d, c, direction)
                 if c.triviality == "supertrivial":
-                    order = [site.idx for site in pm.strands[c.middle[0]].sites]
+                    _ends, order = pm.strands()[c.middle[0]]  # arc 0: site = index
                     assert (order[1] == 1) == (c.super_kind == "direct"), (d, c)
 
 

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
 from sutura import diagram as D
 from sutura import sfh
 from sutura.errors import BrokenInvariant, ZeroElement
 from sutura.words import Word, all_words, word
+
+from strategies import diagrams
 
 
 def gradings(n):
@@ -227,3 +230,16 @@ def test_outermost_region_dictionary():
                 all_match = all(following_plus(w) for w in words)
                 extremes = following_plus(lo) and following_plus(hi)
                 assert diag == all_match == extremes, (d, j, "east")
+
+
+@settings(deadline=None, max_examples=100)
+@given(diagrams(n_max=12))
+def test_decompose_agrees_with_root_route_hypothesis(d):
+    assert sfh.decompose(d) == sfh.decompose_from_root(d)
+
+
+@settings(deadline=None, max_examples=100)
+@given(diagrams(n_max=12))
+def test_from_pair_inverts_phi_hypothesis(d):
+    # beyond the exhaustive sizes this drives multi-arc system surgery
+    assert sfh.from_pair(*sfh.phi(d)) == d

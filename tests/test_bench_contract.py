@@ -1,0 +1,43 @@
+"""The benchmark's tracer (bench/tracer.py) wraps program functions by
+name and reads the cache statistics of some of them, so a rename or a
+dropped cache breaks the traced benchmark run; this keeps that in tier-1."""
+
+import json
+import os
+import subprocess
+import sys
+
+import sutura
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(sutura.__file__)))
+BENCH = os.path.join(os.path.dirname(ROOT), "bench")
+
+SCRIPT = """
+import json
+import tracer
+from sutura import verify
+
+t = tracer.Tracer()
+t.install()
+results = verify.run_verification("quick", 0)
+snap = t.snapshot()
+print(json.dumps({
+    "failed": [r.name for r in results if not r.passed],
+    "spans": [prefix for prefix, _mod, _fn, _q in tracer.SPANS],
+    "calls": snap["calls"],
+    "self_s": snap["self_s"],
+}))
+"""
+
+
+def test_tracer_installs_and_sees_every_span():
+    path = os.pathsep.join((ROOT, BENCH))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["failed"] == []
+    silent = [p for p in out["spans"] if not out["calls"].get(p) and not out["self_s"].get(p)]
+    assert silent == []

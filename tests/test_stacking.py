@@ -10,6 +10,8 @@ from sutura import stacking as S
 from sutura.errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
 from sutura.words import all_words, comparable_pairs, interval, partial_leq, word
 
+from strategies import matching
+
 
 def gradings(n):
     for nm in range(n + 1):
@@ -49,20 +51,6 @@ def tight_pairs(n_max):
         for b in D.enumerate_diagrams(n)
         if S.m_geometric(a, b) == 1
     ]
-
-
-def matching(draw, n):
-    """A non-crossing matching on 2n points, one chord from each run's first point."""
-    pairing = [0] * (2 * n)
-    runs = [(0, 2 * n)]
-    while runs:
-        lo, hi = runs.pop()
-        if lo == hi:
-            continue
-        mate = lo + 2 * draw(st.integers(0, (hi - lo) // 2 - 1)) + 1
-        pairing[lo], pairing[mate] = mate, lo
-        runs += [(lo + 1, mate), (mate + 1, hi)]
-    return D.ChordDiagram(pairing)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 from sutura import arcs
 from sutura import diagram as D
 from sutura import sfh
-from sutura.errors import NotComparable, NotNicelyOrdered
+from sutura.errors import BrokenInvariant, NotComparable, NotNicelyOrdered
 from sutura.words import all_words, comparable_pairs, word
 
 
@@ -73,7 +73,7 @@ def test_surgery_order_commutes():
                 for perm in itertools.permutations(ids):
                     pm = system.planar_map()
                     for aid in perm:
-                        pm = arcs._surgery_once(pm, aid, "up")
+                        pm = arcs.surgery_step(pm, aid, "up")
                         assert not D.is_zero(pm)
                     assert pm.diagram() == base
 
@@ -86,6 +86,13 @@ def test_cfbs_and_cbbs_effects():
                 assert arcs.surgery_along_system(arcs.cbbs(w1, w2), "down") == sfh.basis_diagram(w1)
     with pytest.raises(NotComparable):
         arcs.cfbs(word("+-"), word("-+"))
+
+
+def test_minimal_subsystem_unreachable_target_is_an_error():
+    # checked explicitly, so it holds under -O as well
+    w1, w2 = word("--+"), word("+--")
+    with pytest.raises(BrokenInvariant):
+        arcs._minimal_subsystem(arcs.cfbs(w1, w2), "up", sfh.basis_diagram(w1))
 
 
 def test_fbs_bbs_minimality_and_pair_diagram():
@@ -132,7 +139,7 @@ def test_arcs_remain_of_the_three_types_during_surgery():
                 system = arcs.cfbs(w1, w2)
                 pm = system.planar_map()
                 for aid in list(system.arc_ids):
-                    pm2 = arcs._surgery_once(pm, aid, "up")
+                    pm2 = arcs.surgery_step(pm, aid, "up")
                     assert not D.is_zero(pm2)
                     current = pm2.diagram()
                     dec = sfh.decompose(current)
@@ -146,34 +153,32 @@ def test_arcs_remain_of_the_three_types_during_surgery():
 def _assert_arc_type(pm, arc_id, current_word):
     from sutura.basis import base_construction
 
-    locs = pm.site_locations(arc_id)
-    strands = {si for si, _pi in locs}
-    up = arcs._surgery_once(pm.clone(), arc_id, "up")
-    same_up = (not D.is_zero(up)) and up.pairing() == pm.pairing()
+    own = range(3 * arc_id, 3 * arc_id + 3)  # the arc's sites 0, 1, 2
+    chord_of = {s: ends for ends, sites in pm.strands() for s in sites if s in own}
+    strands = set(chord_of.values())
+    up = arcs.surgery_step(pm, arc_id, "up")
+    same_up = (not D.is_zero(up)) and up.diagram() == pm.diagram()
     if len(strands) == 3:
         # nontrivial: must be forwards (negative prior outer region)
         data = base_construction(current_word)
         order = data.chord_order()
-        faces = pm.faces()
-        chords = [s.ends if s.ends[0] < s.ends[1] else (s.ends[1], s.ends[0]) for s in pm.strands]
-        end_sites = [(si, pi) for si, pi in (locs[0], locs[2])]
-        (siA, piA), (siB, piB) = end_sites
-        prior_si = siA if order[chords[siA]] < order[chords[siB]] else siB
-        site = pm.strands[prior_si].sites[[p for s, p in end_sites if s == prior_si][0]]
-        side = site.side_next if site.idx == 0 else site.side_prev
-        outer = faces.face_of(prior_si, -side)
-        assert faces.signs()[outer] == -1, "nontrivial arc stopped being forwards"
+        walks, face_at = pm.faces()
+        x0, _x1, _y0, y1 = pm.darts[4 * arc_id : 4 * arc_id + 4]
+        # the end site on the prior chord, with the end its segment leaves from
+        _site, end = min((own[0], x0), (own[2], y1), key=lambda t: order[chord_of[t[0]]])
+        outer = face_at[end ^ 1]
+        assert D.orbit_sign(walks[outer]) == -1, "nontrivial arc stopped being forwards"
     elif len(strands) == 2:
         assert same_up, "slightly trivial arc is not upwards"
     else:
         assert same_up, "supertrivial arc is not upwards"
-        sites = [s for s in pm.strands[next(iter(strands))].sites if s.arc == arc_id]
-        assert [s.idx for s in sites][1] == 1, "supertrivial arc is not direct"
+        (sites,) = [sites for _ends, sites in pm.strands() if own[0] in sites]
+        assert [s - own[0] for s in sites if s in own][1] == 1, "supertrivial arc is not direct"
 
 
 def test_expand_subsets_identity():
     assert arcs.expand_subsets(
-        arcs.BypassSystem(D.VACUUM, arcs.PlanarMap([arcs.Strand((0, 1))])), "up"
+        arcs.BypassSystem(D.VACUUM, arcs.Configuration.bare(D.VACUUM)), "up"
     ) == [D.VACUUM]
     for n in range(1, 5):
         for nm, np_ in gradings(n):
@@ -198,7 +203,7 @@ def test_single_nontrivial_arc_expand():
 
 
 def test_pinwheels():
-    empty = arcs.BypassSystem(D.VACUUM, arcs.PlanarMap([arcs.Strand((0, 1))]))
+    empty = arcs.BypassSystem(D.VACUUM, arcs.Configuration.bare(D.VACUUM))
     assert not arcs.has_pinwheel(empty, "up")
     assert not arcs.has_pinwheel(empty, "down")
     for n in range(1, 5):
