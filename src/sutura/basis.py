@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import ChordDiagram
+from .errors import BrokenInvariant
 from .words import MINUS, Word
 
 
@@ -80,12 +81,12 @@ def base_construction(w: Word) -> ConstructionData:
         symbol_chords.append(_norm(temp, mate))
         temp = _next_unused(mate, step, used, m)
     rest = [p for p in range(m) if p not in used]
-    assert len(rest) == 2
     a, b = rest
     pairing[a], pairing[b] = b, a
     diagram = ChordDiagram(tuple(pairing))
     root = root_point(n + 1, w.e)
-    assert root in rest, "final chord misses the root point"
+    if root not in rest:
+        raise BrokenInvariant(f"the final chord of {w} misses the root point")
     return ConstructionData(w, diagram, tuple(symbol_chords), _norm(a, b), root)
 
 
@@ -111,8 +112,9 @@ def root_construction(w: Word) -> ConstructionData:
         chords_by_pos[pos] = _norm(temp, mate)
         temp = _next_unused(mate, step, used, m)
     rest = [p for p in range(m) if p not in used]
-    assert len(rest) == 2 and 0 in rest, "final chord misses the base point"
     a, b = rest
+    if 0 not in rest:
+        raise BrokenInvariant(f"the final chord of {w} misses the base point")
     pairing[a], pairing[b] = b, a
     diagram = ChordDiagram(tuple(pairing))
     return ConstructionData(

@@ -250,6 +250,46 @@ def rotate_points(diagram: ChordDiagram, steps: int) -> ChordDiagram:
     return ChordDiagram(tuple(pairing), _validated=True)
 
 
+# Adding or removing two adjacent points renumbers the rest one way: the
+# surviving points keep their order and parity, labels below the pair
+# stay and the others move by 2.  When the pair is (2N-1, 0) the old
+# point 2N-2 becomes the new base point.
+
+
+def delete_points(pairing: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """Delete points t and t+1 (mod 2N), joining their partners if unpaired.
+
+    For 0 <= t <= 2N-1; deleting an outermost chord (t, t+1) removes
+    the region of arc t.
+    """
+    m = len(pairing)
+    u = (t + 1) % m
+    b, c = pairing[t], pairing[u]
+    if b != u:
+        pairing = list(pairing)
+        pairing[b], pairing[c] = c, b
+    # Lists, not generators: tuple() of a generator over-allocates, and
+    # the results live on as decompose memo keys.
+    if u == 0:
+        kept = pairing[1 : m - 1]  # old points 1..m-2, of which m-2 becomes 0
+        return tuple([x if x < m - 2 else 0 for x in kept[-1:] + kept[:-1]])
+    return tuple([x if x < t else x - 2 for x in pairing[:t] + pairing[t + 2 :]])
+
+
+def insert_chord(pairing: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """Inverse of delete_points: a new outermost chord on points s, s+1 (mod 2N+2).
+
+    For 0 <= s <= 2N+1.
+    """
+    m = len(pairing)
+    if s == m + 1:
+        # the old base point becomes point m, under the new chord (m+1, 0)
+        rest = tuple(x if x else m for x in pairing)
+        return (m + 1,) + rest[1:] + (rest[0], 0)
+    shifted = tuple(x if x < s else x + 2 for x in pairing)
+    return shifted[:s] + (s + 1, s) + shifted[s:]
+
+
 def merge(d1: ChordDiagram | None, d2: ChordDiagram | None) -> ChordDiagram:
     """Join two (possibly null) diagrams with one new chord.
 
@@ -279,7 +319,6 @@ def merge(d1: ChordDiagram | None, d2: ChordDiagram | None) -> ChordDiagram:
 
         for i, p in enumerate(d2.pairing):
             pairing[map2(i)] = map2(p)
-    assert all(p >= 0 for p in pairing)
     return ChordDiagram(tuple(pairing), _validated=True)
 
 

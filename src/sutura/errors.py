@@ -75,7 +75,7 @@ class ZeroElement(SuturaError):
 
 
 class IndexOutOfRange(SuturaError):
-    """Simplicial operator index outside 0..n."""
+    """Simplicial operator index or operator slot outside 0..n."""
 
 
 class CapExceeded(SuturaError):

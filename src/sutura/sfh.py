@@ -5,6 +5,9 @@ Elements are finite sets of equal-length words (mod-2 sums of basis
 vectors).  decompose() writes any diagram in this basis by repeatedly
 peeling outermost chords at the base point and, when none exists there,
 splitting along the bypass triple of the arc hugging the base point.
+Peeling, and the creation and annihilation operators on diagrams, add
+or remove two adjacent points with diagram.insert_chord and
+diagram.delete_points, which own the renumbering of the other points.
 """
 
 from __future__ import annotations
@@ -14,8 +17,23 @@ from functools import lru_cache
 from typing import Callable
 
 from . import basis as _basis
-from .diagram import ChordDiagram, ZERO, euler_class, is_zero, rotate_points
-from .errors import BrokenInvariant, GradingMismatch, NotComparable, TrivialArc, ZeroElement
+from .diagram import (
+    ChordDiagram,
+    ZERO,
+    delete_points,
+    euler_class,
+    insert_chord,
+    is_zero,
+    rotate_points,
+)
+from .errors import (
+    BrokenInvariant,
+    GradingMismatch,
+    IndexOutOfRange,
+    NotComparable,
+    TrivialArc,
+    ZeroElement,
+)
 from .words import (
     MINUS,
     PLUS,
@@ -84,22 +102,6 @@ class SfhElement:
 _decompose_cache: dict[tuple[int, ...], frozenset[Word]] = {}
 
 
-def _strip_plus_at_base(pairing: tuple[int, ...]) -> tuple[int, ...]:
-    # remove chord (0, 1); every remaining label shifts down by 2
-    return tuple(pairing[i + 2] - 2 for i in range(len(pairing) - 2))
-
-
-def _strip_minus_at_base(pairing: tuple[int, ...]) -> tuple[int, ...]:
-    # remove chord (2N-1, 0); old 2N-2 becomes the new base point
-    m = len(pairing)
-    relabel = {x: x for x in range(1, m - 2)}
-    relabel[m - 2] = 0
-    out = [0] * (m - 2)
-    for old, new in relabel.items():
-        out[new] = relabel[pairing[old]]
-    return tuple(out)
-
-
 def bypass_rewire(pairing: tuple[int, ...], points, step: int) -> tuple[int, ...]:
     """Bypass surgery along a nontrivial arc, as a re-matching of six ends.
 
@@ -128,10 +130,10 @@ def _decompose_pairing(pairing: tuple[int, ...]) -> frozenset[Word]:
             _decompose_cache[pairing] = frozenset((Word(),))
         elif q == 1:
             peeled.append((pairing, PLUS))
-            pairing = _strip_plus_at_base(pairing)
+            pairing = delete_points(pairing, 0)
         elif q == m - 1:
             peeled.append((pairing, MINUS))
-            pairing = _strip_minus_at_base(pairing)
+            pairing = delete_points(pairing, m - 1)
         else:
             hug = (m - 1, 0, 1)  # the chords met by the arc hugging the base point
             left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
@@ -171,10 +173,10 @@ def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]
             _decompose_root_cache[pairing] = frozenset((Word(),))
         elif pairing[(r - 1) % m] == r:
             peeled.append((pairing, PLUS))
-            pairing, e = _remove_adjacent(pairing, (r - 1) % m), e - 1
+            pairing, e = delete_points(pairing, (r - 1) % m), e - 1
         elif pairing[r] == (r + 1) % m:
             peeled.append((pairing, MINUS))
-            pairing, e = _remove_adjacent(pairing, r), e + 1
+            pairing, e = delete_points(pairing, r), e + 1
         else:
             hug = ((r - 1) % m, r, (r + 1) % m)
             left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
@@ -186,25 +188,6 @@ def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]
         result = frozenset(Word(w.bits + (letter,)) for w in result)
         _decompose_root_cache[outer] = result
     return result
-
-
-def _remove_adjacent(pairing: tuple[int, ...], t: int) -> tuple[int, ...]:
-    """Drop the outermost chord (t, t+1), shifting higher labels down.
-
-    Valid for 1 <= t <= 2N-2 so the base point keeps its label.
-    """
-    m = len(pairing)
-    assert 1 <= t <= m - 2 and pairing[t] == t + 1
-
-    def relabel(x: int) -> int:
-        return x if x < t else x - 2
-
-    out = [0] * (m - 2)
-    for i, p in enumerate(pairing):
-        if i in (t, t + 1):
-            continue
-        out[relabel(i)] = relabel(p)
-    return tuple(out)
 
 
 def is_basis(diagram: ChordDiagram) -> bool:
@@ -294,107 +277,38 @@ def _a_minus_word(w: Word) -> frozenset[Word]:
     return frozenset()
 
 
-def _b_minus_diag(d: ChordDiagram) -> ChordDiagram:
-    m = 2 * d.n
-    pairing = [-1] * (m + 2)
-    pairing[m + 1], pairing[0] = 0, m + 1
-
-    def f(x):
-        return m if x == 0 else x
-
-    for i, p in enumerate(d.pairing):
-        pairing[f(i)] = f(p)
-    return ChordDiagram(tuple(pairing))
+def _insert(d: ChordDiagram, s: int) -> ChordDiagram:
+    return ChordDiagram(insert_chord(d.pairing, s))
 
 
-def _b_plus_diag(d: ChordDiagram) -> ChordDiagram:
-    m = 2 * d.n
-    pairing = [-1] * (m + 2)
-    pairing[0], pairing[1] = 1, 0
-    for i, p in enumerate(d.pairing):
-        pairing[i + 2] = p + 2
-    return ChordDiagram(tuple(pairing))
+def _cap(d: ChordDiagram, t: int):
+    """Join the chords at points t and t+1 (mod 2N); ZERO when they are one chord."""
+    if d.pairing[t] == (t + 1) % (2 * d.n):
+        return ZERO
+    return ChordDiagram(delete_points(d.pairing, t))
 
 
 def _a_plus_diag(d: ChordDiagram):
     # cap off the boundary between points 0 and 1
-    m = 2 * d.n
-    if d.pairing[0] == 1:
-        return ZERO
-    b, c = d.pairing[0], d.pairing[1]
-
-    def relabel(x):
-        if x == m - 2:
-            return 0
-        if x == m - 1:
-            return 1
-        return x
-
-    out = [0] * (m - 2)
-    for i, p in enumerate(d.pairing):
-        if i in (0, 1):
-            continue
-        q = c if i == b else (b if i == c else None)
-        if q is None:
-            out[relabel(i)] = relabel(p)
-    out[relabel(b)], out[relabel(c)] = relabel(c), relabel(b)
-    return ChordDiagram(tuple(out))
+    capped = _cap(d, 0)
+    return capped if is_zero(capped) else rotate_points(capped, 2)
 
 
 def _a_minus_diag(d: ChordDiagram):
     # cap off the boundary between points 2N-1 and 0
-    m = 2 * d.n
-    if d.pairing[0] == m - 1:
-        return ZERO
-    b, c = d.pairing[m - 1], d.pairing[0]
-
-    def relabel(x):
-        return (x - 2) % (m - 2)
-
-    out = [0] * (m - 2)
-    for i, p in enumerate(d.pairing):
-        if i in (0, m - 1):
-            continue
-        if i not in (b, c):
-            out[relabel(i)] = relabel(p)
-    out[relabel(b)], out[relabel(c)] = relabel(c), relabel(b)
-    return ChordDiagram(tuple(out))
+    capped = _cap(d, 2 * d.n - 1)
+    return capped if is_zero(capped) else rotate_points(capped, -2)
 
 
-def _insert_outermost(d: ChordDiagram, s: int) -> ChordDiagram:
-    """New outermost chord occupying labels (s, s+1); old labels >= s shift up."""
-    m = 2 * d.n
-    assert 1 <= s <= m
-    pairing = [-1] * (m + 2)
-    pairing[s], pairing[s + 1] = s + 1, s
-
-    def f(x):
-        return x if x < s else x + 2
-
-    for i, p in enumerate(d.pairing):
-        pairing[f(i)] = f(p)
-    return ChordDiagram(tuple(pairing))
+def _check_slot(i: int, top: int) -> None:
+    if not 0 <= i <= top:
+        raise IndexOutOfRange(f"slot {i} outside 0..{top}")
 
 
-def _cap_adjacent(d: ChordDiagram, t: int):
-    """Join the chords at points (t, t+1); 1 <= t <= 2N-2."""
-    m = 2 * d.n
-    assert 1 <= t <= m - 2
-    if d.pairing[t] == t + 1:
-        return ZERO
-    b, c = d.pairing[t], d.pairing[t + 1]
-
-    def relabel(x):
-        return x if x < t else x - 2
-
-    out = [0] * (m - 2)
-    for i, p in enumerate(d.pairing):
-        if i in (t, t + 1):
-            continue
-        if i not in (b, c):
-            out[relabel(i)] = relabel(p)
-    out[relabel(b)], out[relabel(c)] = relabel(c), relabel(b)
-    return ChordDiagram(tuple(out))
+def _diagram_grading(d: ChordDiagram) -> tuple[int, int]:
+    """(n-, n+) of every word in the diagram's decomposition."""
+    e = euler_class(d)
+    return (d.n - 1 - e) // 2, (d.n - 1 + e) // 2
 
 
 def _ith_sign_position(w: Word, sign: int, index: int) -> int:
@@ -409,6 +323,7 @@ def _ith_sign_position(w: Word, sign: int, index: int) -> int:
 
 def west_creation_word(w: Word, i: int) -> frozenset[Word]:
     """Insert a minus sign splitting the (i+1)'th minus (append for i = n-)."""
+    _check_slot(i, w.n_minus)
     if i == w.n_minus:
         return _one(Word(w.bits + (MINUS,)))
     pos = _ith_sign_position(w, MINUS, i + 1)
@@ -417,6 +332,7 @@ def west_creation_word(w: Word, i: int) -> frozenset[Word]:
 
 def west_annihilation_word(w: Word, i: int) -> frozenset[Word]:
     """Delete the (i+1)'th minus; for i = n-, delete a trailing minus or die."""
+    _check_slot(i, w.n_minus)
     if i == w.n_minus:
         if w.bits and w.bits[-1] == MINUS:
             return _one(Word(w.bits[:-1]))
@@ -426,6 +342,7 @@ def west_annihilation_word(w: Word, i: int) -> frozenset[Word]:
 
 
 def east_creation_word(w: Word, j: int) -> frozenset[Word]:
+    _check_slot(j, w.n_plus)
     if j == w.n_plus:
         return _one(Word(w.bits + (PLUS,)))
     pos = _ith_sign_position(w, PLUS, j + 1)
@@ -433,6 +350,7 @@ def east_creation_word(w: Word, j: int) -> frozenset[Word]:
 
 
 def east_annihilation_word(w: Word, j: int) -> frozenset[Word]:
+    _check_slot(j, w.n_plus)
     if j == w.n_plus:
         if w.bits and w.bits[-1] == PLUS:
             return _one(Word(w.bits[:-1]))
@@ -441,8 +359,8 @@ def east_annihilation_word(w: Word, j: int) -> frozenset[Word]:
     return _one(Word(w.bits[:pos] + w.bits[pos + 1 :]))
 
 
-B_MINUS = GradedOperator("B-", (1, 0), _b_minus_word, _b_minus_diag)
-B_PLUS = GradedOperator("B+", (0, 1), _b_plus_word, _b_plus_diag)
+B_MINUS = GradedOperator("B-", (1, 0), _b_minus_word, lambda d: _insert(d, 2 * d.n + 1))
+B_PLUS = GradedOperator("B+", (0, 1), _b_plus_word, lambda d: _insert(d, 0))
 A_PLUS = GradedOperator("A+", (-1, 0), _a_plus_word, _a_plus_diag)
 A_MINUS = GradedOperator("A-", (0, -1), _a_minus_word, _a_minus_diag)
 
@@ -451,7 +369,8 @@ def west_creation(i: int) -> GradedOperator:
     """B- at westside slot i: diagram chord at positions (-2i-3, -2i-2)."""
 
     def diag(d: ChordDiagram) -> ChordDiagram:
-        return _insert_outermost(d, 2 * d.n + 2 - 2 * i - 3)
+        _check_slot(i, _diagram_grading(d)[0])
+        return _insert(d, 2 * d.n - 1 - 2 * i)
 
     return GradedOperator(f"B-^(west,{i})", (1, 0), lambda w: west_creation_word(w, i), diag)
 
@@ -460,11 +379,11 @@ def west_annihilation(i: int) -> GradedOperator:
     """A+ at westside slot i: joins chords at positions (-2i-2, -2i-1)."""
 
     def diag(d: ChordDiagram):
-        t = (2 * d.n - 2 * i - 2) % (2 * d.n)
-        if t == 0:
+        _check_slot(i, _diagram_grading(d)[0])
+        if i == d.n - 1:
             # all-minus grading: the slot wraps to the base point
             return _a_plus_diag(d)
-        return _cap_adjacent(d, t)
+        return _cap(d, 2 * d.n - 2 * i - 2)
 
     return GradedOperator(
         f"A+^(west,{i})", (-1, 0), lambda w: west_annihilation_word(w, i), diag
@@ -475,7 +394,8 @@ def east_creation(j: int) -> GradedOperator:
     """B+ at eastside slot j: diagram chord at positions (2j+2, 2j+3)."""
 
     def diag(d: ChordDiagram) -> ChordDiagram:
-        return _insert_outermost(d, 2 * j + 2)
+        _check_slot(j, _diagram_grading(d)[1])
+        return _insert(d, 2 * j + 2)
 
     return GradedOperator(f"B+^(east,{j})", (0, 1), lambda w: east_creation_word(w, j), diag)
 
@@ -484,10 +404,11 @@ def east_annihilation(j: int) -> GradedOperator:
     """A- at eastside slot j: joins chords at positions (2j+1, 2j+2)."""
 
     def diag(d: ChordDiagram):
-        if 2 * j + 1 == 2 * d.n - 1:
+        _check_slot(j, _diagram_grading(d)[1])
+        if j == d.n - 1:
             # all-plus grading: the slot wraps to the base point
             return _a_minus_diag(d)
-        return _cap_adjacent(d, 2 * j + 1)
+        return _cap(d, 2 * j + 1)
 
     return GradedOperator(
         f"A-^(east,{j})", (0, -1), lambda w: east_annihilation_word(w, j), diag
@@ -551,6 +472,7 @@ def rotation_explicit_word(w: Word) -> frozenset[Word]:
                 parts.append((a_sum, b_sum))
                 a_sum = b_sum = 0
         bits: list[int] = []
+        # with k >= 2 blocks b1 and ak are nonzero, so no exponent goes negative
         for p, (a, b) in enumerate(parts):
             if p == 0:
                 b -= 1
@@ -558,7 +480,6 @@ def rotation_explicit_word(w: Word) -> frozenset[Word]:
             if p == len(parts) - 1:
                 b += 1
                 a -= 1
-            assert a >= 0 and b >= 0
             bits.extend((PLUS,) * b + (MINUS,) * a)
         out ^= _one(Word(bits))
     return out

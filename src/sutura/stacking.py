@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from . import arcs as _arcs
 from . import sfh
-from .diagram import ChordDiagram, euler_class
+from .diagram import ChordDiagram, delete_points, euler_class
 from .errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
 
 
@@ -65,7 +65,10 @@ def m_algebraic(bottom: ChordDiagram, top: ChordDiagram) -> int:
 
 
 def cancel_outermost(bottom: ChordDiagram, top: ChordDiagram):
-    """Remove a shared outermost chord; stackability is unchanged."""
+    """Remove a shared outermost chord; stackability is unchanged.
+
+    Both diagrams are renumbered by diagram.delete_points.
+    """
     if bottom.n != top.n:
         raise SizeMismatch("stacking needs equal chord counts")
     if bottom.n <= 1:
@@ -74,26 +77,8 @@ def cancel_outermost(bottom: ChordDiagram, top: ChordDiagram):
     for u in range(m):
         v = (u + 1) % m
         if bottom.partner(u) == v and top.partner(u) == v:
-            return _drop_chord(bottom, u), _drop_chord(top, u)
+            return tuple(ChordDiagram(delete_points(d.pairing, u)) for d in (bottom, top))
     raise NoCommonOutermost("no outermost chord shared at the same position")
-
-
-def _drop_chord(diagram: ChordDiagram, u: int) -> ChordDiagram:
-    m = 2 * diagram.n
-    v = (u + 1) % m
-    if u == m - 1:
-        # chord (2N-1, 0): the new base point is the old point 1
-        def relabel(x):
-            return x - 1
-        keep = [x for x in range(m) if x not in (u, 0)]
-    else:
-        def relabel(x):
-            return x if x < u else x - 2
-        keep = [x for x in range(m) if x not in (u, v)]
-    pairing = [0] * (m - 2)
-    for x in keep:
-        pairing[relabel(x)] = relabel(diagram.pairing[x])
-    return ChordDiagram(tuple(pairing))
 
 
 def arc_is_inner(bottom: ChordDiagram, top: ChordDiagram, arc) -> bool:

@@ -301,12 +301,6 @@ class WordInterval:
     upper: Word
     members: frozenset[Word] = field(default_factory=frozenset)
 
-    def sorted_members(self) -> list[Word]:
-        return sorted(self.members, key=lambda w: w.bits)
-
-    def leq(self, a: Word, b: Word) -> bool:
-        return partial_leq(a, b)
-
 
 def interval(w0: Word, w1: Word) -> WordInterval:
     """The poset interval [w0, w1] computed by filtering all of W(n-, n+)."""

@@ -1,11 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sutura import diagram as D
 from sutura import words as W
 from sutura.errors import BadPartition, CrossingChords, OddStep, ParseError
+
+from strategies import diagrams
 
 
 def test_from_pairing_examples():
@@ -171,3 +173,22 @@ def test_serialize_roundtrip_hypothesis(n, pick):
     ds = D.enumerate_diagrams(n)
     d = ds[pick % len(ds)]
     assert D.parse(D.serialize(d)) == d
+
+
+def test_delete_points_examples():
+    # unpaired points join their partners; the wrapped pair (5, 0) makes
+    # the old point 4 the new base point
+    assert D.delete_points(D.parse("0-5,1-4,2-3").pairing, 0) == D.parse("0-1,2-3").pairing
+    assert D.delete_points(D.parse("0-1,2-5,3-4").pairing, 5) == D.parse("0-3,1-2").pairing
+    assert D.delete_points(D.parse("0-5,1-2,3-4").pairing, 5) == D.parse("0-3,1-2").pairing
+    assert D.insert_chord(D.parse("0-1").pairing, 3) == D.parse("0-3,1-2").pairing
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagrams(n_max=12))
+def test_insert_chord_and_delete_points_are_inverse(d):
+    for s in range(2 * d.n + 2):
+        grown = D.ChordDiagram(D.insert_chord(d.pairing, s))
+        assert D.delete_points(grown.pairing, s) == d.pairing
+        sign = 1 if s % 2 == 0 else -1
+        assert D.euler_class(d) == D.euler_class(grown) - sign

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import sutura
 from sutura import diagram as D
 from sutura import sfh
 from sutura.errors import GradingMismatch
@@ -98,3 +103,33 @@ def test_vacuum_creation():
 def test_mixed_grading_rejected():
     with pytest.raises(GradingMismatch):
         sfh.SfhElement([word("-"), word("-+")])
+
+
+SLOT_SCRIPT = """
+from sutura import diagram as D, sfh
+from sutura.words import word
+
+d, w = D.parse("0-5,1-4,2-3"), word("-+")  # both of grading (1, 1)
+for make in (sfh.west_creation, sfh.west_annihilation, sfh.east_creation, sfh.east_annihilation):
+    for i in (-1, 0, 1, 2):
+        op = make(i)
+        for act, x in ((op.word_action, w), (op.diagram_action, d)):
+            try:
+                act(x)
+                print("ok")
+            except Exception as exc:
+                print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_slots_outside_the_grading_are_rejected(flags):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sutura.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", SLOT_SCRIPT],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    per_operator = ["IndexOutOfRange"] * 2 + ["ok"] * 4 + ["IndexOutOfRange"] * 2
+    assert proc.stdout.split() == per_operator * 4

@@ -190,6 +190,24 @@ def test_cancel_outermost():
         S.cancel_outermost(D.VACUUM, D.VACUUM)
 
 
+def test_cancel_outermost_keeps_region_signs():
+    # dropping the chord (u, u+1) removes the one region of arc u, whose
+    # sign is + for even u; the other regions keep theirs, also for u = 2N-1
+    for n in range(2, 7):
+        m = 2 * n
+        ds = D.enumerate_diagrams(n)
+        for x in ds:
+            for y in ds:
+                shared = [u for u in range(m) if x.partner(u) == y.partner(u) == (u + 1) % m]
+                if not shared:
+                    continue
+                sign = 1 if shared[0] % 2 == 0 else -1
+                x2, y2 = S.cancel_outermost(x, y)
+                assert D.euler_class(x2) == D.euler_class(x) - sign
+                assert D.euler_class(y2) == D.euler_class(y) - sign
+                assert S.m_geometric(x2, y2) == S.m_geometric(x, y)
+
+
 def test_arc_is_inner():
     for n in range(2, 5):
         for d in D.enumerate_diagrams(n):
