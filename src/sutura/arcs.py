@@ -627,8 +627,13 @@ class GeneralisedArc:
         return len(self.path_edges)
 
 
+@lru_cache(maxsize=None)
 def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
-    """The generalised attaching arc realising the move of the same name."""
+    """The generalised attaching arc realising the move of the same name.
+
+    Memoised: the coarse systems of many pairs share their arcs, and a
+    GeneralisedArc is frozen, so one instance serves every caller.
+    """
     move = "FE" if kind == "FA" else "BE"
     if not move_exists(w, move, i, j):
         raise ArcNotDefined(f"{kind}({i},{j}) does not exist on {w}")

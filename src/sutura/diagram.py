@@ -203,8 +203,23 @@ def regions(diagram: ChordDiagram) -> list[Region]:
 
 
 def euler_class(diagram: ChordDiagram) -> int:
-    """Sum of region signs; equals (#positive - #negative regions)."""
-    return sum(orbit_sign(orbit) for orbit in face_cycles(diagram))
+    """Sum of region signs: e = (N - 1) - 2 * #{chords with an odd low end}.
+
+    Proof.  Arc 2N-1 runs from point 2N-1 to point 0, outside every
+    chord, so it lies in the outer region, which is negative.  Each other
+    region R sits just inside one chord (a, b), a < b, that bounds it
+    from outside: all arcs of R lie in a..b-1 and arc a is one of them,
+    so a is the smallest arc of R and R has the sign of a's parity.
+    Every chord bounds exactly one region from outside this way, so
+    e = -1 + #{even low ends} - #{odd low ends}.  region_orbits and
+    orbit_sign give the same sum by walking every region.
+    """
+    pairing = diagram.pairing
+    odd_low = 0
+    for i in range(1, len(pairing), 2):
+        if pairing[i] > i:
+            odd_low += 1
+    return diagram.n - 1 - 2 * odd_low
 
 
 # -- elementary diagram operations -------------------------------------------

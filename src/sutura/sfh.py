@@ -234,15 +234,19 @@ def _from_pair_cached(w_minus: Word, w_plus: Word) -> ChordDiagram:
 
 @dataclass(frozen=True)
 class GradedOperator:
-    """A linear operator given by its action on basis words."""
+    """A linear operator given by its action on basis words and on diagrams."""
 
     name: str
     shift: tuple[int, int]  # (delta n-, delta n+)
     word_action: Callable[[Word], frozenset[Word]]
-    diagram_action: Callable[[ChordDiagram], object] | None = None
+    on_diagram: Callable[[ChordDiagram], object]
 
     def __call__(self, x: SfhElement) -> SfhElement:
         return apply_operator(self, x)
+
+    def diagram_action(self, d):
+        """The action on one diagram; ZERO (a closed loop) stays ZERO."""
+        return ZERO if is_zero(d) else self.on_diagram(d)
 
 
 def apply_operator(op: GradedOperator, x: SfhElement) -> SfhElement:

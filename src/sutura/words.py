@@ -4,6 +4,8 @@ A word of length n with n- minus signs and n+ plus signs indexes a basis
 element of the GF(2) space of chord diagrams with n+1 chords and euler
 class e = n+ - n-.  Symbols are stored as bits: 0 for '-', 1 for '+', so
 tuple comparison is exactly lexicographic order with '-' before '+'.
+A word counts its letters once, when it is built, and keeps n and n+;
+n-, e and the grading (n-, n+) are read from those two counts.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ _CHARS = {MINUS: "-", PLUS: "+"}
 
 
 class Word:
-    """Immutable word over {-,+} with derived gradings."""
+    """Immutable word over {-,+} that stores its length and plus count."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "n", "n_plus")
 
     def __init__(self, bits=()):
-        self.bits: tuple[int, ...] = tuple(bits)
-        if any(b not in (0, 1) for b in self.bits):
+        bits = tuple(bits)
+        self.bits: tuple[int, ...] = bits
+        self.n: int = len(bits)
+        self.n_plus: int = bits.count(PLUS)
+        if bits.count(MINUS) + self.n_plus != self.n:
             raise ParseError("word bits must be 0 (-) or 1 (+)")
 
     @classmethod
@@ -40,24 +45,16 @@ class Word:
             raise ParseError(f"bad word symbol {exc.args[0]!r}") from exc
 
     @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
-    def n_plus(self) -> int:
-        return sum(self.bits)
-
-    @property
     def n_minus(self) -> int:
         return self.n - self.n_plus
 
     @property
     def e(self) -> int:
-        return self.n_plus - self.n_minus
+        return 2 * self.n_plus - self.n
 
     @property
     def grading(self) -> tuple[int, int]:
-        return (self.n_minus, self.n_plus)
+        return (self.n - self.n_plus, self.n_plus)
 
     def minus_positions(self) -> list[int]:
         """0-based positions of the minus signs, left to right."""

@@ -1,6 +1,7 @@
 """The benchmark's tracer (bench/tracer.py) wraps program functions by
 name and reads the cache statistics of some of them, so a rename or a
-dropped cache breaks the traced benchmark run; this keeps that in tier-1."""
+dropped cache breaks the traced benchmark run; and its census worker
+checks every row against its own oracles.  This keeps both in tier-1."""
 
 import json
 import os
@@ -41,3 +42,28 @@ def test_tracer_installs_and_sees_every_span():
     assert out["failed"] == []
     silent = [p for p in out["spans"] if not out["calls"].get(p) and not out["self_s"].get(p)]
     assert silent == []
+
+
+def _census(inputs, trace):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCH, "worker.py"), "census", str(inputs), str(trace)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["attempted"] == 132
+    assert out["failed"] == 0
+    assert out["problems"] == []
+
+
+def test_census_worker_keeps_its_contract(tmp_path):
+    from sutura import diagram as D
+
+    inputs = tmp_path / "census6.txt"
+    inputs.write_text("\n".join(D.serialize(d) for d in D.enumerate_diagrams(6)) + "\n")
+    _census(inputs, "-")
+    trace = tmp_path / "trace.json"
+    _census(inputs, trace)
+    calls = json.loads(trace.read_text())["layers"]["calls"]
+    assert calls["diagram.euler_class"] == 132
+    assert calls["sfh.decompose"] == 264

@@ -80,12 +80,21 @@ def test_regions():
                 assert {1 if k % 2 == 0 else -1 for k in r.boundary_arcs} == {r.sign}
 
 
+def _orbit_euler_class(d):
+    """Oracle: walk every region and add up the signs."""
+    return sum(D.orbit_sign(o) for o in D.region_orbits(d.pairing))
+
+
 def test_euler_class_closed_form_oracle():
-    # each chord with an odd low end turns one positive region negative
     for n in range(1, 10):
         for d in D.enumerate_diagrams(n):
-            odd_low = sum(1 for a, _ in d.chords() if a % 2)
-            assert D.euler_class(d) == (n - 1) - 2 * odd_low
+            assert D.euler_class(d) == _orbit_euler_class(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagrams(n_max=12))
+def test_euler_class_matches_region_walk_hypothesis(d):
+    assert D.euler_class(d) == _orbit_euler_class(d)
 
 
 def test_rotate_points():

@@ -100,6 +100,18 @@ def test_vacuum_creation():
     assert sfh.B_MINUS.diagram_action(D.VACUUM) == sfh.basis_diagram(word("-"))
 
 
+def test_diagram_actions_map_zero_to_zero():
+    # A+ of 0-1,2-3 caps its outermost chord at the base point: a closed loop
+    capped = sfh.A_PLUS.diagram_action(D.parse("0-1,2-3"))
+    assert capped is D.ZERO
+    assert sfh.A_MINUS.diagram_action(capped) is D.ZERO
+    slotted = (sfh.west_creation, sfh.west_annihilation, sfh.east_creation, sfh.east_annihilation)
+    ops = [sfh.B_MINUS, sfh.B_PLUS, sfh.A_PLUS, sfh.A_MINUS]
+    ops += [make(i) for make in slotted for i in range(3)]
+    for op in ops:
+        assert op.diagram_action(D.ZERO) is D.ZERO, op.name
+
+
 def test_mixed_grading_rejected():
     with pytest.raises(GradingMismatch):
         sfh.SfhElement([word("-"), word("-+")])

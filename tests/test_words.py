@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,21 @@ def test_word_parsing_and_gradings():
     assert str(w) == "-+-++"
     with pytest.raises(ParseError):
         word("-+x")
+
+
+def test_word_counts_and_rejection():
+    for n in range(5):
+        for bits in itertools.product((-1, 0, 1, 2), repeat=n):
+            if any(b not in (0, 1) for b in bits):
+                with pytest.raises(ParseError):
+                    Word(bits)
+                continue
+            w = Word(bits)
+            n_plus = sum(1 for b in bits if b == 1)
+            n_minus = sum(1 for b in bits if b == 0)
+            assert (w.n, w.n_plus, w.n_minus) == (len(bits), n_plus, n_minus)
+            assert w.e == n_plus - n_minus
+            assert w.grading == (n_minus, n_plus)
 
 
 def test_partial_order_examples():
