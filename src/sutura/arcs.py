@@ -24,7 +24,6 @@ the regions of a bare diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import sfh
@@ -514,7 +513,46 @@ def _fa_indices(w, base_data, chords, prior_si, latter_si, forwards):
 
 
 def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
-    """One class per homotopy class of attaching arc, classified on the pairing."""
+    """One class per homotopy class of attaching arc, classified on the pairing.
+
+    The signatures come from the memo of _arc_signatures; the
+    classification is redone on every call and not memoised.  Most
+    classes are trivial (822 nontrivial among the 12,490 classes of the
+    196 diagrams the full verification asks about), and memoising every
+    classified arc raised that battery's peak RSS by a fifth (23.0 to
+    28.1 MB), while the callers that repeat a diagram want only part of
+    it: the bounded-category search and induced_arc the nontrivial
+    arcs, memoised by nontrivial_arcs, and random_system the signatures.
+    """
+    faces = faces_of(diagram)
+    return [_classify(diagram, faces, sig) for sig in _arc_signatures(diagram)]
+
+
+@lru_cache(maxsize=None)
+def nontrivial_arcs(diagram: ChordDiagram) -> tuple[AttachingArc, ...]:
+    """The nontrivial classes of find_attaching_arcs, in its order.
+
+    Memoised: the bounded-category search revisits most diagrams (922
+    searches over 96 diagrams in the full verification), and only these
+    arcs, whose three chords are distinct, are classified here.
+    """
+    faces = faces_of(diagram)
+    return tuple(
+        _classify(diagram, faces, sig)
+        for sig in _arc_signatures(diagram)
+        if len({sig[0], sig[2], sig[4]}) == 3
+    )
+
+
+@lru_cache(maxsize=None)
+def _arc_signatures(diagram: ChordDiagram) -> tuple[tuple, ...]:
+    """Signatures (see _single_arc_sites) of every arc class, in key order.
+
+    Memoised: find_attaching_arcs, nontrivial_arcs and random_system ask
+    for the same diagrams again and again (2,246 calls on 196 diagrams
+    in the full verification), and a signature is a tuple of seven small
+    values, so keeping them costs little memory.
+    """
     n = diagram.n
     faces = faces_of(diagram)
     face_chords = {
@@ -543,7 +581,7 @@ def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
                                 if rev < key:
                                     continue
                                 raw[key] = (si2, f1_side, si1, b1, si3, b3, nest)
-    return [_classify(diagram, faces, raw[key]) for key in sorted(raw)]
+    return tuple(raw[key] for key in sorted(raw))
 
 
 def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
@@ -588,9 +626,7 @@ def induced_arc(diagram: ChordDiagram, arc: AttachingArc, direction: str) -> Att
     """
     first = surgery(diagram, arc, direction)
     other = surgery(diagram, arc, "down" if direction == "up" else "up")
-    for cand in find_attaching_arcs(first):
-        if cand.triviality != "nontrivial":
-            continue
+    for cand in nontrivial_arcs(first):
         if surgery(first, cand, direction) == other:
             back = surgery(first, cand, "down" if direction == "up" else "up")
             if back == diagram:
@@ -796,7 +832,16 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
 
     Placement index order puts every later family member on the same
     side (the 'southwest'/'northwest' choice) of all earlier ones: its
-    sites take smaller west-coordinates on every shared chord.
+    sites take smaller west-coordinates on every shared chord.  At a
+    chord shared by two pieces of one split arc, the split offset
+    (_SPLIT_OFFSETS) orders their endpoints within the member.
+
+    The sites on a chord are sorted by _placement_key: member index
+    first, descending, then offset, each multiplied by the chord's sign
+    (+1 when west-coordinates run from its low end).  This is the order
+    of the rational coordinate 1/(v+2) + off/(1000(v+2)) for every
+    member index v < 498, and beyond that it keeps the member order the
+    offset was meant never to cross.
     """
     diagram = basis_diagram(w)
     chords = diagram.chords()
@@ -804,13 +849,12 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
     root = root_point(diagram.n, w.e)
     faces = faces_of(diagram)
 
-    placed: dict[int, list[tuple[Fraction, int]]] = {si: [] for si in range(len(chords))}
+    # per chord: (member index, split offset, site)
+    placed: dict[int, list[tuple[int, int, int]]] = {si: [] for si in range(len(chords))}
     bits: list[int] = []
     off_first, off_second = _SPLIT_OFFSETS[kind]
 
     for v, g in enumerate(gens):
-        center = Fraction(1, v + 2)
-        eps = Fraction(1, 1000 * (v + 2))
         E, F = g.path_edges, g.path_faces
         n_arcs = (len(E) - 1) // 2
         for k in range(n_arcs):
@@ -822,17 +866,24 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
                 _facing(faces, e_cross, f_before),
                 _facing(faces, e_end, f_after),
             )
-            placed[e_start].append((center + (eps * off_second if k > 0 else 0), s))
-            placed[e_cross].append((center, s + 1))
-            placed[e_end].append((center + (eps * off_first if k < n_arcs - 1 else 0), s + 2))
+            placed[e_start].append((v, off_second if k > 0 else 0, s))
+            placed[e_cross].append((v, 0, s + 1))
+            placed[e_end].append((v, off_first if k < n_arcs - 1 else 0, s + 2))
 
     strand_sites = {}
     for si, chord in enumerate(chords):
         sign = 1 if chord[0] == _west_position_end(chord, root, m) else -1
-        strand_sites[si] = [s for _, s in sorted(placed[si], key=lambda t: sign * t[0])]
+        order = sorted(placed[si], key=lambda t: _placement_key(t[0], t[1], sign))
+        strand_sites[si] = [s for _v, _off, s in order]
     pm = Configuration.build(diagram, strand_sites, bits, range(len(bits) // 3))
     pm.validate()
     return BypassSystem(diagram, pm)
+
+
+def _placement_key(v: int, off: int, sign: int) -> tuple[int, int]:
+    """Sort key of a site of member v with split offset off on a chord of
+    the given sign (see _place_generalised)."""
+    return (-sign * v, sign * off)
 
 
 def arc_to_system(g: GeneralisedArc) -> BypassSystem:
@@ -936,8 +987,11 @@ def bbs(w1: Word, w2: Word) -> BypassSystem:
 # -- pinwheels -----------------------------------------------------------------
 
 
-def _face_subdivision(pm: Configuration, faces, face: int):
+def _face_subdivision(pm: Configuration, faces, seg, face: int):
     """Orbits of the face after cutting along its arc segments.
+
+    faces is pm.faces() and seg is pm.segments(), both computed once for
+    all faces of the configuration.
 
     The segment ends on the face's walk, matched by the segments, are a
     non-crossing matching; its regions (diagram.region_orbits) are the
@@ -949,7 +1003,6 @@ def _face_subdivision(pm: Configuration, faces, face: int):
     traversal sense (endpoint->crossing or back) and its two site indices.
     """
     walk = faces[0][face]
-    seg = pm.segments()
     at = [i for i, x in enumerate(walk) if x in seg]
     if not at:
         return []
@@ -994,8 +1047,9 @@ def has_pinwheel(system: BypassSystem, direction: str) -> bool:
         keep = [aid for bit, aid in enumerate(ids) if (mask >> bit) & 1]
         pm = system.subsystem(keep)._pm
         faces = pm.faces()
+        seg = pm.segments()
         for f in range(len(faces[0])):
-            for orbit in _face_subdivision(pm, faces, f):
+            for orbit in _face_subdivision(pm, faces, seg, f):
                 if _is_pinwheel(pm, orbit, want):
                     return True
     return False
@@ -1024,10 +1078,11 @@ def _is_pinwheel(pm: Configuration, orbit, want: str) -> bool:
 def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | None:
     """Randomly realise a system of disjoint attaching arcs, or give up.
 
-    Draws classes from find_attaching_arcs and inserts their sites at
-    random slots, retrying until the joint configuration is planar.
+    Draws class signatures (_arc_signatures, in find_attaching_arcs
+    order) and inserts their sites at random slots, retrying until the
+    joint configuration is planar.
     """
-    classes = find_attaching_arcs(diagram)
+    signatures = _arc_signatures(diagram)
     faces = faces_of(diagram)
     strand_sites: dict[int, list[int]] = {si: [] for si in range(diagram.n)}
     bits: tuple[int, ...] = ()
@@ -1036,8 +1091,8 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
     for _ in range(40 * n_arcs):
         if placed == n_arcs:
             break
-        cls = classes[rng.randrange(len(classes))]
-        sites, cls_bits = _single_arc_sites(faces, cls.signature)
+        signature = signatures[rng.randrange(len(signatures))]
+        sites, cls_bits = _single_arc_sites(faces, signature)
         trial = {si: list(lst) for si, lst in strand_sites.items()}
         for si in sorted(sites):
             for idx in sites[si]:

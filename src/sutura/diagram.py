@@ -226,9 +226,22 @@ def euler_class(diagram: ChordDiagram) -> int:
 
 
 def enumerate_diagrams(n: int) -> list[ChordDiagram]:
-    """All diagrams with n chords, deterministically ordered by pairing."""
+    """All diagrams with n chords, deterministically ordered by pairing.
+
+    Each call returns a fresh list, copied from the memo of _all_diagrams.
+    """
     if n < 1:
         raise ValueError("need at least one chord")
+    return list(_all_diagrams(n))
+
+
+@lru_cache(maxsize=None)
+def _all_diagrams(n: int) -> tuple[ChordDiagram, ...]:
+    """The diagrams of enumerate_diagrams, built once per size.
+
+    Memoised: the verification sweeps ask for the same few sizes again
+    and again (90 calls over 8 sizes in the full verification).
+    """
 
     def gen(points: tuple[int, ...]):
         if not points:
@@ -251,7 +264,7 @@ def enumerate_diagrams(n: int) -> list[ChordDiagram]:
             pairing[b] = a
         out.append(ChordDiagram(tuple(pairing), _validated=True))
     out.sort(key=lambda d: d.pairing)
-    return out
+    return tuple(out)
 
 
 def rotate_points(diagram: ChordDiagram, steps: int) -> ChordDiagram:

@@ -106,9 +106,7 @@ def _reachable(
     while frontier:
         g = frontier.pop()
         out = []
-        for arc in _arcs.find_attaching_arcs(g):
-            if arc.triviality != "nontrivial":
-                continue
+        for arc in _arcs.nontrivial_arcs(g):
             nxt = _arcs.surgery(g, arc, "up")
             if nxt not in seen:
                 if m_geometric(nxt, top) != 1:

@@ -256,3 +256,35 @@ def test_single_arc_route_matches_planar_map_route():
 def test_bypass_rewire_needs_three_chords():
     with pytest.raises(TrivialArc):
         sfh.bypass_rewire(D.parse("0-1,2-5,3-4").pairing, (0, 1, 2), 1)
+
+
+def test_cached_arc_routes_match_the_classification():
+    # _arc_signatures and nontrivial_arcs are memoised beside the uncached
+    # find_attaching_arcs; both must agree with it class by class
+    for n in range(1, 7):
+        for d in D.enumerate_diagrams(n):
+            classes = arcs.find_attaching_arcs(d)
+            assert arcs._arc_signatures(d) == tuple(c.signature for c in classes)
+            want = [c for c in classes if c.triviality == "nontrivial"]
+            got = arcs.nontrivial_arcs(d)
+            assert list(got) == want, d
+            assert [c.signature for c in got] == [c.signature for c in want], d
+
+
+def test_placement_key_orders_as_the_rational_coordinate():
+    # the rational split coordinate the integer key replaced, kept here
+    # as the oracle: 1/(v+2) + off/(1000(v+2)), times the chord's sign
+    import random
+    from fractions import Fraction
+
+    def rational(v, off, sign):
+        return sign * (Fraction(1, v + 2) + Fraction(off, 1000 * (v + 2)))
+
+    sites = [(v, off) for v in range(400) for off in (-1, 0, 1)] * 2
+    random.Random(0).shuffle(sites)
+    for sign in (1, -1):
+        tagged = list(enumerate(sites))
+        by_int = sorted(tagged, key=lambda t: arcs._placement_key(*t[1], sign))
+        by_rational = sorted(tagged, key=lambda t: rational(*t[1], sign))
+        # stable sorts: equal tag orders mean equal orders, ties included
+        assert [i for i, _ in by_int] == [i for i, _ in by_rational]

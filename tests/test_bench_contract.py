@@ -44,6 +44,34 @@ def test_tracer_installs_and_sees_every_span():
     assert silent == []
 
 
+CATEGORIES = """
+import json
+import tracer
+from sutura import verify
+
+t = tracer.Tracer()
+t.install()
+problems = verify.check_categories(3, 3)
+print(json.dumps({"problems": problems, "calls": t.snapshot()["calls"]}))
+"""
+
+
+def test_categories_search_uses_the_cached_arc_route():
+    # the bounded-category search reads stacking._reachable's nontrivial
+    # arcs from arcs.nontrivial_arcs, so the traced find_attaching_arcs
+    # calls are the 1 + 2 + 5 of the check's own loop over N <= 3
+    path = os.pathsep.join((ROOT, BENCH))
+    proc = subprocess.run(
+        [sys.executable, "-c", CATEGORIES],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["problems"] == []
+    assert out["calls"]["arcs.find_attaching_arcs"] == 8
+    assert out["calls"]["stacking.bounded_category"] == 33
+
+
 def _census(inputs, trace):
     proc = subprocess.run(
         [sys.executable, os.path.join(BENCH, "worker.py"), "census", str(inputs), str(trace)],

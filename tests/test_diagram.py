@@ -37,6 +37,18 @@ def test_enumerate_counts_and_order():
     assert len(D.enumerate_diagrams(5)) == 42
 
 
+def test_enumerate_diagrams_returns_a_fresh_list():
+    # the diagrams are memoised per size; a caller's list is its own
+    want = D.enumerate_diagrams(5)
+    first = D.enumerate_diagrams(5)
+    first.clear()
+    second = D.enumerate_diagrams(5)
+    second.append(D.VACUUM)
+    third = D.enumerate_diagrams(5)
+    assert len(third) == 42
+    assert third == want == sorted(third, key=lambda d: d.pairing)
+
+
 def test_euler_partition_matches_narayana():
     for n in range(1, 9):
         counts = {}
