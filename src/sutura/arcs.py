@@ -311,14 +311,18 @@ def _facing(faces: _Faces, si: int, f: int) -> int:
 # -- elementary moves on words ---------------------------------------------------
 
 
+def _move_ends(w: Word, i: int, j: int) -> tuple[int, int] | None:
+    """Positions of the i'th minus and the j'th plus (1-based), or None."""
+    if not (1 <= i <= w.n_minus and 1 <= j <= w.n_plus):
+        return None
+    return w.positions(MINUS)[i - 1], w.positions(PLUS)[j - 1]
+
+
 def move_exists(w: Word, kind: str, i: int, j: int) -> bool:
     """Existence of the generalised move: FE needs the i'th minus left of
     the j'th plus, BE the j'th plus left of the i'th minus."""
-    if not (1 <= i <= w.n_minus and 1 <= j <= w.n_plus):
-        return False
-    pm = w.minus_positions()[i - 1]
-    pp = w.plus_positions()[j - 1]
-    return pm < pp if kind == "FE" else pp < pm
+    ends = _move_ends(w, i, j)
+    return ends is not None and (ends[0] < ends[1]) == (kind == "FE")
 
 
 def strict_move_exists(w: Word, kind: str, i: int, j: int) -> bool:
@@ -326,41 +330,30 @@ def strict_move_exists(w: Word, kind: str, i: int, j: int) -> bool:
     adjacent blocks."""
     if not move_exists(w, kind, i, j):
         return False
-    pm = w.minus_positions()[i - 1]
-    pp = w.plus_positions()[j - 1]
-    lo, hi, second = (pm, pp, PLUS) if kind == "FE" else (pp, pm, MINUS)
-    # between must be -...-+...+ for FE and +...+-...- for BE
-    switched = False
-    for b in w.bits[lo + 1 : hi]:
-        if b == second:
-            switched = True
-        elif switched:
-            return False
-    return True
+    pm, pp = _move_ends(w, i, j)
+    lo, hi, first = (pm, pp, MINUS) if kind == "FE" else (pp, pm, PLUS)
+    # between must be -...-+...+ for FE and +...+-...- for BE: the signs
+    # of the first kind strictly between fill lo+1, lo+2, ... with no gap
+    inside = [p for p in w.positions(first) if lo < p < hi]
+    return all(p == lo + 1 + k for k, p in enumerate(inside))
 
 
 def elementary_move(w: Word, kind: str, i: int, j: int) -> Word:
     """Generalised elementary move FE(i,j) or BE(i,j) applied to w."""
     if not move_exists(w, kind, i, j):
         raise MoveUndefined(f"{kind}({i},{j}) does not exist on {w}")
-    pm = w.minus_positions()[i - 1]
-    pp = w.plus_positions()[j - 1]
-    # FE moves the minuses in [pm, pp) to just after the j'th plus, BE the
-    # pluses in [pp, pm) to just after the i'th minus
-    sign, lo, hi, anchor, k = (MINUS, pm, pp, PLUS, j) if kind == "FE" else (PLUS, pp, pm, MINUS, i)
-    moved = w.bits[lo:hi].count(sign)
-    out, seen = [], 0
-    for p, b in enumerate(w.bits):
-        if lo <= p < hi and b == sign:
-            continue
-        out.append(b)
-        if b == anchor:
-            seen += 1
-            if seen == k:
-                out.extend([sign] * moved)
-    if seen < k:
-        raise BrokenInvariant(f"{kind}({i},{j}) found no anchor for the moved signs on {w}")
-    return Word(out)
+    pm, pp = _move_ends(w, i, j)
+    # FE moves the minuses in [pm, pp) to just after the j'th plus (at pp),
+    # BE the pluses in [pp, pm) to just after the i'th minus (at pm)
+    sign, lo, hi = (MINUS, pm, pp) if kind == "FE" else (PLUS, pp, pm)
+    moved = [p for p in w.positions(sign) if lo <= p < hi]
+    out = w
+    for p in reversed(moved):
+        out = out.delete(p)
+    anchor = hi - len(moved)  # every moved sign sat left of the anchor
+    for _ in moved:
+        out = out.insert(anchor + 1, sign)
+    return out
 
 
 # -- attaching-arc classes on a bare diagram ----------------------------------
@@ -491,23 +484,11 @@ def _classify(diagram: ChordDiagram, faces: _Faces, signature) -> AttachingArc:
 
 def _fa_indices(w, base_data, chords, prior_si, latter_si, forwards):
     root_data = root_construction(w)
-    prior_c, latter_c = chords[prior_si], chords[latter_si]
-    want_prior = MINUS if forwards else PLUS
-    want_latter = PLUS if forwards else MINUS
-    i = j = None
-    count = 0
-    for pos, b in enumerate(w.bits):
-        if b == want_prior:
-            count += 1
-            if base_data.symbol_chords[pos] == prior_c:
-                i = count
-    count = 0
-    for pos, b in enumerate(w.bits):
-        if b == want_latter:
-            count += 1
-            if root_data.symbol_chords[pos] == latter_c:
-                j = count
-    if i is None or j is None:
+    want_prior, want_latter = (MINUS, PLUS) if forwards else (PLUS, MINUS)
+    try:
+        i = w.positions(want_prior).index(base_data.symbol_chords.index(chords[prior_si])) + 1
+        j = w.positions(want_latter).index(root_data.symbol_chords.index(chords[latter_si])) + 1
+    except ValueError:
         return None
     return (i, j) if forwards else (j, i)
 
@@ -921,10 +902,10 @@ def cfbs(w1: Word, w2: Word) -> BypassSystem:
     """Coarse forwards bypass system of a comparable pair, on the lower diagram."""
     if not partial_leq(w1, w2):
         raise NotComparable(f"{w1} is not below {w2}")
-    betas = _opposite_counts_before(w2, MINUS)
+    minus = w2.positions(MINUS)
     gens = []
     for i in range(1, w1.n_minus + 1):
-        j = betas[i - 1]
+        j = minus[i - 1] - (i - 1)  # the pluses of w2 before its i'th minus
         if j >= 1 and move_exists(w1, "FE", i, j):
             gens.append(generalised_arc(w1, "FA", i, j))
     return nicely_ordered_system(w1, gens)
@@ -934,24 +915,13 @@ def cbbs(w1: Word, w2: Word) -> BypassSystem:
     """Coarse backwards bypass system of a comparable pair, on the upper diagram."""
     if not partial_leq(w1, w2):
         raise NotComparable(f"{w1} is not below {w2}")
-    deltas = _opposite_counts_before(w1, PLUS)
+    plus = w1.positions(PLUS)
     gens = []
     for j in range(w2.n_plus, 0, -1):
-        i = deltas[j - 1]
+        i = plus[j - 1] - (j - 1)  # the minuses of w1 before its j'th plus
         if i >= 1 and move_exists(w2, "BE", i, j):
             gens.append(generalised_arc(w2, "BA", i, j))
     return nicely_ordered_system(w2, gens)
-
-
-def _opposite_counts_before(w: Word, sign: int) -> list[int]:
-    """For each sign of this kind, left to right, how many of the other kind precede it."""
-    out, seen = [], 0
-    for b in w.bits:
-        if b == sign:
-            out.append(seen)
-        else:
-            seen += 1
-    return out
 
 
 def _minimal_subsystem(system: BypassSystem, direction: str, target: ChordDiagram) -> BypassSystem:

@@ -51,13 +51,10 @@ class ConstructionData:
 
     def base_numbered_chord(self, sign: int, index: int) -> tuple[int, int]:
         """Chord created by the index'th sign of this kind (1-based)."""
-        seen = 0
-        for i, b in enumerate(self.word.bits):
-            if b == sign:
-                seen += 1
-                if seen == index:
-                    return self.symbol_chords[i]
-        raise IndexError(f"word has fewer than {index} signs of kind {sign}")
+        positions = self.word.positions(sign)
+        if not 1 <= index <= len(positions):
+            raise IndexError(f"word has no sign number {index} of kind {sign}")
+        return self.symbol_chords[positions[index - 1]]
 
 
 def _norm(a: int, b: int) -> tuple[int, int]:

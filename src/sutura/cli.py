@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_category)
 
     p = sub.add_parser("verify", help="run the structural verification sweeps")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
+    p.add_argument("--level", choices=tuple(verify.SIZES), default="quick")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)

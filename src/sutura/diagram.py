@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadPartition, CrossingChords, OddStep, ParseError
+from .errors import BadArgument, BadPartition, CrossingChords, OddStep, ParseError
 
 
 class _Zero:
@@ -231,7 +231,7 @@ def enumerate_diagrams(n: int) -> list[ChordDiagram]:
     Each call returns a fresh list, copied from the memo of _all_diagrams.
     """
     if n < 1:
-        raise ValueError("need at least one chord")
+        raise BadArgument(f"need at least one chord, not {n}")
     return list(_all_diagrams(n))
 
 

@@ -13,6 +13,10 @@ class CrossingChords(SuturaError):
     """Pairing contains two crossing chords."""
 
 
+class BadArgument(SuturaError):
+    """An argument outside the values an operation accepts (chord count, level, side)."""
+
+
 class ParseError(SuturaError):
     """Malformed diagram or word string."""
 
@@ -75,7 +79,7 @@ class ZeroElement(SuturaError):
 
 
 class IndexOutOfRange(SuturaError):
-    """Simplicial operator index or operator slot outside 0..n."""
+    """Simplicial operator index, operator slot or word position out of range."""
 
 
 class CapExceeded(SuturaError):

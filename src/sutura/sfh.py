@@ -27,6 +27,7 @@ from .diagram import (
     rotate_points,
 )
 from .errors import (
+    BadArgument,
     BrokenInvariant,
     GradingMismatch,
     IndexOutOfRange,
@@ -140,7 +141,7 @@ def _decompose_pairing(pairing: tuple[int, ...]) -> frozenset[Word]:
             _decompose_cache[pairing] = _decompose_pairing(left) ^ _decompose_pairing(right)
     result = _decompose_cache[pairing]
     for outer, letter in reversed(peeled):
-        result = frozenset(Word((letter,) + w.bits) for w in result)
+        result = frozenset(w.insert(0, letter) for w in result)
         _decompose_cache[outer] = result
     return result
 
@@ -185,7 +186,7 @@ def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]
             )
     result = _decompose_root_cache[pairing]
     for outer, letter in reversed(peeled):
-        result = frozenset(Word(w.bits + (letter,)) for w in result)
+        result = frozenset(w.insert(w.n, letter) for w in result)
         _decompose_root_cache[outer] = result
     return result
 
@@ -261,24 +262,15 @@ def _one(w: Word) -> frozenset[Word]:
     return frozenset((w,))
 
 
-def _b_minus_word(w: Word) -> frozenset[Word]:
-    return _one(Word((MINUS,) + w.bits))
+def _prepend(sign: int) -> Callable[[Word], frozenset[Word]]:
+    """Word action of B- (sign MINUS) or B+ (PLUS): a new first letter."""
+    return lambda w: _one(w.insert(0, sign))
 
 
-def _b_plus_word(w: Word) -> frozenset[Word]:
-    return _one(Word((PLUS,) + w.bits))
-
-
-def _a_plus_word(w: Word) -> frozenset[Word]:
-    if w.bits and w.bits[0] == MINUS:
-        return _one(Word(w.bits[1:]))
-    return frozenset()
-
-
-def _a_minus_word(w: Word) -> frozenset[Word]:
-    if w.bits and w.bits[0] == PLUS:
-        return _one(Word(w.bits[1:]))
-    return frozenset()
+def _strip(sign: int) -> Callable[[Word], frozenset[Word]]:
+    """Word action of A+ (sign MINUS) or A- (PLUS): delete a first letter of
+    this sign; words that start with the other sign go to zero."""
+    return lambda w: _one(w.delete(0)) if w.n and w.bits[0] == sign else frozenset()
 
 
 def _insert(d: ChordDiagram, s: int) -> ChordDiagram:
@@ -315,107 +307,69 @@ def _diagram_grading(d: ChordDiagram) -> tuple[int, int]:
     return (d.n - 1 - e) // 2, (d.n - 1 + e) // 2
 
 
-def _ith_sign_position(w: Word, sign: int, index: int) -> int:
-    seen = 0
-    for pos, b in enumerate(w.bits):
-        if b == sign:
-            seen += 1
-            if seen == index:
-                return pos
-    raise IndexError
+def side_sign(side: str) -> int:
+    """The sign a side's slot operators act on: MINUS for west, PLUS for east."""
+    if side == "west":
+        return MINUS
+    if side == "east":
+        return PLUS
+    raise BadArgument(f"side must be 'west' or 'east', not {side!r}")
 
 
-def west_creation_word(w: Word, i: int) -> frozenset[Word]:
-    """Insert a minus sign splitting the (i+1)'th minus (append for i = n-)."""
-    _check_slot(i, w.n_minus)
-    if i == w.n_minus:
-        return _one(Word(w.bits + (MINUS,)))
-    pos = _ith_sign_position(w, MINUS, i + 1)
-    return _one(Word(w.bits[:pos] + (MINUS,) + w.bits[pos:]))
+def creation_word(w: Word, sign: int, i: int) -> frozenset[Word]:
+    """Insert a sign in front of the (i+1)'th sign of that kind (append for
+    i = their count): westside for MINUS, eastside for PLUS."""
+    positions = w.positions(sign)
+    _check_slot(i, len(positions))
+    return _one(w.insert(positions[i] if i < len(positions) else w.n, sign))
 
 
-def west_annihilation_word(w: Word, i: int) -> frozenset[Word]:
-    """Delete the (i+1)'th minus; for i = n-, delete a trailing minus or die."""
-    _check_slot(i, w.n_minus)
-    if i == w.n_minus:
-        if w.bits and w.bits[-1] == MINUS:
-            return _one(Word(w.bits[:-1]))
-        return frozenset()
-    pos = _ith_sign_position(w, MINUS, i + 1)
-    return _one(Word(w.bits[:pos] + w.bits[pos + 1 :]))
+def annihilation_word(w: Word, sign: int, i: int) -> frozenset[Word]:
+    """Delete the (i+1)'th sign of that kind; for i = their count, delete a
+    final letter of that sign or give zero."""
+    positions = w.positions(sign)
+    _check_slot(i, len(positions))
+    if i < len(positions):
+        return _one(w.delete(positions[i]))
+    if positions and positions[-1] == w.n - 1:
+        return _one(w.delete(w.n - 1))
+    return frozenset()
 
 
-def east_creation_word(w: Word, j: int) -> frozenset[Word]:
-    _check_slot(j, w.n_plus)
-    if j == w.n_plus:
-        return _one(Word(w.bits + (PLUS,)))
-    pos = _ith_sign_position(w, PLUS, j + 1)
-    return _one(Word(w.bits[:pos] + (PLUS,) + w.bits[pos:]))
+B_MINUS = GradedOperator("B-", (1, 0), _prepend(MINUS), lambda d: _insert(d, 2 * d.n + 1))
+B_PLUS = GradedOperator("B+", (0, 1), _prepend(PLUS), lambda d: _insert(d, 0))
+A_PLUS = GradedOperator("A+", (-1, 0), _strip(MINUS), _a_plus_diag)
+A_MINUS = GradedOperator("A-", (0, -1), _strip(PLUS), _a_minus_diag)
 
 
-def east_annihilation_word(w: Word, j: int) -> frozenset[Word]:
-    _check_slot(j, w.n_plus)
-    if j == w.n_plus:
-        if w.bits and w.bits[-1] == PLUS:
-            return _one(Word(w.bits[:-1]))
-        return frozenset()
-    pos = _ith_sign_position(w, PLUS, j + 1)
-    return _one(Word(w.bits[:pos] + w.bits[pos + 1 :]))
-
-
-B_MINUS = GradedOperator("B-", (1, 0), _b_minus_word, lambda d: _insert(d, 2 * d.n + 1))
-B_PLUS = GradedOperator("B+", (0, 1), _b_plus_word, lambda d: _insert(d, 0))
-A_PLUS = GradedOperator("A+", (-1, 0), _a_plus_word, _a_plus_diag)
-A_MINUS = GradedOperator("A-", (0, -1), _a_minus_word, _a_minus_diag)
-
-
-def west_creation(i: int) -> GradedOperator:
-    """B- at westside slot i: diagram chord at positions (-2i-3, -2i-2)."""
+def creation(side: str, i: int) -> GradedOperator:
+    """B- at westside slot i, a chord at points (-2i-3, -2i-2), or B+ at
+    eastside slot i, a chord at points (2i+2, 2i+3)."""
+    sign = side_sign(side)
 
     def diag(d: ChordDiagram) -> ChordDiagram:
-        _check_slot(i, _diagram_grading(d)[0])
-        return _insert(d, 2 * d.n - 1 - 2 * i)
+        _check_slot(i, _diagram_grading(d)[sign])
+        return _insert(d, 2 * d.n - 1 - 2 * i if sign == MINUS else 2 * i + 2)
 
-    return GradedOperator(f"B-^(west,{i})", (1, 0), lambda w: west_creation_word(w, i), diag)
+    name, shift = ("B-", (1, 0)) if sign == MINUS else ("B+", (0, 1))
+    return GradedOperator(f"{name}^({side},{i})", shift, lambda w: creation_word(w, sign, i), diag)
 
 
-def west_annihilation(i: int) -> GradedOperator:
-    """A+ at westside slot i: joins chords at positions (-2i-2, -2i-1)."""
+def annihilation(side: str, i: int) -> GradedOperator:
+    """A+ at westside slot i, joining the chords at points (-2i-2, -2i-1),
+    or A- at eastside slot i, joining those at points (2i+1, 2i+2)."""
+    sign = side_sign(side)
 
     def diag(d: ChordDiagram):
-        _check_slot(i, _diagram_grading(d)[0])
+        _check_slot(i, _diagram_grading(d)[sign])
         if i == d.n - 1:
-            # all-minus grading: the slot wraps to the base point
-            return _a_plus_diag(d)
-        return _cap(d, 2 * d.n - 2 * i - 2)
+            # a grading of one sign only: the slot wraps to the base point
+            return _a_plus_diag(d) if sign == MINUS else _a_minus_diag(d)
+        return _cap(d, 2 * d.n - 2 * i - 2 if sign == MINUS else 2 * i + 1)
 
+    name, shift = ("A+", (-1, 0)) if sign == MINUS else ("A-", (0, -1))
     return GradedOperator(
-        f"A+^(west,{i})", (-1, 0), lambda w: west_annihilation_word(w, i), diag
-    )
-
-
-def east_creation(j: int) -> GradedOperator:
-    """B+ at eastside slot j: diagram chord at positions (2j+2, 2j+3)."""
-
-    def diag(d: ChordDiagram) -> ChordDiagram:
-        _check_slot(j, _diagram_grading(d)[1])
-        return _insert(d, 2 * j + 2)
-
-    return GradedOperator(f"B+^(east,{j})", (0, 1), lambda w: east_creation_word(w, j), diag)
-
-
-def east_annihilation(j: int) -> GradedOperator:
-    """A- at eastside slot j: joins chords at positions (2j+1, 2j+2)."""
-
-    def diag(d: ChordDiagram):
-        _check_slot(j, _diagram_grading(d)[1])
-        if j == d.n - 1:
-            # all-plus grading: the slot wraps to the base point
-            return _a_minus_diag(d)
-        return _cap(d, 2 * j + 1)
-
-    return GradedOperator(
-        f"A-^(east,{j})", (0, -1), lambda w: east_annihilation_word(w, j), diag
+        f"{name}^({side},{i})", shift, lambda w: annihilation_word(w, sign, i), diag
     )
 
 
@@ -501,6 +455,13 @@ def rotation(x: SfhElement) -> SfhElement:
     return rotation_explicit(x)
 
 
+def _after_minuses(count: int, w: Word) -> Word:
+    """The word (-)^count followed by w."""
+    for _ in range(count):
+        w = w.insert(0, MINUS)
+    return w
+
+
 @lru_cache(maxsize=None)
 def rotation_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of the rotation on length-n words with k plus signs.
@@ -528,16 +489,12 @@ def rotation_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     # rows starting with '+': every entry (u, v) of R_{n-1,k-1} appears in
     # column (-)^j + v[j:] for each j up to the leading-minus count of v
     for r_i, u in enumerate(prev_words):
-        row = index[Word((PLUS,) + u.bits)]
+        row = index[u.insert(0, PLUS)]
         for c_i, v in enumerate(prev_words):
             if not prev[r_i][c_i]:
                 continue
-            lead = 0
-            while lead < len(v.bits) and v.bits[lead] == MINUS:
-                lead += 1
-            for j in range(lead + 1):
-                col_word = Word(v.bits[:j] + (PLUS,) + v.bits[j:])
-                mat[row][index[col_word]] = 1
+            for j in range(v.blocks()[0][0] + 1):
+                mat[row][index[v.insert(j, PLUS)]] = 1
     # rows (-)^(j+1) + u: copies of R_{n-j-2,k-1} at columns (-)^j + - v
     for j in range(0, n - k):
         sub_n = n - j - 2
@@ -546,13 +503,13 @@ def rotation_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
         sub = rotation_matrix(sub_n, k - 1)
         sub_words = minor_words(sub_n, k - 1)
         for r_i, u in enumerate(sub_words):
-            row_word = Word((MINUS,) * (j + 1) + (PLUS,) + u.bits)
+            row_word = _after_minuses(j + 1, u.insert(0, PLUS))
             if row_word not in index:
                 continue
             for c_i, v in enumerate(sub_words):
                 if not sub[r_i][c_i]:
                     continue
-                col_word = Word((MINUS,) * j + (PLUS, MINUS) + v.bits)
+                col_word = _after_minuses(j, v.insert(0, MINUS).insert(0, PLUS))
                 if col_word in index:
                     mat[index[row_word]][index[col_word]] = 1
     return tuple(tuple(r) for r in mat)

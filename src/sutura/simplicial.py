@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from math import comb
 
 from . import sfh
-from .errors import GradingMismatch, IndexOutOfRange
-from .words import MINUS, PLUS, Word, all_words
+from .errors import GradingMismatch
+from .words import Word, all_words
 
 
 @dataclass(frozen=True)
@@ -40,36 +40,30 @@ def _grading_of(x: sfh.SfhElement) -> tuple[int, int]:
     return g
 
 
-def face(i: int, side: str, x: sfh.SfhElement) -> sfh.SfhElement:
-    """Face map d_i: westside deletes the slot-i minus, eastside the plus."""
+def _slot_map(op: sfh.GradedOperator, x: sfh.SfhElement) -> sfh.SfhElement:
+    """A slot operator on a homogeneous element; the operator's slot rule
+    rejects a slot outside 0..n- (west) or 0..n+ (east)."""
     if x.is_zero():
         return x
-    n_minus, n_plus = _grading_of(x)
-    top = n_minus if side == "west" else n_plus
-    if not 0 <= i <= top:
-        raise IndexOutOfRange(f"face index {i} outside 0..{top}")
-    op = sfh.west_annihilation(i) if side == "west" else sfh.east_annihilation(i)
+    _grading_of(x)  # rejects an element of mixed grading
     return sfh.apply_operator(op, x)
+
+
+def face(i: int, side: str, x: sfh.SfhElement) -> sfh.SfhElement:
+    """Face map d_i: westside deletes the slot-i minus, eastside the plus."""
+    return _slot_map(sfh.annihilation(side, i), x)
 
 
 def degeneracy(j: int, side: str, x: sfh.SfhElement) -> sfh.SfhElement:
     """Degeneracy map s_j: westside doubles the slot-j minus, eastside the plus."""
-    if x.is_zero():
-        return x
-    n_minus, n_plus = _grading_of(x)
-    top = n_minus if side == "west" else n_plus
-    if not 0 <= j <= top:
-        raise IndexOutOfRange(f"degeneracy index {j} outside 0..{top}")
-    op = sfh.west_creation(j) if side == "west" else sfh.east_creation(j)
-    return sfh.apply_operator(op, x)
+    return _slot_map(sfh.creation(side, j), x)
 
 
 def boundary(side: str, x: sfh.SfhElement) -> sfh.SfhElement:
     """Mod-2 sum of all face maps on a homogeneous element."""
     if x.is_zero():
         return x
-    n_minus, n_plus = _grading_of(x)
-    top = n_minus if side == "west" else n_plus
+    top = _grading_of(x)[sfh.side_sign(side)]
     out = sfh.SfhElement.zero()
     for i in range(top + 1):
         out = out + face(i, side, x)
@@ -85,23 +79,19 @@ def boundary_closed_form(side: str, w: Word) -> sfh.SfhElement:
     This is "partial differentiation" by the deleted sign, with the
     extra final-run term.
     """
-    kind = MINUS if side == "west" else PLUS
-    runs: list[tuple[int, int]] = []
-    pos = 0
-    while pos < w.n:
-        if w.bits[pos] == kind:
-            start = pos
-            while pos < w.n and w.bits[pos] == kind:
-                pos += 1
-            runs.append((start, pos - start))
+    positions = w.positions(sfh.side_sign(side))
+    runs: list[list[int]] = []  # [start, length] of each maximal run of the sign
+    for p in positions:
+        if runs and runs[-1][0] + runs[-1][1] == p:
+            runs[-1][1] += 1
         else:
-            pos += 1
+            runs.append([p, 1])
+    ends_in_kind = bool(positions) and positions[-1] == w.n - 1
     out: set[Word] = set()
-    ends_in_kind = bool(w.bits) and w.bits[-1] == kind
     for r, (start, length) in enumerate(runs):
         coef = length + (1 if (ends_in_kind and r == len(runs) - 1) else 0)
         if coef % 2:
-            out ^= {Word(w.bits[:start] + w.bits[start + 1 :])}
+            out ^= {w.delete(start)}
     return sfh.SfhElement(out)
 
 

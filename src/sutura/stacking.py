@@ -21,6 +21,7 @@ from . import arcs as _arcs
 from . import sfh
 from .diagram import ChordDiagram, delete_points, euler_class
 from .errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
+from .words import MINUS
 
 
 def loop_count(bottom: ChordDiagram, top: ChordDiagram, _shift: int = -1) -> int:
@@ -58,8 +59,8 @@ def m_algebraic(bottom: ChordDiagram, top: ChordDiagram) -> int:
         raise SizeMismatch("stacking needs equal chord counts")
     if euler_class(bottom) != euler_class(top):
         return 0
-    p0 = [w.minus_positions() for w in sfh.decompose(bottom).words]
-    p1 = [w.minus_positions() for w in sfh.decompose(top).words]
+    p0 = [w.positions(MINUS) for w in sfh.decompose(bottom).words]
+    p1 = [w.positions(MINUS) for w in sfh.decompose(top).words]
     count = sum(all(p <= q for p, q in zip(a, b)) for a in p0 for b in p1)
     return count % 2
 

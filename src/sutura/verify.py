@@ -14,6 +14,7 @@ from typing import Callable
 
 from . import arcs, sfh, simplicial, stacking
 from . import diagram as dg
+from .errors import BadArgument
 from .words import (
     all_words,
     catalan,
@@ -386,37 +387,51 @@ def check_simplicial(n_max: int = 8, rank_n_max: int = 6, ident_n_max: int = 6) 
     return problems
 
 
+# The sizes every check runs at, by level: its arguments before the seed.
+SIZES: dict[str, dict[str, tuple[int, ...]]] = {
+    "quick": {
+        "counting": (6,),
+        "basis_and_bypass": (5, 4),
+        "operator_algebra": (5,),
+        "main_theorem": (5,),
+        "parity": (5, 5),
+        "stackability": (4, 4),
+        "categories": (4, 4),
+        "bypass_systems": (4, 100, 5),
+        "rotation": (5, 4),
+        "simplicial": (6, 5, 5),
+    },
+    "full": {
+        "counting": (8,),
+        "basis_and_bypass": (7, 6),
+        "operator_algebra": (6,),
+        "main_theorem": (7,),
+        "parity": (7, 6),
+        "stackability": (6, 5),
+        "categories": (5, 5),
+        "bypass_systems": (5, 1000, 6),
+        "rotation": (6, 5),
+        "simplicial": (8, 6, 6),
+    },
+}
+
+
 def _criteria(level: str, seed: int) -> list[tuple[str, Callable[[], list[str]], float]]:
-    full = level == "full"
+    if level not in SIZES:
+        raise BadArgument(f"unknown level {level!r}; choose one of {', '.join(SIZES)}")
+    s = SIZES[level]
+    # each check is looked up by name when it runs, so a wrapped check is the one timed
     return [
-        ("counting", lambda: check_counting(8 if full else 6), 5.0),
-        (
-            "basis_and_bypass",
-            lambda: check_basis_and_triples(7 if full else 5, 6 if full else 4),
-            60.0,
-        ),
-        ("operator_algebra", lambda: check_operator_algebra(6 if full else 5, seed), 30.0),
-        ("main_theorem", lambda: check_main_theorem(7 if full else 5), 120.0),
-        ("parity", lambda: check_parity(7 if full else 5, 6 if full else 5), 60.0),
-        (
-            "stackability",
-            lambda: check_stackability(6 if full else 4, 5 if full else 4),
-            300.0,
-        ),
-        ("categories", lambda: check_categories(5 if full else 4, 5 if full else 4), 300.0),
-        (
-            "bypass_systems",
-            lambda: check_bypass_systems(
-                5 if full else 4, 1000 if full else 100, 6 if full else 5, seed
-            ),
-            300.0,
-        ),
-        ("rotation", lambda: check_rotation(6 if full else 5, 5 if full else 4), 120.0),
-        (
-            "simplicial",
-            lambda: check_simplicial(8 if full else 6, 6 if full else 5, 6 if full else 5),
-            30.0,
-        ),
+        ("counting", lambda: check_counting(*s["counting"]), 5.0),
+        ("basis_and_bypass", lambda: check_basis_and_triples(*s["basis_and_bypass"]), 60.0),
+        ("operator_algebra", lambda: check_operator_algebra(*s["operator_algebra"], seed), 30.0),
+        ("main_theorem", lambda: check_main_theorem(*s["main_theorem"]), 120.0),
+        ("parity", lambda: check_parity(*s["parity"]), 60.0),
+        ("stackability", lambda: check_stackability(*s["stackability"]), 300.0),
+        ("categories", lambda: check_categories(*s["categories"]), 300.0),
+        ("bypass_systems", lambda: check_bypass_systems(*s["bypass_systems"], seed), 300.0),
+        ("rotation", lambda: check_rotation(*s["rotation"]), 120.0),
+        ("simplicial", lambda: check_simplicial(*s["simplicial"]), 30.0),
     ]
 
 

@@ -6,6 +6,8 @@ class e = n+ - n-.  Symbols are stored as bits: 0 for '-', 1 for '+', so
 tuple comparison is exactly lexicographic order with '-' before '+'.
 A word counts its letters once, when it is built, and keeps n and n+;
 n-, e and the grading (n-, n+) are read from those two counts.
+Other modules read sign positions and edit words through Word.positions,
+Word.insert and Word.delete; only this module slices or joins the bit tuple.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .errors import GradingMismatch, LengthMismatch, NotComparable, NotMonotone, ParseError
+from .errors import GradingMismatch, IndexOutOfRange, LengthMismatch, NotComparable, NotMonotone, ParseError
 
 MINUS = 0
 PLUS = 1
@@ -56,12 +58,21 @@ class Word:
     def grading(self) -> tuple[int, int]:
         return (self.n - self.n_plus, self.n_plus)
 
-    def minus_positions(self) -> list[int]:
-        """0-based positions of the minus signs, left to right."""
-        return [i for i, b in enumerate(self.bits) if b == MINUS]
+    def positions(self, sign: int) -> list[int]:
+        """0-based positions of the given sign, left to right."""
+        return [i for i, b in enumerate(self.bits) if b == sign]
 
-    def plus_positions(self) -> list[int]:
-        return [i for i, b in enumerate(self.bits) if b == PLUS]
+    def insert(self, pos: int, sign: int) -> "Word":
+        """The word with sign inserted before position pos (pos = n appends)."""
+        if not 0 <= pos <= self.n:
+            raise IndexOutOfRange(f"insert position {pos} outside 0..{self.n}")
+        return Word(self.bits[:pos] + (sign,) + self.bits[pos:])
+
+    def delete(self, pos: int) -> "Word":
+        """The word with the letter at position pos removed."""
+        if not 0 <= pos < self.n:
+            raise IndexOutOfRange(f"delete position {pos} outside 0..{self.n - 1}")
+        return Word(self.bits[:pos] + self.bits[pos + 1 :])
 
     def prefix_sums(self) -> list[int]:
         """Running sum of +-1 values ("score after each inning")."""
@@ -127,7 +138,7 @@ def _check_same_grading(w1: Word, w2: Word) -> None:
 def partial_leq(w1: Word, w2: Word) -> bool:
     """w1 <= w2 in the minus-signs-move-right partial order."""
     _check_same_grading(w1, w2)
-    return all(p <= q for p, q in zip(w1.minus_positions(), w2.minus_positions()))
+    return all(p <= q for p, q in zip(w1.positions(MINUS), w2.positions(MINUS)))
 
 
 def partial_leq_baseball(w1: Word, w2: Word) -> bool:
@@ -227,7 +238,7 @@ def comparable_pairs(n_minus: int, n_plus: int) -> list[tuple[Word, Word]]:
     positions, so walking both in order needs no sort.
     """
     n = n_minus + n_plus
-    by_minus = {tuple(w.minus_positions()): w for w in all_words(n_minus, n_plus)}
+    by_minus = {tuple(w.positions(MINUS)): w for w in all_words(n_minus, n_plus)}
     return [
         (w0, by_minus[q])
         for p, w0 in by_minus.items()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from sutura import diagram as D
 from sutura import sfh
 from sutura.errors import BrokenInvariant, ZeroElement
-from sutura.words import Word, all_words, word
+from sutura.words import MINUS, PLUS, Word, all_words, word
 
 from strategies import diagrams
 
@@ -215,7 +215,7 @@ def test_outermost_region_dictionary():
                 slot = (m - 2 * j - 1) % m
                 diag = _has_outermost(d, slot)
                 def following_minus(w, jj=j):
-                    pos = w.minus_positions()[jj]
+                    pos = w.positions(MINUS)[jj]
                     return pos > 0 and w.bits[pos - 1] == 0
                 all_match = all(following_minus(w) for w in words)
                 extremes = following_minus(lo) and following_minus(hi)
@@ -225,7 +225,7 @@ def test_outermost_region_dictionary():
                 slot = 2 * j
                 diag = _has_outermost(d, slot)
                 def following_plus(w, jj=j):
-                    pos = w.plus_positions()[jj]
+                    pos = w.positions(PLUS)[jj]
                     return pos > 0 and w.bits[pos - 1] == 1
                 all_match = all(following_plus(w) for w in words)
                 extremes = following_plus(lo) and following_plus(hi)

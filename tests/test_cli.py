@@ -8,6 +8,7 @@ import pytest
 import sutura
 from sutura import cli, sfh, verify
 from sutura import diagram as dg
+from sutura.errors import SuturaError
 from sutura.words import word
 
 
@@ -35,6 +36,13 @@ def test_enumerate_by_euler(capsys):
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "12")
     assert code == 1 and "cap" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_enumerate_without_chords_is_an_error(capsys, n):
+    code, out, err = run(capsys, "enumerate", n)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -127,6 +135,15 @@ def test_verify_quick(capsys):
     payload = json.loads(out)
     assert payload["failures"] == []
     assert len(payload["checks"]) == 10
+
+
+@pytest.mark.parametrize("level", ["deep", "Full", ""])
+def test_unknown_verify_level_is_rejected(level):
+    # no level other than quick and full may fall back to some sizes
+    with pytest.raises(SuturaError):
+        verify.run_verification(level, 0)
+    with pytest.raises(SuturaError):
+        verify.budgets(level)
 
 
 def run_process(*argv, optimize=False):

@@ -7,8 +7,8 @@ import pytest
 import sutura
 from sutura import diagram as D
 from sutura import sfh
-from sutura.errors import GradingMismatch
-from sutura.words import Word, all_words, word
+from sutura.errors import BadArgument, GradingMismatch, IndexOutOfRange, ParseError
+from sutura.words import MINUS, PLUS, Word, all_words, word
 
 
 def gradings(n):
@@ -45,14 +45,66 @@ def test_diagram_level_agreement():
                 assert sfh.decompose(op.diagram_action(d)) == sfh.apply_operator(op, x)
 
 
+def _creation_oracle(text, sign, i):
+    """Insert a sign before its (i+1)'th occurrence in the string, or append."""
+    spots = [k for k, ch in enumerate(text) if ch == sign]
+    at = spots[i] if i < len(spots) else len(text)
+    return {text[:at] + sign + text[at:]}
+
+
+def _annihilation_oracle(text, sign, i):
+    """Delete the (i+1)'th occurrence; past the last, a final sign or nothing."""
+    spots = [k for k, ch in enumerate(text) if ch == sign]
+    if i < len(spots):
+        return {text[: spots[i]] + text[spots[i] + 1 :]}
+    return {text[:-1]} if text.endswith(sign) else set()
+
+
 def test_west_east_word_rules():
-    assert sfh.west_annihilation_word(word("-+"), 0) == frozenset([word("+")])
-    assert sfh.west_annihilation_word(word("-+"), 1) == frozenset()
-    assert sfh.west_creation_word(word("-+"), 0) == frozenset([word("--+")])
-    assert sfh.west_creation_word(word("-+"), 1) == frozenset([word("-+-")])
-    assert sfh.east_annihilation_word(word("+-"), 0) == frozenset([word("-")])
-    assert sfh.east_annihilation_word(word("+-"), 1) == frozenset()
-    assert sfh.east_creation_word(word("+-"), 1) == frozenset([word("+-+")])
+    assert sfh.annihilation_word(word("-+"), MINUS, 0) == frozenset([word("+")])
+    assert sfh.annihilation_word(word("-+"), MINUS, 1) == frozenset()
+    assert sfh.creation_word(word("-+"), MINUS, 0) == frozenset([word("--+")])
+    assert sfh.creation_word(word("-+"), MINUS, 1) == frozenset([word("-+-")])
+    assert sfh.annihilation_word(word("+-"), PLUS, 0) == frozenset([word("-")])
+    assert sfh.annihilation_word(word("+-"), PLUS, 1) == frozenset()
+    assert sfh.creation_word(word("+-"), PLUS, 1) == frozenset([word("+-+")])
+    for n in range(8):
+        for nm, np_ in gradings(n):
+            for w in all_words(nm, np_):
+                text = str(w)
+                for sign, char in ((MINUS, "-"), (PLUS, "+")):
+                    for i in range(text.count(char) + 1):
+                        made = {str(v) for v in sfh.creation_word(w, sign, i)}
+                        assert made == _creation_oracle(text, char, i), (text, char, i)
+                        killed = {str(v) for v in sfh.annihilation_word(w, sign, i)}
+                        assert killed == _annihilation_oracle(text, char, i), (text, char, i)
+                    for p in range(n + 1):
+                        longer = w.insert(p, sign)
+                        assert longer.delete(p) == w
+                        for v in (longer, longer.delete(p)):  # counts as if built afresh
+                            assert (v.n, v.n_plus) == (Word(v.bits).n, Word(v.bits).n_plus)
+                minus, plus = w.positions(MINUS), w.positions(PLUS)
+                assert sorted(minus + plus) == list(range(n))
+                assert [text[p] for p in minus] == ["-"] * nm
+                assert [text[p] for p in plus] == ["+"] * np_
+
+
+def test_word_edits_reject_positions_outside_the_word():
+    w = word("-+")
+    for bad in (-1, 3):
+        with pytest.raises(IndexOutOfRange):
+            w.insert(bad, MINUS)
+    for bad in (-1, 2):
+        with pytest.raises(IndexOutOfRange):
+            w.delete(bad)
+    with pytest.raises(ParseError):
+        w.insert(0, 2)
+
+
+def test_unknown_side_is_rejected():
+    for make in (sfh.creation, sfh.annihilation):
+        with pytest.raises(BadArgument):
+            make("north", 0)
 
 
 def test_west_east_diagram_agreement():
@@ -63,10 +115,10 @@ def test_west_east_diagram_agreement():
             nm = (n - 1 - e) // 2
             np_ = (n - 1 + e) // 2
             for i in range(nm + 1):
-                for op in (sfh.west_creation(i), sfh.west_annihilation(i)):
+                for op in (sfh.creation("west", i), sfh.annihilation("west", i)):
                     assert sfh.decompose(op.diagram_action(d)) == sfh.apply_operator(op, x)
             for j in range(np_ + 1):
-                for op in (sfh.east_creation(j), sfh.east_annihilation(j)):
+                for op in (sfh.creation("east", j), sfh.annihilation("east", j)):
                     assert sfh.decompose(op.diagram_action(d)) == sfh.apply_operator(op, x)
 
 
@@ -76,9 +128,9 @@ def test_west_east_inverses():
             for w in all_words(nm, np_):
                 x = sfh.SfhElement.basis(w)
                 for i in range(nm + 1):
-                    assert sfh.west_annihilation(i)(sfh.west_creation(i)(x)) == x
+                    assert sfh.annihilation("west", i)(sfh.creation("west", i)(x)) == x
                 for j in range(np_ + 1):
-                    assert sfh.east_annihilation(j)(sfh.east_creation(j)(x)) == x
+                    assert sfh.annihilation("east", j)(sfh.creation("east", j)(x)) == x
 
 
 def test_direct_sum_recursion():
@@ -105,9 +157,9 @@ def test_diagram_actions_map_zero_to_zero():
     capped = sfh.A_PLUS.diagram_action(D.parse("0-1,2-3"))
     assert capped is D.ZERO
     assert sfh.A_MINUS.diagram_action(capped) is D.ZERO
-    slotted = (sfh.west_creation, sfh.west_annihilation, sfh.east_creation, sfh.east_annihilation)
     ops = [sfh.B_MINUS, sfh.B_PLUS, sfh.A_PLUS, sfh.A_MINUS]
-    ops += [make(i) for make in slotted for i in range(3)]
+    slotted = (sfh.creation, sfh.annihilation)
+    ops += [make(side, i) for side in ("west", "east") for make in slotted for i in range(3)]
     for op in ops:
         assert op.diagram_action(D.ZERO) is D.ZERO, op.name
 
@@ -118,13 +170,14 @@ def test_mixed_grading_rejected():
 
 
 SLOT_SCRIPT = """
+import itertools
 from sutura import diagram as D, sfh
 from sutura.words import word
 
 d, w = D.parse("0-5,1-4,2-3"), word("-+")  # both of grading (1, 1)
-for make in (sfh.west_creation, sfh.west_annihilation, sfh.east_creation, sfh.east_annihilation):
+for side, make in itertools.product(("west", "east"), (sfh.creation, sfh.annihilation)):
     for i in (-1, 0, 1, 2):
-        op = make(i)
+        op = make(side, i)
         for act, x in ((op.word_action, w), (op.diagram_action, d)):
             try:
                 act(x)
