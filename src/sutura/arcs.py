@@ -40,6 +40,7 @@ from .diagram import (
 from .errors import (
     ArcNotDefined,
     ArcNotOnDiagram,
+    BadArgument,
     BrokenInvariant,
     MoveUndefined,
     NotComparable,
@@ -578,7 +579,7 @@ def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
     if arc.diagram != diagram_or_zero:
         raise ArcNotOnDiagram("arc realised on a different diagram")
     if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
+        raise BadArgument(f"direction must be 'up' or 'down', not {direction!r}")
     diagram = arc.diagram
     if arc.triviality != "nontrivial":
         return diagram if arc.direction == direction + "wards" else ZERO

@@ -100,8 +100,7 @@ def root_construction(w: Word) -> ConstructionData:
     pairing = [-1] * m
     temp = root_point(n + 1, w.e)
     chords_by_pos: list[tuple[int, int] | None] = [None] * n
-    for pos in range(n - 1, -1, -1):
-        b = w.bits[pos]
+    for pos, b in reversed(list(enumerate(w.bits))):
         step = 1 if b == MINUS else -1
         mate = _next_unused(temp, step, used, m)
         pairing[temp], pairing[mate] = mate, temp

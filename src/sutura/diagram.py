@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadArgument, BadPartition, CrossingChords, OddStep, ParseError
+from .errors import BadArgument, BadPartition, BrokenInvariant, CrossingChords, OddStep, ParseError
 
 
 class _Zero:
@@ -64,7 +64,7 @@ class ChordDiagram:
         for k, (a, _) in enumerate(self.chords()):
             if a == low:
                 return k
-        raise ValueError("unreachable")
+        raise BrokenInvariant(f"no chord of {self} starts at point {low}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ChordDiagram) and self.pairing == other.pairing

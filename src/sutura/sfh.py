@@ -40,6 +40,7 @@ from .words import (
     PLUS,
     Word,
     all_words,
+    lex_sorted,
     partial_leq,
 )
 
@@ -54,9 +55,10 @@ class SfhElement:
 
     def __init__(self, words=()):
         ws = frozenset(words)
-        lengths = {w.n for w in ws}
-        if len(lengths) > 1:
-            raise GradingMismatch("mixed word lengths in one element")
+        if len(ws) > 1:
+            n = next(iter(ws)).n
+            if any(w.n != n for w in ws):
+                raise GradingMismatch("mixed word lengths in one element")
         self.words: frozenset[Word] = ws
 
     @classmethod
@@ -85,14 +87,14 @@ class SfhElement:
         return hash(self.words)
 
     def sorted_words(self) -> list[Word]:
-        return sorted(self.words, key=lambda w: w.bits)
+        return lex_sorted(self.words)
 
     def grading(self) -> tuple[int, int] | None:
         """(n-, n+) when homogeneous (all members share it), else None."""
-        gs = {w.grading for w in self.words}
-        if len(gs) == 1:
-            return gs.pop()
-        return None
+        one = next(iter(self.words), None)
+        if one is None or len(self.words) > 1 and any(w.n_plus != one.n_plus for w in self.words):
+            return None
+        return one.grading
 
     def __repr__(self) -> str:
         return "SfhElement({" + ", ".join(str(w) for w in self.sorted_words()) + "})"

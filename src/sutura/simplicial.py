@@ -40,34 +40,45 @@ def _grading_of(x: sfh.SfhElement) -> tuple[int, int]:
     return g
 
 
-def _slot_map(op: sfh.GradedOperator, x: sfh.SfhElement) -> sfh.SfhElement:
-    """A slot operator on a homogeneous element; the operator's slot rule
-    rejects a slot outside 0..n- (west) or 0..n+ (east)."""
+def _slot_map(rule, side: str, i: int, x: sfh.SfhElement) -> sfh.SfhElement:
+    """A slot word rule at one side's slot i, on a homogeneous element; the
+    rule rejects a slot outside 0..n- (west) or 0..n+ (east)."""
+    sign = sfh.side_sign(side)
     if x.is_zero():
         return x
     _grading_of(x)  # rejects an element of mixed grading
-    return sfh.apply_operator(op, x)
+    acc: frozenset[Word] = frozenset()
+    for w in x.words:
+        acc ^= rule(w, sign, i)
+    return sfh.SfhElement(acc)
 
 
 def face(i: int, side: str, x: sfh.SfhElement) -> sfh.SfhElement:
     """Face map d_i: westside deletes the slot-i minus, eastside the plus."""
-    return _slot_map(sfh.annihilation(side, i), x)
+    return _slot_map(sfh.annihilation_word, side, i, x)
 
 
 def degeneracy(j: int, side: str, x: sfh.SfhElement) -> sfh.SfhElement:
     """Degeneracy map s_j: westside doubles the slot-j minus, eastside the plus."""
-    return _slot_map(sfh.creation(side, j), x)
+    return _slot_map(sfh.creation_word, side, j, x)
 
 
 def boundary(side: str, x: sfh.SfhElement) -> sfh.SfhElement:
-    """Mod-2 sum of all face maps on a homogeneous element."""
+    """Mod-2 sum of all face maps on a homogeneous element: one deletion per
+    sign of the side's kind, plus the last face, which repeats (and so
+    cancels) the final deletion when the word ends in that sign."""
+    sign = sfh.side_sign(side)
     if x.is_zero():
         return x
-    top = _grading_of(x)[sfh.side_sign(side)]
-    out = sfh.SfhElement.zero()
-    for i in range(top + 1):
-        out = out + face(i, side, x)
-    return out
+    _grading_of(x)
+    out: set[Word] = set()
+    for w in x.words:
+        positions = w.positions(sign)
+        if positions and positions[-1] == w.n - 1:
+            positions.pop()
+        for p in positions:
+            out ^= {w.delete(p)}
+    return sfh.SfhElement(out)
 
 
 def boundary_closed_form(side: str, w: Word) -> sfh.SfhElement:

@@ -21,7 +21,7 @@ from . import arcs as _arcs
 from . import sfh
 from .diagram import ChordDiagram, delete_points, euler_class
 from .errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
-from .words import MINUS
+from .words import partial_leq
 
 
 def loop_count(bottom: ChordDiagram, top: ChordDiagram, _shift: int = -1) -> int:
@@ -52,17 +52,15 @@ def m_algebraic(bottom: ChordDiagram, top: ChordDiagram) -> int:
 
     Every word of a diagram's decomposition has the grading its chord
     count and euler class fix, and words of two gradings are never
-    comparable; within one, w0 <= w1 compares minus positions
-    componentwise (words.partial_leq).
+    comparable; within one, each pair is one words.partial_leq test on
+    the two words' stored letters.
     """
     if bottom.n != top.n:
         raise SizeMismatch("stacking needs equal chord counts")
     if euler_class(bottom) != euler_class(top):
         return 0
-    p0 = [w.positions(MINUS) for w in sfh.decompose(bottom).words]
-    p1 = [w.positions(MINUS) for w in sfh.decompose(top).words]
-    count = sum(all(p <= q for p, q in zip(a, b)) for a in p0 for b in p1)
-    return count % 2
+    tops = sfh.decompose(top).words
+    return sum(partial_leq(a, b) for a in sfh.decompose(bottom).words for b in tops) % 2
 
 
 def cancel_outermost(bottom: ChordDiagram, top: ChordDiagram):

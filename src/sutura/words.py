@@ -2,12 +2,14 @@
 
 A word of length n with n- minus signs and n+ plus signs indexes a basis
 element of the GF(2) space of chord diagrams with n+1 chords and euler
-class e = n+ - n-.  Symbols are stored as bits: 0 for '-', 1 for '+', so
-tuple comparison is exactly lexicographic order with '-' before '+'.
-A word counts its letters once, when it is built, and keeps n and n+;
-n-, e and the grading (n-, n+) are read from those two counts.
+class e = n+ - n-.  A word is stored as one int, its key 1 << n | mask:
+bit n-1-p of the mask is 1 when letter p is '+', so on words of equal
+length integer order of keys is lexicographic order with '-' before '+',
+and the sentinel bit 1 << n keeps "-" and "--" apart.  A word also keeps
+n and n+; n-, e and the grading (n-, n+) are read from those two counts,
+and bits is a tuple derived from the key.
 Other modules read sign positions and edit words through Word.positions,
-Word.insert and Word.delete; only this module slices or joins the bit tuple.
+Word.insert and Word.delete; only this module reads the key.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from operator import attrgetter
 
-from .errors import GradingMismatch, IndexOutOfRange, LengthMismatch, NotComparable, NotMonotone, ParseError
+from .errors import BadArgument, GradingMismatch, IndexOutOfRange, LengthMismatch, NotComparable, NotMonotone, ParseError
 
 MINUS = 0
 PLUS = 1
@@ -27,17 +30,25 @@ _CHARS = {MINUS: "-", PLUS: "+"}
 
 
 class Word:
-    """Immutable word over {-,+} that stores its length and plus count."""
+    """Immutable word over {-,+}: its key, its length and its plus count."""
 
-    __slots__ = ("bits", "n", "n_plus")
+    __slots__ = ("_key", "n", "n_plus")
 
     def __init__(self, bits=()):
         bits = tuple(bits)
-        self.bits: tuple[int, ...] = bits
-        self.n: int = len(bits)
-        self.n_plus: int = bits.count(PLUS)
-        if bits.count(MINUS) + self.n_plus != self.n:
+        n_plus = bits.count(PLUS)
+        if bits.count(MINUS) + n_plus != len(bits):
             raise ParseError("word bits must be 0 (-) or 1 (+)")
+        self._key: int = int("1" + "".join("01"[b] for b in bits), 2)
+        self.n: int = len(bits)
+        self.n_plus: int = n_plus
+
+    @classmethod
+    def _of(cls, key: int, n: int, n_plus: int) -> "Word":
+        """The word with this key and these counts, built with no pass over it."""
+        w = object.__new__(cls)
+        w._key, w.n, w.n_plus = key, n, n_plus
+        return w
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -45,6 +56,11 @@ class Word:
             return cls(_SYMBOLS[ch] for ch in text.strip())
         except KeyError as exc:
             raise ParseError(f"bad word symbol {exc.args[0]!r}") from exc
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The letters, left to right, as 0 (-) and 1 (+)."""
+        return tuple(self._key >> k & 1 for k in range(self.n - 1, -1, -1))
 
     @property
     def n_minus(self) -> int:
@@ -60,19 +76,32 @@ class Word:
 
     def positions(self, sign: int) -> list[int]:
         """0-based positions of the given sign, left to right."""
-        return [i for i, b in enumerate(self.bits) if b == sign]
+        n = self.n
+        rest = self._key ^ ((2 << n) - 1 if sign == MINUS else 1 << n)  # no sentinel
+        out = []
+        while rest:
+            k = rest.bit_length()
+            out.append(n - k)
+            rest ^= 1 << k - 1
+        return out
 
     def insert(self, pos: int, sign: int) -> "Word":
         """The word with sign inserted before position pos (pos = n appends)."""
         if not 0 <= pos <= self.n:
             raise IndexOutOfRange(f"insert position {pos} outside 0..{self.n}")
-        return Word(self.bits[:pos] + (sign,) + self.bits[pos:])
+        if sign not in (MINUS, PLUS):
+            raise ParseError("word bits must be 0 (-) or 1 (+)")
+        k = self.n - pos  # letters after the new one
+        low = self._key & ((1 << k) - 1)
+        return Word._of(((self._key >> k) << 1 | sign) << k | low, self.n + 1, self.n_plus + sign)
 
     def delete(self, pos: int) -> "Word":
         """The word with the letter at position pos removed."""
         if not 0 <= pos < self.n:
             raise IndexOutOfRange(f"delete position {pos} outside 0..{self.n - 1}")
-        return Word(self.bits[:pos] + self.bits[pos + 1 :])
+        k = self.n - 1 - pos  # letters after the deleted one
+        low = self._key & ((1 << k) - 1)
+        return Word._of((self._key >> k + 1) << k | low, self.n - 1, self.n_plus - (self._key >> k & 1))
 
     def prefix_sums(self) -> list[int]:
         """Running sum of +-1 values ("score after each inning")."""
@@ -88,21 +117,12 @@ class Word:
         a1 may be 0 (word starts with +) and bk may be 0 (word ends
         with -); all other exponents are nonzero.
         """
-        out: list[tuple[int, int]] = []
-        i, m = 0, len(self.bits)
-        while i < m or not out:
-            a = 0
-            while i < m and self.bits[i] == MINUS:
-                a += 1
-                i += 1
-            b = 0
-            while i < m and self.bits[i] == PLUS:
-                b += 1
-                i += 1
-            out.append((a, b))
-            if i >= m:
-                break
-        return out
+        runs = [(sign, len(list(g))) for sign, g in itertools.groupby(self.bits)]
+        if not runs or runs[0][0] == PLUS:
+            runs.insert(0, (MINUS, 0))
+        if runs[-1][0] == MINUS:
+            runs.append((PLUS, 0))
+        return [(runs[i][1], runs[i + 1][1]) for i in range(0, len(runs), 2)]
 
     def __str__(self) -> str:
         return "".join(_CHARS[b] for b in self.bits)
@@ -111,15 +131,15 @@ class Word:
         return f"Word({str(self)!r})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.bits == other.bits
+        return isinstance(other, Word) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.bits)
+        return hash(self._key)
 
     def __lt__(self, other: "Word") -> bool:
-        if len(self.bits) != len(other.bits):
+        if self.n != other.n:
             raise LengthMismatch("lexicographic order needs equal lengths")
-        return self.bits < other.bits
+        return self._key < other._key
 
     def __le__(self, other: "Word") -> bool:
         return self == other or self < other
@@ -131,14 +151,28 @@ def word(text: str) -> Word:
 
 
 def _check_same_grading(w1: Word, w2: Word) -> None:
-    if w1.grading != w2.grading:
+    if w1.n != w2.n or w1.n_plus != w2.n_plus:
         raise GradingMismatch(f"{w1} and {w2} have different (n-, n+)")
 
 
 def partial_leq(w1: Word, w2: Word) -> bool:
-    """w1 <= w2 in the minus-signs-move-right partial order."""
+    """w1 <= w2 in the minus-signs-move-right partial order: no prefix of w2
+    has fewer plus signs than that of w1.  Over the letters where the words
+    differ, left to right, lead counts w2's extra plus signs so far."""
     _check_same_grading(w1, w2)
-    return all(p <= q for p, q in zip(w1.positions(MINUS), w2.positions(MINUS)))
+    k2 = w2._key
+    diff = w1._key ^ k2
+    lead = 0
+    while diff:
+        top = 1 << diff.bit_length() - 1
+        if k2 & top:
+            lead += 1
+        elif lead:
+            lead -= 1
+        else:
+            return False
+        diff ^= top
+    return True
 
 
 def partial_leq_baseball(w1: Word, w2: Word) -> bool:
@@ -151,23 +185,21 @@ def lex_compare(w1: Word, w2: Word) -> int:
     """-1, 0 or 1 as w1 is lexicographically before, equal to or after w2."""
     if w1.n != w2.n:
         raise LengthMismatch("lexicographic order needs equal lengths")
-    if w1.bits == w2.bits:
-        return 0
-    return -1 if w1.bits < w2.bits else 1
+    return (w1._key > w2._key) - (w1._key < w2._key)
+
+
+def lex_sorted(words) -> list[Word]:
+    """Words of one length in lexicographic order."""
+    return sorted(words, key=attrgetter("_key"))
+
 
 def all_words(n_minus: int, n_plus: int) -> list[Word]:
     """All words in W(n-, n+), in lexicographic order."""
     if n_minus < 0 or n_plus < 0:
-        raise ValueError("negative sign counts")
+        raise BadArgument("negative sign counts")
     n = n_minus + n_plus
-    out = []
-    for plus_pos in itertools.combinations(range(n), n_plus):
-        bits = [MINUS] * n
-        for p in plus_pos:
-            bits[p] = PLUS
-        out.append(Word(bits))
-    out.sort(key=lambda w: w.bits)
-    return out
+    keys = sorted(1 << n | sum(1 << k for k in plus) for plus in itertools.combinations(range(n), n_plus))
+    return [Word._of(key, n, n_plus) for key in keys]
 
 
 def catalan(n: int) -> int:
@@ -256,15 +288,11 @@ def pair_to_monotone(w0: Word, w1: Word) -> tuple[int, ...]:
     """
     if not partial_leq(w0, w1):
         raise NotComparable(f"{w0} is not below {w1}")
-    p0 = (PLUS,) + w0.bits
-    p1 = (PLUS,) + w1.bits
-    plus_pos_1 = [i + 1 for i, b in enumerate(p1) if b == PLUS]
-    f = []
-    j = 0
-    for i, b in enumerate(p0):
-        if b == PLUS:
-            j += 1
-        f.append(plus_pos_1[j - 1])
+    plus_pos_1 = [1] + [p + 2 for p in w1.positions(PLUS)]
+    f, j = [1], 0
+    for b in w0.bits:
+        j += b
+        f.append(plus_pos_1[j])
     return tuple(f)
 
 

@@ -6,6 +6,7 @@ from sutura import sfh
 from sutura.errors import (
     ArcNotDefined,
     ArcNotOnDiagram,
+    BadArgument,
     BrokenInvariant,
     MoveUndefined,
     TrivialArc,
@@ -132,6 +133,8 @@ def test_surgery_absorbs_zero_and_checks_diagram():
     assert D.is_zero(arcs.surgery(D.ZERO, c, "up"))
     with pytest.raises(ArcNotOnDiagram):
         arcs.surgery(sfh.basis_diagram(word("+-")), c, "up")
+    with pytest.raises(BadArgument):
+        arcs.surgery(g, c, "sideways")
     with pytest.raises(TrivialArc):
         trivial = next(
             x for x in arcs.find_attaching_arcs(g) if x.triviality != "nontrivial"

@@ -8,7 +8,7 @@ from sutura import diagram as D
 from sutura import sfh
 from sutura import stacking as S
 from sutura.errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
-from sutura.words import all_words, comparable_pairs, interval, partial_leq, word
+from sutura.words import MINUS, all_words, comparable_pairs, interval, partial_leq, word
 
 from strategies import matching
 
@@ -108,6 +108,20 @@ def test_m_geometric_equals_m_algebraic():
         for a in ds:
             for b in ds:
                 assert S.m_geometric(a, b) == S.m_algebraic(a, b)
+
+
+def test_m_algebraic_matches_position_list_count():
+    """The count as first written: minus positions compared componentwise."""
+    for n in range(1, 7):
+        ds = D.enumerate_diagrams(n)
+        minus = {d: [w.positions(MINUS) for w in sfh.decompose(d).words] for d in ds}
+        for a in ds:
+            for b in ds:
+                if D.euler_class(a) != D.euler_class(b):
+                    want = 0
+                else:
+                    want = sum(all(p <= q for p, q in zip(x, y)) for x in minus[a] for y in minus[b]) % 2
+                assert S.m_algebraic(a, b) == want
 
 
 def test_euler_orthogonality():

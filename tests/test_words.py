@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from sutura import words as W
 from sutura.errors import (
+    BadArgument,
     GradingMismatch,
     LengthMismatch,
     NotComparable,
@@ -48,6 +49,44 @@ def test_partial_order_examples():
         W.partial_leq(word("-+"), word("++"))
 
 
+def _texts(n):
+    """Every word of length n as a string, in string order with '-' before '+'."""
+    return ["".join(t) for t in itertools.product("-+", repeat=n)]
+
+
+def test_word_matches_string_oracle():
+    built = {}
+    for n in range(11):
+        texts = _texts(n)
+        ws = [word(t) for t in texts]
+        for t, w in zip(texts, ws):
+            nm, np_ = t.count("-"), t.count("+")
+            assert (w.n, w.n_plus, w.grading, w.e, str(w)) == (n, np_, (nm, np_), np_ - nm, t)
+            assert w.bits == tuple("-+".index(c) for c in t)
+            assert w.positions(W.MINUS) == [i for i, c in enumerate(t) if c == "-"]
+            assert w.positions(W.PLUS) == [i for i, c in enumerate(t) if c == "+"]
+            for p in range(n + 1):
+                for sign, c in ((W.MINUS, "-"), (W.PLUS, "+")):
+                    assert str(w.insert(p, sign)) == t[:p] + c + t[p:]
+            for p in range(n):
+                v = w.delete(p)
+                assert (str(v), v.n, v.n_plus) == (t[:p] + t[p + 1 :], n - 1, (t[:p] + t[p + 1 :]).count("+"))
+            built[w] = t
+        # string order is lexicographic order: every pair up to n = 8, and
+        # consecutive words (with each word against itself) up to n = 10
+        pairs = itertools.product(range(len(ws)), repeat=2) if n <= 8 else (
+            (i, j) for i in range(len(ws)) for j in (i, i + 1) if j < len(ws))
+        for i, j in pairs:
+            assert (ws[i] < ws[j]) == (i < j)
+            assert W.lex_compare(ws[i], ws[j]) == (i > j) - (i < j)
+    # equality and hashing separate lengths, edited words hash as parsed ones
+    assert len(built) == 2**11 - 1
+    for w, t in built.items():
+        assert built[word(t)] == t and built[w.insert(0, W.PLUS).delete(0)] == t
+    for a, b in (("", "-"), ("-", "--"), ("", "--"), ("+", "-+"), ("+-", "-+-")):
+        assert word(a) != word(b) and word(b) not in {word(a)}
+
+
 def test_lex_compare():
     assert W.lex_compare(word("-+"), word("+-")) == -1
     assert W.lex_compare(word("--+"), word("-+-")) == -1
@@ -61,6 +100,9 @@ def test_all_words_counts():
     assert W.all_words(0, 0) == [Word()]
     assert len(W.all_words(2, 1)) == 3
     assert len(W.all_words(2, 2)) == 6
+    for bad in ((-1, 0), (0, -1)):
+        with pytest.raises(BadArgument):
+            W.all_words(*bad)
 
 
 def test_partial_order_is_order_and_refines_lex():
@@ -78,6 +120,20 @@ def test_partial_order_is_order_and_refines_lex():
                         for c in ws:
                             if W.partial_leq(b, c):
                                 assert W.partial_leq(a, c)
+
+
+def _componentwise_leq(a, b):
+    """The order as first written: each minus sign of b at or right of a's."""
+    return all(p <= q for p, q in zip(a.positions(W.MINUS), b.positions(W.MINUS)))
+
+
+def test_partial_leq_matches_both_oracles():
+    for n in range(10):
+        for nm in range(n + 1):
+            ws = W.all_words(nm, n - nm)
+            for a in ws:
+                for b in ws:
+                    assert W.partial_leq(a, b) == W.partial_leq_baseball(a, b) == _componentwise_leq(a, b)
 
 
 def test_extreme_words():
