@@ -53,19 +53,26 @@ from .words import MINUS, PLUS, Word, partial_leq
 LEFT, RIGHT = 1, -1
 
 # Which hexagon rotation is the upwards surgery, and which pinwheel
-# chirality obstructs it.  Both bits are pinned by the word-level effect
-# of single bypass moves on basis diagrams (tests assert the anchoring
-# examples; flipping either constant makes those fail).  UP_STEP is the
-# upwards rotation as a bypass_rewire step; a test pins it to UP_MATCHING.
-UP_MATCHING = 2
-DOWN_MATCHING = 1
-UP_STEP = 1
-PINWHEEL_UP_TRAVERSAL = "CE"
-
+# chirality obstructs it, by direction.  Both are pinned by the word-level
+# effect of single bypass moves on basis diagrams (tests assert the
+# anchoring examples; swapping the "up" and "down" entries of either table
+# makes those fail).  _STEPS gives each rotation as a bypass_rewire step; a
+# test pins it to _GLUES.
+#
 # The six handles of an arc's hexagon, in cyclic order, are its site ends
-# (see _rewire); each matching glues three pairs of them, one step round
+# (see _rewire); each direction glues three pairs of them, one step round
 # from the pairs (0, 5), (1, 4), (2, 3) that the sites themselves join.
-_GLUES = {1: ((0, 1), (2, 5), (3, 4)), 2: ((1, 2), (0, 3), (4, 5))}
+_GLUES = {"up": ((1, 2), (0, 3), (4, 5)), "down": ((0, 1), (2, 5), (3, 4))}
+_STEPS = {"up": 1, "down": -1}
+_PINWHEEL_TRAVERSAL = {"up": "CE", "down": "EC"}
+
+
+def _for_direction(table: dict, direction: str):
+    """The table's entry for "up" or "down"; any other direction is rejected."""
+    try:
+        return table[direction]
+    except KeyError:
+        raise BadArgument(f"direction must be 'up' or 'down', not {direction!r}") from None
 
 
 class Configuration:
@@ -239,7 +246,7 @@ def _rewire(mate: list[int], m: int, darts, aid: int, direction: str) -> bool:
     x0, x1, y0, y1 = darts[4 * aid : 4 * aid + 4]
     handles = (x0, y0, y1 ^ 1, y1, x1, x0 ^ 1)
     joined = []
-    for a, b in _GLUES[UP_MATCHING if direction == "up" else DOWN_MATCHING]:
+    for a, b in _for_direction(_GLUES, direction):
         x, y = handles[a], handles[b]
         p, q = mate[x], mate[y]
         if p == y:
@@ -578,14 +585,12 @@ def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
         return ZERO
     if arc.diagram != diagram_or_zero:
         raise ArcNotOnDiagram("arc realised on a different diagram")
-    if direction not in ("up", "down"):
-        raise BadArgument(f"direction must be 'up' or 'down', not {direction!r}")
+    step = _for_direction(_STEPS, direction)
     diagram = arc.diagram
     if arc.triviality != "nontrivial":
         return diagram if arc.direction == direction + "wards" else ZERO
     chords = diagram.chords()
     points = [chords[si][0] for si in (arc.end1[0], arc.middle[0], arc.end2[0])]
-    step = UP_STEP if direction == "up" else -UP_STEP
     return ChordDiagram(sfh.bypass_rewire(diagram.pairing, points, step), _validated=True)
 
 
@@ -1007,12 +1012,10 @@ def has_pinwheel(system: BypassSystem, direction: str) -> bool:
     are swept smallest-first and the side arcs of any pinwheel found
     this way are legitimate system arcs.
     """
+    want = _for_direction(_PINWHEEL_TRAVERSAL, direction)
     ids = list(system.arc_ids)
     if not ids:
         return False
-    want = PINWHEEL_UP_TRAVERSAL if direction == "up" else (
-        "EC" if PINWHEEL_UP_TRAVERSAL == "CE" else "CE"
-    )
     masks = sorted(range(1, 1 << len(ids)), key=lambda m: bin(m).count("1"))
     for mask in masks:
         keep = [aid for bit, aid in enumerate(ids) if (mask >> bit) & 1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import ChordDiagram
-from .errors import BrokenInvariant
+from .errors import BrokenInvariant, IndexOutOfRange
 from .words import MINUS, Word
 
 
@@ -53,7 +53,7 @@ class ConstructionData:
         """Chord created by the index'th sign of this kind (1-based)."""
         positions = self.word.positions(sign)
         if not 1 <= index <= len(positions):
-            raise IndexError(f"word has no sign number {index} of kind {sign}")
+            raise IndexOutOfRange(f"word has no sign number {index} of kind {sign}")
         return self.symbol_chords[positions[index - 1]]
 
 

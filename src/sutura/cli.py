@@ -13,6 +13,7 @@ import sys
 
 from . import sfh, stacking, verify
 from . import diagram as dg
+from .basis import root_point
 from .errors import CapExceeded, SuturaError
 from .words import catalan, narayana, word
 
@@ -152,7 +153,7 @@ def render_svg(d: dg.ChordDiagram) -> str:
     bx, by = pts[0]
     out.append(f'<circle cx="{fmt(bx)}" cy="{fmt(by)}" r="4" fill="red"/>')
     if sfh.is_basis(d):
-        root = (dg.euler_class(d) + d.n) % m
+        root = root_point(d.n, dg.euler_class(d))
         rx, ry = pts[root]
         out.append(
             f'<circle cx="{fmt(rx)}" cy="{fmt(ry)}" r="4" fill="white" stroke="red" '
@@ -207,7 +208,7 @@ def render_ascii(d: dg.ChordDiagram, width: int = 41, height: int = 21) -> str:
     bx, by = pts[0]
     grid[int(round(by))][int(round(bx))] = "B"
     if sfh.is_basis(d):
-        root = (dg.euler_class(d) + d.n) % m
+        root = root_point(d.n, dg.euler_class(d))
         x, y = pts[root]
         grid[int(round(y))][int(round(x))] = "R"
     return "\n".join("".join(row).rstrip() for row in grid) + "\n"

@@ -322,55 +322,24 @@ def merge(d1: ChordDiagram | None, d2: ChordDiagram | None) -> ChordDiagram:
     """Join two (possibly null) diagrams with one new chord.
 
     The new chord runs (0, 2*N1+1); d1 sits on labels 1..2*N1 with its
-    base point at 2*N1, d2 on labels 2*N1+2..2N-1 with its base point at
-    2*N1+2; both keep their clockwise order.
+    base point at 2*N1 (insert_chord's renumbering), d2 on labels
+    2*N1+2..2N-1 with its base point at 2*N1+2; both keep their
+    clockwise order.
     """
-    if d1 is None and d2 is None:
-        return ChordDiagram((1, 0), _validated=True)
-    n1 = d1.n if d1 is not None else 0
-    n2 = d2.n if d2 is not None else 0
-    n = n1 + n2 + 1
-    m = 2 * n
-    pairing = [-1] * m
-    pairing[0] = 2 * n1 + 1
-    pairing[2 * n1 + 1] = 0
-    if d1 is not None:
-        # base point 0 of d1 -> 2*n1, then clockwise through labels 1..2*n1-1
-        def map1(x):
-            return 2 * n1 if x == 0 else x
-
-        for i, p in enumerate(d1.pairing):
-            pairing[map1(i)] = map1(p)
-    if d2 is not None:
-        def map2(x):
-            return 2 * n1 + 2 + x
-
-        for i, p in enumerate(d2.pairing):
-            pairing[map2(i)] = map2(p)
-    return ChordDiagram(tuple(pairing), _validated=True)
+    head = (1, 0) if d1 is None else insert_chord(d1.pairing, 2 * d1.n + 1)
+    tail = () if d2 is None else tuple(x + len(head) for x in d2.pairing)
+    return ChordDiagram(head + tail, _validated=True)
 
 
 def unique_split(diagram: ChordDiagram) -> tuple[ChordDiagram | None, ChordDiagram | None]:
     """Inverse of merge, splitting along the chord through the base point."""
-    q = diagram.partner(0)
-    n1 = (q - 1) // 2
-    n2 = diagram.n - n1 - 1
-    d1 = None
-    if n1 > 0:
-        def unmap1(x):
-            return 0 if x == 2 * n1 else x
-
-        pairing1 = [0] * (2 * n1)
-        for i in range(1, 2 * n1 + 1):
-            pairing1[unmap1(i)] = unmap1(diagram.pairing[i])
-        d1 = ChordDiagram(tuple(pairing1), _validated=True)
-    d2 = None
-    if n2 > 0:
-        pairing2 = [0] * (2 * n2)
-        for i in range(2 * n1 + 2, 2 * diagram.n):
-            pairing2[i - 2 * n1 - 2] = diagram.pairing[i] - 2 * n1 - 2
-        d2 = ChordDiagram(tuple(pairing2), _validated=True)
-    return d1, d2
+    q = diagram.pairing[0]
+    head = delete_points(diagram.pairing[: q + 1], q)
+    tail = tuple(x - q - 1 for x in diagram.pairing[q + 1 :])
+    return (
+        ChordDiagram(head, _validated=True) if head else None,
+        ChordDiagram(tail, _validated=True) if tail else None,
+    )
 
 
 def to_json_dict(diagram: ChordDiagram) -> dict:

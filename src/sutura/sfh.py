@@ -69,6 +69,18 @@ class SfhElement:
     def basis(cls, w: Word) -> "SfhElement":
         return cls((w,))
 
+    @classmethod
+    def sum(cls, images) -> "SfhElement":
+        """The mod-2 sum of an iterable of word sets.
+
+        Every linear map here is given on basis words; its value on an
+        element is this sum of the images of the element's words.
+        """
+        acc: frozenset[Word] = frozenset()
+        for image in images:
+            acc ^= image
+        return cls(acc)
+
     def is_zero(self) -> bool:
         return not self.words
 
@@ -166,12 +178,12 @@ def decompose_from_root(diagram) -> SfhElement:
 
 
 def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]:
-    # As _decompose_pairing, from the root point r = (e + N) mod 2N: outermost
-    # chords at the root are peeled in a loop and only bypass splits recurse.
+    # As _decompose_pairing, from the root point r: outermost chords at the
+    # root are peeled in a loop and only bypass splits recurse.
     peeled: list[tuple[tuple[int, ...], int]] = []
     while pairing not in _decompose_root_cache:
         m = len(pairing)
-        r = (e + m // 2) % m
+        r = _basis.root_point(m // 2, e)
         if m == 2:
             _decompose_root_cache[pairing] = frozenset((Word(),))
         elif pairing[(r - 1) % m] == r:
@@ -240,7 +252,6 @@ class GradedOperator:
     """A linear operator given by its action on basis words and on diagrams."""
 
     name: str
-    shift: tuple[int, int]  # (delta n-, delta n+)
     word_action: Callable[[Word], frozenset[Word]]
     on_diagram: Callable[[ChordDiagram], object]
 
@@ -254,10 +265,7 @@ class GradedOperator:
 
 def apply_operator(op: GradedOperator, x: SfhElement) -> SfhElement:
     """Linear (XOR) extension of the operator's word action."""
-    acc: frozenset[Word] = frozenset()
-    for w in x.words:
-        acc ^= op.word_action(w)
-    return SfhElement(acc)
+    return SfhElement.sum(map(op.word_action, x.words))
 
 
 def _one(w: Word) -> frozenset[Word]:
@@ -338,10 +346,10 @@ def annihilation_word(w: Word, sign: int, i: int) -> frozenset[Word]:
     return frozenset()
 
 
-B_MINUS = GradedOperator("B-", (1, 0), _prepend(MINUS), lambda d: _insert(d, 2 * d.n + 1))
-B_PLUS = GradedOperator("B+", (0, 1), _prepend(PLUS), lambda d: _insert(d, 0))
-A_PLUS = GradedOperator("A+", (-1, 0), _strip(MINUS), _a_plus_diag)
-A_MINUS = GradedOperator("A-", (0, -1), _strip(PLUS), _a_minus_diag)
+B_MINUS = GradedOperator("B-", _prepend(MINUS), lambda d: _insert(d, 2 * d.n + 1))
+B_PLUS = GradedOperator("B+", _prepend(PLUS), lambda d: _insert(d, 0))
+A_PLUS = GradedOperator("A+", _strip(MINUS), _a_plus_diag)
+A_MINUS = GradedOperator("A-", _strip(PLUS), _a_minus_diag)
 
 
 def creation(side: str, i: int) -> GradedOperator:
@@ -353,8 +361,8 @@ def creation(side: str, i: int) -> GradedOperator:
         _check_slot(i, _diagram_grading(d)[sign])
         return _insert(d, 2 * d.n - 1 - 2 * i if sign == MINUS else 2 * i + 2)
 
-    name, shift = ("B-", (1, 0)) if sign == MINUS else ("B+", (0, 1))
-    return GradedOperator(f"{name}^({side},{i})", shift, lambda w: creation_word(w, sign, i), diag)
+    name = "B-" if sign == MINUS else "B+"
+    return GradedOperator(f"{name}^({side},{i})", lambda w: creation_word(w, sign, i), diag)
 
 
 def annihilation(side: str, i: int) -> GradedOperator:
@@ -369,10 +377,8 @@ def annihilation(side: str, i: int) -> GradedOperator:
             return _a_plus_diag(d) if sign == MINUS else _a_minus_diag(d)
         return _cap(d, 2 * d.n - 2 * i - 2 if sign == MINUS else 2 * i + 1)
 
-    name, shift = ("A+", (-1, 0)) if sign == MINUS else ("A-", (0, -1))
-    return GradedOperator(
-        f"{name}^({side},{i})", shift, lambda w: annihilation_word(w, sign, i), diag
-    )
+    name = "A+" if sign == MINUS else "A-"
+    return GradedOperator(f"{name}^({side},{i})", lambda w: annihilation_word(w, sign, i), diag)
 
 
 # -- merge on elements --------------------------------------------------------
@@ -395,11 +401,11 @@ def merge_elements(x1: SfhElement | None, x2: SfhElement | None) -> SfhElement:
     for x in (x1, x2):
         if x.words and x.grading() is None:
             raise GradingMismatch("merge needs homogeneous operands")
-    acc: frozenset[Word] = frozenset()
-    for w1 in x1.words:
-        for w2 in x2.words:
-            acc ^= decompose(merge(basis_diagram(w1), basis_diagram(w2))).words
-    return SfhElement(acc)
+    return SfhElement.sum(
+        decompose(merge(basis_diagram(w1), basis_diagram(w2))).words
+        for w1 in x1.words
+        for w2 in x2.words
+    )
 
 
 # -- rotation -----------------------------------------------------------------
@@ -407,10 +413,7 @@ def merge_elements(x1: SfhElement | None, x2: SfhElement | None) -> SfhElement:
 
 def rotation_geometric(x: SfhElement) -> SfhElement:
     """Move the base point two marked points: relabel by -2 and re-decompose."""
-    acc: frozenset[Word] = frozenset()
-    for w in x.words:
-        acc ^= decompose(rotate_points(basis_diagram(w), -2)).words
-    return SfhElement(acc)
+    return SfhElement.sum(decompose(rotate_points(basis_diagram(w), -2)).words for w in x.words)
 
 
 def rotation_explicit_word(w: Word) -> frozenset[Word]:
@@ -446,10 +449,7 @@ def rotation_explicit_word(w: Word) -> frozenset[Word]:
 
 
 def rotation_explicit(x: SfhElement) -> SfhElement:
-    acc: frozenset[Word] = frozenset()
-    for w in x.words:
-        acc ^= rotation_explicit_word(w)
-    return SfhElement(acc)
+    return SfhElement.sum(map(rotation_explicit_word, x.words))
 
 
 def rotation(x: SfhElement) -> SfhElement:
@@ -529,10 +529,6 @@ def rotation_by_matrix(x: SfhElement) -> SfhElement:
     words = all_words(n_minus, n_plus)
     index = {w: i for i, w in enumerate(words)}
     mat = rotation_matrix(n, n_plus)
-    acc: set[Word] = set()
-    for w in x.words:
-        col = index[w]
-        for row, wr in enumerate(words):
-            if mat[row][col]:
-                acc ^= {wr}
-    return SfhElement(acc)
+    return SfhElement.sum(
+        frozenset(wr for row, wr in zip(mat, words) if row[index[w]]) for w in x.words
+    )

@@ -40,7 +40,7 @@ def _gradings(n: int):
         yield nm, n - nm
 
 
-def check_counting(n_max: int = 8) -> list[str]:
+def check_counting(n_max: int) -> list[str]:
     problems = []
     for n in range(1, n_max + 1):
         diagrams = dg.enumerate_diagrams(n)
@@ -58,7 +58,7 @@ def check_counting(n_max: int = 8) -> list[str]:
     return problems
 
 
-def check_basis_and_triples(word_n_max: int = 7, triple_n_max: int = 6) -> list[str]:
+def check_basis_and_triples(word_n_max: int, triple_n_max: int) -> list[str]:
     problems = []
     for n in range(0, word_n_max + 1):
         for nm, np_ in _gradings(n):
@@ -77,7 +77,7 @@ def check_basis_and_triples(word_n_max: int = 7, triple_n_max: int = 6) -> list[
     return problems
 
 
-def check_operator_algebra(n_max: int = 6, seed: int = 0) -> list[str]:
+def check_operator_algebra(n_max: int, seed: int = 0) -> list[str]:
     problems = []
     rng = random.Random(seed)
     for n in range(0, n_max + 1):
@@ -100,7 +100,7 @@ def check_operator_algebra(n_max: int = 6, seed: int = 0) -> list[str]:
     return problems
 
 
-def check_main_theorem(n_max: int = 7) -> list[str]:
+def check_main_theorem(n_max: int) -> list[str]:
     problems = []
     for n in range(0, n_max + 1):
         for nm, np_ in _gradings(n):
@@ -143,7 +143,7 @@ def check_main_theorem(n_max: int = 7) -> list[str]:
     return problems
 
 
-def check_parity(n_max: int = 7, tangled_n_max: int = 6) -> list[str]:
+def check_parity(n_max: int, tangled_n_max: int) -> list[str]:
     problems = []
     for n in range(1, n_max + 1):
         for d in dg.enumerate_diagrams(n):
@@ -168,9 +168,7 @@ def check_parity(n_max: int = 7, tangled_n_max: int = 6) -> list[str]:
     return problems
 
 
-def check_stackability(
-    pair_n_max: int = 6, table_n_max: int = 5, connector_shift: int = -1
-) -> list[str]:
+def check_stackability(pair_n_max: int, table_n_max: int, connector_shift: int = -1) -> list[str]:
     problems = []
     for n in range(1, pair_n_max + 1):
         diagrams = dg.enumerate_diagrams(n)
@@ -209,7 +207,7 @@ def check_stackability(
     return problems
 
 
-def check_categories(word_n_max: int = 5, arc_n_max: int = 5) -> list[str]:
+def check_categories(word_n_max: int, arc_n_max: int) -> list[str]:
     problems = []
     for n in range(0, word_n_max + 1):
         for nm, np_ in _gradings(n):
@@ -262,7 +260,7 @@ def check_categories(word_n_max: int = 5, arc_n_max: int = 5) -> list[str]:
 
 
 def check_bypass_systems(
-    word_n_max: int = 5, random_cases: int = 1000, random_n_max: int = 6, seed: int = 0
+    word_n_max: int, random_cases: int, random_n_max: int, seed: int = 0
 ) -> list[str]:
     problems = []
     for n in range(0, word_n_max + 1):
@@ -310,7 +308,7 @@ _R53 = (
 )
 
 
-def check_rotation(n_max: int = 6, m_n_max: int = 5) -> list[str]:
+def check_rotation(n_max: int, m_n_max: int) -> list[str]:
     problems = []
     displayed = {
         (2, 1): ((0, 1), (1, 1)),
@@ -349,7 +347,7 @@ def check_rotation(n_max: int = 6, m_n_max: int = 5) -> list[str]:
     return problems
 
 
-def check_simplicial(n_max: int = 8, rank_n_max: int = 6, ident_n_max: int = 6) -> list[str]:
+def check_simplicial(n_max: int, rank_n_max: int, ident_n_max: int) -> list[str]:
     problems = []
     rep = simplicial.verify_double_complex(n_max)
     problems += [f"double complex {f}" for f in rep["failures"]]

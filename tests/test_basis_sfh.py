@@ -3,7 +3,8 @@ from hypothesis import given, settings
 
 from sutura import diagram as D
 from sutura import sfh
-from sutura.errors import BrokenInvariant, ZeroElement
+from sutura.basis import base_construction
+from sutura.errors import BrokenInvariant, IndexOutOfRange, ZeroElement
 from sutura.words import MINUS, PLUS, Word, all_words, word
 
 from strategies import diagrams
@@ -243,3 +244,11 @@ def test_decompose_agrees_with_root_route_hypothesis(d):
 def test_from_pair_inverts_phi_hypothesis(d):
     # beyond the exhaustive sizes this drives multi-arc system surgery
     assert sfh.from_pair(*sfh.phi(d)) == d
+
+
+def test_base_numbered_chord_out_of_range_is_a_sutura_error():
+    data = base_construction(word("-+"))
+    assert data.base_numbered_chord(MINUS, 1) == data.symbol_chords[0]
+    for index in (0, 2):
+        with pytest.raises(IndexOutOfRange):
+            data.base_numbered_chord(MINUS, index)

@@ -198,3 +198,13 @@ def test_slots_outside_the_grading_are_rejected(flags):
     assert proc.returncode == 0, proc.stderr
     per_operator = ["IndexOutOfRange"] * 2 + ["ok"] * 4 + ["IndexOutOfRange"] * 2
     assert proc.stdout.split() == per_operator * 4
+
+
+def test_element_sum_is_mod_two():
+    a, b, c = word("-+-"), word("+--"), word("--+")
+    images = [frozenset({a, b}), frozenset({b, c}), frozenset({c}), frozenset({a, c})]
+    assert sfh.SfhElement.sum(images) == sfh.SfhElement({c})
+    assert sfh.SfhElement.sum(iter(())) == sfh.SfhElement.zero()
+    assert sfh.SfhElement.sum([frozenset({a}), frozenset({a})]).is_zero()
+    with pytest.raises(GradingMismatch):
+        sfh.SfhElement.sum([frozenset({a}), frozenset({word("-+")})])

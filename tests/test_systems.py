@@ -6,7 +6,7 @@ import pytest
 from sutura import arcs
 from sutura import diagram as D
 from sutura import sfh
-from sutura.errors import BrokenInvariant, NotComparable, NotNicelyOrdered
+from sutura.errors import BadArgument, BrokenInvariant, NotComparable, NotNicelyOrdered
 from sutura.words import all_words, comparable_pairs, word
 
 
@@ -261,3 +261,14 @@ def test_expand_subsets_on_random_systems():
             for out in arcs.expand_subsets(system, opposite):
                 total = total + sfh.decompose(out)
             assert total == sfh.decompose(arcs.surgery_along_system(system, direction))
+
+
+def test_unknown_direction_is_rejected():
+    system = arcs.fbs(word("--++"), word("+-+-"))
+    for call in (
+        lambda: arcs.surgery_along_system(system, "sideways"),
+        lambda: arcs.surgery_step(system._pm, system.arc_ids[0], "sideways"),
+        lambda: arcs.has_pinwheel(system, "sideways"),
+    ):
+        with pytest.raises(BadArgument):
+            call()
