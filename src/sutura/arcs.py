@@ -638,10 +638,6 @@ class GeneralisedArc:
     kind: str  # "FA" | "BA"
     i: int
     j: int
-    prior_chord: int
-    latter_chord: int
-    prior_region: int
-    latter_region: int
     path_edges: tuple[int, ...]
     path_faces: tuple[int, ...]
 
@@ -689,10 +685,7 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
         raise ArcNotDefined(f"{kind}({i},{j}): outer regions not joined through the chords")
     if len(path_edges) % 2 != 1:
         raise BrokenInvariant(f"{kind}({i},{j}): a generalised arc must meet an odd number of chords")
-    return GeneralisedArc(
-        w, kind, i, j, prior_si, latter_si, prior_region, latter_region,
-        tuple(path_edges), tuple(path_faces),
-    )
+    return GeneralisedArc(w, kind, i, j, tuple(path_edges), tuple(path_faces))
 
 
 def _tree_path(faces: _Faces, n_strands: int, start: int, goal: int):

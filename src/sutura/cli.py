@@ -32,7 +32,7 @@ def cmd_enumerate(args) -> int:
             {
                 "diagram": dg.serialize(d),
                 "e": e,
-                "is_basis": sfh.is_basis(d),
+                "is_basis": lo == hi,
                 "phi": [str(lo), str(hi)],
             }
         )

@@ -14,13 +14,14 @@ is two orbits of sigma, one per direction of travel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from graphlib import CycleError, TopologicalSorter
 
 from . import arcs as _arcs
 from . import sfh
 from .diagram import ChordDiagram, delete_points, euler_class
-from .errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
+from .errors import BrokenInvariant, NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
 from .words import partial_leq
 
 
@@ -126,30 +127,33 @@ def diagram_exists_in(diagram: ChordDiagram, bottom: ChordDiagram, top: ChordDia
 
 @dataclass(frozen=True)
 class BoundedCategory:
-    """Poset of diagrams existing inside a tight cobordism."""
+    """Poset of diagrams existing inside a tight cobordism.
+
+    Objects are sorted by pairing, at the positions index gives; edges[i]
+    lists the positions one inner upwards bypass reaches from object i,
+    and bit j of above[i] is set when object i <= object j.
+    """
 
     bottom: ChordDiagram
     top: ChordDiagram
     objects: tuple[ChordDiagram, ...]
-    morphisms: frozenset[tuple[ChordDiagram, ChordDiagram]]
+    index: dict[ChordDiagram, int] = field(compare=False)
+    edges: tuple[tuple[int, ...], ...]
+    above: tuple[int, ...]
 
     def leq(self, a: ChordDiagram, b: ChordDiagram) -> bool:
-        return (a, b) in self.morphisms
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and bool(self.above[i] >> j & 1)
 
     def hasse(self) -> list[tuple[int, int]]:
-        idx = {d: i for i, d in enumerate(self.objects)}
-        out = []
-        for a, b in sorted(self.morphisms, key=lambda p: (p[0].pairing, p[1].pairing)):
-            if a == b:
-                continue
-            if any(
-                (a, c) in self.morphisms and (c, b) in self.morphisms
-                for c in self.objects
-                if c not in (a, b)
-            ):
-                continue
-            out.append((idx[a], idx[b]))
-        return out
+        """Covers i -> j: the search edges (the order is their closure) with
+        j above no other successor of i."""
+        return [
+            (i, j)
+            for i, succ in enumerate(self.edges)
+            for j in succ
+            if not any(self.above[k] >> j & 1 for k in succ if k != j)
+        ]
 
     def to_json(self) -> dict:
         from .diagram import serialize
@@ -165,23 +169,24 @@ def bounded_category(bottom: ChordDiagram, top: ChordDiagram) -> BoundedCategory
 
     a <= b when a chain of inner upwards bypasses leads from a to b: the
     reflexive-transitive closure of the edges of one search from the
-    bottom.
+    bottom, built over the objects in successors-first order.
     """
     if m_geometric(bottom, top) != 1:
         raise NotTight("the stacked pair is not tight")
     moves = _reachable(bottom, top)
     objects = tuple(sorted(moves, key=lambda d: d.pairing))
-    morphisms = set()
-    for a in objects:
-        above = {a}
-        stack = [a]
-        while stack:
-            for b in moves[stack.pop()]:
-                if b not in above:
-                    above.add(b)
-                    stack.append(b)
-        morphisms.update((a, b) for b in above)
-    return BoundedCategory(bottom, top, objects, frozenset(morphisms))
+    index = {d: i for i, d in enumerate(objects)}
+    edges = tuple(tuple(sorted({index[b] for b in moves[a]})) for a in objects)
+    above = [0] * len(objects)
+    try:
+        for i in TopologicalSorter(dict(enumerate(edges))).static_order():
+            bits = 1 << i
+            for j in edges[i]:
+                bits |= above[j]
+            above[i] = bits
+    except CycleError as exc:
+        raise BrokenInvariant("inner upwards bypasses lead back to a diagram") from exc
+    return BoundedCategory(bottom, top, objects, index, edges, tuple(above))
 
 
 def morphism_exists_nested(

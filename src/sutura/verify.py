@@ -168,23 +168,21 @@ def check_parity(n_max: int, tangled_n_max: int) -> list[str]:
     return problems
 
 
-def check_stackability(pair_n_max: int, table_n_max: int, connector_shift: int = -1) -> list[str]:
+def check_stackability(pair_n_max: int, table_n_max: int) -> list[str]:
     problems = []
     for n in range(1, pair_n_max + 1):
         diagrams = dg.enumerate_diagrams(n)
         for a in diagrams:
-            if stacking.m_geometric(a, a, connector_shift) != 1:
+            if stacking.m_geometric(a, a) != 1:
                 problems.append(f"self-stacking {dg.serialize(a)}")
             for b in diagrams:
-                if stacking.m_geometric(a, b, connector_shift) != stacking.m_algebraic(a, b):
+                if stacking.m_geometric(a, b) != stacking.m_algebraic(a, b):
                     problems.append(f"m mismatch {dg.serialize(a)} / {dg.serialize(b)}")
     for n in range(0, table_n_max):
         for nm, np_ in _gradings(n):
             for w0 in all_words(nm, np_):
                 for w1 in all_words(nm, np_):
-                    geo = stacking.m_geometric(
-                        sfh.basis_diagram(w0), sfh.basis_diagram(w1), connector_shift
-                    )
+                    geo = stacking.m_geometric(sfh.basis_diagram(w0), sfh.basis_diagram(w1))
                     if geo != int(partial_leq(w0, w1)):
                         problems.append(f"basis m vs order {w0},{w1}")
     for n in range(1, table_n_max + 1):
@@ -195,12 +193,12 @@ def check_stackability(pair_n_max: int, table_n_max: int, connector_shift: int =
                 up = arcs.surgery(d, c, "up")
                 down = arcs.surgery(d, c, "down")
                 table = (
-                    stacking.m_geometric(d, up, connector_shift),
-                    stacking.m_geometric(up, down, connector_shift),
-                    stacking.m_geometric(down, d, connector_shift),
-                    stacking.m_geometric(up, d, connector_shift),
-                    stacking.m_geometric(down, up, connector_shift),
-                    stacking.m_geometric(d, down, connector_shift),
+                    stacking.m_geometric(d, up),
+                    stacking.m_geometric(up, down),
+                    stacking.m_geometric(down, d),
+                    stacking.m_geometric(up, d),
+                    stacking.m_geometric(down, up),
+                    stacking.m_geometric(d, down),
                 )
                 if table != (1, 1, 1, 0, 0, 0):
                     problems.append(f"direction table {dg.serialize(d)}")

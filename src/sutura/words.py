@@ -240,18 +240,19 @@ def narayana_recursive(n_chords: int, e: int) -> int:
     return val
 
 
-def _minus_moves_right(p: tuple[int, ...], n: int):
-    """Every increasing tuple q over range(n) with q[i] >= p[i], in lex order.
+def _minus_moves_right(p: tuple[int, ...], upper: tuple[int, ...]):
+    """Every increasing tuple q with p[i] <= q[i] <= upper[i], in lex order.
 
-    With p the minus positions of a word w0, these are the minus
-    positions of the words w >= w0: each minus sign moves right.
+    With p and upper the minus positions of words w0 <= w1, these are the
+    minus positions of the words in [w0, w1]: each minus sign moves right,
+    but not past its place in w1.
     """
     k = len(p)
     q = list(p)
     while True:
         yield tuple(q)
         i = k - 1
-        while i >= 0 and q[i] == n - k + i:
+        while i >= 0 and q[i] == upper[i]:
             i -= 1
         if i < 0:
             return
@@ -269,12 +270,12 @@ def comparable_pairs(n_minus: int, n_plus: int) -> list[tuple[Word, Word]]:
     lexicographic order of words is lexicographic order of their minus
     positions, so walking both in order needs no sort.
     """
-    n = n_minus + n_plus
     by_minus = {tuple(w.positions(MINUS)): w for w in all_words(n_minus, n_plus)}
+    end = tuple(range(n_plus, n_minus + n_plus))
     return [
         (w0, by_minus[q])
         for p, w0 in by_minus.items()
-        for q in _minus_moves_right(p, n)
+        for q in _minus_moves_right(p, end)
     ]
 
 
@@ -339,13 +340,15 @@ class WordInterval:
 
 
 def interval(w0: Word, w1: Word) -> WordInterval:
-    """The poset interval [w0, w1] computed by filtering all of W(n-, n+)."""
+    """The poset interval [w0, w1], built from the minus positions that lie
+    between those of w0 and those of w1."""
     if not partial_leq(w0, w1):
         raise NotComparable(f"{w0} is not below {w1}")
+    n, n_plus = w0.n, w0.n_plus
+    all_plus = (2 << n) - 1  # the sentinel and n plus signs
     members = frozenset(
-        w
-        for w in all_words(w0.n_minus, w0.n_plus)
-        if partial_leq(w0, w) and partial_leq(w, w1)
+        Word._of(all_plus ^ sum(1 << n - 1 - p for p in q), n, n_plus)
+        for q in _minus_moves_right(tuple(w0.positions(MINUS)), tuple(w1.positions(MINUS)))
     )
     return WordInterval(w0, w1, members)
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import sutura
-from sutura import cli, sfh, verify
+from sutura import cli, sfh, stacking, verify
 from sutura import diagram as dg
 from sutura.errors import SuturaError
 from sutura.words import word
@@ -85,7 +86,7 @@ def test_category(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["objects"]) == 3
-    assert len(payload["hasse"]) == 2
+    assert payload["hasse"] == [[1, 2], [2, 0]]
 
 
 def test_category_not_tight(capsys):
@@ -172,6 +173,7 @@ def test_stack_and_category_under_optimize():
         assert optimized.stdout == plain.stdout
 
 
-def test_mutated_connector_reports_failures():
-    problems = verify.check_stackability(3, 3, connector_shift=+1)
+def test_mutated_connector_reports_failures(monkeypatch):
+    monkeypatch.setattr(stacking, "m_geometric", functools.partial(stacking.m_geometric, _shift=+1))
+    problems = verify.check_stackability(3, 3)
     assert problems, "the opposite rounding convention must fail calibration"

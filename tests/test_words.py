@@ -217,6 +217,16 @@ def test_interval():
         W.interval(word("+-"), word("-+"))
 
 
+def test_interval_matches_filter_oracle():
+    # the former route: filter all of W(n-, n+) by the two order tests
+    for n in range(8):
+        for nm in range(n + 1):
+            ws = W.all_words(nm, n - nm)
+            for w0, w1 in W.comparable_pairs(nm, n - nm):
+                want = {w for w in ws if W.partial_leq(w0, w) and W.partial_leq(w, w1)}
+                assert W.interval(w0, w1).members == want
+
+
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 10 ** 6))
 def test_pair_roundtrip_hypothesis(nm, np_, pick):
     pairs = W.comparable_pairs(nm, np_)
