@@ -9,14 +9,14 @@ Bypass surgery re-matches the six ends cut at an arc's three contact
 points one step around the surrounding hexagon; the two nontrivial
 re-matchings are the two surgery directions.  A single arc is classified
 and surgered on the bare pairing (sfh.bypass_rewire, shared with
-decompose).  A Configuration realises a system of disjoint arcs as one
+decompose).  A BypassSystem realises a set of disjoint arcs as one
 perfect matching on integer ends: the 2N boundary points, and two ends
 for each contact site, one on each strand piece the site separates.
 Surgery along one arc glues its six site ends pairwise one step round
 its hexagon: each glue splices the mates of two ends together and drops
 both, and a glue that joins the two ends of one path closes a loop
 (ZERO).  The other arcs' sites ride along untouched, so a system is
-surgered arc by arc in any order.  The faces of a configuration are the
+surgered arc by arc in any order.  The faces of a system are the
 orbits of one permutation on its ends, as diagram.region_orbits gives
 the regions of a bare diagram.
 """
@@ -24,7 +24,7 @@ the regions of a bare diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import sfh
 from .basis import base_construction, basis_diagram, root_construction, root_point
@@ -75,8 +75,8 @@ def _for_direction(table: dict, direction: str):
         raise BadArgument(f"direction must be 'up' or 'down', not {direction!r}") from None
 
 
-class Configuration:
-    """A chord diagram with disjoint realised arcs, as a matching on ends.
+class BypassSystem:
+    """Disjoint attaching arcs realised on one diagram, as a matching on ends.
 
     Ends 0..m-1 are the boundary points.  Site i of arc a is site
     s = 3a + i: an endpoint for i = 0, 2 and the crossing for i = 1.  Its
@@ -89,28 +89,31 @@ class Configuration:
     two ends).  Those side bits are relative to the site's own pair of
     ends, so reading a strand backwards flips nothing.  Ends of dropped
     sites are never reached from a boundary point.
+
+    No method changes a system (subsystem and surgery_step build new
+    ones), so the memoised systems of fbs and bbs are shared as they are.
     """
 
     __slots__ = ("m", "mate", "darts", "arc_ids")
 
-    def __init__(self, m: int, mate: list[int], darts: tuple[int, ...], arc_ids):
+    def __init__(self, m: int, mate, darts, arc_ids):
         self.m = m
-        self.mate = mate
-        self.darts = darts
-        self.arc_ids = list(arc_ids)
+        self.mate = tuple(mate)
+        self.darts = tuple(darts)
+        self.arc_ids = tuple(arc_ids)
 
     @classmethod
-    def build(cls, diagram: ChordDiagram, strand_sites: dict, bits, arc_ids) -> "Configuration":
+    def build(cls, diagram: ChordDiagram, strand_sites: dict, bits, arc_ids) -> "BypassSystem":
         """Place sites on the chords of a diagram.
 
         strand_sites maps a chord index (into diagram.chords()) to its
         sites in order from the chord's low end; arc_ids are 0..A-1.
         bits[s] picks the end of site s facing its segment (segment 0 at
         the crossing): 1 for the second end, whose side is the chord's
-        LEFT face (_Faces.face_of).
+        LEFT face (Faces.face_of).
         """
         m = 2 * diagram.n
-        arc_ids = list(arc_ids)
+        arc_ids = tuple(arc_ids)
         mate = list(diagram.pairing) + [-1] * (6 * len(arc_ids))
         for si, (a, b) in enumerate(diagram.chords()):
             prev = a
@@ -123,16 +126,17 @@ class Configuration:
         for aid in arc_ids:
             x0, x1, x2 = (m + 2 * s + bits[s] for s in range(3 * aid, 3 * aid + 3))
             darts += (x0, x1, x1 ^ 1, x2)
-        return cls(m, mate, tuple(darts), arc_ids)
+        return cls(m, mate, darts, arc_ids)
 
     @classmethod
-    def bare(cls, diagram: ChordDiagram) -> "Configuration":
+    def bare(cls, diagram: ChordDiagram) -> "BypassSystem":
         return cls.build(diagram, {}, (), ())
 
-    def copy(self) -> "Configuration":
-        return Configuration(self.m, list(self.mate), self.darts, self.arc_ids)
+    def __len__(self) -> int:
+        return len(self.arc_ids)
 
     def diagram(self) -> ChordDiagram:
+        """The diagram the strands join, which the sites leave unchanged."""
         return ChordDiagram(_strand_pairing(self.mate, self.m))
 
     def strands(self) -> list[tuple[tuple[int, int], list[int]]]:
@@ -212,15 +216,30 @@ class Configuration:
         if V - E + F != 1:
             raise NotPlanar("Euler formula fails for the disc map")
 
-    def drop_arcs(self, drop) -> None:
-        """Splice the sites of the given arcs out of their strands."""
-        drop = set(drop)
-        mate = self.mate
-        for aid in drop:
-            for x in range(self.m + 6 * aid, self.m + 6 * aid + 6, 2):
-                p, q = mate[x], mate[x + 1]
-                mate[p], mate[q] = q, p
-        self.arc_ids = [a for a in self.arc_ids if a not in drop]
+    def subsystem(self, keep_ids) -> "BypassSystem":
+        """The system of the given arcs: the others' sites spliced out of
+        their strands."""
+        keep = set(keep_ids)
+        mate = list(self.mate)
+        for aid in self.arc_ids:
+            if aid not in keep:
+                for x in range(self.m + 6 * aid, self.m + 6 * aid + 6, 2):
+                    p, q = mate[x], mate[x + 1]
+                    mate[p], mate[q] = q, p
+        return BypassSystem(self.m, mate, self.darts, [a for a in self.arc_ids if a in keep])
+
+    def to_json(self) -> dict:
+        _walks, face_at = self.faces()
+        chord_of = {s: si for si, (_ends, sites) in enumerate(self.strands()) for s in sites}
+        arcs_out = []
+        for aid in self.arc_ids:
+            x0, _x1, _y0, y1 = self.darts[4 * aid : 4 * aid + 4]
+            si0, si1, si2 = (chord_of[s] for s in range(3 * aid, 3 * aid + 3))
+            f1, f2 = face_at[x0], face_at[y1]
+            arcs_out.append(
+                {"end1": [si0, f1], "middle": [si1, f1, f2], "end2": [si2, f2]}
+            )
+        return {"diagram": serialize(self.diagram()), "arcs": arcs_out}
 
 
 def _strand_pairing(mate: list[int], m: int) -> list[int]:
@@ -266,16 +285,16 @@ def _rewire(mate: list[int], m: int, darts, aid: int, direction: str) -> bool:
     return True
 
 
-def surgery_step(pm: Configuration, arc_id: int, direction: str):
-    """One bypass surgery along arc arc_id; the new configuration or ZERO."""
-    out = pm.copy()
-    if not _rewire(out.mate, out.m, out.darts, arc_id, direction):
+def surgery_step(system: BypassSystem, arc_id: int, direction: str):
+    """One bypass surgery along arc arc_id; the system of the other arcs
+    on the surgered diagram, or ZERO."""
+    mate = list(system.mate)
+    if not _rewire(mate, system.m, system.darts, arc_id, direction):
         return ZERO
-    out.arc_ids = [a for a in pm.arc_ids if a != arc_id]
-    return out
+    return BypassSystem(system.m, mate, system.darts, [a for a in system.arc_ids if a != arc_id])
 
 
-class _Faces:
+class Faces:
     """Faces of a bare diagram.
 
     Face f is the orbit cycles[f] of boundary arcs (diagram.region_orbits);
@@ -307,8 +326,8 @@ class _Faces:
         return [self._chord_at[k] for k in self.cycles[face]]
 
 
-def _facing(faces: _Faces, si: int, f: int) -> int:
-    """Site bit (see Configuration.build) of a site on chord si facing face f."""
+def _facing(faces: Faces, si: int, f: int) -> int:
+    """Site bit (see BypassSystem.build) of a site on chord si facing face f."""
     if faces.face_of(si, LEFT) == f:
         return 1
     if faces.face_of(si, RIGHT) == f:
@@ -367,11 +386,6 @@ def elementary_move(w: Word, kind: str, i: int, j: int) -> Word:
 # -- attaching-arc classes on a bare diagram ----------------------------------
 
 
-def faces_of(diagram: ChordDiagram) -> _Faces:
-    """Face structure of the bare diagram, one strand per chord of chords()."""
-    return _Faces(diagram)
-
-
 @dataclass(frozen=True)
 class AttachingArc:
     """One homotopy class of attaching arc on a bare diagram.
@@ -381,7 +395,9 @@ class AttachingArc:
     crossing, written with canonical chord ids (position in the
     serialized pair list) and region ids (position in regions()).
     signature is the class as find_attaching_arcs enumerates it (see
-    _single_arc_sites); planar_map() realises it on demand.
+    _single_arc_sites); single_arc_system realises it.  forwards and
+    fa_indices, set for nontrivial arcs on basis diagrams only, are read
+    off the basis word when first asked for.
     """
 
     diagram: ChordDiagram
@@ -391,16 +407,48 @@ class AttachingArc:
     triviality: str               # "nontrivial" | "slightly_trivial" | "supertrivial"
     direction: str | None = None  # for trivial arcs: "upwards" | "downwards"
     super_kind: str | None = None  # for supertrivial arcs: "direct" | "indirect"
-    forwards: bool | None = None  # for nontrivial arcs on basis diagrams
-    fa_indices: tuple[int, int] | None = None
     signature: tuple = field(default=(), compare=False, repr=False)
 
-    def planar_map(self) -> Configuration:
-        sites, bits = _single_arc_sites(faces_of(self.diagram), self.signature)
-        return Configuration.build(self.diagram, sites, bits, [0])
+    forwards = property(lambda self: self._basis_reading[0])
+    fa_indices = property(lambda self: self._basis_reading[1])
+
+    @cached_property
+    def _basis_reading(self) -> tuple[bool | None, tuple[int, int] | None]:
+        """(forwards, fa_indices) of a nontrivial arc on a basis diagram.
+
+        The arc is forwards when the outer region of its prior chord (the
+        earlier of its end chords in the base construction's order), that
+        chord's face away from the arc, is negative.  fa_indices are the
+        (i, j) of the move FE(i, j) or BE(i, j) it realises: the prior
+        chord's place among the base construction's minuses (pluses when
+        backwards) and the latter chord's among the root construction's
+        pluses (minuses).
+        """
+        dec = sfh.decompose(self.diagram) if self.triviality == "nontrivial" else None
+        if dec is None or len(dec.words) != 1:
+            return None, None
+        (w,) = dec.words
+        base, faces, chords = base_construction(w), Faces(self.diagram), self.diagram.chords()
+        order = base.chord_order()
+        (prior_si, arc_face), (latter_si, _) = sorted(
+            (self.end1, self.end2), key=lambda end: order[chords[end[0]]]
+        )
+        outer_face = faces.face_of(prior_si, LEFT)
+        if outer_face == arc_face:
+            outer_face = faces.face_of(prior_si, RIGHT)
+        forwards = orbit_sign(faces.cycles[outer_face]) == -1
+        want_prior, want_latter = (MINUS, PLUS) if forwards else (PLUS, MINUS)
+        try:
+            i = w.positions(want_prior).index(base.symbol_chords.index(chords[prior_si])) + 1
+            j = w.positions(want_latter).index(
+                root_construction(w).symbol_chords.index(chords[latter_si])
+            ) + 1
+        except ValueError:
+            return forwards, None
+        return forwards, ((i, j) if forwards else (j, i))
 
 
-def _single_arc_sites(faces: _Faces, signature):
+def _single_arc_sites(faces: Faces, signature):
     """One arc's site indices by chord, from the low end, and their bits.
 
     The arc ends on chords si1/si3 and crosses chord si2.
@@ -439,7 +487,7 @@ def _single_arc_sites(faces: _Faces, signature):
     return sites, bits
 
 
-def _classify(diagram: ChordDiagram, faces: _Faces, signature) -> AttachingArc:
+def _classify(diagram: ChordDiagram, faces: Faces, signature) -> AttachingArc:
     """The class of one signature, read off the pairing and its faces."""
     si2, f1_side, si1, b1, si3, b3, nest = signature
     f1 = faces.face_of(si2, f1_side)
@@ -447,7 +495,6 @@ def _classify(diagram: ChordDiagram, faces: _Faces, signature) -> AttachingArc:
     distinct = len({si1, si2, si3})
     triviality = {3: "nontrivial", 2: "slightly_trivial", 1: "supertrivial"}[distinct]
     direction = super_kind = None
-    forwards = fa = None
     if triviality != "nontrivial":
         # An end on the crossed chord before the crossing (end1) or after
         # it (end2) makes the arc downwards; when both ends lie on one
@@ -460,22 +507,6 @@ def _classify(diagram: ChordDiagram, faces: _Faces, signature) -> AttachingArc:
         direction = "downwards" if downwards else "upwards"
         if triviality == "supertrivial":
             super_kind = "indirect" if indirect else "direct"
-    else:
-        dec = sfh.decompose(diagram)
-        if len(dec.words) == 1:
-            (w,) = dec.words
-            data = base_construction(w)
-            order = data.chord_order()
-            chords = diagram.chords()
-            # the prior chord's outer region is its face away from the arc
-            (prior_si, arc_face), (latter_si, _) = sorted(
-                ((si1, f1), (si3, f2)), key=lambda end: order[chords[end[0]]]
-            )
-            outer_face = faces.face_of(prior_si, LEFT)
-            if outer_face == arc_face:
-                outer_face = faces.face_of(prior_si, RIGHT)
-            forwards = faces.signs()[outer_face] == -1
-            fa = _fa_indices(w, data, chords, prior_si, latter_si, forwards)
     return AttachingArc(
         diagram,
         end1=(si1, f1),
@@ -484,21 +515,8 @@ def _classify(diagram: ChordDiagram, faces: _Faces, signature) -> AttachingArc:
         triviality=triviality,
         direction=direction,
         super_kind=super_kind,
-        forwards=forwards,
-        fa_indices=fa,
         signature=signature,
     )
-
-
-def _fa_indices(w, base_data, chords, prior_si, latter_si, forwards):
-    root_data = root_construction(w)
-    want_prior, want_latter = (MINUS, PLUS) if forwards else (PLUS, MINUS)
-    try:
-        i = w.positions(want_prior).index(base_data.symbol_chords.index(chords[prior_si])) + 1
-        j = w.positions(want_latter).index(root_data.symbol_chords.index(chords[latter_si])) + 1
-    except ValueError:
-        return None
-    return (i, j) if forwards else (j, i)
 
 
 def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
@@ -513,7 +531,7 @@ def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
     it: the bounded-category search and induced_arc the nontrivial
     arcs, memoised by nontrivial_arcs, and random_system the signatures.
     """
-    faces = faces_of(diagram)
+    faces = Faces(diagram)
     return [_classify(diagram, faces, sig) for sig in _arc_signatures(diagram)]
 
 
@@ -525,7 +543,7 @@ def nontrivial_arcs(diagram: ChordDiagram) -> tuple[AttachingArc, ...]:
     searches over 96 diagrams in the full verification), and only these
     arcs, whose three chords are distinct, are classified here.
     """
-    faces = faces_of(diagram)
+    faces = Faces(diagram)
     return tuple(
         _classify(diagram, faces, sig)
         for sig in _arc_signatures(diagram)
@@ -543,7 +561,7 @@ def _arc_signatures(diagram: ChordDiagram) -> tuple[tuple, ...]:
     values, so keeping them costs little memory.
     """
     n = diagram.n
-    faces = faces_of(diagram)
+    faces = Faces(diagram)
     face_chords = {
         f: [si for si in range(n) if f in (faces.face_of(si, LEFT), faces.face_of(si, RIGHT))]
         for f in range(len(faces.cycles))
@@ -668,7 +686,7 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
         prior_c = base.base_numbered_chord(PLUS, j)
         latter_c = root.base_numbered_chord(MINUS, i)
         prior_sign, latter_sign = 1, -1
-    faces = faces_of(diagram)
+    faces = Faces(diagram)
     signs = faces.signs()
     prior_si = chords.index(prior_c)
     latter_si = chords.index(latter_c)
@@ -688,7 +706,7 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
     return GeneralisedArc(w, kind, i, j, tuple(path_edges), tuple(path_faces))
 
 
-def _tree_path(faces: _Faces, n_strands: int, start: int, goal: int):
+def _tree_path(faces: Faces, n_strands: int, start: int, goal: int):
     """BFS in the region tree; edges are the strands separating regions."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for si in range(n_strands):
@@ -741,59 +759,21 @@ def _west_position_end(chord: tuple[int, int], root: int, m: int) -> int:
 _SPLIT_OFFSETS = {"FA": (-1, 1), "BA": (1, -1)}
 
 
-class BypassSystem:
-    """Disjoint attaching arcs realised together on one base diagram."""
-
-    def __init__(self, base: ChordDiagram, pm: Configuration):
-        self.base = base
-        self._pm = pm
-
-    @property
-    def arc_ids(self) -> list[int]:
-        return list(self._pm.arc_ids)
-
-    def __len__(self) -> int:
-        return len(self._pm.arc_ids)
-
-    def planar_map(self) -> Configuration:
-        return self._pm.copy()
-
-    def subsystem(self, keep_ids) -> "BypassSystem":
-        keep = set(keep_ids)
-        pm = self._pm.copy()
-        pm.drop_arcs(a for a in pm.arc_ids if a not in keep)
-        return BypassSystem(self.base, pm)
-
-    def to_json(self) -> dict:
-        pm = self._pm
-        _walks, face_at = pm.faces()
-        chord_of = {s: si for si, (_ends, sites) in enumerate(pm.strands()) for s in sites}
-        arcs_out = []
-        for aid in pm.arc_ids:
-            x0, _x1, _y0, y1 = pm.darts[4 * aid : 4 * aid + 4]
-            si0, si1, si2 = (chord_of[s] for s in range(3 * aid, 3 * aid + 3))
-            f1, f2 = face_at[x0], face_at[y1]
-            arcs_out.append(
-                {"end1": [si0, f1], "middle": [si1, f1, f2], "end2": [si2, f2]}
-            )
-        return {"diagram": serialize(self.base), "arcs": arcs_out}
-
-
 def single_arc_system(arc: AttachingArc) -> BypassSystem:
-    """Wrap one realised attaching arc as a bypass system."""
-    return BypassSystem(arc.diagram, arc.planar_map())
+    """One attaching arc realised as a bypass system of arc 0."""
+    sites, bits = _single_arc_sites(Faces(arc.diagram), arc.signature)
+    return BypassSystem.build(arc.diagram, sites, bits, [0])
 
 
 def surgery_along_system(system: BypassSystem, direction: str, subset=None):
     """Surger every arc (or the given subset) in one shared realisation."""
-    pm = system._pm
-    todo = pm.arc_ids if subset is None else set(subset)
-    mate = list(pm.mate)
-    for aid in pm.arc_ids:
-        if aid in todo and not _rewire(mate, pm.m, pm.darts, aid, direction):
+    todo = system.arc_ids if subset is None else set(subset)
+    mate = list(system.mate)
+    for aid in system.arc_ids:
+        if aid in todo and not _rewire(mate, system.m, system.darts, aid, direction):
             return ZERO
     # untouched arcs ride along on the strands read off here
-    return ChordDiagram(_strand_pairing(mate, pm.m))
+    return ChordDiagram(_strand_pairing(mate, system.m))
 
 
 def expand_subsets(system: BypassSystem, direction: str):
@@ -827,7 +807,7 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
     chords = diagram.chords()
     m = 2 * diagram.n
     root = root_point(diagram.n, w.e)
-    faces = faces_of(diagram)
+    faces = Faces(diagram)
 
     # per chord: (member index, split offset, site)
     placed: dict[int, list[tuple[int, int, int]]] = {si: [] for si in range(len(chords))}
@@ -855,9 +835,9 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
         sign = 1 if chord[0] == _west_position_end(chord, root, m) else -1
         order = sorted(placed[si], key=lambda t: _placement_key(t[0], t[1], sign))
         strand_sites[si] = [s for _v, _off, s in order]
-    pm = Configuration.build(diagram, strand_sites, bits, range(len(bits) // 3))
-    pm.validate()
-    return BypassSystem(diagram, pm)
+    system = BypassSystem.build(diagram, strand_sites, bits, range(len(bits) // 3))
+    system.validate()
+    return system
 
 
 def _placement_key(v: int, off: int, sign: int) -> tuple[int, int]:
@@ -874,8 +854,7 @@ def arc_to_system(g: GeneralisedArc) -> BypassSystem:
 def nicely_ordered_system(w: Word, gens: list[GeneralisedArc]) -> BypassSystem:
     """Joint realisation of a nicely ordered family of generalised arcs."""
     if not gens:
-        diagram = basis_diagram(w)
-        return BypassSystem(diagram, Configuration.bare(diagram))
+        return BypassSystem.bare(basis_diagram(w))
     kinds = {g.kind for g in gens}
     if len(kinds) != 1:
         raise NotNicelyOrdered("mixed forwards/backwards arcs")
@@ -956,11 +935,11 @@ def bbs(w1: Word, w2: Word) -> BypassSystem:
 # -- pinwheels -----------------------------------------------------------------
 
 
-def _face_subdivision(pm: Configuration, faces, seg, face: int):
+def _face_subdivision(system: BypassSystem, faces, seg, face: int):
     """Orbits of the face after cutting along its arc segments.
 
-    faces is pm.faces() and seg is pm.segments(), both computed once for
-    all faces of the configuration.
+    faces is system.faces() and seg is system.segments(), both computed
+    once for all faces of the system.
 
     The segment ends on the face's walk, matched by the segments, are a
     non-crossing matching; its regions (diagram.region_orbits) are the
@@ -977,7 +956,7 @@ def _face_subdivision(pm: Configuration, faces, seg, face: int):
         return []
     ends = [walk[i] for i in at]
     pos = {x: t for t, x in enumerate(ends)}
-    M, m = len(ends), pm.m
+    M, m = len(ends), system.m
     passed = []
     for t in range(M):
         i, j = at[t], at[(t + 1) % M]
@@ -1006,23 +985,23 @@ def has_pinwheel(system: BypassSystem, direction: str) -> bool:
     this way are legitimate system arcs.
     """
     want = _for_direction(_PINWHEEL_TRAVERSAL, direction)
-    ids = list(system.arc_ids)
+    ids = system.arc_ids
     if not ids:
         return False
     masks = sorted(range(1, 1 << len(ids)), key=lambda m: bin(m).count("1"))
     for mask in masks:
         keep = [aid for bit, aid in enumerate(ids) if (mask >> bit) & 1]
-        pm = system.subsystem(keep)._pm
-        faces = pm.faces()
-        seg = pm.segments()
+        sub = system.subsystem(keep)
+        faces = sub.faces()
+        seg = sub.segments()
         for f in range(len(faces[0])):
-            for orbit in _face_subdivision(pm, faces, seg, f):
-                if _is_pinwheel(pm, orbit, want):
+            for orbit in _face_subdivision(sub, faces, seg, f):
+                if _is_pinwheel(sub, orbit, want):
                     return True
     return False
 
 
-def _is_pinwheel(pm: Configuration, orbit, want: str) -> bool:
+def _is_pinwheel(system: BypassSystem, orbit, want: str) -> bool:
     segs = [d for d in orbit if d[0] == "seg"]
     passed = [d[2] for d in orbit if d[0] == "interval"]
     if any(p is None for p in passed):
@@ -1036,7 +1015,7 @@ def _is_pinwheel(pm: Configuration, orbit, want: str) -> bool:
     # may not lie on (the far side of) any boundary chord stretch
     for _, aid, _kind, corners in segs:
         for idx in {0, 1, 2} - corners:
-            x = pm.m + 2 * (3 * aid + idx)
+            x = system.m + 2 * (3 * aid + idx)
             if any(x in p or x + 1 in p for p in passed):
                 return False
     return True
@@ -1047,13 +1026,13 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
 
     Draws class signatures (_arc_signatures, in find_attaching_arcs
     order) and inserts their sites at random slots, retrying until the
-    joint configuration is planar.
+    joint system is planar.
     """
     signatures = _arc_signatures(diagram)
-    faces = faces_of(diagram)
+    faces = Faces(diagram)
     strand_sites: dict[int, list[int]] = {si: [] for si in range(diagram.n)}
     bits: tuple[int, ...] = ()
-    pm = Configuration.bare(diagram)
+    system = BypassSystem.bare(diagram)
     placed = 0
     for _ in range(40 * n_arcs):
         if placed == n_arcs:
@@ -1065,13 +1044,13 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
             for idx in sites[si]:
                 lst = trial[si]
                 lst.insert(rng.randrange(len(lst) + 1), 3 * placed + idx)
-        trial_pm = Configuration.build(diagram, trial, bits + cls_bits, range(placed + 1))
+        trial_system = BypassSystem.build(diagram, trial, bits + cls_bits, range(placed + 1))
         try:
-            trial_pm.validate()
+            trial_system.validate()
         except NotPlanar:
             continue
-        strand_sites, bits, pm = trial, bits + cls_bits, trial_pm
+        strand_sites, bits, system = trial, bits + cls_bits, trial_system
         placed += 1
     if placed < n_arcs:
         return None
-    return BypassSystem(diagram, pm)
+    return system

@@ -25,13 +25,17 @@ from .errors import BrokenInvariant, NoCommonOutermost, NotTight, SizeMismatch, 
 from .words import partial_leq
 
 
-def loop_count(bottom: ChordDiagram, top: ChordDiagram, _shift: int = -1) -> int:
+# Bottom point k is joined to top point k + shift; loop_count reads it on each call.
+_CONNECTOR_SHIFT = -1
+
+
+def loop_count(bottom: ChordDiagram, top: ChordDiagram) -> int:
     """Loops of the rounded suture: half the number of orbits of sigma."""
     if bottom.n != top.n:
         raise SizeMismatch("stacking needs equal chord counts")
     b, t = bottom.pairing, top.pairing
-    m = len(b)
-    sigma = [b[(t[(k + _shift) % m] - _shift) % m] for k in range(m)]
+    m, shift = len(b), _CONNECTOR_SHIFT
+    sigma = [b[(t[(k + shift) % m] - shift) % m] for k in range(m)]
     seen = [False] * m
     orbits = 0
     for k in range(m):
@@ -43,9 +47,9 @@ def loop_count(bottom: ChordDiagram, top: ChordDiagram, _shift: int = -1) -> int
     return orbits // 2
 
 
-def m_geometric(bottom: ChordDiagram, top: ChordDiagram, _shift: int = -1) -> int:
+def m_geometric(bottom: ChordDiagram, top: ChordDiagram) -> int:
     """1 when the rounded suture is a single loop (the stacking is tight)."""
-    return 1 if loop_count(bottom, top, _shift) == 1 else 0
+    return 1 if loop_count(bottom, top) == 1 else 0
 
 
 def m_algebraic(bottom: ChordDiagram, top: ChordDiagram) -> int:
@@ -210,7 +214,7 @@ def bypass_cobordism_category(bottom: ChordDiagram, arc) -> tuple[int, int, Boun
     if arc.triviality != "nontrivial":
         raise TrivialArc("bypass cobordisms attach along nontrivial arcs")
     top = _arcs.surgery(bottom, arc, "up")
-    faces = _arcs.faces_of(bottom)
+    faces = _arcs.Faces(bottom)
     signs = faces.signs()
     (si0, f1), si1, (si2, f2) = arc.end1, arc.middle[0], arc.end2
     # inner + and inner - regions with their (endpoint chord, crossed chord)

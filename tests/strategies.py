@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and word gradings shared by the test modules."""
 
 from hypothesis import strategies as st
 
@@ -22,3 +22,9 @@ def matching(draw, n):
 @st.composite
 def diagrams(draw, n_max=12):
     return matching(draw, draw(st.integers(1, n_max)))
+
+
+def gradings(n):
+    """Every (minus count, plus count) with n letters in all."""
+    for nm in range(n + 1):
+        yield nm, n - nm

@@ -13,10 +13,7 @@ from sutura.errors import (
 )
 from sutura.words import all_words, word
 
-
-def gradings(n):
-    for nm in range(n + 1):
-        yield nm, n - nm
+from strategies import gradings
 
 
 def nontrivial_arcs(d):
@@ -241,24 +238,39 @@ def test_triple_relation_is_symmetric():
 
 def test_single_arc_route_matches_planar_map_route():
     # single arcs are classified and surgered on the pairing; the
-    # Configuration realisation stays the reference, planarity included
+    # BypassSystem realisation stays the reference, planarity included
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
             for c in arcs.find_attaching_arcs(d):
-                pm = c.planar_map()
-                pm.validate()
                 system = arcs.single_arc_system(c)
+                system.validate()
                 for direction in ("up", "down"):
                     want = arcs.surgery_along_system(system, direction)
                     assert arcs.surgery(d, c, direction) == want, (d, c, direction)
                 if c.triviality == "supertrivial":
-                    _ends, order = pm.strands()[c.middle[0]]  # arc 0: site = index
+                    _ends, order = system.strands()[c.middle[0]]  # arc 0: site = index
                     assert (order[1] == 1) == (c.super_kind == "direct"), (d, c)
 
 
 def test_bypass_rewire_needs_three_chords():
     with pytest.raises(TrivialArc):
         sfh.bypass_rewire(D.parse("0-1,2-5,3-4").pairing, (0, 1, 2), 1)
+
+
+def test_basis_reading_only_on_nontrivial_arcs_of_basis_diagrams():
+    # forwards and fa_indices are read off the basis word on demand; every
+    # other arc reads None for both
+    off_basis = 0
+    for n in range(1, 6):
+        for d in D.enumerate_diagrams(n):
+            basis = sfh.is_basis(d)
+            for c in arcs.find_attaching_arcs(d):
+                if basis and c.triviality == "nontrivial":
+                    assert isinstance(c.forwards, bool), (d, c)
+                else:
+                    assert c.forwards is None and c.fa_indices is None, (d, c)
+                    off_basis += not basis and c.triviality == "nontrivial"
+    assert off_basis > 0
 
 
 def test_cached_arc_routes_match_the_classification():

@@ -7,12 +7,7 @@ from sutura.basis import base_construction
 from sutura.errors import BrokenInvariant, IndexOutOfRange, ZeroElement
 from sutura.words import MINUS, PLUS, Word, all_words, word
 
-from strategies import diagrams
-
-
-def gradings(n):
-    for nm in range(n + 1):
-        yield nm, n - nm
+from strategies import diagrams, gradings
 
 
 def test_basis_diagram_frozen_oracles():

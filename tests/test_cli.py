@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -174,6 +173,6 @@ def test_stack_and_category_under_optimize():
 
 
 def test_mutated_connector_reports_failures(monkeypatch):
-    monkeypatch.setattr(stacking, "m_geometric", functools.partial(stacking.m_geometric, _shift=+1))
+    monkeypatch.setattr(stacking, "_CONNECTOR_SHIFT", +1)
     problems = verify.check_stackability(3, 3)
     assert problems, "the opposite rounding convention must fail calibration"

@@ -10,10 +10,7 @@ from sutura import sfh
 from sutura.errors import BadArgument, GradingMismatch, IndexOutOfRange, ParseError
 from sutura.words import MINUS, PLUS, Word, all_words, word
 
-
-def gradings(n):
-    for nm in range(n + 1):
-        yield nm, n - nm
+from strategies import gradings
 
 
 def all_elements_sample(nm, np_, rng):

@@ -4,10 +4,7 @@ from sutura import stacking as S
 from sutura.verify import _R53
 from sutura.words import all_words, word
 
-
-def gradings(n):
-    for nm in range(n + 1):
-        yield nm, n - nm
+from strategies import gradings
 
 
 def test_small_rotation_values():

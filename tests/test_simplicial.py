@@ -5,10 +5,7 @@ from sutura import simplicial as SP
 from sutura.errors import GradingMismatch, IndexOutOfRange
 from sutura.words import Word, all_words, word
 
-
-def gradings(n):
-    for nm in range(n + 1):
-        yield nm, n - nm
+from strategies import gradings
 
 
 def test_face_examples():

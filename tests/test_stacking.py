@@ -10,12 +10,7 @@ from sutura import stacking as S
 from sutura.errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
 from sutura.words import MINUS, all_words, comparable_pairs, interval, partial_leq, word
 
-from strategies import matching
-
-
-def gradings(n):
-    for nm in range(n + 1):
-        yield nm, n - nm
+from strategies import gradings, matching
 
 
 def union_find_loops(bottom, top, shift=-1):
@@ -75,15 +70,16 @@ def test_m_examples_and_calibration():
         S.m_geometric(D.VACUUM, g1)
 
 
-def test_loop_count_matches_union_find_oracle():
-    for n in range(1, 7):
-        ds = D.enumerate_diagrams(n)
-        for a in ds:
-            for b in ds:
-                for shift in (-1, +1):
+def test_loop_count_matches_union_find_oracle(monkeypatch):
+    for shift in (-1, +1):
+        monkeypatch.setattr(S, "_CONNECTOR_SHIFT", shift)
+        for n in range(1, 7):
+            ds = D.enumerate_diagrams(n)
+            for a in ds:
+                for b in ds:
                     loops = union_find_loops(a, b, shift)
-                    assert S.loop_count(a, b, shift) == loops
-                    assert S.m_geometric(a, b, shift) == int(loops == 1)
+                    assert S.loop_count(a, b) == loops
+                    assert S.m_geometric(a, b) == int(loops == 1)
 
 
 @given(stacked_pairs())
@@ -95,13 +91,14 @@ def test_stacking_on_random_diagrams_hypothesis(pair):
         assert S.m_geometric(x, y) == S.m_algebraic(x, y) == int(loops == 1)
 
 
-def test_opposite_connector_shift_fails_calibration():
+def test_opposite_connector_shift_fails_calibration(monkeypatch):
     # the mirrored rounding convention must break at least one anchor
     g1, g2 = sfh.basis_diagram(word("-+")), sfh.basis_diagram(word("+-"))
+    monkeypatch.setattr(S, "_CONNECTOR_SHIFT", +1)
     broken = (
-        S.m_geometric(g1, g1, _shift=+1) != 1
-        or S.m_geometric(g1, g2, _shift=+1) != 1
-        or S.m_geometric(g2, g1, _shift=+1) != 0
+        S.m_geometric(g1, g1) != 1
+        or S.m_geometric(g1, g2) != 1
+        or S.m_geometric(g2, g1) != 0
     )
     assert broken
 

@@ -9,10 +9,7 @@ from sutura import sfh
 from sutura.errors import BadArgument, BrokenInvariant, NotComparable, NotNicelyOrdered
 from sutura.words import all_words, comparable_pairs, word
 
-
-def gradings(n):
-    for nm in range(n + 1):
-        yield nm, n - nm
+from strategies import gradings
 
 
 def test_generalised_arc_systems_realize_moves():
@@ -71,7 +68,7 @@ def test_surgery_order_commutes():
                     continue
                 base = arcs.surgery_along_system(system, "up")
                 for perm in itertools.permutations(ids):
-                    pm = system.planar_map()
+                    pm = system
                     for aid in perm:
                         pm = arcs.surgery_step(pm, aid, "up")
                         assert not D.is_zero(pm)
@@ -137,7 +134,7 @@ def test_arcs_remain_of_the_three_types_during_surgery():
         for nm, np_ in gradings(n):
             for (w1, w2) in comparable_pairs(nm, np_):
                 system = arcs.cfbs(w1, w2)
-                pm = system.planar_map()
+                pm = system
                 for aid in list(system.arc_ids):
                     pm2 = arcs.surgery_step(pm, aid, "up")
                     assert not D.is_zero(pm2)
@@ -178,7 +175,7 @@ def _assert_arc_type(pm, arc_id, current_word):
 
 def test_expand_subsets_identity():
     assert arcs.expand_subsets(
-        arcs.BypassSystem(D.VACUUM, arcs.Configuration.bare(D.VACUUM)), "up"
+        arcs.BypassSystem.bare(D.VACUUM), "up"
     ) == [D.VACUUM]
     for n in range(1, 5):
         for nm, np_ in gradings(n):
@@ -203,7 +200,7 @@ def test_single_nontrivial_arc_expand():
 
 
 def test_pinwheels():
-    empty = arcs.BypassSystem(D.VACUUM, arcs.Configuration.bare(D.VACUUM))
+    empty = arcs.BypassSystem.bare(D.VACUUM)
     assert not arcs.has_pinwheel(empty, "up")
     assert not arcs.has_pinwheel(empty, "down")
     for n in range(1, 5):
@@ -229,11 +226,34 @@ def test_fbs_pinwheel_free():
                 assert not arcs.has_pinwheel(system, "down")
 
 
+def test_readers_leave_a_shared_system_unchanged():
+    # fbs hands every caller its one memoised system, so no reader may
+    # change that system's matching, darts or arc ids
+    for n in range(6):
+        for nm, np_ in gradings(n):
+            for (w1, w2) in comparable_pairs(nm, np_):
+                system = arcs.fbs(w1, w2)
+                before = (system.mate, system.darts, system.arc_ids)
+                ids = system.arc_ids
+                for direction in ("up", "down"):
+                    for r in range(len(ids) + 1):
+                        for sub in itertools.combinations(ids, r):
+                            system.subsystem(sub)
+                            arcs.surgery_along_system(system, direction, sub)
+                    for aid in ids:
+                        arcs.surgery_step(system, aid, direction)
+                    arcs.has_pinwheel(system, direction)
+                    arcs.expand_subsets(system, direction)
+                system.to_json()
+                assert (system.mate, system.darts, system.arc_ids) == before, (w1, w2)
+                assert arcs.fbs(w1, w2) is system
+
+
 def test_planar_map_euler_formula():
     for n in range(1, 5):
         for nm, np_ in gradings(n):
             for (w1, w2) in comparable_pairs(nm, np_):
-                arcs.cfbs(w1, w2).planar_map().validate()
+                arcs.cfbs(w1, w2).validate()
 
 
 def test_system_json():
@@ -267,7 +287,7 @@ def test_unknown_direction_is_rejected():
     system = arcs.fbs(word("--++"), word("+-+-"))
     for call in (
         lambda: arcs.surgery_along_system(system, "sideways"),
-        lambda: arcs.surgery_step(system._pm, system.arc_ids[0], "sideways"),
+        lambda: arcs.surgery_step(system, system.arc_ids[0], "sideways"),
         lambda: arcs.has_pinwheel(system, "sideways"),
     ):
         with pytest.raises(BadArgument):
