@@ -121,8 +121,3 @@ def root_construction(w: Word) -> ConstructionData:
 def basis_diagram(w: Word) -> ChordDiagram:
     """The diagram of the basis element indexed by w (n+1 chords)."""
     return base_construction(w).diagram
-
-
-def basis_diagram_from_root(w: Word) -> ChordDiagram:
-    """Same diagram, built by the root point algorithm."""
-    return root_construction(w).diagram

@@ -1,0 +1,191 @@
+"""The paper's independent routes, kept as oracles for `verify` and the tests.
+
+Each fact has one production route in the other modules; the routes here
+prove the same facts another way and are compared against it.  They use
+only the package's public, checked API, and no production module imports
+this one, so none of them sits on a hot path.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+
+from . import stacking
+from .basis import root_construction, root_point
+from .diagram import ChordDiagram, delete_points, euler_class, is_zero, rotate_points
+from .errors import GradingMismatch
+from .sfh import SfhElement, basis_diagram, bypass_rewire, decompose
+from .words import MINUS, PLUS, Word, all_words
+
+
+def partial_leq_baseball(w1: Word, w2: Word) -> bool:
+    """The minus-signs-move-right order via prefix sums (the "score after
+    each inning", +1 per plus sign and -1 per minus): w2 never trails w1."""
+    if w1.grading != w2.grading:
+        raise GradingMismatch(f"{w1} and {w2} have different (n-, n+)")
+    s1, s2 = (itertools.accumulate(1 if b == PLUS else -1 for b in w.bits) for w in (w1, w2))
+    return all(a <= b for a, b in zip(s1, s2))
+
+
+@lru_cache(maxsize=None)
+def narayana_recursive(n_chords: int, e: int) -> int:
+    """The Narayana numbers from the merge recursion."""
+    if n_chords <= 1:
+        return 1 if (n_chords, e) in ((0, 0), (1, 0)) else 0
+    n = n_chords - 1
+    if abs(e) > n or (e + n) % 2 != 0:
+        return 0
+    val = narayana_recursive(n, e - 1) + narayana_recursive(n, e + 1)
+    for n1 in range(1, n):
+        n2 = n - n1
+        for e1 in range(-n1, n1 + 1):
+            val += narayana_recursive(n1, e1) * narayana_recursive(n2, e - e1)
+    return val
+
+
+def count_monotone(n1: int, distinct: int) -> int:
+    """Brute-force count of staircases f: [n1] -> [n1], f(i) <= i, with a
+    prescribed number of distinct values."""
+    count = 0
+    for f in itertools.product(*(range(1, i + 1) for i in range(1, n1 + 1))):
+        if all(f[i] >= f[i - 1] for i in range(1, n1)) and len(set(f)) == distinct:
+            count += 1
+    return count
+
+
+def basis_diagram_from_root(w: Word) -> ChordDiagram:
+    """The basis diagram of w, built by the root point algorithm."""
+    return root_construction(w).diagram
+
+
+_decompose_root_cache: dict[tuple[int, ...], frozenset[Word]] = {}
+
+
+def decompose_from_root(diagram) -> SfhElement:
+    """Basis decomposition computed from the root point (right to left)."""
+    if is_zero(diagram):
+        return SfhElement.zero()
+    return SfhElement(_decompose_root_pairing(diagram.pairing, euler_class(diagram)))
+
+
+def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]:
+    # As sfh.decompose, from the root point r: outermost chords at the
+    # root are peeled in a loop and only bypass splits recurse.
+    peeled: list[tuple[tuple[int, ...], int]] = []
+    while pairing not in _decompose_root_cache:
+        m = len(pairing)
+        r = root_point(m // 2, e)
+        if m == 2:
+            _decompose_root_cache[pairing] = frozenset((Word(),))
+        elif pairing[(r - 1) % m] == r:
+            peeled.append((pairing, PLUS))
+            pairing, e = delete_points(pairing, (r - 1) % m), e - 1
+        elif pairing[r] == (r + 1) % m:
+            peeled.append((pairing, MINUS))
+            pairing, e = delete_points(pairing, r), e + 1
+        else:
+            hug = ((r - 1) % m, r, (r + 1) % m)
+            left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
+            _decompose_root_cache[pairing] = (
+                _decompose_root_pairing(left, e) ^ _decompose_root_pairing(right, e)
+            )
+    result = _decompose_root_cache[pairing]
+    for outer, letter in reversed(peeled):
+        result = frozenset(w.insert(w.n, letter) for w in result)
+        _decompose_root_cache[outer] = result
+    return result
+
+
+def rotation_geometric(x: SfhElement) -> SfhElement:
+    """Move the base point two marked points: relabel by -2 and re-decompose."""
+    return SfhElement.sum(decompose(rotate_points(basis_diagram(w), -2)).words for w in x.words)
+
+
+def _after_minuses(count: int, w: Word) -> Word:
+    """The word (-)^count followed by w."""
+    for _ in range(count):
+        w = w.insert(0, MINUS)
+    return w
+
+
+@lru_cache(maxsize=None)
+def rotation_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of the rotation on length-n words with k plus signs.
+
+    Rows and columns are indexed by the lexicographically ordered words;
+    column j holds the image of basis word j.  Built by the block
+    recursion on leading symbols; must agree with the other two forms.
+    """
+    words = all_words(n - k, k)
+    dim = len(words)
+    index = {w: i for i, w in enumerate(words)}
+    mat = [[0] * dim for _ in range(dim)]
+    if k == 0 or k == n:
+        for i in range(dim):
+            mat[i][i] = 1
+        return tuple(tuple(r) for r in mat)
+
+    prev = rotation_matrix(n - 1, k - 1)
+    prev_words = all_words(n - k, k - 1)
+
+    # rows starting with '+': every entry (u, v) of R_{n-1,k-1} appears in
+    # column (-)^j + v[j:] for each j up to the leading-minus count of v
+    for r_i, u in enumerate(prev_words):
+        row = index[u.insert(0, PLUS)]
+        for c_i, v in enumerate(prev_words):
+            if not prev[r_i][c_i]:
+                continue
+            for j in range(v.blocks()[0][0] + 1):
+                mat[row][index[v.insert(j, PLUS)]] = 1
+    # rows (-)^(j+1) + u: copies of R_{n-j-2,k-1} at columns (-)^j + - v
+    for j in range(0, n - k):
+        sub_n = n - j - 2
+        if sub_n < k - 1 or sub_n < 0:
+            continue
+        sub = rotation_matrix(sub_n, k - 1)
+        sub_words = all_words(sub_n - k + 1, k - 1)
+        for r_i, u in enumerate(sub_words):
+            row_word = _after_minuses(j + 1, u.insert(0, PLUS))
+            if row_word not in index:
+                continue
+            for c_i, v in enumerate(sub_words):
+                if not sub[r_i][c_i]:
+                    continue
+                col_word = _after_minuses(j, v.insert(0, MINUS).insert(0, PLUS))
+                if col_word in index:
+                    mat[index[row_word]][index[col_word]] = 1
+    return tuple(tuple(r) for r in mat)
+
+
+def rotation_by_matrix(x: SfhElement) -> SfhElement:
+    """Apply rotation via the recursive matrix."""
+    g = x.grading()
+    if x.is_zero():
+        return x
+    if g is None:
+        raise GradingMismatch("rotation needs a homogeneous element")
+    n_minus, n_plus = g
+    n = n_minus + n_plus
+    words = all_words(n_minus, n_plus)
+    index = {w: i for i, w in enumerate(words)}
+    mat = rotation_matrix(n, n_plus)
+    return SfhElement.sum(
+        frozenset(wr for row, wr in zip(mat, words) if row[index[w]]) for w in x.words
+    )
+
+
+def diagram_exists_in(diagram: ChordDiagram, bottom: ChordDiagram, top: ChordDiagram) -> bool:
+    """Occurrence of the diagram inside the tight stacked cylinder: one of
+    the diagrams that the search from the bottom reaches."""
+    return diagram in stacking.bounded_category(bottom, top).index
+
+
+def morphism_exists_nested(
+    bottom: ChordDiagram, top: ChordDiagram, a: ChordDiagram, b: ChordDiagram
+) -> bool:
+    """The morphism criterion by nested search: some excavation from the
+    bottom reaches a and continues to b."""
+    if not diagram_exists_in(a, bottom, top):
+        return False
+    return diagram_exists_in(b, a, top) and diagram_exists_in(b, bottom, top)

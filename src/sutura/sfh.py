@@ -35,21 +35,17 @@ from .errors import (
     TrivialArc,
     ZeroElement,
 )
-from .words import (
-    MINUS,
-    PLUS,
-    Word,
-    all_words,
-    lex_sorted,
-    partial_leq,
-)
+from .words import MINUS, PLUS, Word, lex_sorted, partial_leq
 
 basis_diagram = _basis.basis_diagram
-basis_diagram_from_root = _basis.basis_diagram_from_root
 
 
 class SfhElement:
-    """A mod-2 combination of basis vectors, stored as a set of words."""
+    """A mod-2 combination of basis vectors, stored as a set of words.
+
+    The words share one length.  SfhElement(...), sum and + check it; the
+    package's own builders (_of, _sum) do not, since each word rule here
+    gives words of a length fixed by the length of its input."""
 
     __slots__ = ("words",)
 
@@ -62,6 +58,13 @@ class SfhElement:
         self.words: frozenset[Word] = ws
 
     @classmethod
+    def _of(cls, words: frozenset[Word]) -> "SfhElement":
+        """The element on a word set of one length, built with no pass over it."""
+        x = object.__new__(cls)
+        x.words = words
+        return x
+
+    @classmethod
     def zero(cls) -> "SfhElement":
         return cls()
 
@@ -71,15 +74,18 @@ class SfhElement:
 
     @classmethod
     def sum(cls, images) -> "SfhElement":
-        """The mod-2 sum of an iterable of word sets.
+        """The mod-2 sum of an iterable of word sets, checked as SfhElement(...)."""
+        return cls(cls._sum(images).words)
 
-        Every linear map here is given on basis words; its value on an
-        element is this sum of the images of the element's words.
-        """
+    @classmethod
+    def _sum(cls, images) -> "SfhElement":
+        """The same sum, unchecked.  Every linear map here is given on basis
+        words, and its value on an element is this sum of the images of the
+        element's words."""
         acc: frozenset[Word] = frozenset()
         for image in images:
             acc ^= image
-        return cls(acc)
+        return cls._of(acc)
 
     def is_zero(self) -> bool:
         return not self.words
@@ -164,45 +170,7 @@ def decompose(diagram) -> SfhElement:
     """The unique expression of a diagram in the word basis."""
     if is_zero(diagram):
         return SfhElement.zero()
-    return SfhElement(_decompose_pairing(diagram.pairing))
-
-
-_decompose_root_cache: dict[tuple[int, ...], frozenset[Word]] = {}
-
-
-def decompose_from_root(diagram) -> SfhElement:
-    """Basis decomposition computed from the root point (right to left)."""
-    if is_zero(diagram):
-        return SfhElement.zero()
-    return SfhElement(_decompose_root_pairing(diagram.pairing, euler_class(diagram)))
-
-
-def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]:
-    # As _decompose_pairing, from the root point r: outermost chords at the
-    # root are peeled in a loop and only bypass splits recurse.
-    peeled: list[tuple[tuple[int, ...], int]] = []
-    while pairing not in _decompose_root_cache:
-        m = len(pairing)
-        r = _basis.root_point(m // 2, e)
-        if m == 2:
-            _decompose_root_cache[pairing] = frozenset((Word(),))
-        elif pairing[(r - 1) % m] == r:
-            peeled.append((pairing, PLUS))
-            pairing, e = delete_points(pairing, (r - 1) % m), e - 1
-        elif pairing[r] == (r + 1) % m:
-            peeled.append((pairing, MINUS))
-            pairing, e = delete_points(pairing, r), e + 1
-        else:
-            hug = ((r - 1) % m, r, (r + 1) % m)
-            left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
-            _decompose_root_cache[pairing] = (
-                _decompose_root_pairing(left, e) ^ _decompose_root_pairing(right, e)
-            )
-    result = _decompose_root_cache[pairing]
-    for outer, letter in reversed(peeled):
-        result = frozenset(w.insert(w.n, letter) for w in result)
-        _decompose_root_cache[outer] = result
-    return result
+    return SfhElement._of(_decompose_pairing(diagram.pairing))
 
 
 def is_basis(diagram: ChordDiagram) -> bool:
@@ -264,8 +232,9 @@ class GradedOperator:
 
 
 def apply_operator(op: GradedOperator, x: SfhElement) -> SfhElement:
-    """Linear (XOR) extension of the operator's word action."""
-    return SfhElement.sum(map(op.word_action, x.words))
+    """Linear (XOR) extension of the operator's word action, which must map
+    words of one length to words of one length, as every operator here does."""
+    return SfhElement._sum(map(op.word_action, x.words))
 
 
 def _one(w: Word) -> frozenset[Word]:
@@ -401,7 +370,7 @@ def merge_elements(x1: SfhElement | None, x2: SfhElement | None) -> SfhElement:
     for x in (x1, x2):
         if x.words and x.grading() is None:
             raise GradingMismatch("merge needs homogeneous operands")
-    return SfhElement.sum(
+    return SfhElement._sum(
         decompose(merge(basis_diagram(w1), basis_diagram(w2))).words
         for w1 in x1.words
         for w2 in x2.words
@@ -409,11 +378,6 @@ def merge_elements(x1: SfhElement | None, x2: SfhElement | None) -> SfhElement:
 
 
 # -- rotation -----------------------------------------------------------------
-
-
-def rotation_geometric(x: SfhElement) -> SfhElement:
-    """Move the base point two marked points: relabel by -2 and re-decompose."""
-    return SfhElement.sum(decompose(rotate_points(basis_diagram(w), -2)).words for w in x.words)
 
 
 def rotation_explicit_word(w: Word) -> frozenset[Word]:
@@ -448,87 +412,6 @@ def rotation_explicit_word(w: Word) -> frozenset[Word]:
     return out
 
 
-def rotation_explicit(x: SfhElement) -> SfhElement:
-    return SfhElement.sum(map(rotation_explicit_word, x.words))
-
-
 def rotation(x: SfhElement) -> SfhElement:
-    """The rotation operator (explicit form; all forms agree by tests)."""
-    return rotation_explicit(x)
-
-
-def _after_minuses(count: int, w: Word) -> Word:
-    """The word (-)^count followed by w."""
-    for _ in range(count):
-        w = w.insert(0, MINUS)
-    return w
-
-
-@lru_cache(maxsize=None)
-def rotation_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the rotation on length-n words with k plus signs.
-
-    Rows and columns are indexed by the lexicographically ordered words;
-    column j holds the image of basis word j.  Built by the block
-    recursion on leading symbols; must agree with the other two forms.
-    """
-    words = all_words(n - k, k)
-    dim = len(words)
-    index = {w: i for i, w in enumerate(words)}
-    mat = [[0] * dim for _ in range(dim)]
-    if k == 0 or k == n:
-        for i in range(dim):
-            mat[i][i] = 1
-        return tuple(tuple(r) for r in mat)
-
-    def minor_words(m_len, m_k):
-        return all_words(m_len - m_k, m_k)
-
-    prev = rotation_matrix(n - 1, k - 1)
-    prev_words = minor_words(n - 1, k - 1)
-    prev_index = {w: i for i, w in enumerate(prev_words)}
-
-    # rows starting with '+': every entry (u, v) of R_{n-1,k-1} appears in
-    # column (-)^j + v[j:] for each j up to the leading-minus count of v
-    for r_i, u in enumerate(prev_words):
-        row = index[u.insert(0, PLUS)]
-        for c_i, v in enumerate(prev_words):
-            if not prev[r_i][c_i]:
-                continue
-            for j in range(v.blocks()[0][0] + 1):
-                mat[row][index[v.insert(j, PLUS)]] = 1
-    # rows (-)^(j+1) + u: copies of R_{n-j-2,k-1} at columns (-)^j + - v
-    for j in range(0, n - k):
-        sub_n = n - j - 2
-        if sub_n < k - 1 or sub_n < 0:
-            continue
-        sub = rotation_matrix(sub_n, k - 1)
-        sub_words = minor_words(sub_n, k - 1)
-        for r_i, u in enumerate(sub_words):
-            row_word = _after_minuses(j + 1, u.insert(0, PLUS))
-            if row_word not in index:
-                continue
-            for c_i, v in enumerate(sub_words):
-                if not sub[r_i][c_i]:
-                    continue
-                col_word = _after_minuses(j, v.insert(0, MINUS).insert(0, PLUS))
-                if col_word in index:
-                    mat[index[row_word]][index[col_word]] = 1
-    return tuple(tuple(r) for r in mat)
-
-
-def rotation_by_matrix(x: SfhElement) -> SfhElement:
-    """Apply rotation via the recursive matrix (second implementation)."""
-    g = x.grading()
-    if x.is_zero():
-        return x
-    if g is None:
-        raise GradingMismatch("rotation needs a homogeneous element")
-    n_minus, n_plus = g
-    n = n_minus + n_plus
-    words = all_words(n_minus, n_plus)
-    index = {w: i for i, w in enumerate(words)}
-    mat = rotation_matrix(n, n_plus)
-    return SfhElement.sum(
-        frozenset(wr for row, wr in zip(mat, words) if row[index[w]]) for w in x.words
-    )
+    """The rotation operator: the closed form on each basis word."""
+    return SfhElement._sum(map(rotation_explicit_word, x.words))

@@ -47,7 +47,7 @@ def _slot_map(rule, side: str, i: int, x: sfh.SfhElement) -> sfh.SfhElement:
     if x.is_zero():
         return x
     _grading_of(x)  # rejects an element of mixed grading
-    return sfh.SfhElement.sum(rule(w, sign, i) for w in x.words)
+    return sfh.SfhElement._sum(rule(w, sign, i) for w in x.words)
 
 
 def face(i: int, side: str, x: sfh.SfhElement) -> sfh.SfhElement:
@@ -74,7 +74,7 @@ def boundary(side: str, x: sfh.SfhElement) -> sfh.SfhElement:
         if positions and positions[-1] == w.n - 1:
             positions.pop()
         images += [frozenset((w.delete(p),)) for p in positions]
-    return sfh.SfhElement.sum(images)
+    return sfh.SfhElement._sum(images)
 
 
 def boundary_closed_form(side: str, w: Word) -> sfh.SfhElement:

@@ -122,13 +122,6 @@ def _reachable(
     return moves
 
 
-def diagram_exists_in(diagram: ChordDiagram, bottom: ChordDiagram, top: ChordDiagram) -> bool:
-    """Occurrence of the diagram inside the tight stacked cylinder."""
-    if m_geometric(bottom, top) != 1:
-        raise NotTight("the stacked pair is not tight")
-    return diagram in _reachable(bottom, top)
-
-
 @dataclass(frozen=True)
 class BoundedCategory:
     """Poset of diagrams existing inside a tight cobordism.
@@ -191,16 +184,6 @@ def bounded_category(bottom: ChordDiagram, top: ChordDiagram) -> BoundedCategory
     except CycleError as exc:
         raise BrokenInvariant("inner upwards bypasses lead back to a diagram") from exc
     return BoundedCategory(bottom, top, objects, index, edges, tuple(above))
-
-
-def morphism_exists_nested(
-    bottom: ChordDiagram, top: ChordDiagram, a: ChordDiagram, b: ChordDiagram
-) -> bool:
-    """Direct nested-search oracle for the morphism criterion (tests only):
-    some excavation from the bottom reaches a and continues to b."""
-    if not diagram_exists_in(a, bottom, top):
-        return False
-    return b in _reachable(a, top) and diagram_exists_in(b, bottom, top)
 
 
 def bypass_cobordism_category(bottom: ChordDiagram, arc) -> tuple[int, int, BoundedCategory]:

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import arcs, sfh, simplicial, stacking
+from . import arcs, oracles, sfh, simplicial, stacking
 from . import diagram as dg
 from .errors import BadArgument
 from .words import (
@@ -21,7 +21,6 @@ from .words import (
     comparable_pairs,
     interval,
     narayana,
-    narayana_recursive,
     partial_leq,
     word,
 )
@@ -48,9 +47,10 @@ def check_counting(n_max: int) -> list[str]:
             problems.append(f"count at N={n}")
         by_e: dict[int, int] = {}
         for d in diagrams:
-            by_e[dg.euler_class(d)] = by_e.get(dg.euler_class(d), 0) + 1
+            e = dg.euler_class(d)
+            by_e[e] = by_e.get(e, 0) + 1
         for e, cnt in by_e.items():
-            if cnt != narayana(n, e) or cnt != narayana_recursive(n, e):
+            if cnt != narayana(n, e) or cnt != oracles.narayana_recursive(n, e):
                 problems.append(f"narayana at N={n}, e={e}")
     row5 = [narayana(5, e) for e in (-4, -2, 0, 2, 4)]
     if row5 != [1, 10, 20, 10, 1]:
@@ -67,6 +67,8 @@ def check_basis_and_triples(word_n_max: int, triple_n_max: int) -> list[str]:
                     problems.append(f"basis decomposition of {w}")
     for n in range(1, triple_n_max + 1):
         for d in dg.enumerate_diagrams(n):
+            if oracles.decompose_from_root(d) != sfh.decompose(d):
+                problems.append(f"root decomposition of {dg.serialize(d)}")
             for c in arcs.find_attaching_arcs(d):
                 if c.triviality != "nontrivial":
                     continue
@@ -317,17 +319,17 @@ def check_rotation(n_max: int, m_n_max: int) -> list[str]:
         (5, 3): _R53,
     }
     for (n, k), want in displayed.items():
-        if sfh.rotation_matrix(n, k) != want:
+        if oracles.rotation_matrix(n, k) != want:
             problems.append(f"matrix ({n},{k})")
-    if sfh.rotation_matrix(5, 2) == sfh.rotation_matrix(5, 3):
+    if oracles.rotation_matrix(5, 2) == oracles.rotation_matrix(5, 3):
         problems.append("R_{5,2} equals R_{5,3}")
     for n in range(0, n_max + 1):
         for nm, np_ in _gradings(n):
             for w in all_words(nm, np_):
                 x = sfh.SfhElement.basis(w)
-                a = sfh.rotation_geometric(x)
-                b = sfh.rotation_by_matrix(x)
-                c = sfh.rotation_explicit(x)
+                a = oracles.rotation_geometric(x)
+                b = oracles.rotation_by_matrix(x)
+                c = sfh.rotation(x)
                 if not (a == b == c):
                     problems.append(f"rotation implementations differ at {w}")
                 y = x

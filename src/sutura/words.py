@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 from operator import attrgetter
 
@@ -103,14 +102,6 @@ class Word:
         low = self._key & ((1 << k) - 1)
         return Word._of((self._key >> k + 1) << k | low, self.n - 1, self.n_plus - (self._key >> k & 1))
 
-    def prefix_sums(self) -> list[int]:
-        """Running sum of +-1 values ("score after each inning")."""
-        out, s = [], 0
-        for b in self.bits:
-            s += 1 if b == PLUS else -1
-            out.append(s)
-        return out
-
     def blocks(self) -> list[tuple[int, int]]:
         """Block exponents [(a1,b1),...,(ak,bk)] for (-)^a1 (+)^b1 ...
 
@@ -175,12 +166,6 @@ def partial_leq(w1: Word, w2: Word) -> bool:
     return True
 
 
-def partial_leq_baseball(w1: Word, w2: Word) -> bool:
-    """Same order via prefix sums: w2 never trails w1 at any inning."""
-    _check_same_grading(w1, w2)
-    return all(s2 >= s1 for s1, s2 in zip(w1.prefix_sums(), w2.prefix_sums()))
-
-
 def lex_compare(w1: Word, w2: Word) -> int:
     """-1, 0 or 1 as w1 is lexicographically before, equal to or after w2."""
     if w1.n != w2.n:
@@ -222,22 +207,6 @@ def narayana(n_chords: int, e: int) -> int:
         return 0
     k = (e + n) // 2
     return comb(n + 1, k + 1) * comb(n + 1, k) // (n + 1)
-
-
-@lru_cache(maxsize=None)
-def narayana_recursive(n_chords: int, e: int) -> int:
-    """The same numbers from the merge recursion (independent implementation)."""
-    if n_chords <= 1:
-        return 1 if (n_chords, e) in ((0, 0), (1, 0)) else 0
-    n = n_chords - 1
-    if abs(e) > n or (e + n) % 2 != 0:
-        return 0
-    val = narayana_recursive(n, e - 1) + narayana_recursive(n, e + 1)
-    for n1 in range(1, n):
-        n2 = n - n1
-        for e1 in range(-n1, n1 + 1):
-            val += narayana_recursive(n1, e1) * narayana_recursive(n2, e - e1)
-    return val
 
 
 def _minus_moves_right(p: tuple[int, ...], upper: tuple[int, ...]):
@@ -318,16 +287,6 @@ def monotone_to_pair(f: tuple[int, ...]) -> tuple[Word, Word]:
     if bits0[0] != PLUS or bits1[0] != PLUS:
         raise NotMonotone("decoded words lost their padding plus")
     return w0, w1
-
-
-def count_monotone(n1: int, distinct: int) -> int:
-    """Brute-force count of staircases f: [n1] -> [n1], f(i) <= i, with a
-    prescribed number of distinct values.  Test oracle only."""
-    count = 0
-    for f in itertools.product(*(range(1, i + 1) for i in range(1, n1 + 1))):
-        if all(f[i] >= f[i - 1] for i in range(1, n1)) and len(set(f)) == distinct:
-            count += 1
-    return count
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from sutura import diagram as D
-from sutura import sfh
+from sutura import oracles, sfh
 from sutura.basis import base_construction
 from sutura.errors import BrokenInvariant, IndexOutOfRange, ZeroElement
 from sutura.words import MINUS, PLUS, Word, all_words, word
@@ -16,7 +16,7 @@ def test_basis_diagram_frozen_oracles():
     assert set(sfh.basis_diagram(word("-+")).chords()) == {(0, 5), (1, 4), (2, 3)}
     g = sfh.basis_diagram(word("-+-++"))
     assert set(g.chords()) == {(0, 11), (1, 10), (2, 9), (3, 8), (4, 5), (6, 7)}
-    assert sfh.basis_diagram(word("+")) == sfh.basis_diagram_from_root(word("+"))
+    assert sfh.basis_diagram(word("+")) == oracles.basis_diagram_from_root(word("+"))
 
 
 def test_root_point_positions():
@@ -31,7 +31,7 @@ def test_base_and_root_constructions_agree():
     for n in range(0, 8):
         for nm, np_ in gradings(n):
             for w in all_words(nm, np_):
-                assert sfh.basis_diagram(w) == sfh.basis_diagram_from_root(w), w
+                assert sfh.basis_diagram(w) == oracles.basis_diagram_from_root(w), w
 
 
 def test_decompose_of_basis_is_singleton():
@@ -39,6 +39,15 @@ def test_decompose_of_basis_is_singleton():
         for nm, np_ in gradings(n):
             for w in all_words(nm, np_):
                 assert sfh.decompose(sfh.basis_diagram(w)).words == frozenset([w])
+
+
+def test_decompose_builds_checked_elements():
+    # decompose builds its elements without the length check; the checked
+    # constructor accepts every one of them as it is
+    for n in range(1, 8):
+        for d in D.enumerate_diagrams(n):
+            x = sfh.decompose(d)
+            assert x == sfh.SfhElement(x.words)
 
 
 def test_decompose_examples():
@@ -64,8 +73,8 @@ def test_decompose_examples():
 def test_decompose_from_root_agrees():
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
-            assert sfh.decompose_from_root(d) == sfh.decompose(d)
-    assert sfh.decompose_from_root(D.VACUUM).words == frozenset([Word()])
+            assert oracles.decompose_from_root(d) == sfh.decompose(d)
+    assert oracles.decompose_from_root(D.VACUUM).words == frozenset([Word()])
 
 
 @pytest.mark.parametrize("shape", ["nested", "comb"])
@@ -79,8 +88,8 @@ def test_decompose_from_root_agrees_on_1200_chords(shape, monkeypatch):
     d = D.from_pairing(pairs)
     # fresh memo tables, dropped after the test with their long pairings
     monkeypatch.setattr(sfh, "_decompose_cache", {})
-    monkeypatch.setattr(sfh, "_decompose_root_cache", {})
-    (only,) = sfh.decompose_from_root(d).words
+    monkeypatch.setattr(oracles, "_decompose_root_cache", {})
+    (only,) = oracles.decompose_from_root(d).words
     assert sfh.decompose(d).words == {only} and len(only.bits) == n - 1
 
 
@@ -231,7 +240,7 @@ def test_outermost_region_dictionary():
 @settings(deadline=None, max_examples=100)
 @given(diagrams(n_max=12))
 def test_decompose_agrees_with_root_route_hypothesis(d):
-    assert sfh.decompose(d) == sfh.decompose_from_root(d)
+    assert sfh.decompose(d) == oracles.decompose_from_root(d)
 
 
 @settings(deadline=None, max_examples=100)

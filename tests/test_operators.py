@@ -164,6 +164,8 @@ def test_diagram_actions_map_zero_to_zero():
 def test_mixed_grading_rejected():
     with pytest.raises(GradingMismatch):
         sfh.SfhElement([word("-"), word("-+")])
+    with pytest.raises(GradingMismatch):
+        sfh.SfhElement.basis(word("-")) + sfh.SfhElement.basis(word("--"))
 
 
 SLOT_SCRIPT = """

@@ -21,6 +21,17 @@ def test_face_examples():
         SP.face(0, "west", sfh.SfhElement([word("-+"), word("+-")]) + sfh.SfhElement([word("-+")]) + sfh.SfhElement([word("--")]))
 
 
+@pytest.mark.parametrize("side", ["west", "east"])
+def test_slot_maps_reject_mixed_gradings(side):
+    # one word length, two gradings: the maps build their images unchecked,
+    # so they must reject the input itself
+    x = sfh.SfhElement([word("+-"), word("--")])
+    for apply in (lambda: SP.face(0, side, x), lambda: SP.degeneracy(0, side, x),
+                  lambda: SP.boundary(side, x)):
+        with pytest.raises(GradingMismatch):
+            apply()
+
+
 def test_face_degeneracy_identity():
     for n in range(0, 7):
         for nm, np_ in gradings(n):

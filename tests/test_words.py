@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from sutura import oracles
 from sutura import words as W
 from sutura.errors import (
     BadArgument,
@@ -112,7 +113,7 @@ def test_partial_order_is_order_and_refines_lex():
             for a in ws:
                 assert W.partial_leq(a, a)
                 for b in ws:
-                    assert W.partial_leq(a, b) == W.partial_leq_baseball(a, b)
+                    assert W.partial_leq(a, b) == oracles.partial_leq_baseball(a, b)
                     if W.partial_leq(a, b):
                         assert W.lex_compare(a, b) <= 0
                         if W.partial_leq(b, a):
@@ -133,7 +134,7 @@ def test_partial_leq_matches_both_oracles():
             ws = W.all_words(nm, n - nm)
             for a in ws:
                 for b in ws:
-                    assert W.partial_leq(a, b) == W.partial_leq_baseball(a, b) == _componentwise_leq(a, b)
+                    assert W.partial_leq(a, b) == oracles.partial_leq_baseball(a, b) == _componentwise_leq(a, b)
 
 
 def test_extreme_words():
@@ -154,7 +155,7 @@ def test_narayana_and_catalan():
     assert W.narayana(3, 7) == 0
     for n in range(0, 9):
         for e in range(-n, n + 1):
-            assert W.narayana(n, e) == W.narayana_recursive(n, e)
+            assert W.narayana(n, e) == oracles.narayana_recursive(n, e)
         assert sum(W.narayana(n, e) for e in range(-n, n + 1)) == W.catalan(n) or n == 0
 
 
@@ -201,7 +202,7 @@ def test_monotone_all_plus_staircase():
 
 
 def test_monotone_count_matches_narayana():
-    assert W.count_monotone(4, 2) == 6 == W.narayana(4, -1)
+    assert oracles.count_monotone(4, 2) == 6 == W.narayana(4, -1)
 
 
 def test_interval():
