@@ -523,41 +523,42 @@ def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
     """One class per homotopy class of attaching arc, classified on the pairing.
 
     The signatures come from the memo of _arc_signatures; the
-    classification is redone on every call and not memoised.  Most
+    classification is redone on every call and not memoised, since most
     classes are trivial (822 nontrivial among the 12,490 classes of the
-    196 diagrams the full verification asks about), and memoising every
-    classified arc raised that battery's peak RSS by a fifth (23.0 to
-    28.1 MB), while the callers that repeat a diagram want only part of
-    it: the bounded-category search and induced_arc the nontrivial
-    arcs, memoised by nontrivial_arcs, and random_system the signatures.
+    196 diagrams the full verification asks about).
     """
     faces = Faces(diagram)
     return [_classify(diagram, faces, sig) for sig in _arc_signatures(diagram)]
 
 
-@lru_cache(maxsize=None)
-def nontrivial_arcs(diagram: ChordDiagram) -> tuple[AttachingArc, ...]:
-    """The nontrivial classes of find_attaching_arcs, in its order.
+def up_moves(diagram: ChordDiagram) -> list[ChordDiagram]:
+    """The diagrams one upwards bypass reaches, one per nontrivial arc class.
 
-    Memoised: the bounded-category search revisits most diagrams (922
-    searches over 96 diagrams in the full verification), and only these
-    arcs, whose three chords are distinct, are classified here.
+    A nontrivial class is fixed by its crossed chord (a, b) and one other
+    chord on each of its faces (_arc_signatures enumerates the classes so,
+    up to reversal), and upward surgery along it is bypass_rewire on the
+    three, whatever the faces or the end order.  A face's walk meets each
+    chord bounding it once, so each x != a on the walk of arc a and y != b
+    on that of arc b give one class.
     """
-    faces = Faces(diagram)
-    return tuple(
-        _classify(diagram, faces, sig)
-        for sig in _arc_signatures(diagram)
-        if len({sig[0], sig[2], sig[4]}) == 3
-    )
+    pairing, step = diagram.pairing, _STEPS["up"]
+    walk_of = {k: walk for walk in _face_cycles(pairing) for k in walk}
+    return [
+        ChordDiagram(sfh.bypass_rewire(pairing, (x, a, y), step), _validated=True)
+        for a, b in diagram.chords()
+        for x in walk_of[a]
+        if x != a
+        for y in walk_of[b]
+        if y != b
+    ]
 
 
 @lru_cache(maxsize=None)
 def _arc_signatures(diagram: ChordDiagram) -> tuple[tuple, ...]:
     """Signatures (see _single_arc_sites) of every arc class, in key order.
 
-    Memoised: find_attaching_arcs, nontrivial_arcs and random_system ask
-    for the same diagrams again and again (2,246 calls on 196 diagrams
-    in the full verification), and a signature is a tuple of seven small
+    Memoised: find_attaching_arcs and random_system ask for the same
+    diagrams again and again, and a signature is a tuple of seven small
     values, so keeping them costs little memory.
     """
     n = diagram.n
@@ -631,8 +632,8 @@ def induced_arc(diagram: ChordDiagram, arc: AttachingArc, direction: str) -> Att
     """
     first = surgery(diagram, arc, direction)
     other = surgery(diagram, arc, "down" if direction == "up" else "up")
-    for cand in nontrivial_arcs(first):
-        if surgery(first, cand, direction) == other:
+    for cand in find_attaching_arcs(first):
+        if cand.triviality == "nontrivial" and surgery(first, cand, direction) == other:
             back = surgery(first, cand, "down" if direction == "up" else "up")
             if back == diagram:
                 return cand

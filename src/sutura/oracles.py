@@ -12,6 +12,7 @@ import itertools
 from functools import lru_cache
 
 from . import stacking
+from .arcs import find_attaching_arcs, surgery
 from .basis import root_construction, root_point
 from .diagram import ChordDiagram, delete_points, euler_class, is_zero, rotate_points
 from .errors import GradingMismatch
@@ -173,6 +174,52 @@ def rotation_by_matrix(x: SfhElement) -> SfhElement:
     return SfhElement.sum(
         frozenset(wr for row, wr in zip(mat, words) if row[index[w]]) for w in x.words
     )
+
+
+def up_moves_by_arcs(diagram: ChordDiagram) -> list[ChordDiagram]:
+    """The diagrams one upwards bypass reaches, by the arc route: the
+    upward surgery along each nontrivial class of find_attaching_arcs."""
+    return [
+        surgery(diagram, c, "up")
+        for c in find_attaching_arcs(diagram)
+        if c.triviality == "nontrivial"
+    ]
+
+
+def brute_force_category(bottom: ChordDiagram, top: ChordDiagram):
+    """The bounded category by the arc route, as (objects, morphisms, hasse).
+
+    The objects are the diagrams that upward surgeries along nontrivial
+    arcs reach from the bottom while the stacking on the top stays tight,
+    sorted by pairing; the morphisms are the pairs (a, b) with b found by
+    a search from a; and a pair (a, b), as positions, is a cover when no
+    third object lies between a and b.
+    """
+    moves: dict[ChordDiagram, list[ChordDiagram]] = {}
+    stack = [bottom]
+    while stack:
+        d = stack.pop()
+        if d not in moves:
+            moves[d] = [u for u in up_moves_by_arcs(d) if stacking.m_geometric(u, top) == 1]
+            stack += moves[d]
+    objects = sorted(moves, key=lambda d: d.pairing)
+    morphisms = set()
+    for a in objects:
+        above, stack = {a}, [a]
+        while stack:
+            for b in moves[stack.pop()]:
+                if b not in above:
+                    above.add(b)
+                    stack.append(b)
+        morphisms.update((a, b) for b in above)
+    idx = {d: i for i, d in enumerate(objects)}
+    hasse = sorted(
+        (idx[a], idx[b])
+        for a, b in morphisms
+        if a != b
+        and not any((a, c) in morphisms and (c, b) in morphisms for c in objects if c not in (a, b))
+    )
+    return tuple(objects), morphisms, hasse
 
 
 def diagram_exists_in(diagram: ChordDiagram, bottom: ChordDiagram, top: ChordDiagram) -> bool:

@@ -43,9 +43,9 @@ basis_diagram = _basis.basis_diagram
 class SfhElement:
     """A mod-2 combination of basis vectors, stored as a set of words.
 
-    The words share one length.  SfhElement(...), sum and + check it; the
-    package's own builders (_of, _sum) do not, since each word rule here
-    gives words of a length fixed by the length of its input."""
+    The words share one length.  SfhElement(...), sum, + and apply_operator
+    check it; the package's own builders (_of, _sum) do not, since each word
+    rule here gives words of a length fixed by the length of its input."""
 
     __slots__ = ("words",)
 
@@ -232,9 +232,10 @@ class GradedOperator:
 
 
 def apply_operator(op: GradedOperator, x: SfhElement) -> SfhElement:
-    """Linear (XOR) extension of the operator's word action, which must map
-    words of one length to words of one length, as every operator here does."""
-    return SfhElement._sum(map(op.word_action, x.words))
+    """Linear (XOR) extension of the operator's word action.  The class is
+    public and its word rule anyone's, so the sum is the checked one: an
+    image of mixed word lengths raises GradingMismatch."""
+    return SfhElement.sum(map(op.word_action, x.words))
 
 
 def _one(w: Word) -> frozenset[Word]:

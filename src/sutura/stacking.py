@@ -100,9 +100,9 @@ def _reachable(
 ) -> dict[ChordDiagram, tuple[ChordDiagram, ...]]:
     """Diagrams reachable from the bottom by inner upwards bypasses.
 
-    Each key maps to the diagrams its own inner upwards bypasses reach,
-    so the keys are the diagrams inside the cylinder and the values the
-    edges between them.
+    Each key maps to the diagrams its inner upwards bypasses (the
+    arcs.up_moves that keep the stacking on the top tight) reach, so the
+    keys are the diagrams inside the cylinder and the values the edges.
     """
     moves: dict[ChordDiagram, tuple[ChordDiagram, ...]] = {}
     seen = {bottom}
@@ -110,8 +110,7 @@ def _reachable(
     while frontier:
         g = frontier.pop()
         out = []
-        for arc in _arcs.nontrivial_arcs(g):
-            nxt = _arcs.surgery(g, arc, "up")
+        for nxt in _arcs.up_moves(g):
             if nxt not in seen:
                 if m_geometric(nxt, top) != 1:
                     continue
@@ -198,17 +197,12 @@ def bypass_cobordism_category(bottom: ChordDiagram, arc) -> tuple[int, int, Boun
         raise TrivialArc("bypass cobordisms attach along nontrivial arcs")
     top = _arcs.surgery(bottom, arc, "up")
     faces = _arcs.Faces(bottom)
-    signs = faces.signs()
     (si0, f1), si1, (si2, f2) = arc.end1, arc.middle[0], arc.end2
-    # inner + and inner - regions with their (endpoint chord, crossed chord)
-    if signs[f1] == 1:
-        plus_face, plus_end = f1, si0
-        minus_face, minus_end = f2, si2
-    else:
-        plus_face, plus_end = f2, si2
-        minus_face, minus_end = f1, si0
-    n_minus = 1 + _chords_between(faces, plus_face, plus_end, si1)
-    n_plus = 1 + _chords_between(faces, minus_face, minus_end, si1)
+    # the inner + region (with its endpoint chord) first, then the inner -
+    if faces.signs()[f1] != 1:
+        (si0, f1), (si2, f2) = (si2, f2), (si0, f1)
+    n_minus = 1 + _chords_between(faces, f1, si0, si1)
+    n_plus = 1 + _chords_between(faces, f2, si2, si1)
     category = bounded_category(bottom, top)
     return n_minus, n_plus, category
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -232,6 +233,8 @@ def check_categories(word_n_max: int, arc_n_max: int) -> list[str]:
             cat = stacking.bounded_category(d, d)
             if cat.objects != (d,):
                 problems.append(f"self category of {dg.serialize(d)}")
+            if Counter(arcs.up_moves(d)) != Counter(oracles.up_moves_by_arcs(d)):
+                problems.append(f"up moves differ from the arc route on {dg.serialize(d)}")
             for c in arcs.find_attaching_arcs(d):
                 if c.triviality != "nontrivial":
                     continue

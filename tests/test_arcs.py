@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from sutura import arcs
 from sutura import diagram as D
-from sutura import sfh
+from sutura import oracles, sfh
 from sutura.errors import (
     ArcNotDefined,
     ArcNotOnDiagram,
@@ -274,16 +276,20 @@ def test_basis_reading_only_on_nontrivial_arcs_of_basis_diagrams():
 
 
 def test_cached_arc_routes_match_the_classification():
-    # _arc_signatures and nontrivial_arcs are memoised beside the uncached
-    # find_attaching_arcs; both must agree with it class by class
+    # _arc_signatures is memoised beside the uncached find_attaching_arcs,
+    # and must agree with it class by class
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
             classes = arcs.find_attaching_arcs(d)
             assert arcs._arc_signatures(d) == tuple(c.signature for c in classes)
-            want = [c for c in classes if c.triviality == "nontrivial"]
-            got = arcs.nontrivial_arcs(d)
-            assert list(got) == want, d
-            assert [c.signature for c in got] == [c.signature for c in want], d
+
+
+def test_up_moves_match_the_arc_route():
+    # one chord-triple rewire per nontrivial class: the same successors,
+    # with multiplicity, as upward surgery along each classified arc
+    for n in range(1, 9):
+        for d in D.enumerate_diagrams(n):
+            assert Counter(arcs.up_moves(d)) == Counter(oracles.up_moves_by_arcs(d)), d
 
 
 def test_placement_key_orders_as_the_rational_coordinate():

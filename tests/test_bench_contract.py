@@ -56,10 +56,13 @@ print(json.dumps({"problems": problems, "calls": t.snapshot()["calls"]}))
 """
 
 
-def test_categories_search_uses_the_cached_arc_route():
-    # the bounded-category search reads stacking._reachable's nontrivial
-    # arcs from arcs.nontrivial_arcs, so the traced find_attaching_arcs
-    # calls are the 1 + 2 + 5 of the check's own loop over N <= 3
+def test_categories_search_makes_no_arc_surgery():
+    # the bounded-category search moves by chord triples (arcs.up_moves),
+    # so the traced arc calls are the check's own over the 1 + 2 + 5
+    # diagrams with N <= 3: find_attaching_arcs once for the bypass
+    # cobordisms and once in the up_moves_by_arcs oracle, and surgery once
+    # per nontrivial class in each: 3 + 3, where the arc-class search
+    # alone made 49
     path = os.pathsep.join((ROOT, BENCH))
     proc = subprocess.run(
         [sys.executable, "-c", CATEGORIES],
@@ -68,8 +71,9 @@ def test_categories_search_uses_the_cached_arc_route():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["problems"] == []
-    assert out["calls"]["arcs.find_attaching_arcs"] == 8
+    assert out["calls"]["arcs.find_attaching_arcs"] == 16
     assert out["calls"]["stacking.bounded_category"] == 33
+    assert out["calls"]["arcs.surgery"] == 6
 
 
 def _census(inputs, trace):

@@ -168,6 +168,13 @@ def test_mixed_grading_rejected():
         sfh.SfhElement.basis(word("-")) + sfh.SfhElement.basis(word("--"))
 
 
+def test_a_graded_operator_of_mixed_image_lengths_is_rejected():
+    # GradedOperator is public, so its word rule is checked when applied
+    bad = sfh.GradedOperator("bad", lambda w: frozenset({w, w.insert(0, MINUS)}), lambda d: d)
+    with pytest.raises(GradingMismatch):
+        bad(sfh.SfhElement.basis(word("-+")))
+
+
 SLOT_SCRIPT = """
 import itertools
 from sutura import diagram as D, sfh

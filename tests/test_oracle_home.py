@@ -22,11 +22,13 @@ ORACLES = {
     "rotation_matrix",
     "_after_minuses",
     "rotation_by_matrix",
+    "up_moves_by_arcs",
+    "brute_force_category",
     "diagram_exists_in",
     "morphism_exists_nested",
 }
 # names folded into an oracle or deleted with the route they served
-GONE = {"prefix_sums", "rotation_explicit"}
+GONE = {"prefix_sums", "rotation_explicit", "nontrivial_arcs"}
 
 
 def _tree(path: pathlib.Path) -> ast.AST:

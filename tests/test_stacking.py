@@ -1,4 +1,5 @@
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -342,47 +343,24 @@ def test_category_json():
     assert payload["hasse"] == [(1, 2), (2, 0)]
 
 
-def brute_force_category(bottom, top):
-    """The former route: objects sorted by pairing, the order as a set of
-    pairs closed by one search per object, and a pair (a, b) a cover when
-    no third object lies between a and b."""
-    moves = S._reachable(bottom, top)
-    objects = sorted(moves, key=lambda d: d.pairing)
-    morphisms = set()
-    for a in objects:
-        above, stack = {a}, [a]
-        while stack:
-            for b in moves[stack.pop()]:
-                if b not in above:
-                    above.add(b)
-                    stack.append(b)
-        morphisms.update((a, b) for b in above)
-    idx = {d: i for i, d in enumerate(objects)}
-    hasse = sorted(
-        (idx[a], idx[b])
-        for a, b in morphisms
-        if a != b
-        and not any((a, c) in morphisms and (c, b) in morphisms for c in objects if c not in (a, b))
-    )
-    return tuple(objects), morphisms, hasse
-
-
 def test_bounded_category_matches_brute_force_oracle():
     for bot, top in tight_pairs(5):
         cat = S.bounded_category(bot, top)
-        objects, morphisms, hasse = brute_force_category(bot, top)
+        objects, morphisms, hasse = oracles.brute_force_category(bot, top)
         assert cat.objects == objects
         assert pairs_below(cat) == morphisms
         assert cat.hasse() == hasse
 
 
-def test_whole_grading_category_at_six():
-    # [-^6 +^6, +^6 -^6] holds every word of W(6, 6)
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_whole_grading_category(k):
+    # [-^k +^k, +^k -^k] holds every word of W(k, k), and each cover moves
+    # one minus sign past one plus sign: (2k - 1) C(2k - 2, k - 1) of them
     cat = S.bounded_category(
-        sfh.basis_diagram(word("-" * 6 + "+" * 6)), sfh.basis_diagram(word("+" * 6 + "-" * 6))
+        sfh.basis_diagram(word("-" * k + "+" * k)), sfh.basis_diagram(word("+" * k + "-" * k))
     )
-    assert len(cat.objects) == 924
-    assert len(cat.hasse()) == 2772
+    assert len(cat.objects) == comb(2 * k, k)
+    assert len(cat.hasse()) == (2 * k - 1) * comb(2 * k - 2, k - 1)
 
 
 def test_bypass_cobordism_category():
