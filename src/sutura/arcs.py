@@ -18,7 +18,10 @@ both, and a glue that joins the two ends of one path closes a loop
 (ZERO).  The other arcs' sites ride along untouched, so a system is
 surgered arc by arc in any order.  The faces of a system are the
 orbits of one permutation on its ends, as diagram.region_orbits gives
-the regions of a bare diagram.
+the regions of a bare diagram.  Its regions, the faces cut along the
+arc segments, are the orbits of that permutation followed by a jump
+across each segment: planarity is an Euler count of them, and a
+pinwheel is one of them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .diagram import (
     _face_cycles,
     is_zero,
     orbit_sign,
-    region_orbits,
     serialize,
 )
 from .errors import (
@@ -62,9 +64,11 @@ LEFT, RIGHT = 1, -1
 # The six handles of an arc's hexagon, in cyclic order, are its site ends
 # (see _rewire); each direction glues three pairs of them, one step round
 # from the pairs (0, 5), (1, 4), (2, 3) that the sites themselves join.
+# Walked with the region on its left, each side of a pinwheel runs from
+# its endpoint to the crossing (EC) or back (CE).
 _GLUES = {"up": ((1, 2), (0, 3), (4, 5)), "down": ((0, 1), (2, 5), (3, 4))}
 _STEPS = {"up": 1, "down": -1}
-_PINWHEEL_TRAVERSAL = {"up": "CE", "down": "EC"}
+_PINWHEEL_TRAVERSAL = {"up": "EC", "down": "CE"}
 
 
 def _for_direction(table: dict, direction: str):
@@ -87,8 +91,13 @@ class BypassSystem:
     darts[4a:4a+4] holds, segment by segment, the end of each of its two
     sites on whose side it leaves (at the crossing these are the site's
     two ends).  Those side bits are relative to the site's own pair of
-    ends, so reading a strand backwards flips nothing.  Ends of dropped
-    sites are never reached from a boundary point.
+    ends, so reading a strand backwards flips nothing.  The live ends
+    are the boundary points and both ends of every site of arc_ids; the
+    ends of dropped sites are never reached from them.
+
+    The faces and the regions are orbits of one walk on the live ends:
+    the faces of the face step alone, the regions of the face step
+    followed by a jump across a segment wherever one leaves.
 
     No method changes a system (subsystem and surgery_step build new
     ones), so the memoised systems of fbs and bbs are shared as they are.
@@ -164,57 +173,59 @@ class BypassSystem:
         ids are those of diagram._face_cycles.  The side of a site facing
         end x is the face of x.  Dropped ends get face -1.
         """
-        m, mate = self.m, self.mate
-        face_at = [-1] * len(mate)
-        walks = []
-        for start in range(m):
-            if face_at[start] >= 0:
-                continue
-            f, walk, x = len(walks), [], start
-            while face_at[x] < 0:
+        walks = self._orbits({})
+        face_at = [-1] * len(self.mate)
+        for f, walk in enumerate(walks):
+            for x in walk:
                 face_at[x] = f
-                walk.append(x)
-                y = mate[x]
-                x = (y - 1) % m if y < m else y ^ 1
-            walks.append(walk)
         return walks, face_at
 
-    def segments(self) -> dict[int, tuple[int, int]]:
-        """Each end a segment leaves from -> (the segment's other end, arc id)."""
-        seg = {}
+    def regions(self) -> list[list[int]]:
+        """The regions the arc segments cut the faces into: the orbits of
+        the face step followed by a jump along the segment leaving, if one
+        does, to its other end.  Walked with the region on its left, an
+        orbit holds the end each of its sides lands on.  A region inside a
+        face may meet no boundary point, so orbits start from site ends too.
+        """
+        jump = {}
         for aid in self.arc_ids:
-            for k in (4 * aid, 4 * aid + 2):
-                p, q = self.darts[k], self.darts[k + 1]
-                seg[p] = (q, aid)
-                seg[q] = (p, aid)
-        return seg
+            x0, x1, y0, y1 = self.darts[4 * aid : 4 * aid + 4]
+            jump[x0], jump[x1], jump[y0], jump[y1] = x1, x0, y1, y0
+        return self._orbits(jump)
+
+    def _orbits(self, jump: dict[int, int]) -> list[list[int]]:
+        """Orbits over the live ends of the face step followed by jump,
+        boundary points first."""
+        m, mate = self.m, self.mate
+        seen = [False] * len(mate)
+        site_ends = (x for aid in self.arc_ids for x in range(m + 6 * aid, m + 6 * aid + 6))
+        orbits = []
+        for start in (*range(m), *site_ends):
+            orbit, x = [], start
+            while not seen[x]:
+                seen[x] = True
+                orbit.append(x)
+                y = mate[x]
+                x = (y - 1) % m if y < m else y ^ 1
+                x = jump.get(x, x)
+            if orbit:
+                orbits.append(orbit)
+        return orbits
 
     def validate(self) -> None:
-        """Check planarity: segment faces consistent, non-crossing, Euler.
+        """Check planarity by the Euler count of the disc map.
 
-        Raises NotPlanar; the checks are explicit, so they hold under -O.
+        The N + 1 faces are the orbits of the face step alone, and each of
+        the 2·#arcs segment jumps composes it with a transposition, which
+        splits one orbit in two or joins two into one.  So there are
+        N + 1 + 2·#arcs regions exactly when the two ends of every segment
+        share a face and no two segments cross.  Raises NotPlanar; the
+        check is explicit, so it holds under -O.
         """
-        walks, face_at = self.faces()
-        seg = self.segments()
-        for p, (q, aid) in seg.items():
-            if face_at[p] != face_at[q]:
-                raise NotPlanar(f"segment of arc {aid} has inconsistent faces")
-        for f, walk in enumerate(walks):
-            open_ends: list[int] = []
-            for x in walk:
-                if x in seg:
-                    if open_ends and open_ends[-1] == seg[x][0]:
-                        open_ends.pop()
-                    else:
-                        open_ends.append(x)
-            if open_ends:
-                raise NotPlanar(f"segments cross in face {f}")
-        n_arcs = len(self.arc_ids)
-        V = self.m + 3 * n_arcs
-        E = self.m + (3 * n_arcs + self.m // 2) + 2 * n_arcs
-        F = len(walks) + 2 * n_arcs
-        if V - E + F != 1:
-            raise NotPlanar("Euler formula fails for the disc map")
+        want = self.m // 2 + 1 + 2 * len(self.arc_ids)
+        got = len(self.regions())
+        if got != want:
+            raise NotPlanar(f"{got} regions, not {want}: segments cross or join two faces")
 
     def subsystem(self, keep_ids) -> "BypassSystem":
         """The system of the given arcs: the others' sites spliced out of
@@ -563,10 +574,6 @@ def _arc_signatures(diagram: ChordDiagram) -> tuple[tuple, ...]:
     """
     n = diagram.n
     faces = Faces(diagram)
-    face_chords = {
-        f: [si for si in range(n) if f in (faces.face_of(si, LEFT), faces.face_of(si, RIGHT))]
-        for f in range(len(faces.cycles))
-    }
     # each bit is carried with its int key (None -1, False 0, True 1); the
     # classes come out in the order of those keys
     both, neither = ((True, 1), (False, 0)), ((None, -1),)
@@ -575,9 +582,9 @@ def _arc_signatures(diagram: ChordDiagram) -> tuple[tuple, ...]:
         for f1_side in (LEFT, RIGHT):
             f1 = faces.face_of(si2, f1_side)
             f2 = faces.face_of(si2, -f1_side)
-            for si1 in face_chords[f1]:
+            for si1 in faces.strands_around(f1):
                 bits1 = both if si1 == si2 else neither
-                for si3 in face_chords[f2]:
+                for si3 in faces.strands_around(f2):
                     bits3 = both if si3 == si2 else neither
                     for b1, k1 in bits1:
                         for b3, k3 in bits3:
@@ -689,15 +696,11 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
         prior_sign, latter_sign = 1, -1
     faces = Faces(diagram)
     signs = faces.signs()
-    prior_si = chords.index(prior_c)
-    latter_si = chords.index(latter_c)
-    prior_region = next(
-        faces.face_of(prior_si, s) for s in (LEFT, RIGHT)
-        if signs[faces.face_of(prior_si, s)] == prior_sign
-    )
-    latter_region = next(
-        faces.face_of(latter_si, s) for s in (LEFT, RIGHT)
-        if signs[faces.face_of(latter_si, s)] == latter_sign
+    prior_si, latter_si = chords.index(prior_c), chords.index(latter_c)
+    # each chord's outer region: the one of its two faces with the given sign
+    prior_region, latter_region = (
+        next(f for f in (faces.face_of(si, LEFT), faces.face_of(si, RIGHT)) if signs[f] == sign)
+        for si, sign in ((prior_si, prior_sign), (latter_si, latter_sign))
     )
     path_faces, path_edges = _tree_path(faces, len(chords), prior_region, latter_region)
     if not path_edges or path_edges[0] != prior_si or path_edges[-1] != latter_si:
@@ -727,15 +730,11 @@ def _tree_path(faces: Faces, n_strands: int, start: int, goal: int):
     if goal not in prev:
         raise BrokenInvariant(f"region {goal} not reached from region {start} in the region tree")
     faces_path, edges = [goal], []
-    cur = goal
-    while cur != start:
-        f, si = prev[cur]
+    while faces_path[-1] != start:
+        f, si = prev[faces_path[-1]]
         edges.append(si)
         faces_path.append(f)
-        cur = f
-    faces_path.reverse()
-    edges.reverse()
-    return faces_path, edges
+    return faces_path[::-1], edges[::-1]
 
 
 def _west_position_end(chord: tuple[int, int], root: int, m: int) -> int:
@@ -936,89 +935,46 @@ def bbs(w1: Word, w2: Word) -> BypassSystem:
 # -- pinwheels -----------------------------------------------------------------
 
 
-def _face_subdivision(system: BypassSystem, faces, seg, face: int):
-    """Orbits of the face after cutting along its arc segments.
-
-    faces is system.faces() and seg is system.segments(), both computed
-    once for all faces of the system.
-
-    The segment ends on the face's walk, matched by the segments, are a
-    non-crossing matching; its regions (diagram.region_orbits) are the
-    sub-faces.  Each is a list of sides: ('interval', t, passed), the
-    walk from segment end t to segment end t+1, where passed is None when
-    it meets the boundary circle and otherwise holds the site ends it
-    passes (sites whose segments lie on the far side); then ('seg',
-    arc_id, 'EC'|'CE', corners), the segment leaving end t with its
-    traversal sense (endpoint->crossing or back) and its two site indices.
-    """
-    walk = faces[0][face]
-    at = [i for i, x in enumerate(walk) if x in seg]
-    if not at:
-        return []
-    ends = [walk[i] for i in at]
-    pos = {x: t for t, x in enumerate(ends)}
-    M, m = len(ends), system.m
-    passed = []
-    for t in range(M):
-        i, j = at[t], at[(t + 1) % M]
-        stretch = walk[i + 1 : j] if i < j else walk[i + 1 :] + walk[:j]
-        passed.append(None if any(x < m for x in stretch) else frozenset(stretch))
-    out = []
-    for orbit in region_orbits([pos[seg[x][0]] for x in ends]):
-        sides = []
-        for t in orbit:
-            sides.append(("interval", t, passed[t]))
-            other, aid = seg[ends[t]]
-            idx, other_idx = ((ends[t] - m) >> 1) % 3, ((other - m) >> 1) % 3
-            kind = "CE" if idx == 1 else "EC"
-            sides.append(("seg", aid, kind, frozenset({idx, other_idx})))
-        out.append(sides)
-    return out
-
-
 def has_pinwheel(system: BypassSystem, direction: str) -> bool:
     """Detect a pinwheel of the given direction in the realised system.
 
     A pinwheel's sides come from some subset of the arcs, and arcs
-    outside that subset are free to cross its interior; so the region
-    shows up as a face only after the other arcs are deleted.  Subsets
+    outside that subset are free to cross its interior; so the pinwheel
+    shows up as a region only after the other arcs are deleted.  Subsets
     are swept smallest-first and the side arcs of any pinwheel found
     this way are legitimate system arcs.
     """
     want = _for_direction(_PINWHEEL_TRAVERSAL, direction)
     ids = system.arc_ids
-    if not ids:
-        return False
-    masks = sorted(range(1, 1 << len(ids)), key=lambda m: bin(m).count("1"))
-    for mask in masks:
-        keep = [aid for bit, aid in enumerate(ids) if (mask >> bit) & 1]
-        sub = system.subsystem(keep)
-        faces = sub.faces()
-        seg = sub.segments()
-        for f in range(len(faces[0])):
-            for orbit in _face_subdivision(sub, faces, seg, f):
-                if _is_pinwheel(sub, orbit, want):
-                    return True
+    for mask in sorted(range(1, 1 << len(ids)), key=lambda m: bin(m).count("1")):
+        sub = system.subsystem([aid for bit, aid in enumerate(ids) if (mask >> bit) & 1])
+        if any(_is_pinwheel(sub, orbit, want) for orbit in sub.regions()):
+            return True
     return False
 
 
-def _is_pinwheel(system: BypassSystem, orbit, want: str) -> bool:
-    segs = [d for d in orbit if d[0] == "seg"]
-    passed = [d[2] for d in orbit if d[0] == "interval"]
-    if any(p is None for p in passed):
+def _is_pinwheel(system: BypassSystem, orbit: list[int], want: str) -> bool:
+    """Whether a region (BypassSystem.regions) is a pinwheel whose sides,
+    the segments it lands on, all run in the sense want.
+
+    A pinwheel meets no boundary point, takes each side arc once, and
+    holds no end of a side arc's third site, which would meet it again.
+    """
+    m, darts = system.m, system.darts
+    if min(orbit) < m:
         return False
-    arcs_used = [aid for _, aid, _k, _c in segs]
-    if len(set(arcs_used)) != len(arcs_used):
-        return False
-    if not all(kind == want for _, _aid, kind, _c in segs):
-        return False
-    # each side arc must not meet the region again: its remaining site
-    # may not lie on (the far side of) any boundary chord stretch
-    for _, aid, _kind, corners in segs:
-        for idx in {0, 1, 2} - corners:
-            x = system.m + 2 * (3 * aid + idx)
-            if any(x in p or x + 1 in p for p in passed):
-                return False
+    on, side_arcs = set(orbit), set()
+    for x in orbit:
+        aid, i = divmod((x - m) >> 1, 3)
+        ends = darts[4 * aid : 4 * aid + 4]  # segment 0 leaves ends[:2], segment 1 ends[2:]
+        if x not in ends:
+            continue
+        if aid in side_arcs or ("EC" if i == 1 else "CE") != want:
+            return False
+        side_arcs.add(aid)
+        third = m + 2 * (3 * aid + (2 if x in ends[:2] else 0))
+        if third in on or third + 1 in on:
+            return False
     return True
 
 

@@ -59,10 +59,10 @@ print(json.dumps({"problems": problems, "calls": t.snapshot()["calls"]}))
 def test_categories_search_makes_no_arc_surgery():
     # the bounded-category search moves by chord triples (arcs.up_moves),
     # so the traced arc calls are the check's own over the 1 + 2 + 5
-    # diagrams with N <= 3: find_attaching_arcs once for the bypass
-    # cobordisms and once in the up_moves_by_arcs oracle, and surgery once
-    # per nontrivial class in each: 3 + 3, where the arc-class search
-    # alone made 49
+    # diagrams with N <= 3: find_attaching_arcs once each for the bypass
+    # cobordisms, whose tops are the arc route that up_moves is checked
+    # against, and surgery once per nontrivial class: 3, where the
+    # arc-class search alone made 49
     path = os.pathsep.join((ROOT, BENCH))
     proc = subprocess.run(
         [sys.executable, "-c", CATEGORIES],
@@ -71,9 +71,9 @@ def test_categories_search_makes_no_arc_surgery():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["problems"] == []
-    assert out["calls"]["arcs.find_attaching_arcs"] == 16
+    assert out["calls"]["arcs.find_attaching_arcs"] == 8
     assert out["calls"]["stacking.bounded_category"] == 33
-    assert out["calls"]["arcs.surgery"] == 6
+    assert out["calls"]["arcs.surgery"] == 3
 
 
 def _census(inputs, trace):

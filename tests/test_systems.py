@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -6,7 +8,13 @@ import pytest
 from sutura import arcs
 from sutura import diagram as D
 from sutura import sfh
-from sutura.errors import BadArgument, BrokenInvariant, NotComparable, NotNicelyOrdered
+from sutura.errors import (
+    BadArgument,
+    BrokenInvariant,
+    NotComparable,
+    NotNicelyOrdered,
+    NotPlanar,
+)
 from sutura.words import all_words, comparable_pairs, word
 
 from strategies import gradings
@@ -254,6 +262,46 @@ def test_planar_map_euler_formula():
         for nm, np_ in gradings(n):
             for (w1, w2) in comparable_pairs(nm, np_):
                 arcs.cfbs(w1, w2).validate()
+
+
+def test_crossing_segments_are_not_planar():
+    # two supertrivial arcs on chord (2, 3) of 0-1,2-3: nested, they are
+    # planar; interleaved, their segments cross inside one face, a trial
+    # that random_system draws and rejects
+    d = D.parse("0-1,2-3")
+    bits = (0, 0, 1, 0, 0, 1)
+    arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, bits, [0, 1]).validate()
+    with pytest.raises(NotPlanar):
+        arcs.BypassSystem.build(d, {1: [2, 0, 3, 1, 4, 5]}, bits, [0, 1]).validate()
+
+
+def test_segment_joining_two_faces_is_not_planar():
+    # the planar pair above with one end site of arc 1 turned to the
+    # chord's other face; random_system never draws such a trial, since
+    # every class signature puts both ends of a segment on one face
+    d = D.parse("0-1,2-3")
+    with pytest.raises(NotPlanar):
+        arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, (0, 0, 1, 1, 0, 1), [0, 1]).validate()
+
+
+def test_random_multi_arc_pinwheels_are_pinned():
+    # the digest of the drawn systems also pins which trials validate
+    # rejects, since each rejection steers the random stream
+    rng = random.Random(7)
+    by_size = {n: D.enumerate_diagrams(n) for n in range(2, 7)}
+    digest = hashlib.sha256()
+    up = down = done = 0
+    while done < 1000:
+        ds = by_size[rng.randrange(2, 7)]
+        system = arcs.random_system(ds[rng.randrange(len(ds))], rng.randrange(1, 5), rng)
+        if system is None:
+            continue
+        done += 1
+        digest.update(json.dumps(system.to_json()).encode())
+        up += arcs.has_pinwheel(system, "up")
+        down += arcs.has_pinwheel(system, "down")
+    assert (up, down) == (733, 740)
+    assert digest.hexdigest() == "84f034478c5529118bace65b752a4c46c071fbb6cc4efaede249cec4325bc5d8"
 
 
 def test_system_json():
