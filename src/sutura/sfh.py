@@ -35,7 +35,7 @@ from .errors import (
     TrivialArc,
     ZeroElement,
 )
-from .words import MINUS, PLUS, Word, lex_sorted, partial_leq
+from .words import MINUS, PLUS, Word, lex_extremes, lex_sorted, partial_leq, prefixed
 
 basis_diagram = _basis.basis_diagram
 
@@ -120,7 +120,7 @@ class SfhElement:
 
 # -- decomposition -----------------------------------------------------------
 
-_decompose_cache: dict[tuple[int, ...], frozenset[Word]] = {}
+_decompose_cache: dict[tuple[int, ...], SfhElement] = {}
 
 
 def bypass_rewire(pairing: tuple[int, ...], points, step: int) -> tuple[int, ...]:
@@ -141,36 +141,65 @@ def bypass_rewire(pairing: tuple[int, ...], points, step: int) -> tuple[int, ...
     return tuple(out)
 
 
-def _decompose_pairing(pairing: tuple[int, ...]) -> frozenset[Word]:
+def _hug_split(pairing: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """bypass_rewire(pairing, (m-1, 0, 1), +1) and (..., -1), written out.
+
+    With q, b and a the partners of 0, 1 and m-1, and neither 1 nor m-1
+    equal to q, the chord (0, q) puts 1 and b on one side of it and m-1
+    and a on the other, so the six ends are already in hexagon order:
+    0 < 1 < b < q < a < m-1.  Step +1 joins 0-(m-1), 1-a and b-q; step -1
+    joins 0-1, b-(m-1) and q-a.
+    """
+    m = len(pairing)
+    q, b, a = pairing[0], pairing[1], pairing[m - 1]
+    up = list(pairing)
+    up[0], up[m - 1], up[1], up[a], up[b], up[q] = m - 1, 0, a, 1, q, b
+    down = list(pairing)
+    down[0], down[1], down[b], down[m - 1], down[q], down[a] = 1, 0, m - 1, b, a, q
+    return tuple(up), tuple(down)
+
+
+def _decompose_pairing(pairing: tuple[int, ...]) -> SfhElement:
     # Outermost chords at the base point are peeled in a loop and only
     # bypass splits recurse, so deeply nested diagrams need no deep stack.
+    # Every pairing met becomes a memo entry, the two halves of a split
+    # included: each half is a diagram whose decomposition is asked for
+    # again, as a row of its own or inside another split.
     peeled: list[tuple[tuple[int, ...], int]] = []
-    while pairing not in _decompose_cache:
+    while (x := _decompose_cache.get(pairing)) is None:
         m, q = len(pairing), pairing[0]
         if m == 2:
-            _decompose_cache[pairing] = frozenset((Word(),))
-        elif q == 1:
+            x = _decompose_cache[pairing] = SfhElement._of(frozenset((Word(),)))
+            break
+        if q == 1:
             peeled.append((pairing, PLUS))
             pairing = delete_points(pairing, 0)
         elif q == m - 1:
             peeled.append((pairing, MINUS))
             pairing = delete_points(pairing, m - 1)
         else:
-            hug = (m - 1, 0, 1)  # the chords met by the arc hugging the base point
-            left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
-            _decompose_cache[pairing] = _decompose_pairing(left) ^ _decompose_pairing(right)
-    result = _decompose_cache[pairing]
+            # The split along the arc hugging the base point.  Its step +1
+            # half has the outermost chord (0, m-1), so each of its words
+            # starts with -; the step -1 half has (0, 1), and its words
+            # start with +.  The two word sets are disjoint, the mod-2 sum
+            # cancels nothing, and in lex order dec(pairing) is dec(up)
+            # followed by dec(down).
+            up, down = _hug_split(pairing)
+            x = _decompose_cache[pairing] = SfhElement._of(
+                _decompose_pairing(up).words | _decompose_pairing(down).words
+            )
+            break
     for outer, letter in reversed(peeled):
-        result = frozenset(w.insert(0, letter) for w in result)
-        _decompose_cache[outer] = result
-    return result
+        x = _decompose_cache[outer] = SfhElement._of(prefixed(x.words, letter))
+    return x
 
 
 def decompose(diagram) -> SfhElement:
-    """The unique expression of a diagram in the word basis."""
+    """The unique expression of a diagram in the word basis (memoised)."""
     if is_zero(diagram):
         return SfhElement.zero()
-    return SfhElement._of(_decompose_pairing(diagram.pairing))
+    x = _decompose_cache.get(diagram.pairing)
+    return _decompose_pairing(diagram.pairing) if x is None else x
 
 
 def is_basis(diagram: ChordDiagram) -> bool:
@@ -182,10 +211,10 @@ def phi(diagram) -> tuple[Word, Word]:
     """Lexicographic extremes (w-, w+) of the basis decomposition."""
     if is_zero(diagram):
         raise ZeroElement("zero has no extreme words")
-    words = decompose(diagram).sorted_words()
+    words = decompose(diagram).words
     if not words:
         raise ZeroElement("empty decomposition")
-    return words[0], words[-1]
+    return lex_extremes(words)
 
 
 def from_pair(w_minus: Word, w_plus: Word) -> ChordDiagram:
@@ -201,7 +230,7 @@ def from_pair(w_minus: Word, w_plus: Word) -> ChordDiagram:
 
 @lru_cache(maxsize=None)
 def _from_pair_cached(w_minus: Word, w_plus: Word) -> ChordDiagram:
-    from . import arcs  # deferred: arcs imports basis construction data
+    from . import arcs  # deferred: arcs imports sfh, so a top-level import is a cycle
 
     if w_minus == w_plus:
         return basis_diagram(w_minus)

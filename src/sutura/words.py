@@ -9,7 +9,8 @@ and the sentinel bit 1 << n keeps "-" and "--" apart.  A word also keeps
 n and n+; n-, e and the grading (n-, n+) are read from those two counts,
 and bits is a tuple derived from the key.
 Other modules read sign positions and edit words through Word.positions,
-Word.insert and Word.delete; only this module reads the key.
+Word.insert, Word.delete and, for a whole set of words at once, prefixed;
+only this module reads the key.
 """
 
 from __future__ import annotations
@@ -136,6 +137,26 @@ class Word:
         return self == other or self < other
 
 
+def prefixed(words: frozenset[Word], sign: int) -> frozenset[Word]:
+    """Each word of a set of one length with sign put in front, in one pass.
+
+    On length n the new first letter is bit n of the new key, and the
+    sentinel moves up to bit n + 1, so each key grows by (1 + sign) << n.
+    """
+    if sign not in (MINUS, PLUS):
+        raise ParseError("word bits must be 0 (-) or 1 (+)")
+    if not words:
+        return words
+    n = next(iter(words)).n
+    step, new = (1 + sign) << n, object.__new__
+    out = []
+    for w in words:  # Word._of, inlined: this loop is most of a peel's cost
+        x = new(Word)
+        x._key, x.n, x.n_plus = w._key + step, n + 1, w.n_plus + sign
+        out.append(x)
+    return frozenset(out)
+
+
 def word(text: str) -> Word:
     """Shorthand parser, e.g. word("-+-")."""
     return Word.parse(text)
@@ -176,6 +197,21 @@ def lex_compare(w1: Word, w2: Word) -> int:
 def lex_sorted(words) -> list[Word]:
     """Words of one length in lexicographic order."""
     return sorted(words, key=attrgetter("_key"))
+
+
+def lex_extremes(words) -> tuple[Word, Word]:
+    """The lexicographically first and last of a non-empty set of words of
+    one length, read in one pass with no sort."""
+    it = iter(words)
+    lo = hi = next(it)
+    lo_key = hi_key = lo._key
+    for w in it:
+        k = w._key
+        if k < lo_key:
+            lo, lo_key = w, k
+        elif k > hi_key:
+            hi, hi_key = w, k
+    return lo, hi
 
 
 def all_words(n_minus: int, n_plus: int) -> list[Word]:

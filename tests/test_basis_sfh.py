@@ -71,10 +71,48 @@ def test_decompose_examples():
 
 
 def test_decompose_from_root_agrees():
-    for n in range(1, 7):
+    for n in range(1, 9):
         for d in D.enumerate_diagrams(n):
             assert oracles.decompose_from_root(d) == sfh.decompose(d)
     assert oracles.decompose_from_root(D.VACUUM).words == frozenset([Word()])
+
+
+def _split_diagrams():
+    """Every diagram with 3 <= N <= 9 whose base chord is not outermost."""
+    for n in range(3, 10):
+        for d in D.enumerate_diagrams(n):
+            if d.pairing[0] not in (1, 2 * n - 1):
+                yield d
+
+
+def test_hug_split_is_the_bypass_triple():
+    # decompose writes out the two rewires of the arc hugging the base
+    # point; bypass_rewire stays the one generic rewire
+    count = 0
+    for d in _split_diagrams():
+        p, m = d.pairing, 2 * d.n
+        hug = (m - 1, 0, 1)
+        assert sfh._hug_split(p) == (sfh.bypass_rewire(p, hug, 1), sfh.bypass_rewire(p, hug, -1))
+        count += 1
+    assert count == 2806
+
+
+def test_split_cancels_nothing():
+    # the step +1 half starts every word with -, the step -1 half with +,
+    # so the mod-2 sum of the halves is their disjoint union
+    for d in _split_diagrams():
+        up, down = (sfh.decompose(D.ChordDiagram(h)).words for h in sfh._hug_split(d.pairing))
+        assert all(w.bits[0] == MINUS for w in up)
+        assert all(w.bits[0] == PLUS for w in down)
+        assert not up & down
+        assert sfh.decompose(d).words == up | down
+
+
+def test_phi_is_the_ends_of_the_sorted_decomposition():
+    for n in range(1, 9):
+        for d in D.enumerate_diagrams(n):
+            words = sfh.decompose(d).sorted_words()
+            assert sfh.phi(d) == (words[0], words[-1])
 
 
 @pytest.mark.parametrize("shape", ["nested", "comb"])

@@ -96,6 +96,9 @@ def test_census_worker_keeps_its_contract(tmp_path):
     _census(inputs, "-")
     trace = tmp_path / "trace.json"
     _census(inputs, trace)
-    calls = json.loads(trace.read_text())["layers"]["calls"]
+    layers = json.loads(trace.read_text())["layers"]
+    calls = layers["calls"]
     assert calls["diagram.euler_class"] == 132
     assert calls["sfh.decompose"] == 264
+    # one memo entry per diagram with 1 to 6 chords: 1 + 2 + 5 + 14 + 42 + 132
+    assert layers["decompose_entries"] == 196

@@ -88,6 +88,19 @@ def test_word_matches_string_oracle():
         assert word(a) != word(b) and word(b) not in {word(a)}
 
 
+def test_prefixed_and_lex_extremes():
+    for n in range(9):
+        ws = frozenset(word("".join(t)) for t in itertools.product("-+", repeat=n))
+        for sign in (W.MINUS, W.PLUS):
+            assert W.prefixed(ws, sign) == {w.insert(0, sign) for w in ws}
+        assert W.lex_extremes(ws) == (min(ws), max(ws))
+        for w in ws:
+            assert W.lex_extremes({w}) == (w, w)
+    assert W.prefixed(frozenset(), W.PLUS) == frozenset()
+    with pytest.raises(ParseError):
+        W.prefixed(frozenset([word("-")]), 2)
+
+
 def test_lex_compare():
     assert W.lex_compare(word("-+"), word("+-")) == -1
     assert W.lex_compare(word("--+"), word("-+-")) == -1
