@@ -14,7 +14,7 @@ import sys
 from . import sfh, stacking, verify
 from . import diagram as dg
 from .basis import root_point
-from .errors import CapExceeded, SuturaError
+from .errors import BadArgument, CapExceeded, SuturaError
 from .words import catalan, narayana, word
 
 
@@ -22,6 +22,10 @@ def cmd_enumerate(args) -> int:
     if args.N > args.cap:
         raise CapExceeded(f"N={args.N} exceeds the cap {args.cap}; raise --cap")
     diagrams = dg.enumerate_diagrams(args.N)
+    classes = range(-(args.N - 1), args.N, 2)
+    if args.e is not None and args.e not in classes:
+        valid = ", ".join(str(e) for e in classes)
+        raise BadArgument(f"N={args.N} has no euler class {args.e}; the classes are {valid}")
     rows = []
     for d in diagrams:
         e = dg.euler_class(d)
@@ -36,7 +40,7 @@ def cmd_enumerate(args) -> int:
                 "phi": [str(lo), str(hi)],
             }
         )
-    parts = [narayana(args.N, e) for e in range(-(args.N - 1), args.N, 2)]
+    parts = [narayana(args.N, e) for e in classes]
     footer = f"{catalan(args.N)} = " + "+".join(str(p) for p in parts)
     if args.format == "json":
         print(json.dumps({"rows": rows, "counts": footer}, sort_keys=True))

@@ -4,7 +4,8 @@ the extreme-word correspondence, and the rotation operator.
 Elements are finite sets of equal-length words (mod-2 sums of basis
 vectors).  decompose() writes any diagram in this basis by repeatedly
 peeling outermost chords at the base point and, when none exists there,
-splitting along the bypass triple of the arc hugging the base point.
+splitting along the bypass triple of the arc hugging the base point;
+phi() and is_basis() fold the same walk to its two extreme words only.
 Peeling, and the creation and annihilation operators on diagrams, add
 or remove two adjacent points with diagram.insert_chord and
 diagram.delete_points, which own the renumbering of the other points.
@@ -120,7 +121,12 @@ class SfhElement:
 
 # -- decomposition -----------------------------------------------------------
 
-_decompose_cache: dict[tuple[int, ...], SfhElement] = {}
+# The one memo of both folds of the decomposition walk (_walk): an entry is
+# the element dec(pairing), written by decompose, or the pair (w-, w+) of its
+# lex extremes, written by phi and is_basis, which build no word set.  The
+# element fold reads a pair as a miss and overwrites it in place, keeping
+# the key object the pair was stored under.
+_decompose_cache: dict[tuple[int, ...], SfhElement | tuple[Word, Word]] = {}
 
 
 def bypass_rewire(pairing: tuple[int, ...], points, step: int) -> tuple[int, ...]:
@@ -159,17 +165,20 @@ def _hug_split(pairing: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(up), tuple(down)
 
 
-def _decompose_pairing(pairing: tuple[int, ...]) -> SfhElement:
+def _walk(pairing: tuple[int, ...], fold):
+    # The one peel/split rule of the decomposition, computing the value of
+    # one fold (below) at every pairing it meets.
     # Outermost chords at the base point are peeled in a loop and only
     # bypass splits recurse, so deeply nested diagrams need no deep stack.
     # Every pairing met becomes a memo entry, the two halves of a split
     # included: each half is a diagram whose decomposition is asked for
     # again, as a row of its own or inside another split.
+    read, leaf, peel, join = fold
     peeled: list[tuple[tuple[int, ...], int]] = []
-    while (x := _decompose_cache.get(pairing)) is None:
+    while (x := read(_decompose_cache.get(pairing))) is None:
         m, q = len(pairing), pairing[0]
         if m == 2:
-            x = _decompose_cache[pairing] = SfhElement._of(frozenset((Word(),)))
+            x = _decompose_cache[pairing] = leaf
             break
         if q == 1:
             peeled.append((pairing, PLUS))
@@ -185,36 +194,70 @@ def _decompose_pairing(pairing: tuple[int, ...]) -> SfhElement:
             # cancels nothing, and in lex order dec(pairing) is dec(up)
             # followed by dec(down).
             up, down = _hug_split(pairing)
-            x = _decompose_cache[pairing] = SfhElement._of(
-                _decompose_pairing(up).words | _decompose_pairing(down).words
-            )
+            x = _decompose_cache[pairing] = join(_value(up, fold), _value(down, fold))
             break
     for outer, letter in reversed(peeled):
-        x = _decompose_cache[outer] = SfhElement._of(prefixed(x.words, letter))
+        x = _decompose_cache[outer] = peel(x, letter)
     return x
+
+
+def _value(pairing: tuple[int, ...], fold):
+    """The fold's value on a pairing: its memo entry when the fold can read
+    it, else a walk.  A split looks its halves up here first, since most of
+    them are entries already."""
+    x = fold[0](_decompose_cache.get(pairing))
+    return _walk(pairing, fold) if x is None else x
+
+
+def _peel_ends(ends: tuple[Word, Word], sign: int) -> tuple[Word, Word]:
+    lo, hi = ends
+    first = lo.insert(0, sign)
+    return (first, first) if lo is hi else (first, hi.insert(0, sign))
+
+
+# A fold is (read: a memo entry as this fold's value, None for a miss;
+# leaf: the value on the one-chord pairing; peel: a value with a sign put
+# in front of every word; join: the value of a split from those of its
+# step +1 and step -1 halves).
+_ELEMENT = (
+    lambda x: x if isinstance(x, SfhElement) else None,  # an ends pair is a miss
+    SfhElement._of(frozenset((Word(),))),
+    lambda x, sign: SfhElement._of(prefixed(x.words, sign)),
+    lambda up, down: SfhElement._of(up.words | down.words),
+)
+# The lex extremes (w-, w+).  A split lists the whole step +1 half first,
+# so w- comes from that half and w+ from the step -1 half.  Where the two
+# are one word they are one object, so a peel builds it once.
+_ENDS = (
+    lambda x: lex_extremes(x.words) if isinstance(x, SfhElement) else x,
+    (Word(),) * 2,
+    _peel_ends,
+    lambda up, down: (up[0], down[1]),
+)
 
 
 def decompose(diagram) -> SfhElement:
     """The unique expression of a diagram in the word basis (memoised)."""
     if is_zero(diagram):
         return SfhElement.zero()
-    x = _decompose_cache.get(diagram.pairing)
-    return _decompose_pairing(diagram.pairing) if x is None else x
+    return _value(diagram.pairing, _ELEMENT)
 
 
 def is_basis(diagram: ChordDiagram) -> bool:
-    """True when the diagram is one of the basis diagrams."""
-    return len(decompose(diagram).words) == 1
+    """True when the diagram is one of the basis diagrams: the words of its
+    decomposition are distinct, so it has one word when w- = w+."""
+    if is_zero(diagram):
+        return False
+    lo, hi = _value(diagram.pairing, _ENDS)
+    return lo == hi
 
 
 def phi(diagram) -> tuple[Word, Word]:
-    """Lexicographic extremes (w-, w+) of the basis decomposition."""
+    """Lexicographic extremes (w-, w+) of the basis decomposition, read off
+    the decomposition walk with no word set built."""
     if is_zero(diagram):
         raise ZeroElement("zero has no extreme words")
-    words = decompose(diagram).words
-    if not words:
-        raise ZeroElement("empty decomposition")
-    return lex_extremes(words)
+    return _value(diagram.pairing, _ENDS)
 
 
 def from_pair(w_minus: Word, w_plus: Word) -> ChordDiagram:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,7 +7,7 @@ from sutura import diagram as D
 from sutura import oracles, sfh
 from sutura.basis import base_construction
 from sutura.errors import BrokenInvariant, IndexOutOfRange, ZeroElement
-from sutura.words import MINUS, PLUS, Word, all_words, word
+from sutura.words import MINUS, PLUS, Word, all_words, lex_extremes, word
 
 from strategies import diagrams, gradings
 
@@ -115,9 +117,61 @@ def test_phi_is_the_ends_of_the_sorted_decomposition():
             assert sfh.phi(d) == (words[0], words[-1])
 
 
+@pytest.mark.parametrize("order", ["phi", "decompose", "interleaved"])
+def test_ends_fold_agrees_with_decompose(order, monkeypatch):
+    # phi and is_basis fold the decomposition walk to its two extreme words
+    # and share the memo with decompose, whose entries they read and which
+    # overwrites theirs; from a cold memo, in any order of calls, they agree
+    # with the word sets and leave the keys that decompose alone leaves
+    diagrams = [d for n in range(1, 10) for d in D.enumerate_diagrams(n)]
+    monkeypatch.setattr(sfh, "_decompose_cache", {})
+    for d in diagrams:
+        sfh.decompose(d)
+    keys = set(sfh._decompose_cache)
+    monkeypatch.setattr(sfh, "_decompose_cache", {})
+    if order == "interleaved":
+        random.Random(20).shuffle(diagrams)
+    first = {}
+    for i, d in enumerate(diagrams):
+        if order == "phi" or order == "interleaved" and i % 2:
+            first[d] = (sfh.phi(d), sfh.is_basis(d))
+        else:
+            sfh.decompose(d)
+    assert set(sfh._decompose_cache) == keys
+    for d in diagrams:
+        words = sfh.decompose(d).words
+        ends = lex_extremes(words)
+        for got in (first.get(d), (sfh.phi(d), sfh.is_basis(d))):
+            if got is None:
+                continue
+            phi, basis = got
+            assert phi == ends, d
+            assert [(w.n, w.n_plus) for w in phi] == [(w.n, w.n_plus) for w in ends], d
+            assert basis == (len(words) == 1), d
+    assert set(sfh._decompose_cache) == keys
+
+
+def test_ends_fold_builds_no_word_set(monkeypatch):
+    # phi and is_basis leave (w-, w+) pairs in the memo, not elements;
+    # decompose replaces each with its element under the same keys
+    diagrams = [d for n in range(1, 8) for d in D.enumerate_diagrams(n)]
+    monkeypatch.setattr(sfh, "_decompose_cache", {})
+    for d in diagrams:
+        sfh.phi(d)
+        sfh.is_basis(d)
+    memo = sfh._decompose_cache
+    size = len(memo)
+    assert not any(isinstance(x, sfh.SfhElement) for x in memo.values())
+    for d in diagrams:
+        sfh.decompose(d)
+    assert all(isinstance(x, sfh.SfhElement) for x in memo.values())
+    assert len(memo) == size
+
+
 @pytest.mark.parametrize("shape", ["nested", "comb"])
 def test_decompose_from_root_agrees_on_1200_chords(shape, monkeypatch):
-    # both routes peel one chord per step; neither may recurse that deep
+    # both routes peel one chord per step; neither may recurse that deep,
+    # and nor may the fold of phi and is_basis, run first on the cold memo
     n = 1200
     if shape == "nested":
         pairs = ((i, 2 * n - 1 - i) for i in range(n))
@@ -128,6 +182,7 @@ def test_decompose_from_root_agrees_on_1200_chords(shape, monkeypatch):
     monkeypatch.setattr(sfh, "_decompose_cache", {})
     monkeypatch.setattr(oracles, "_decompose_root_cache", {})
     (only,) = oracles.decompose_from_root(d).words
+    assert sfh.phi(d) == (only, only) and sfh.is_basis(d)
     assert sfh.decompose(d).words == {only} and len(only.bits) == n - 1
 
 
@@ -159,6 +214,7 @@ def test_even_cardinality_for_non_basis():
 
 def test_is_basis():
     assert sfh.is_basis(D.VACUUM)
+    assert not sfh.is_basis(D.ZERO)
     fig15 = sfh.from_pair(word("--++"), word("+-+-"))
     assert not sfh.is_basis(fig15)
     basis_diagrams = {

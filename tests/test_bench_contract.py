@@ -99,6 +99,7 @@ def test_census_worker_keeps_its_contract(tmp_path):
     layers = json.loads(trace.read_text())["layers"]
     calls = layers["calls"]
     assert calls["diagram.euler_class"] == 132
-    assert calls["sfh.decompose"] == 264
+    # phi and is_basis fold the walk to the extreme words: no word set
+    assert calls.get("sfh.decompose", 0) == 0
     # one memo entry per diagram with 1 to 6 chords: 1 + 2 + 5 + 14 + 42 + 132
     assert layers["decompose_entries"] == 196

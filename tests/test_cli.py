@@ -33,6 +33,15 @@ def test_enumerate_by_euler(capsys):
     assert len(payload["rows"]) == 6
 
 
+@pytest.mark.parametrize("n, e", [("4", "0"), ("4", "5"), ("4", "-5"), ("1", "2")])
+def test_enumerate_impossible_class_is_an_error(capsys, n, e):
+    # a class of the wrong parity or beyond N-1 has no diagram
+    code, out, err = run(capsys, "enumerate", n, "--e", e)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert err.rstrip().endswith("the classes are " + ("-3, -1, 1, 3" if n == "4" else "0"))
+
+
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "12")
     assert code == 1 and "cap" in err
