@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import sfh
-from .basis import base_construction, basis_diagram, root_construction, root_point
 from .diagram import (
     ChordDiagram,
     ZERO,
@@ -429,21 +428,20 @@ class AttachingArc:
         """(forwards, fa_indices) of a nontrivial arc on a basis diagram.
 
         The arc is forwards when the outer region of its prior chord (the
-        earlier of its end chords in the base construction's order), that
-        chord's face away from the arc, is negative.  fa_indices are the
-        (i, j) of the move FE(i, j) or BE(i, j) it realises: the prior
-        chord's place among the base construction's minuses (pluses when
-        backwards) and the latter chord's among the root construction's
-        pluses (minuses).
+        earlier of its end chords in the base fold's order, sfh.base_chords),
+        that chord's face away from the arc, is negative.  fa_indices are
+        the (i, j) of the move FE(i, j) or BE(i, j) it realises: the i of
+        the minus (the j of the plus, when backwards) that created the
+        prior chord in the base fold, and the j of the plus (i of the
+        minus) that created the latter chord in the root fold.
         """
         dec = sfh.decompose(self.diagram) if self.triviality == "nontrivial" else None
         if dec is None or len(dec.words) != 1:
             return None, None
         (w,) = dec.words
-        base, faces, chords = base_construction(w), Faces(self.diagram), self.diagram.chords()
-        order = base.chord_order()
+        base, faces, chords = sfh.base_chords(w), Faces(self.diagram), self.diagram.chords()
         (prior_si, arc_face), (latter_si, _) = sorted(
-            (self.end1, self.end2), key=lambda end: order[chords[end[0]]]
+            (self.end1, self.end2), key=lambda end: base.index(chords[end[0]])
         )
         outer_face = faces.face_of(prior_si, LEFT)
         if outer_face == arc_face:
@@ -451,10 +449,8 @@ class AttachingArc:
         forwards = orbit_sign(faces.cycles[outer_face]) == -1
         want_prior, want_latter = (MINUS, PLUS) if forwards else (PLUS, MINUS)
         try:
-            i = w.positions(want_prior).index(base.symbol_chords.index(chords[prior_si])) + 1
-            j = w.positions(want_latter).index(
-                root_construction(w).symbol_chords.index(chords[latter_si])
-            ) + 1
+            i = w.positions(want_prior).index(base.index(chords[prior_si])) + 1
+            j = w.positions(want_latter).index(sfh.root_chords(w).index(chords[latter_si])) + 1
         except ValueError:
             return forwards, None
         return forwards, ((i, j) if forwards else (j, i))
@@ -677,23 +673,24 @@ class GeneralisedArc:
 def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
     """The generalised attaching arc realising the move of the same name.
 
-    Memoised: the coarse systems of many pairs share their arcs, and a
-    GeneralisedArc is frozen, so one instance serves every caller.
+    Its prior chord is the one the i'th minus (FA) or the j'th plus (BA)
+    creates in the base fold, sfh.base_chords; its latter chord is the
+    one the j'th plus (FA) or the i'th minus (BA) creates in the root
+    fold, sfh.root_chords.  Memoised: the coarse systems of many pairs
+    share their arcs, and a GeneralisedArc is frozen, so one instance
+    serves every caller.
     """
     move = "FE" if kind == "FA" else "BE"
     if not move_exists(w, move, i, j):
         raise ArcNotDefined(f"{kind}({i},{j}) does not exist on {w}")
-    diagram = basis_diagram(w)
+    diagram = sfh.basis_diagram(w)
     chords = diagram.chords()
-    base = base_construction(w)
-    root = root_construction(w)
+    minus, plus = _move_ends(w, i, j)
     if kind == "FA":
-        prior_c = base.base_numbered_chord(MINUS, i)
-        latter_c = root.base_numbered_chord(PLUS, j)
+        prior_c, latter_c = sfh.base_chords(w)[minus], sfh.root_chords(w)[plus]
         prior_sign, latter_sign = -1, 1
     else:
-        prior_c = base.base_numbered_chord(PLUS, j)
-        latter_c = root.base_numbered_chord(MINUS, i)
+        prior_c, latter_c = sfh.base_chords(w)[plus], sfh.root_chords(w)[minus]
         prior_sign, latter_sign = 1, -1
     faces = Faces(diagram)
     signs = faces.signs()
@@ -804,10 +801,10 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
     member index v < 498, and beyond that it keeps the member order the
     offset was meant never to cross.
     """
-    diagram = basis_diagram(w)
+    diagram = sfh.basis_diagram(w)
     chords = diagram.chords()
     m = 2 * diagram.n
-    root = root_point(diagram.n, w.e)
+    root = sfh.root_point(diagram.n, w.e)
     faces = Faces(diagram)
 
     # per chord: (member index, split offset, site)
@@ -855,7 +852,7 @@ def arc_to_system(g: GeneralisedArc) -> BypassSystem:
 def nicely_ordered_system(w: Word, gens: list[GeneralisedArc]) -> BypassSystem:
     """Joint realisation of a nicely ordered family of generalised arcs."""
     if not gens:
-        return BypassSystem.bare(basis_diagram(w))
+        return BypassSystem.bare(sfh.basis_diagram(w))
     kinds = {g.kind for g in gens}
     if len(kinds) != 1:
         raise NotNicelyOrdered("mixed forwards/backwards arcs")
@@ -923,14 +920,14 @@ def _minimal_subsystem(system: BypassSystem, direction: str, target: ChordDiagra
 def fbs(w1: Word, w2: Word) -> BypassSystem:
     """A minimal forwards bypass system: upwards surgery yields the upper diagram."""
     system = cfbs(w1, w2)
-    return _minimal_subsystem(system, "up", basis_diagram(w2))
+    return _minimal_subsystem(system, "up", sfh.basis_diagram(w2))
 
 
 @lru_cache(maxsize=None)
 def bbs(w1: Word, w2: Word) -> BypassSystem:
     """A minimal backwards bypass system: downwards surgery yields the lower diagram."""
     system = cbbs(w1, w2)
-    return _minimal_subsystem(system, "down", basis_diagram(w1))
+    return _minimal_subsystem(system, "down", sfh.basis_diagram(w1))
 
 
 # -- pinwheels -----------------------------------------------------------------

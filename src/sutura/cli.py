@@ -13,8 +13,8 @@ import sys
 
 from . import sfh, stacking, verify
 from . import diagram as dg
-from .basis import root_point
 from .errors import BadArgument, CapExceeded, SuturaError
+from .sfh import root_point
 from .words import catalan, narayana, word
 
 
@@ -167,11 +167,14 @@ def render_svg(d: dg.ChordDiagram) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_ascii(d: dg.ChordDiagram, width: int = 41, height: int = 21) -> str:
+ASCII_WIDTH, ASCII_HEIGHT = 41, 21  # characters of the ascii rendering
+
+
+def render_ascii(d: dg.ChordDiagram) -> str:
     m = 2 * d.n
-    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+    cx, cy = (ASCII_WIDTH - 1) / 2.0, (ASCII_HEIGHT - 1) / 2.0
     rx, ry = cx - 1.0, cy - 1.0
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * ASCII_WIDTH for _ in range(ASCII_HEIGHT)]
 
     def coords(p: int):
         theta = math.pi / 2 - 2 * math.pi * p / m
@@ -190,8 +193,8 @@ def render_ascii(d: dg.ChordDiagram, width: int = 41, height: int = 21) -> str:
                 count += 1
         return count
 
-    for row in range(height):
-        for col in range(width):
+    for row in range(ASCII_HEIGHT):
+        for col in range(ASCII_WIDTH):
             dx, dy = (col - cx) / rx, (row - cy) / ry
             if dx * dx + dy * dy < 0.92:
                 grid[row][col] = "+" if crossings(col, row) % 2 == 0 else "-"

@@ -13,10 +13,9 @@ from functools import lru_cache
 
 from . import stacking
 from .arcs import find_attaching_arcs, surgery
-from .basis import root_construction, root_point
 from .diagram import ChordDiagram, delete_points, euler_class, is_zero, rotate_points
 from .errors import GradingMismatch
-from .sfh import SfhElement, basis_diagram, bypass_rewire, decompose
+from .sfh import SfhElement, basis_diagram, bypass_rewire, decompose, root_point
 from .words import MINUS, PLUS, Word, all_words
 
 
@@ -57,7 +56,38 @@ def count_monotone(n1: int, distinct: int) -> int:
 
 def basis_diagram_from_root(w: Word) -> ChordDiagram:
     """The basis diagram of w, built by the root point algorithm."""
-    return root_construction(w).diagram
+    return _root_walk(w)[0]
+
+
+def _root_walk(w: Word) -> tuple[ChordDiagram, list[tuple[int, int]]]:
+    """The root point algorithm, and the chord it draws for each letter.
+
+    Starting at the root point, it reads w right to left: a '-' draws a
+    chord clockwise to the next unused point, a '+' anticlockwise, and
+    the next chord starts at the next unused point beyond it in the same
+    sense.  The last two unused points are joined.  chords[p] is the
+    chord letter p draws.
+    """
+    m = 2 * (w.n + 1)
+    pairing = [-1] * m
+    chords: list[tuple[int, int]] = [(0, 0)] * w.n
+
+    def next_unused(p: int, step: int) -> int:
+        p = (p + step) % m
+        while pairing[p] >= 0:
+            p = (p + step) % m
+        return p
+
+    start = root_point(w.n + 1, w.e)
+    for pos in reversed(range(w.n)):
+        step = 1 if w.bits[pos] == MINUS else -1
+        end = next_unused(start, step)
+        pairing[start], pairing[end] = end, start
+        chords[pos] = (min(start, end), max(start, end))
+        start = next_unused(end, step)
+    a, b = (p for p in range(m) if pairing[p] < 0)
+    pairing[a], pairing[b] = b, a
+    return ChordDiagram(pairing), chords
 
 
 _decompose_root_cache: dict[tuple[int, ...], frozenset[Word]] = {}

@@ -9,6 +9,10 @@ phi() and is_basis() fold the same walk to its two extreme words only.
 Peeling, and the creation and annihilation operators on diagrams, add
 or remove two adjacent points with diagram.insert_chord and
 diagram.delete_points, which own the renumbering of the other points.
+Basis diagrams are creation operators on the vacuum: one fold over a
+word's letters builds the diagram and numbers its chords by the letter
+that created each, from the base point (B-/B+, undone by the peel) or
+from the root point (each letter appended at the last slot of its side).
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from . import basis as _basis
 from .diagram import (
     ChordDiagram,
     ZERO,
@@ -37,8 +40,6 @@ from .errors import (
     ZeroElement,
 )
 from .words import MINUS, PLUS, Word, lex_extremes, lex_sorted, partial_leq, prefixed
-
-basis_diagram = _basis.basis_diagram
 
 
 class SfhElement:
@@ -268,11 +269,6 @@ def from_pair(w_minus: Word, w_plus: Word) -> ChordDiagram:
     """
     if not partial_leq(w_minus, w_plus):
         raise NotComparable(f"{w_minus} is not below {w_plus}")
-    return _from_pair_cached(w_minus, w_plus)
-
-
-@lru_cache(maxsize=None)
-def _from_pair_cached(w_minus: Word, w_plus: Word) -> ChordDiagram:
     from . import arcs  # deferred: arcs imports sfh, so a top-level import is a cycle
 
     if w_minus == w_plus:
@@ -325,8 +321,16 @@ def _strip(sign: int) -> Callable[[Word], frozenset[Word]]:
     return lambda w: _one(w.delete(0)) if w.n and w.bits[0] == sign else frozenset()
 
 
-def _insert(d: ChordDiagram, s: int) -> ChordDiagram:
-    return ChordDiagram(insert_chord(d.pairing, s))
+def _creation_point(n_chords: int, sign: int, i: int) -> int:
+    """insert_chord's point for the chord of a new letter of this sign at
+    side slot i of an n-chord diagram: westside (MINUS) slot i is points
+    (-2i-3, -2i-2), eastside (PLUS) slot i is (2i+2, 2i+3).  Slot -1 is
+    the base point, where B- and B+ put the letter in front of the word."""
+    return 2 * n_chords - 1 - 2 * i if sign == MINUS else 2 * i + 2
+
+
+def _create(d: ChordDiagram, sign: int, i: int) -> ChordDiagram:
+    return ChordDiagram(insert_chord(d.pairing, _creation_point(d.n, sign, i)))
 
 
 def _cap(d: ChordDiagram, t: int):
@@ -388,8 +392,8 @@ def annihilation_word(w: Word, sign: int, i: int) -> frozenset[Word]:
     return frozenset()
 
 
-B_MINUS = GradedOperator("B-", _prepend(MINUS), lambda d: _insert(d, 2 * d.n + 1))
-B_PLUS = GradedOperator("B+", _prepend(PLUS), lambda d: _insert(d, 0))
+B_MINUS = GradedOperator("B-", _prepend(MINUS), lambda d: _create(d, MINUS, -1))
+B_PLUS = GradedOperator("B+", _prepend(PLUS), lambda d: _create(d, PLUS, -1))
 A_PLUS = GradedOperator("A+", _strip(MINUS), _a_plus_diag)
 A_MINUS = GradedOperator("A-", _strip(PLUS), _a_minus_diag)
 
@@ -401,7 +405,7 @@ def creation(side: str, i: int) -> GradedOperator:
 
     def diag(d: ChordDiagram) -> ChordDiagram:
         _check_slot(i, _diagram_grading(d)[sign])
-        return _insert(d, 2 * d.n - 1 - 2 * i if sign == MINUS else 2 * i + 2)
+        return _create(d, sign, i)
 
     name = "B-" if sign == MINUS else "B+"
     return GradedOperator(f"{name}^({side},{i})", lambda w: creation_word(w, sign, i), diag)
@@ -421,6 +425,58 @@ def annihilation(side: str, i: int) -> GradedOperator:
 
     name = "A+" if sign == MINUS else "A-"
     return GradedOperator(f"{name}^({side},{i})", lambda w: annihilation_word(w, sign, i), diag)
+
+
+def root_point(n_chords: int, e: int) -> int:
+    """The root point of an N-chord basis diagram of euler class e, which
+    the base fold's vacuum chord holds."""
+    return (e + n_chords) % (2 * n_chords)
+
+
+@lru_cache(maxsize=None)
+def _creation_fold(w: Word, from_root: bool) -> tuple[ChordDiagram, tuple[tuple[int, int], ...]]:
+    """The basis diagram of w, built by creation operators on the vacuum,
+    and the chord each letter of w creates, the vacuum's chord last.
+
+    The base fold reads w right to left and puts each letter in front (B-
+    or B+, slot -1).  The root fold reads it left to right and appends
+    each letter at the last slot of its side.  Both build one diagram.
+    owner[p] is the letter whose chord holds point p.
+    """
+    n = w.n
+    pairing, owner = (1, 0), [n, n]
+    placed = [0, 0]  # letters of each sign so far: the root fold's slots
+    for pos in range(n) if from_root else reversed(range(n)):
+        sign = w.bits[pos]
+        s = _creation_point(len(pairing) // 2, sign, placed[sign] if from_root else -1)
+        placed[sign] += 1
+        if s == len(pairing) + 1:  # the chord (m+1, 0): old point 0 becomes m
+            owner = [pos, *owner[1:], owner[0], pos]
+        else:
+            owner[s:s] = (pos, pos)
+        pairing = insert_chord(pairing, s)
+    high = {letter: p for p, letter in enumerate(owner)}  # each chord's later point
+    chords = tuple((pairing[high[k]], high[k]) for k in range(n + 1))
+    if not from_root and root_point(n + 1, w.e) not in chords[n]:
+        raise BrokenInvariant(f"the base fold's vacuum chord of {w} misses the root point")
+    if from_root and 0 not in chords[n]:
+        raise BrokenInvariant(f"the root fold's vacuum chord of {w} misses the base point")
+    return ChordDiagram(pairing, _validated=True), chords
+
+
+def basis_diagram(w: Word) -> ChordDiagram:
+    """The diagram of the basis element indexed by w (n+1 chords)."""
+    return _creation_fold(w, False)[0]
+
+
+def base_chords(w: Word) -> tuple[tuple[int, int], ...]:
+    """Entry p is the chord letter p of w creates in the base fold."""
+    return _creation_fold(w, False)[1]
+
+
+def root_chords(w: Word) -> tuple[tuple[int, int], ...]:
+    """Entry p is the chord letter p of w creates in the root fold."""
+    return _creation_fold(w, True)[1]
 
 
 # -- merge on elements --------------------------------------------------------

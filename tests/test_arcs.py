@@ -209,6 +209,20 @@ def test_generalised_arc_existence_matches_words():
                             arcs.generalised_arc(w, "BA" if fa else "FA", i, j)
 
 
+def test_generalised_arc_out_of_range_is_arc_not_defined():
+    # an index 0 or one past the count of its sign is a SuturaError, not a
+    # read of a chord list at a wrapped or missing position
+    for n in range(1, 6):
+        for nm, np_ in gradings(n):
+            for w in all_words(nm, np_):
+                bad = [(i, j) for i in (0, nm + 1) for j in range(np_ + 2)]
+                bad += [(i, j) for i in range(1, nm + 1) for j in (0, np_ + 1)]
+                for kind in ("FA", "BA"):
+                    for i, j in bad:
+                        with pytest.raises(ArcNotDefined):
+                            arcs.generalised_arc(w, kind, i, j)
+
+
 def test_block_adjacent_generalised_arc_is_single():
     for n in range(1, 6):
         for nm, np_ in gradings(n):

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 
 from sutura import diagram as D
 from sutura import oracles, sfh
-from sutura.basis import base_construction
-from sutura.errors import BrokenInvariant, IndexOutOfRange, ZeroElement
+from sutura.errors import BrokenInvariant, ZeroElement
 from sutura.words import MINUS, PLUS, Word, all_words, lex_extremes, word
 
 from strategies import diagrams, gradings
@@ -22,18 +21,25 @@ def test_basis_diagram_frozen_oracles():
 
 
 def test_root_point_positions():
-    from sutura.basis import base_construction, root_point
-
-    data = base_construction(word("-+-++"))
-    assert data.root == 7 == root_point(6, 1)
-    assert data.root in data.final_chord
+    # the vacuum's chord, created first and numbered last, holds the root
+    # point in the base fold and the base point in the root fold
+    assert sfh.root_point(6, 1) == 7 and 7 in sfh.base_chords(word("-+-++"))[-1]
+    for n in range(0, 9):
+        for nm, np_ in gradings(n):
+            for w in all_words(nm, np_):
+                assert sfh.root_point(n + 1, w.e) in sfh.base_chords(w)[n], w
+                assert 0 in sfh.root_chords(w)[n], w
 
 
 def test_base_and_root_constructions_agree():
-    for n in range(0, 8):
+    # the creation fold against the paper's root point walk: the same
+    # diagram, and the same chord for each letter in root-point order
+    for n in range(0, 9):
         for nm, np_ in gradings(n):
             for w in all_words(nm, np_):
-                assert sfh.basis_diagram(w) == oracles.basis_diagram_from_root(w), w
+                walked, chords = oracles._root_walk(w)
+                assert sfh.basis_diagram(w) == walked == oracles.basis_diagram_from_root(w), w
+                assert list(sfh.root_chords(w)[:n]) == chords, w
 
 
 def test_decompose_of_basis_is_singleton():
@@ -192,7 +198,7 @@ def test_zero_from_pair_is_an_error_not_an_assert(monkeypatch):
     monkeypatch.setattr(arcs, "fbs", lambda w_minus, w_plus: None)
     monkeypatch.setattr(arcs, "surgery_along_system", lambda system, direction: D.ZERO)
     with pytest.raises(BrokenInvariant):
-        sfh._from_pair_cached.__wrapped__(word("-+"), word("+-"))
+        sfh.from_pair(word("-+"), word("+-"))
 
 
 def test_decompose_injective_and_nonzero():
@@ -285,8 +291,6 @@ def test_outermost_region_dictionary():
     # a diagram has an outermost chord at a distinguished slot exactly when
     # every word of its decomposition shows the matching symbol pattern,
     # exactly when the two extreme words do
-    from sutura.basis import root_point
-
     # the vacuum's empty word has no symbols to inspect, so start at two chords
     for n in range(2, 7):
         for d in D.enumerate_diagrams(n):
@@ -303,7 +307,7 @@ def test_outermost_region_dictionary():
                 extremes = bool(lo.bits) and lo.bits[0] == sign and hi.bits[0] == sign
                 assert diag == all_words_match == extremes, (d, sign)
             # root point: last symbol
-            r = root_point(n, e)
+            r = sfh.root_point(n, e)
             for sign, slot in ((1, (r - 1) % m), (0, r)):
                 diag = _has_outermost(d, slot)
                 all_match = all(w.bits and w.bits[-1] == sign for w in words)
@@ -342,11 +346,3 @@ def test_decompose_agrees_with_root_route_hypothesis(d):
 def test_from_pair_inverts_phi_hypothesis(d):
     # beyond the exhaustive sizes this drives multi-arc system surgery
     assert sfh.from_pair(*sfh.phi(d)) == d
-
-
-def test_base_numbered_chord_out_of_range_is_a_sutura_error():
-    data = base_construction(word("-+"))
-    assert data.base_numbered_chord(MINUS, 1) == data.symbol_chords[0]
-    for index in (0, 2):
-        with pytest.raises(IndexOutOfRange):
-            data.base_numbered_chord(MINUS, index)

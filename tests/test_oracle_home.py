@@ -18,6 +18,7 @@ ORACLES = {
     "_decompose_root_pairing",
     "_decompose_root_cache",
     "basis_diagram_from_root",
+    "_root_walk",
     "rotation_geometric",
     "rotation_matrix",
     "_after_minuses",
@@ -28,7 +29,16 @@ ORACLES = {
     "morphism_exists_nested",
 }
 # names folded into an oracle or deleted with the route they served
-GONE = {"prefix_sums", "rotation_explicit", "nontrivial_arcs"}
+GONE = {
+    "prefix_sums",
+    "rotation_explicit",
+    "nontrivial_arcs",
+    "base_construction",
+    "root_construction",
+    "ConstructionData",
+    "base_numbered_chord",
+    "_from_pair_cached",
+}
 
 
 def _tree(path: pathlib.Path) -> ast.AST:
@@ -78,3 +88,6 @@ def test_every_oracle_is_defined_in_oracles_only():
     }
     assert strays == set()
     assert not _bound_names(_tree(SRC / "oracles.py")) & GONE
+    # basis diagrams come from the creation fold in sfh, and the module of
+    # the point walks stays gone
+    assert not (SRC / "basis.py").exists()

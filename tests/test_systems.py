@@ -156,8 +156,6 @@ def test_arcs_remain_of_the_three_types_during_surgery():
 
 
 def _assert_arc_type(pm, arc_id, current_word):
-    from sutura.basis import base_construction
-
     own = range(3 * arc_id, 3 * arc_id + 3)  # the arc's sites 0, 1, 2
     chord_of = {s: ends for ends, sites in pm.strands() for s in sites if s in own}
     strands = set(chord_of.values())
@@ -165,12 +163,11 @@ def _assert_arc_type(pm, arc_id, current_word):
     same_up = (not D.is_zero(up)) and up.diagram() == pm.diagram()
     if len(strands) == 3:
         # nontrivial: must be forwards (negative prior outer region)
-        data = base_construction(current_word)
-        order = data.chord_order()
+        base = sfh.base_chords(current_word)
         walks, face_at = pm.faces()
         x0, _x1, _y0, y1 = pm.darts[4 * arc_id : 4 * arc_id + 4]
         # the end site on the prior chord, with the end its segment leaves from
-        _site, end = min((own[0], x0), (own[2], y1), key=lambda t: order[chord_of[t[0]]])
+        _site, end = min((own[0], x0), (own[2], y1), key=lambda t: base.index(chord_of[t[0]]))
         outer = face_at[end ^ 1]
         assert D.orbit_sign(walks[outer]) == -1, "nontrivial arc stopped being forwards"
     elif len(strands) == 2:
