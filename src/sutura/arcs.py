@@ -17,12 +17,12 @@ Surgery along one arc glues its six site ends pairwise one step round
 its hexagon: each glue splices the mates of two ends together and drops
 both, and a glue that joins the two ends of one path closes a loop
 (ZERO).  The other arcs' sites ride along untouched, so a system is
-surgered arc by arc in any order.  The faces of a system are the
-orbits of one permutation on its ends, as diagram.region_orbits gives
-the regions of a bare diagram.  Its regions, the faces cut along the
-arc segments, are the orbits of that permutation followed by a jump
-across each segment: planarity is an Euler count of them, and a
-pinwheel is one of them.
+surgered arc by arc in any order.  The regions of a system, the faces
+cut along the arc segments, are the orbits of one permutation on its
+ends, the face step of diagram.region_orbits followed by a jump across
+each segment: planarity is an Euler count of them, and a pinwheel is
+one of them.  A generalised arc is the chords that separate its two
+outer regions, read off the pairing with no face walked.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class BypassSystem:
     are the boundary points and both ends of every site of arc_ids; the
     ends of dropped sites are never reached from them.
 
-    The faces and the regions are orbits of one walk on the live ends:
-    the faces of the face step alone, the regions of the face step
+    The sites leave the faces of the diagram as they are (Faces); the
+    regions are the orbits of one walk on the live ends, the face step
     followed by a jump across a segment wherever one leaves.
 
     No method changes a system (subsystem and surgery_step build new
@@ -162,41 +162,22 @@ class BypassSystem:
                 out.append(((a, z), sites))
         return out
 
-    def faces(self) -> tuple[list[list[int]], list[int]]:
-        """(walks, face of each end).
-
-        Walking a face with it on the left, an end x leads along its piece
-        to mate[x]; a site is crossed to its other end, and at a boundary
-        point p the boundary arc leads on to p - 1, as in
-        diagram.region_orbits.  The faces are the orbits of that
-        permutation, started from the boundary points in order, so face
-        ids are those of diagram._face_cycles.  The side of a site facing
-        end x is the face of x.  Dropped ends get face -1.
-        """
-        walks = self._orbits({})
-        face_at = [-1] * len(self.mate)
-        for f, walk in enumerate(walks):
-            for x in walk:
-                face_at[x] = f
-        return walks, face_at
-
     def regions(self) -> list[list[int]]:
-        """The regions the arc segments cut the faces into: the orbits of
-        the face step followed by a jump along the segment leaving, if one
-        does, to its other end.  Walked with the region on its left, an
-        orbit holds the end each of its sides lands on.  A region inside a
-        face may meet no boundary point, so orbits start from site ends too.
+        """The regions the arc segments cut the faces into, boundary points
+        first: the orbits over the live ends of the face step (an end x
+        leads along its piece to mate[x], a site is crossed to its other
+        end, and boundary point p leads on to p - 1, as in
+        diagram.region_orbits) followed by a jump along the segment
+        leaving, if one does, to its other end.  Walked with the region on
+        its left, an orbit holds the end each of its sides lands on.  A
+        region inside a face may meet no boundary point, so orbits start
+        from site ends too.
         """
+        m, mate = self.m, self.mate
         jump = {}
         for aid in self.arc_ids:
             x0, x1, y0, y1 = self.darts[4 * aid : 4 * aid + 4]
             jump[x0], jump[x1], jump[y0], jump[y1] = x1, x0, y1, y0
-        return self._orbits(jump)
-
-    def _orbits(self, jump: dict[int, int]) -> list[list[int]]:
-        """Orbits over the live ends of the face step followed by jump,
-        boundary points first."""
-        m, mate = self.m, self.mate
         seen = [False] * len(mate)
         site_ends = (x for aid in self.arc_ids for x in range(m + 6 * aid, m + 6 * aid + 6))
         orbits = []
@@ -240,17 +221,25 @@ class BypassSystem:
         return BypassSystem(self.m, mate, self.darts, [a for a in self.arc_ids if a in keep])
 
     def to_json(self) -> dict:
-        _walks, face_at = self.faces()
-        chord_of = {s: si for si, (_ends, sites) in enumerate(self.strands()) for s in sites}
+        """Per arc, the chord of each site and the faces its segments run
+        in.  Walked from its strand's low end, a site is reached at the end
+        facing the chord's RIGHT face and left at the LEFT one: build puts
+        the even end first, but surgery may reverse a piece."""
+        diagram = self.diagram()
+        faces, m, mate = Faces(diagram), self.m, self.mate
+        at = {}  # site end -> (chord index, face on its side)
+        for si, (a, _b) in enumerate(diagram.chords()):
+            right, left = (si, faces.face_of(si, RIGHT)), (si, faces.face_of(si, LEFT))
+            z = mate[a]
+            while z >= m:
+                at[z], at[z ^ 1] = right, left
+                z = mate[z ^ 1]
         arcs_out = []
         for aid in self.arc_ids:
-            x0, _x1, _y0, y1 = self.darts[4 * aid : 4 * aid + 4]
-            si0, si1, si2 = (chord_of[s] for s in range(3 * aid, 3 * aid + 3))
-            f1, f2 = face_at[x0], face_at[y1]
-            arcs_out.append(
-                {"end1": [si0, f1], "middle": [si1, f1, f2], "end2": [si2, f2]}
-            )
-        return {"diagram": serialize(self.diagram()), "arcs": arcs_out}
+            x0, x1, _y0, y1 = self.darts[4 * aid : 4 * aid + 4]
+            (si0, f1), (si1, _f), (si2, f2) = at[x0], at[x1], at[y1]
+            arcs_out.append({"end1": [si0, f1], "middle": [si1, f1, f2], "end2": [si2, f2]})
+        return {"diagram": serialize(diagram), "arcs": arcs_out}
 
 
 def _strand_pairing(mate: list[int], m: int) -> list[int]:
@@ -328,9 +317,6 @@ class Faces:
     def face_of(self, strand_index: int, side: int) -> int:
         a, b = self._chords[strand_index]
         return self._face_at[a if side == LEFT else b]
-
-    def signs(self) -> list[int]:
-        return [orbit_sign(orbit) for orbit in self.cycles]
 
     def strands_around(self, face: int) -> list[int]:
         """Chord indices along the face's boundary walk, in traversal order."""
@@ -651,10 +637,11 @@ def induced_arc(diagram: ChordDiagram, arc: AttachingArc, direction: str) -> Att
 class GeneralisedArc:
     """A nontrivial generalised attaching arc FA(i,j)/BA(i,j) on a basis diagram.
 
-    The arc runs from the prior chord to the latter chord along the unique
-    path in the face tree between its two outer regions; path_edges lists
-    the strand (= chord) indices it meets, path_faces the regions of the
-    bare diagram it passes through, outer regions included at both ends.
+    The arc runs from the outer region of its prior chord to that of its
+    latter chord, crossing each chord that separates the two once:
+    path_edges lists those chord indices in the order it meets them, and
+    outward[t] is True when it leaves chord path_edges[t] from its
+    inside, the chord's LEFT face (see Faces), and False when it enters.
     """
 
     word: Word
@@ -662,7 +649,7 @@ class GeneralisedArc:
     i: int
     j: int
     path_edges: tuple[int, ...]
-    path_faces: tuple[int, ...]
+    outward: tuple[bool, ...]
 
     @property
     def crossings(self) -> int:
@@ -676,84 +663,44 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
     Its prior chord is the one the i'th minus (FA) or the j'th plus (BA)
     creates in the base fold, sfh.base_chords; its latter chord is the
     one the j'th plus (FA) or the i'th minus (BA) creates in the root
-    fold, sfh.root_chords.  Memoised: the coarse systems of many pairs
-    share their arcs, and a GeneralisedArc is frozen, so one instance
-    serves every caller.
+    fold, sfh.root_chords.  The prior chord's outer region is negative
+    for FA and positive for BA, the latter's the other way round.
+
+    Boundary arc k has the sign of k's parity and lies inside chord
+    (a, b), a < b, exactly when a <= k < b.  So the outer regions hold
+    the arcs k1 and k2 at the ends of their chords of their parity, and
+    the arc leaves the chords holding k1 but not k2, innermost first,
+    then enters those holding k2 but not k1, outermost first.
+    Memoised: the coarse systems of many pairs share their arcs, and a
+    GeneralisedArc is frozen, so one instance serves every caller.
     """
     move = "FE" if kind == "FA" else "BE"
     if not move_exists(w, move, i, j):
         raise ArcNotDefined(f"{kind}({i},{j}) does not exist on {w}")
-    diagram = sfh.basis_diagram(w)
-    chords = diagram.chords()
     minus, plus = _move_ends(w, i, j)
     if kind == "FA":
-        prior_c, latter_c = sfh.base_chords(w)[minus], sfh.root_chords(w)[plus]
-        prior_sign, latter_sign = -1, 1
+        prior_c, latter_c, parity = sfh.base_chords(w)[minus], sfh.root_chords(w)[plus], 1
     else:
-        prior_c, latter_c = sfh.base_chords(w)[plus], sfh.root_chords(w)[minus]
-        prior_sign, latter_sign = 1, -1
-    faces = Faces(diagram)
-    signs = faces.signs()
-    prior_si, latter_si = chords.index(prior_c), chords.index(latter_c)
-    # each chord's outer region: the one of its two faces with the given sign
-    prior_region, latter_region = (
-        next(f for f in (faces.face_of(si, LEFT), faces.face_of(si, RIGHT)) if signs[f] == sign)
-        for si, sign in ((prior_si, prior_sign), (latter_si, latter_sign))
-    )
-    path_faces, path_edges = _tree_path(faces, len(chords), prior_region, latter_region)
-    if not path_edges or path_edges[0] != prior_si or path_edges[-1] != latter_si:
+        prior_c, latter_c, parity = sfh.base_chords(w)[plus], sfh.root_chords(w)[minus], 0
+    k1 = next(k for k in prior_c if k % 2 == parity)
+    k2 = next(k for k in latter_c if k % 2 != parity)
+    chords = sfh.basis_diagram(w).chords()
+    out, into = [], []
+    for si, (a, b) in enumerate(chords):
+        holds1, holds2 = a <= k1 < b, a <= k2 < b
+        if holds1 != holds2:
+            (out if holds1 else into).append(si)
+    # chords() is ascending in the low end, so nested chords run outermost first
+    path = (*reversed(out), *into)
+    if not path or (chords[path[0]], chords[path[-1]]) != (prior_c, latter_c):
         raise ArcNotDefined(f"{kind}({i},{j}): outer regions not joined through the chords")
-    if len(path_edges) % 2 != 1:
+    if len(path) % 2 != 1:
         raise BrokenInvariant(f"{kind}({i},{j}): a generalised arc must meet an odd number of chords")
-    return GeneralisedArc(w, kind, i, j, tuple(path_edges), tuple(path_faces))
+    return GeneralisedArc(w, kind, i, j, path, (True,) * len(out) + (False,) * len(into))
 
 
-def _tree_path(faces: Faces, n_strands: int, start: int, goal: int):
-    """BFS in the region tree; edges are the strands separating regions."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for si in range(n_strands):
-        fa, fb = faces.face_of(si, LEFT), faces.face_of(si, RIGHT)
-        adj.setdefault(fa, []).append((fb, si))
-        adj.setdefault(fb, []).append((fa, si))
-    prev: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    queue = [start]
-    while queue:
-        f = queue.pop(0)
-        if f == goal:
-            break
-        for g, si in adj.get(f, ()):
-            if g not in prev:
-                prev[g] = (f, si)
-                queue.append(g)
-    if goal not in prev:
-        raise BrokenInvariant(f"region {goal} not reached from region {start} in the region tree")
-    faces_path, edges = [goal], []
-    while faces_path[-1] != start:
-        f, si = prev[faces_path[-1]]
-        edges.append(si)
-        faces_path.append(f)
-    return faces_path[::-1], edges[::-1]
-
-
-def _west_position_end(chord: tuple[int, int], root: int, m: int) -> int:
-    """Endpoint from which 'west-coordinate' positions are measured.
-
-    Chords spanning the two sides are measured from their westside end;
-    outermost chords from their end further from the root point, which
-    keeps nested families of arc attachments correctly ordered.
-    """
-    a, b = chord
-    a2, b2 = (m if a == 0 else a), (m if b == 0 else b)
-    west_a, west_b = a2 > root, b2 > root
-    if west_a != west_b:
-        return a if west_a else b
-    if not west_a:           # outermost on the eastside: the south end
-        return max(a, b)
-    return max(a2, b2) % m   # outermost on the westside: the north end
-
-
-# split perturbation, in west-coordinates: (offset of the earlier arc's
-# endpoint, offset of the later arc's endpoint) at a shared split chord
+# split perturbation: (offset of the earlier arc's endpoint, offset of the
+# later arc's endpoint) at a chord shared by two pieces of one split arc
 _SPLIT_OFFSETS = {"FA": (-1, 1), "BA": (1, -1)}
 
 
@@ -788,60 +735,43 @@ def expand_subsets(system: BypassSystem, direction: str):
 def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> BypassSystem:
     """Realise a nicely ordered family, splitting each generalised arc.
 
-    Placement index order puts every later family member on the same
-    side (the 'southwest'/'northwest' choice) of all earlier ones: its
-    sites take smaller west-coordinates on every shared chord.  At a
-    chord shared by two pieces of one split arc, the split offset
-    (_SPLIT_OFFSETS) orders their endpoints within the member.
+    A member meeting chords E splits into the arcs (E[2k], E[2k+1],
+    E[2k+2]).  A start site faces the region after its chord, the RIGHT
+    face (bit 0) when the arc leaves it outwards; crossing and end sites
+    face the region before theirs, the LEFT face (bit 1) when outwards.
 
-    The sites on a chord are sorted by _placement_key: member index
-    first, descending, then offset, each multiplied by the chord's sign
-    (+1 when west-coordinates run from its low end).  This is the order
-    of the rational coordinate 1/(v+2) + off/(1000(v+2)) for every
-    member index v < 498, and beyond that it keeps the member order the
-    offset was meant never to cross.
+    Every later member lies on the same side (the 'southwest' or
+    'northwest' choice) of all earlier ones: its sites come nearer each
+    chord's west end, point 0 for the chord through the base point and
+    the high end for every other.  At a chord shared by two pieces of
+    one split arc, the split offset (_SPLIT_OFFSETS) orders their
+    endpoints.  So a chord's sites run in (-member, offset) order from
+    its west end.
     """
     diagram = sfh.basis_diagram(w)
     chords = diagram.chords()
-    m = 2 * diagram.n
-    root = sfh.root_point(diagram.n, w.e)
-    faces = Faces(diagram)
-
-    # per chord: (member index, split offset, site)
     placed: dict[int, list[tuple[int, int, int]]] = {si: [] for si in range(len(chords))}
     bits: list[int] = []
     off_first, off_second = _SPLIT_OFFSETS[kind]
 
     for v, g in enumerate(gens):
-        E, F = g.path_edges, g.path_faces
+        E, out = g.path_edges, g.outward
         n_arcs = (len(E) - 1) // 2
         for k in range(n_arcs):
-            s = len(bits)
-            e_start, e_cross, e_end = E[2 * k], E[2 * k + 1], E[2 * k + 2]
-            f_before, f_after = F[2 * k + 1], F[2 * k + 2]
-            bits += (
-                _facing(faces, e_start, f_before),
-                _facing(faces, e_cross, f_before),
-                _facing(faces, e_end, f_after),
-            )
-            placed[e_start].append((v, off_second if k > 0 else 0, s))
-            placed[e_cross].append((v, 0, s + 1))
-            placed[e_end].append((v, off_first if k < n_arcs - 1 else 0, s + 2))
+            s, t = len(bits), 2 * k
+            bits += (int(not out[t]), int(out[t + 1]), int(out[t + 2]))
+            placed[E[t]].append((-v, off_second if k > 0 else 0, s))
+            placed[E[t + 1]].append((-v, 0, s + 1))
+            placed[E[t + 2]].append((-v, off_first if k < n_arcs - 1 else 0, s + 2))
 
-    strand_sites = {}
-    for si, chord in enumerate(chords):
-        sign = 1 if chord[0] == _west_position_end(chord, root, m) else -1
-        order = sorted(placed[si], key=lambda t: _placement_key(t[0], t[1], sign))
-        strand_sites[si] = [s for _v, _off, s in order]
+    # sorted (-member, offset, site) runs from the west end, the low end only at 0
+    strand_sites = {
+        si: [s for *_key, s in sorted(placed[si], reverse=a != 0)]
+        for si, (a, _b) in enumerate(chords)
+    }
     system = BypassSystem.build(diagram, strand_sites, bits, range(len(bits) // 3))
     system.validate()
     return system
-
-
-def _placement_key(v: int, off: int, sign: int) -> tuple[int, int]:
-    """Sort key of a site of member v with split offset off on a chord of
-    the given sign (see _place_generalised)."""
-    return (-sign * v, sign * off)
 
 
 def arc_to_system(g: GeneralisedArc) -> BypassSystem:

@@ -63,7 +63,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_frompair(args) -> int:
-    d = sfh.from_pair(word(args.lower), word(args.upper))
+    lower, upper = args.words
+    d = sfh.from_pair(word(lower), word(upper))
     if args.format == "json":
         print(json.dumps(dg.to_json_dict(d), sort_keys=True))
     else:
@@ -261,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("frompair", help="diagram with given extreme words")
-    p.add_argument("lower")
-    p.add_argument("upper")
+    # one positional of two words: with two single ones, argparse (3.11)
+    # strips the word "--" after the first, and "frompair -- -- --" fails
+    p.add_argument("words", nargs=2, help="the lower and upper extreme words")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_frompair)
 

@@ -20,7 +20,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from . import arcs as _arcs
 from . import sfh
-from .diagram import ChordDiagram, delete_points, euler_class
+from .diagram import ChordDiagram, delete_points, euler_class, orbit_sign
 from .errors import BrokenInvariant, NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
 from .words import partial_leq
 
@@ -199,7 +199,7 @@ def bypass_cobordism_category(bottom: ChordDiagram, arc) -> tuple[int, int, Boun
     faces = _arcs.Faces(bottom)
     (si0, f1), si1, (si2, f2) = arc.end1, arc.middle[0], arc.end2
     # the inner + region (with its endpoint chord) first, then the inner -
-    if faces.signs()[f1] != 1:
+    if orbit_sign(faces.cycles[f1]) != 1:
         (si0, f1), (si2, f2) = (si2, f2), (si0, f1)
     n_minus = 1 + _chords_between(faces, f1, si0, si1)
     n_plus = 1 + _chords_between(faces, f2, si2, si1)

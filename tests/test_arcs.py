@@ -1,4 +1,5 @@
-from collections import Counter
+import hashlib
+from collections import Counter, deque
 
 import pytest
 
@@ -13,7 +14,7 @@ from sutura.errors import (
     MoveUndefined,
     TrivialArc,
 )
-from sutura.words import all_words, word
+from sutura.words import MINUS, PLUS, all_words, comparable_pairs, word
 
 from strategies import gradings
 
@@ -306,20 +307,75 @@ def test_up_moves_match_the_arc_route():
             assert Counter(arcs.up_moves(d)) == Counter(oracles.up_moves_by_arcs(d)), d
 
 
-def test_placement_key_orders_as_the_rational_coordinate():
-    # the rational split coordinate the integer key replaced, kept here
-    # as the oracle: 1/(v+2) + off/(1000(v+2)), times the chord's sign
-    import random
-    from fractions import Fraction
+def _generalised_arcs(nm, np_):
+    """Every generalised arc on the words of one grading: for each i and j
+    exactly one of FA(i, j) and BA(i, j) exists."""
+    for w in all_words(nm, np_):
+        for i in range(1, nm + 1):
+            for j in range(1, np_ + 1):
+                kind = "FA" if arcs.move_exists(w, "FE", i, j) else "BA"
+                yield arcs.generalised_arc(w, kind, i, j)
 
-    def rational(v, off, sign):
-        return sign * (Fraction(1, v + 2) + Fraction(off, 1000 * (v + 2)))
 
-    sites = [(v, off) for v in range(400) for off in (-1, 0, 1)] * 2
-    random.Random(0).shuffle(sites)
-    for sign in (1, -1):
-        tagged = list(enumerate(sites))
-        by_int = sorted(tagged, key=lambda t: arcs._placement_key(*t[1], sign))
-        by_rational = sorted(tagged, key=lambda t: rational(*t[1], sign))
-        # stable sorts: equal tag orders mean equal orders, ties included
-        assert [i for i, _ in by_int] == [i for i, _ in by_rational]
+def test_placed_systems_are_pinned():
+    # the chord, order and side of every site, over the coarse and minimal
+    # systems of each comparable pair and the split of each generalised arc
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for nm, np_ in gradings(n):
+            systems = [
+                build(w1, w2)
+                for w1, w2 in comparable_pairs(nm, np_)
+                for build in (arcs.cfbs, arcs.cbbs, arcs.fbs, arcs.bbs)
+            ]
+            systems += [arcs.arc_to_system(g) for g in _generalised_arcs(nm, np_)]
+            for s in systems:
+                digest.update(repr((s.m, s.mate, s.darts, s.arc_ids)).encode())
+    assert digest.hexdigest() == "f76d9dce3c78714e98b1ceeca117e864ee42b6527518abf8b0a8cb3c74a8b6cd"
+
+
+def _tree_path(faces, start, goal):
+    """(chord, face before it) along the path from region start to region
+    goal in the region tree, by BFS: the tree's edges are the chords."""
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        f = queue.popleft()
+        for si in faces.strands_around(f):
+            g = faces.face_of(si, arcs.LEFT) + faces.face_of(si, arcs.RIGHT) - f
+            if g not in prev:
+                prev[g] = (si, f)
+                queue.append(g)
+    path, f = [], goal
+    while prev[f] is not None:
+        si, f = prev[f]
+        path.append((si, f))
+    return path[::-1]
+
+
+def test_generalised_arc_path_is_the_region_tree_path():
+    # the region-tree BFS between the two outer regions is the oracle for
+    # the chords an arc meets and the side it leaves each from
+    for n in range(1, 8):
+        for nm, np_ in gradings(n):
+            for g in _generalised_arcs(nm, np_):
+                w, d = g.word, sfh.basis_diagram(g.word)
+                faces, chords = arcs.Faces(d), d.chords()
+                minus, plus = w.positions(MINUS)[g.i - 1], w.positions(PLUS)[g.j - 1]
+                if g.kind == "FA":
+                    ends = ((sfh.base_chords(w)[minus], -1), (sfh.root_chords(w)[plus], 1))
+                else:
+                    ends = ((sfh.base_chords(w)[plus], 1), (sfh.root_chords(w)[minus], -1))
+                # each end chord's outer region: its face of the given sign
+                sides = (arcs.LEFT, arcs.RIGHT)
+                start, goal = (
+                    next(
+                        f
+                        for f in (faces.face_of(chords.index(c), side) for side in sides)
+                        if D.orbit_sign(faces.cycles[f]) == sign
+                    )
+                    for c, sign in ends
+                )
+                path = _tree_path(faces, start, goal)
+                assert g.path_edges == tuple(si for si, _f in path), g
+                assert g.outward == tuple(faces.face_of(si, arcs.LEFT) == f for si, f in path), g

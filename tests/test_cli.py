@@ -69,6 +69,19 @@ def test_decompose_and_frompair_roundtrip(capsys):
     assert json.loads(out)["words"] == ["--++", "-++-", "+--+", "+-+-"]
 
 
+def test_frompair_of_two_all_minus_words(capsys):
+    # "--" as a word after the "--" that ends the options
+    code, out, _ = run(capsys, "frompair", "--", "--", "--")
+    assert code == 0
+    assert out.strip() == dg.serialize(sfh.basis_diagram(word("--")))
+
+
+def test_frompair_needs_two_words(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["frompair", "--", "-+"])
+    assert exc.value.code == 2
+
+
 def test_decompose_parse_error(capsys):
     code, _, err = run(capsys, "decompose", "not-a-diagram")
     assert code == 1 and "error" in err

@@ -38,6 +38,10 @@ GONE = {
     "ConstructionData",
     "base_numbered_chord",
     "_from_pair_cached",
+    "_tree_path",
+    "_west_position_end",
+    "_placement_key",
+    "path_faces",
 }
 
 

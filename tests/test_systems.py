@@ -163,13 +163,14 @@ def _assert_arc_type(pm, arc_id, current_word):
     same_up = (not D.is_zero(up)) and up.diagram() == pm.diagram()
     if len(strands) == 3:
         # nontrivial: must be forwards (negative prior outer region)
-        base = sfh.base_chords(current_word)
-        walks, face_at = pm.faces()
-        x0, _x1, _y0, y1 = pm.darts[4 * arc_id : 4 * arc_id + 4]
-        # the end site on the prior chord, with the end its segment leaves from
-        _site, end = min((own[0], x0), (own[2], y1), key=lambda t: base.index(chord_of[t[0]]))
-        outer = face_at[end ^ 1]
-        assert D.orbit_sign(walks[outer]) == -1, "nontrivial arc stopped being forwards"
+        base, chords = sfh.base_chords(current_word), pm.diagram().chords()
+        faces = arcs.Faces(pm.diagram())
+        arc = pm.to_json()["arcs"][pm.arc_ids.index(arc_id)]
+        # the end on the prior chord, with the face its segment runs in;
+        # the outer region is that chord's other face
+        si, face = min(arc["end1"], arc["end2"], key=lambda end: base.index(chords[end[0]]))
+        outer = faces.face_of(si, arcs.LEFT) + faces.face_of(si, arcs.RIGHT) - face
+        assert D.orbit_sign(faces.cycles[outer]) == -1, "nontrivial arc stopped being forwards"
     elif len(strands) == 2:
         assert same_up, "slightly trivial arc is not upwards"
     else:
