@@ -1,7 +1,9 @@
 """Command-line surface: enumeration, decomposition, stacking, categories,
 rendering, and the verification harness.
 
-Exit codes: 0 on success, 1 on a domain error, 2 on a usage error.
+Exit codes: 0 on success, 1 on a domain error, 2 on a usage error, and
+141 when standard output is closed before the command has written all of
+it (as a shell reports a process that SIGPIPE ended; no traceback).
 """
 
 from __future__ import annotations
@@ -9,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from itertools import islice
 
 from . import sfh, stacking, verify
 from . import diagram as dg
@@ -18,38 +22,61 @@ from .sfh import root_point
 from .words import catalan, narayana, word
 
 
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
+
+# Rows are encoded and written this many at a time: one json.dumps per
+# chunk costs far less than one per row, and memory stays flat in N.
+ENUMERATE_CHUNK = 512
+
+
 def cmd_enumerate(args) -> int:
     if args.N > args.cap:
         raise CapExceeded(f"N={args.N} exceeds the cap {args.cap}; raise --cap")
-    diagrams = dg.enumerate_diagrams(args.N)
+    diagrams = dg.iter_diagrams(args.N)
     classes = range(-(args.N - 1), args.N, 2)
     if args.e is not None and args.e not in classes:
         valid = ", ".join(str(e) for e in classes)
         raise BadArgument(f"N={args.N} has no euler class {args.e}; the classes are {valid}")
-    rows = []
-    for d in diagrams:
-        e = dg.euler_class(d)
-        if args.e is not None and e != args.e:
-            continue
-        lo, hi = sfh.phi(d)
-        rows.append(
-            {
-                "diagram": dg.serialize(d),
-                "e": e,
-                "is_basis": lo == hi,
-                "phi": [str(lo), str(hi)],
-            }
-        )
     parts = [narayana(args.N, e) for e in classes]
     footer = f"{catalan(args.N)} = " + "+".join(str(p) for p in parts)
+    # every check is above: nothing is written before an error
+    out = sys.stdout
+    chunks = _chunks(_census_rows(diagrams, args.e), ENUMERATE_CHUNK)
     if args.format == "json":
-        print(json.dumps({"rows": rows, "counts": footer}, sort_keys=True))
+        # the bytes of json.dumps({"counts": footer, "rows": rows}, sort_keys=True)
+        out.write(f'{{"counts": {json.dumps(footer)}, "rows": [')
+        sep = ""
+        for chunk in chunks:
+            out.write(sep + json.dumps(chunk, sort_keys=True)[1:-1])
+            sep = ", "
+        out.write("]}\n")
     else:
-        for r in rows:
-            flag = "basis" if r["is_basis"] else "     "
-            print(f"{r['diagram']:<40} e={r['e']:+d} {flag} [{r['phi'][0]}, {r['phi'][1]}]")
-        print(footer)
+        for chunk in chunks:
+            out.write("".join(_text_row(r) for r in chunk))
+        out.write(footer + "\n")
     return 0
+
+
+def _census_rows(diagrams, only_e):
+    """One census row per diagram, skipping those outside class only_e."""
+    for d in diagrams:
+        e = dg.euler_class(d)
+        if only_e is not None and e != only_e:
+            continue
+        lo, hi = sfh.phi(d)
+        yield {"diagram": dg.serialize(d), "e": e, "is_basis": lo == hi, "phi": [str(lo), str(hi)]}
+
+
+def _text_row(r) -> str:
+    flag = "basis" if r["is_basis"] else "     "
+    return f"{r['diagram']:<40} e={r['e']:+d} {flag} [{r['phi'][0]}, {r['phi'][1]}]\n"
+
+
+def _chunks(items, size):
+    """Consecutive lists of size items (the last may be shorter)."""
+    items = iter(items)
+    while chunk := list(islice(items, size)):
+        yield chunk
 
 
 def cmd_decompose(args) -> int:
@@ -297,10 +324,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except SuturaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader went away (`sutura enumerate 9 | head -2`); point
+        # stdout at devnull so that the flush at exit is quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

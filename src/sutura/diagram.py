@@ -7,6 +7,7 @@ exactly when k is even, which fixes the signs of all regions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,16 +88,15 @@ def _validate(pairing: tuple[int, ...]) -> None:
         if not (0 <= p < m) or p == i or pairing[p] != i:
             raise BadPartition("pairing is not a fixed-point-free involution")
     # Balanced-bracket test: equivalent to having no crossing a<b<c<d with
-    # a-c and b-d paired.
+    # a-c and b-d paired.  It also gives each chord opposite-parity ends:
+    # the points strictly inside a chord are matched among themselves, so
+    # there is an even number of them.
     stack: list[int] = []
     for i, p in enumerate(pairing):
         if p > i:
             stack.append(p)
         elif stack.pop() != i:
             raise CrossingChords("two chords cross")
-    for i, p in enumerate(pairing):
-        if (p - i) % 2 == 0:
-            raise CrossingChords("chord endpoints must have opposite parity")
 
 
 def from_pairing(pairs) -> ChordDiagram:
@@ -226,45 +226,52 @@ def euler_class(diagram: ChordDiagram) -> int:
 
 
 def enumerate_diagrams(n: int) -> list[ChordDiagram]:
-    """All diagrams with n chords, deterministically ordered by pairing.
+    """All diagrams with n chords, in increasing pairing order.
 
     Each call returns a fresh list, copied from the memo of _all_diagrams.
+    A caller that walks the diagrams once, as `sutura enumerate` does,
+    takes them from iter_diagrams and holds none of them.
     """
-    if n < 1:
-        raise BadArgument(f"need at least one chord, not {n}")
     return list(_all_diagrams(n))
 
 
 @lru_cache(maxsize=None)
 def _all_diagrams(n: int) -> tuple[ChordDiagram, ...]:
-    """The diagrams of enumerate_diagrams, built once per size.
+    """The diagrams of iter_diagrams, built once per size.
 
     Memoised: the verification sweeps ask for the same few sizes again
     and again (90 calls over 8 sizes in the full verification).
     """
+    return tuple(iter_diagrams(n))
 
-    def gen(points: tuple[int, ...]):
-        if not points:
-            yield []
+
+def iter_diagrams(n: int) -> Iterator[ChordDiagram]:
+    """An iterator over every diagram with n chords, in increasing pairing order.
+
+    Point 0 is paired with 1, 3, 5, ... in turn, and for each mate j the
+    points inside the chord (1..j-1) are matched before those outside it
+    (j+1..2n-1), each range recursively the same way.  The pairing is
+    filled in from the left, so the first entry that differs between two
+    diagrams is the one the earlier choice set smaller: the pairings come
+    out strictly increasing.  The chord count is checked on the call, not
+    on the first next().
+    """
+    if n < 1:
+        raise BadArgument(f"need at least one chord, not {n}")
+    pairing = [0] * (2 * n)
+
+    def fill(lo: int, hi: int):
+        # match the points lo..hi-1 in place, yielding once per matching
+        if lo == hi:
+            yield
             return
-        first = points[0]
-        for j in range(1, len(points), 2):
-            mate = points[j]
-            inside = points[1:j]
-            outside = points[j + 1 :]
-            for left in gen(inside):
-                for right in gen(outside):
-                    yield [(first, mate)] + left + right
+        for mate in range(lo + 1, hi, 2):
+            pairing[lo] = mate
+            pairing[mate] = lo
+            for _ in fill(lo + 1, mate):
+                yield from fill(mate + 1, hi)
 
-    out = []
-    for pairs in gen(tuple(range(2 * n))):
-        pairing = [0] * (2 * n)
-        for a, b in pairs:
-            pairing[a] = b
-            pairing[b] = a
-        out.append(ChordDiagram(tuple(pairing), _validated=True))
-    out.sort(key=lambda d: d.pairing)
-    return tuple(out)
+    return (ChordDiagram(tuple(pairing), _validated=True) for _ in fill(0, 2 * n))
 
 
 def rotate_points(diagram: ChordDiagram, steps: int) -> ChordDiagram:

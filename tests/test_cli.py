@@ -43,8 +43,8 @@ def test_enumerate_impossible_class_is_an_error(capsys, n, e):
 
 
 def test_enumerate_cap(capsys):
-    code, _, err = run(capsys, "enumerate", "12")
-    assert code == 1 and "cap" in err
+    code, out, err = run(capsys, "enumerate", "12")
+    assert code == 1 and out == "" and "cap" in err
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -168,14 +168,90 @@ def test_unknown_verify_level_is_rejected(level):
         verify.budgets(level)
 
 
-def run_process(*argv, optimize=False):
+def child_env():
+    """This environment, with the sutura under test first on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sutura.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(*args, optimize=False):
     flags = ["-O"] if optimize else []
     return subprocess.run(
-        [sys.executable, *flags, "-m", "sutura.cli", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+        [sys.executable, *flags, *args],
+        capture_output=True, text=True, env=child_env(), timeout=300,
     )
+
+
+def run_process(*argv, optimize=False):
+    return run_python("-m", "sutura.cli", *argv, optimize=optimize)
+
+
+ENUMERATE_PIN_SCRIPT = """
+import contextlib, hashlib, io
+from sutura import cli
+argvs = [["enumerate", str(n), "--format", f] for n in range(1, 9) for f in ("json", "text")]
+argvs += [
+    ["enumerate", "6", "--e", str(e), "--format", f]
+    for e in range(-5, 6, 2)
+    for f in ("json", "text")
+]
+digest = hashlib.sha256()
+for argv in argvs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code:
+        raise SystemExit(f"{argv} exited {code}")
+    digest.update(out.getvalue().encode())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_enumerate_outputs_are_pinned(optimize):
+    # the bytes of enumerate 1..8 (json and text) and of every class at 6,
+    # as they were when the rows were built in full before being printed
+    proc = run_python("-c", ENUMERATE_PIN_SCRIPT, optimize=optimize)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "9da95e6a40822cc17474c3b2055f6aec4d91ef1dce385e8d691f5055b863cb85"
+
+
+def test_enumerate_to_a_closed_pipe_is_quiet():
+    # `sutura enumerate 9 | head -1`: the text rows overflow the pipe, so
+    # the command is still writing when the reader closes it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sutura.cli", "enumerate", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=300)
+    assert "Traceback" not in err and err == "", err
+    assert first.startswith("0-1,2-3,") and code == cli.EXIT_BROKEN_PIPE
+
+
+ENUMERATE_MEMORY_SCRIPT = """
+import contextlib, os, tracemalloc
+from sutura import cli
+tracemalloc.start()
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = cli.main(["enumerate", "9", "--format", "json"])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_enumerate_memory_is_the_memo():
+    # a new process starts with a cold memo; the 4862 rows of enumerate 9
+    # are streamed, so the peak is the phi memo (about 3.4 MiB), not the
+    # output (the rows and their JSON held at once peaked at 8.8 MiB)
+    proc = run_python("-c", ENUMERATE_MEMORY_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < 5 * 2**20
 
 
 def test_verify_quick_under_optimize():

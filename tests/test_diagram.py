@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sutura import diagram as D
 from sutura import words as W
-from sutura.errors import BadPartition, CrossingChords, OddStep, ParseError
+from sutura.errors import BadArgument, BadPartition, CrossingChords, OddStep, ParseError
 
 from strategies import diagrams
 
@@ -26,6 +26,53 @@ def test_parity_consequence_is_checked():
     # an involution pairing equal parities must be rejected
     with pytest.raises(CrossingChords):
         D.ChordDiagram((2, 3, 0, 1))
+
+
+def _involutions(points):
+    """Every fixed-point-free involution of the given points, as pair lists."""
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for j in range(1, len(points)):
+        rest = points[1:j] + points[j + 1 :]
+        for pairs in _involutions(rest):
+            yield [(first, points[j])] + pairs
+
+
+def test_bracket_test_gives_opposite_parity():
+    # _validate has no parity pass: every involution with m <= 10 that has
+    # a chord with equal-parity ends fails the bracket test as a crossing
+    for m in range(2, 11, 2):
+        accepted = 0
+        for pairs in _involutions(tuple(range(m))):
+            pairing = [0] * m
+            for a, b in pairs:
+                pairing[a], pairing[b] = b, a
+            if all((b - a) % 2 for a, b in pairs):
+                try:
+                    D.ChordDiagram(pairing)
+                    accepted += 1
+                except CrossingChords:
+                    pass
+            else:
+                with pytest.raises(CrossingChords, match="two chords cross"):
+                    D.ChordDiagram(pairing)
+        assert accepted == W.catalan(m // 2)
+
+
+def test_iter_diagrams_yields_increasing_pairings():
+    # the order enumerate_diagrams promises, with no sort behind it
+    for n in range(1, 11):
+        pairings = [d.pairing for d in D.iter_diagrams(n)]
+        assert len(pairings) == W.catalan(n)
+        assert all(a < b for a, b in zip(pairings, pairings[1:]))
+    assert [d.pairing for d in D.iter_diagrams(4)] == [
+        d.pairing for d in D.enumerate_diagrams(4)
+    ]
+    for n in (0, -1):
+        with pytest.raises(BadArgument):
+            D.iter_diagrams(n)  # on the call, before any next()
 
 
 def test_enumerate_counts_and_order():
