@@ -391,10 +391,12 @@ class AttachingArc:
     each endpoint and (chord, face_before, face_after) for the middle
     crossing, written with canonical chord ids (position in the
     serialized pair list) and region ids (position in regions()).
-    signature is the class as find_attaching_arcs enumerates it (see
-    _single_arc_sites); single_arc_system realises it.  forwards and
-    fa_indices, set for nontrivial arcs on basis diagrams only, are read
-    off the basis word when first asked for.
+    signature is the class as find_attaching_arcs enumerates it: its
+    three chords and the order of its sites on the crossed chord (see
+    _arc_signatures), from which the triviality, direction and kind are
+    read; single_arc_system realises it.  forwards and fa_indices, set
+    for nontrivial arcs on basis diagrams only, are read off the basis
+    word when first asked for.
     """
 
     diagram: ChordDiagram
@@ -419,7 +421,9 @@ class AttachingArc:
         the (i, j) of the move FE(i, j) or BE(i, j) it realises: the i of
         the minus (the j of the plus, when backwards) that created the
         prior chord in the base fold, and the j of the plus (i of the
-        minus) that created the latter chord in the root fold.
+        minus) that created the latter chord in the root fold.  A chord
+        that no letter of the wanted sign created would make the reading
+        wrong, so it raises BrokenInvariant.
         """
         dec = sfh.decompose(self.diagram) if self.triviality == "nontrivial" else None
         if dec is None or len(dec.words) != 1:
@@ -438,75 +442,55 @@ class AttachingArc:
             i = w.positions(want_prior).index(base.index(chords[prior_si])) + 1
             j = w.positions(want_latter).index(sfh.root_chords(w).index(chords[latter_si])) + 1
         except ValueError:
-            return forwards, None
+            raise BrokenInvariant(f"a nontrivial arc on {w} realises no elementary move") from None
         return forwards, ((i, j) if forwards else (j, i))
 
 
 def _single_arc_sites(faces: Faces, signature):
     """One arc's site indices by chord, from the low end, and their bits.
 
-    The arc ends on chords si1/si3 and crosses chord si2.
-
-    signature is (si2, f1_side, si1, bit1, si3, bit3, nest).  f1_side is
-    the side of chord si2 carrying the first segment; bit1 (resp. bit3)
-    orders the end site against the crossing when it sits on the crossed
-    chord itself (True = before, from the low end); nest (supertrivial,
-    both ends on one side) puts the first end closer to the crossing
-    when True.
+    The crossed chord si2 holds the sites in the signature's order; an
+    end chord other than si2 holds its one end.  The first segment runs
+    in si2's RIGHT face and the second in its LEFT face, so the crossing
+    faces the first (bit 0).
     """
-    si2, f1_side, si1, bit1, si3, bit3, nest = signature
-    f1 = faces.face_of(si2, f1_side)
-    f2 = faces.face_of(si2, -f1_side)
-    bits = (_facing(faces, si1, f1), 1 if f1_side == LEFT else 0, _facing(faces, si3, f2))
-    if si1 == si2 and si3 == si2:
-        if bit1 == bit3:
-            # nesting bit: first end closer to the crossing when True
-            closer_first = nest if nest is not None else True
-            if bit1:  # both before the crossing
-                seq = ([2, 0] if closer_first else [0, 2]) + [1]
-            else:
-                seq = [1] + ([0, 2] if closer_first else [2, 0])
-        else:
-            seq = [0, 1, 2] if bit1 else [2, 1, 0]
-        return {si2: seq}, bits
-    sites = {si2: [1]}
-    if si1 == si2:
-        sites[si2].insert(0 if bit1 else len(sites[si2]), 0)
-    else:
-        sites.setdefault(si1, []).append(0)
-    if si3 == si2:
-        sites[si3].insert(0 if bit3 else len(sites[si3]), 2)
-    else:
-        sites.setdefault(si3, []).append(2)
-    return sites, bits
+    si2, si1, si3, order = signature
+    sites = {si2: list(order)}
+    if si1 != si2:
+        sites[si1] = [0]
+    if si3 != si2:
+        sites[si3] = [2]
+    f1, f2 = faces.face_of(si2, RIGHT), faces.face_of(si2, LEFT)
+    return sites, (_facing(faces, si1, f1), 0, _facing(faces, si3, f2))
+
+
+_TRIVIALITY = {1: "nontrivial", 2: "slightly_trivial", 3: "supertrivial"}
 
 
 def _classify(diagram: ChordDiagram, faces: Faces, signature) -> AttachingArc:
-    """The class of one signature, read off the pairing and its faces."""
-    si2, f1_side, si1, b1, si3, b3, nest = signature
-    f1 = faces.face_of(si2, f1_side)
-    f2 = faces.face_of(si2, -f1_side)
-    distinct = len({si1, si2, si3})
-    triviality = {3: "nontrivial", 2: "slightly_trivial", 1: "supertrivial"}[distinct]
+    """The class of one signature, read off its sites on the crossed chord.
+
+    An arc is nontrivial, slightly trivial or supertrivial as one, two or
+    three of its sites lie on the crossed chord.  A trivial arc is
+    downwards exactly when that order is an even permutation (for a
+    slightly trivial arc: end 1 before the crossing, or end 2 after it),
+    and a supertrivial arc is direct exactly when the crossing is its
+    middle site.
+    """
+    si2, si1, si3, order = signature
+    f1, f2 = faces.face_of(si2, RIGHT), faces.face_of(si2, LEFT)
     direction = super_kind = None
-    if triviality != "nontrivial":
-        # An end on the crossed chord before the crossing (end1) or after
-        # it (end2) makes the arc downwards; when both ends lie on one
-        # side of the crossing (indirect), the nesting decides instead.
-        indirect = si1 == si3 == si2 and b1 == b3
-        if indirect:
-            downwards = nest == b1
-        else:
-            downwards = b1 if si1 == si2 else not b3
-        direction = "downwards" if downwards else "upwards"
-        if triviality == "supertrivial":
-            super_kind = "indirect" if indirect else "direct"
+    if len(order) > 1:
+        inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1 :])
+        direction = "upwards" if inversions % 2 else "downwards"
+        if len(order) == 3:
+            super_kind = "direct" if order[1] == 1 else "indirect"
     return AttachingArc(
         diagram,
         end1=(si1, f1),
         middle=(si2, f1, f2),
         end2=(si3, f2),
-        triviality=triviality,
+        triviality=_TRIVIALITY[len(order)],
         direction=direction,
         super_kind=super_kind,
         signature=signature,
@@ -516,7 +500,8 @@ def _classify(diagram: ChordDiagram, faces: Faces, signature) -> AttachingArc:
 def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
     """One class per homotopy class of attaching arc, classified on the pairing.
 
-    The signatures come from the memo of _arc_signatures; the
+    The signatures come from the memo of _arc_signatures, in its order,
+    and each is classified by the order of its sites (_classify); the
     classification is redone on every call and not memoised, since most
     classes are trivial (822 nontrivial among the 12,490 classes of the
     196 diagrams the full verification asks about).
@@ -529,8 +514,8 @@ def up_moves(diagram: ChordDiagram) -> list[ChordDiagram]:
     """The diagrams one upwards bypass reaches, one per nontrivial arc class.
 
     A nontrivial class is fixed by its crossed chord (a, b) and one other
-    chord on each of its faces (_arc_signatures enumerates the classes so,
-    up to reversal), and upward surgery along it is bypass_rewire on the
+    chord on each of its faces (_arc_signatures enumerates the classes
+    so), and upward surgery along it is bypass_rewire on the
     three, whatever the faces or the end order.  A face's walk meets each
     chord bounding it once, so each x != a on the walk of arc a and y != b
     on that of arc b give one class.
@@ -549,37 +534,41 @@ def up_moves(diagram: ChordDiagram) -> list[ChordDiagram]:
 
 @lru_cache(maxsize=None)
 def _arc_signatures(diagram: ChordDiagram) -> tuple[tuple, ...]:
-    """Signatures (see _single_arc_sites) of every arc class, in key order.
+    """The signature (si2, si1, si3, order) of every arc class.
+
+    The arc crosses chord si2 from its RIGHT face, where its first end
+    rests on chord si1, to its LEFT face, where its second end rests on
+    chord si3; order is its sites on si2 from the low end (0 the first
+    end, 1 the crossing, 2 the second end).  The end chords run through
+    each face's chords in ascending order, the first slowest.  An end on
+    si2 itself takes each slot after the crossing, nearest first, then
+    each slot before it, nearest first.
 
     Memoised: find_attaching_arcs and random_system ask for the same
-    diagrams again and again, and a signature is a tuple of seven small
-    values, so keeping them costs little memory.
+    diagrams again and again, and a signature is three chord indices and
+    at most three sites, so keeping them costs little memory.
     """
-    n = diagram.n
     faces = Faces(diagram)
-    # each bit is carried with its int key (None -1, False 0, True 1); the
-    # classes come out in the order of those keys
-    both, neither = ((True, 1), (False, 0)), ((None, -1),)
-    raw = {}
-    for si2 in range(n):
-        for f1_side in (LEFT, RIGHT):
-            f1 = faces.face_of(si2, f1_side)
-            f2 = faces.face_of(si2, -f1_side)
-            for si1 in faces.strands_around(f1):
-                bits1 = both if si1 == si2 else neither
-                for si3 in faces.strands_around(f2):
-                    bits3 = both if si3 == si2 else neither
-                    for b1, k1 in bits1:
-                        for b3, k3 in bits3:
-                            nests = both if si1 == si2 == si3 and b1 == b3 else neither
-                            for nest, kn in nests:
-                                key = (si2, f1_side, si1, k1, si3, k3, kn)
-                                # the same arc walked from its other end
-                                rev = (si2, -f1_side, si3, k3, si1, k1, kn if kn < 0 else 1 - kn)
-                                if rev < key:
-                                    continue
-                                raw[key] = (si2, f1_side, si1, b1, si3, b3, nest)
-    return tuple(raw[key] for key in sorted(raw))
+    out = []
+    for si2 in range(diagram.n):
+        right = sorted(faces.strands_around(faces.face_of(si2, RIGHT)))
+        left = sorted(faces.strands_around(faces.face_of(si2, LEFT)))
+        for si1 in right:
+            for first in _placements((1,), 0) if si1 == si2 else ((1,),):
+                for si3 in left:
+                    for order in _placements(first, 2) if si3 == si2 else (first,):
+                        out.append((si2, si1, si3, order))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _placements(order: tuple[int, ...], site: int) -> tuple[tuple[int, ...], ...]:
+    """order with site put in each slot after the crossing (site 1), nearest
+    first, then in each slot before it, nearest first.  Memoised, so that
+    the signatures of every diagram share their order tuples."""
+    c = order.index(1)
+    slots = (*range(c + 1, len(order) + 1), *range(c, -1, -1))
+    return tuple(order[:k] + (site,) + order[k:] for k in slots)
 
 
 def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
@@ -868,13 +857,12 @@ def has_pinwheel(system: BypassSystem, direction: str) -> bool:
 
     A pinwheel's sides come from some subset of the arcs, and arcs
     outside that subset are free to cross its interior; so the pinwheel
-    shows up as a region only after the other arcs are deleted.  Subsets
-    are swept smallest-first and the side arcs of any pinwheel found
-    this way are legitimate system arcs.
+    shows up as a region only after the other arcs are deleted, and every
+    nonempty subset is tried.
     """
     want = _for_direction(_PINWHEEL_TRAVERSAL, direction)
     ids = system.arc_ids
-    for mask in sorted(range(1, 1 << len(ids)), key=lambda m: bin(m).count("1")):
+    for mask in range(1, 1 << len(ids)):
         sub = system.subsystem([aid for bit, aid in enumerate(ids) if (mask >> bit) & 1])
         if any(_is_pinwheel(sub, orbit, want) for orbit in sub.regions()):
             return True
@@ -910,8 +898,9 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
     """Randomly realise a system of disjoint attaching arcs, or give up.
 
     Draws class signatures (_arc_signatures, in find_attaching_arcs
-    order) and inserts their sites at random slots, retrying until the
-    joint system is planar.
+    order) and inserts their sites at random slots, those on the crossed
+    chord in the signature's order, retrying until the joint system is
+    planar.
     """
     signatures = _arc_signatures(diagram)
     faces = Faces(diagram)

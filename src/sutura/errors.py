@@ -92,3 +92,7 @@ class NotPlanar(SuturaError):
 
 class BrokenInvariant(SuturaError):
     """A result the theory guarantees did not come out; the answer would be wrong."""
+
+
+class TooDeep(SuturaError):
+    """A diagram's bypass splits nest deeper than the decomposition walk's stack."""

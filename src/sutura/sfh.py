@@ -36,6 +36,7 @@ from .errors import (
     GradingMismatch,
     IndexOutOfRange,
     NotComparable,
+    TooDeep,
     TrivialArc,
     ZeroElement,
 )
@@ -170,7 +171,9 @@ def _walk(pairing: tuple[int, ...], fold):
     # The one peel/split rule of the decomposition, computing the value of
     # one fold (below) at every pairing it meets.
     # Outermost chords at the base point are peeled in a loop and only
-    # bypass splits recurse, so deeply nested diagrams need no deep stack.
+    # bypass splits recurse, so deeply nested diagrams need no deep stack;
+    # splits nested deeper than the interpreter's stack are rejected by
+    # _evaluate.
     # Every pairing met becomes a memo entry, the two halves of a split
     # included: each half is a diagram whose decomposition is asked for
     # again, as a row of its own or inside another split.
@@ -210,6 +213,16 @@ def _value(pairing: tuple[int, ...], fold):
     return _walk(pairing, fold) if x is None else x
 
 
+def _evaluate(diagram: ChordDiagram, fold):
+    """The fold's value on a diagram, or TooDeep when its splits nest past
+    the interpreter's stack.  The memo then holds only finished values:
+    each entry is written whole, once the values it is made from are."""
+    try:
+        return _value(diagram.pairing, fold)
+    except RecursionError:
+        raise TooDeep(f"the bypass splits of a {diagram.n}-chord diagram nest too deeply") from None
+
+
 def _peel_ends(ends: tuple[Word, Word], sign: int) -> tuple[Word, Word]:
     lo, hi = ends
     first = lo.insert(0, sign)
@@ -241,7 +254,7 @@ def decompose(diagram) -> SfhElement:
     """The unique expression of a diagram in the word basis (memoised)."""
     if is_zero(diagram):
         return SfhElement.zero()
-    return _value(diagram.pairing, _ELEMENT)
+    return _evaluate(diagram, _ELEMENT)
 
 
 def is_basis(diagram: ChordDiagram) -> bool:
@@ -249,7 +262,7 @@ def is_basis(diagram: ChordDiagram) -> bool:
     decomposition are distinct, so it has one word when w- = w+."""
     if is_zero(diagram):
         return False
-    lo, hi = _value(diagram.pairing, _ENDS)
+    lo, hi = _evaluate(diagram, _ENDS)
     return lo == hi
 
 
@@ -258,7 +271,7 @@ def phi(diagram) -> tuple[Word, Word]:
     the decomposition walk with no word set built."""
     if is_zero(diagram):
         raise ZeroElement("zero has no extreme words")
-    return _value(diagram.pairing, _ENDS)
+    return _evaluate(diagram, _ENDS)
 
 
 def from_pair(w_minus: Word, w_plus: Word) -> ChordDiagram:

@@ -1,4 +1,5 @@
-"""Hypothesis strategies and word gradings shared by the test modules."""
+"""Hypothesis strategies, word gradings and diagram shapes shared by the
+test modules."""
 
 from hypothesis import strategies as st
 
@@ -28,3 +29,13 @@ def gradings(n):
     """Every (minus count, plus count) with n letters in all."""
     for nm in range(n + 1):
         yield nm, n - nm
+
+
+def deep_split_diagram(k: int, j: int) -> D.ChordDiagram:
+    """Chord (0, 2k+1) over a comb of k chords, then two nested chords
+    over a comb of j: the decomposition walk's bypass splits nest deeper
+    as k and j grow."""
+    chords = [(0, 2 * k + 1)] + [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
+    b, e = 2 * k + 2, 2 * k + 2 * j + 5
+    chords += [(b, e), (b + 1, e - 1)] + [(b + 2 + 2 * i, b + 3 + 2 * i) for i in range(j)]
+    return D.from_pairing(chords)

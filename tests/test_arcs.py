@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter, deque
 
 import pytest
@@ -284,6 +285,7 @@ def test_basis_reading_only_on_nontrivial_arcs_of_basis_diagrams():
             for c in arcs.find_attaching_arcs(d):
                 if basis and c.triviality == "nontrivial":
                     assert isinstance(c.forwards, bool), (d, c)
+                    assert isinstance(c.fa_indices, tuple) and len(c.fa_indices) == 2, (d, c)
                 else:
                     assert c.forwards is None and c.fa_indices is None, (d, c)
                     off_basis += not basis and c.triviality == "nontrivial"
@@ -297,6 +299,21 @@ def test_cached_arc_routes_match_the_classification():
         for d in D.enumerate_diagrams(n):
             classes = arcs.find_attaching_arcs(d)
             assert arcs._arc_signatures(d) == tuple(c.signature for c in classes)
+
+
+def test_arc_classes_are_pinned():
+    # every class of every diagram with N <= 6, in find_attaching_arcs
+    # order: its descriptor and classification, and its realisation as a
+    # one-arc system; the digest reads no signature, so it pins the
+    # enumeration order and the classification whatever the encoding
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for d in D.enumerate_diagrams(n):
+            for c in arcs.find_attaching_arcs(d):
+                cls = (c.end1, c.middle, c.end2, c.triviality, c.direction, c.super_kind)
+                digest.update(repr(cls).encode())
+                digest.update(json.dumps(arcs.single_arc_system(c).to_json()).encode())
+    assert digest.hexdigest() == "09dfaa22dedf75bf911f1957ae5c15e3588b447eccc04c12c3d391125acc654f"
 
 
 def test_up_moves_match_the_arc_route():

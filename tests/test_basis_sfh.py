@@ -1,14 +1,17 @@
+import inspect
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 
 from sutura import diagram as D
 from sutura import oracles, sfh
-from sutura.errors import BrokenInvariant, ZeroElement
+from sutura.errors import BrokenInvariant, TooDeep, ZeroElement
 from sutura.words import MINUS, PLUS, Word, all_words, lex_extremes, word
 
-from strategies import diagrams, gradings
+from strategies import deep_split_diagram, diagrams, gradings
 
 
 def test_basis_diagram_frozen_oracles():
@@ -190,6 +193,49 @@ def test_decompose_from_root_agrees_on_1200_chords(shape, monkeypatch):
     (only,) = oracles.decompose_from_root(d).words
     assert sfh.phi(d) == (only, only) and sfh.is_basis(d)
     assert sfh.decompose(d).words == {only} and len(only.bits) == n - 1
+
+
+def _lowest_stack_limit() -> int:
+    """The lowest stack limit the interpreter accepts here: inspect does
+    not see every call that the interpreter counts."""
+    limit = sys.getrecursionlimit()
+    try:
+        for cap in itertools.count(len(inspect.stack(0))):
+            try:
+                sys.setrecursionlimit(cap)
+                return cap
+            except RecursionError:  # below the depth the interpreter counts
+                continue
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("fold", ["decompose", "phi", "is_basis"])
+def test_too_deep_walk_leaves_only_finished_entries(fold, monkeypatch):
+    # with the stack limit raised step by step from just above this frame,
+    # the walk first fails at every depth of its splits, each time with
+    # TooDeep and a memo whose every entry is the value the root-point
+    # oracle gives, and then completes from that memo
+    d = deep_split_diagram(4, 4)
+    monkeypatch.setattr(sfh, "_decompose_cache", {})
+    low, limit = _lowest_stack_limit(), sys.getrecursionlimit()
+    sizes = []
+    try:
+        for cap in range(low + 4, low + 100):
+            sys.setrecursionlimit(cap)
+            try:
+                getattr(sfh, fold)(d)
+                break
+            except TooDeep:
+                sizes.append(len(sfh._decompose_cache))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sizes) > 10 and 0 < max(sizes) < len(sfh._decompose_cache)
+    for pairing, x in sfh._decompose_cache.items():
+        words = oracles.decompose_from_root(D.ChordDiagram(pairing)).words
+        assert (x.words if isinstance(x, sfh.SfhElement) else x) == (
+            words if fold == "decompose" else lex_extremes(words)
+        ), pairing
 
 
 def test_zero_from_pair_is_an_error_not_an_assert(monkeypatch):

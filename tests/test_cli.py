@@ -11,6 +11,8 @@ from sutura import diagram as dg
 from sutura.errors import SuturaError
 from sutura.words import word
 
+from strategies import deep_split_diagram
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -149,6 +151,16 @@ def test_decompose_deeply_nested(capsys):
     assert code == 0
     (only,) = json.loads(out)["words"]
     assert len(only) == n - 1
+
+
+@pytest.mark.parametrize("command", ["decompose", "render", "stack"])
+def test_too_deep_diagram_is_a_domain_error(command):
+    # the decomposition walk's bypass splits nest past the interpreter's
+    # stack: one error line and exit 1, not a RecursionError traceback
+    deep = dg.serialize(deep_split_diagram(599, 500))
+    proc = run_process(command, deep, *([deep] if command == "stack" else []))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
 
 
 def test_verify_quick(capsys):

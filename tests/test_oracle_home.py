@@ -42,6 +42,7 @@ GONE = {
     "_west_position_end",
     "_placement_key",
     "path_faces",
+    "f1_side",
 }
 
 

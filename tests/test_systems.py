@@ -275,8 +275,9 @@ def test_crossing_segments_are_not_planar():
 
 def test_segment_joining_two_faces_is_not_planar():
     # the planar pair above with one end site of arc 1 turned to the
-    # chord's other face; random_system never draws such a trial, since
-    # every class signature puts both ends of a segment on one face
+    # chord's other face; random_system never draws such a trial, since a
+    # class's first segment runs in its crossed chord's RIGHT face and its
+    # second in the LEFT face, each end site facing its segment's face
     d = D.parse("0-1,2-3")
     with pytest.raises(NotPlanar):
         arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, (0, 0, 1, 1, 0, 1), [0, 1]).validate()
