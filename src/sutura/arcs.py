@@ -69,14 +69,16 @@ LEFT, RIGHT = 1, -1
 _GLUES = {"up": ((1, 2), (0, 3), (4, 5)), "down": ((0, 1), (2, 5), (3, 4))}
 _STEPS = {"up": 1, "down": -1}
 _PINWHEEL_TRAVERSAL = {"up": "EC", "down": "CE"}
+_FORWARDS = {"FE": True, "BE": False}  # whether each move kind is forwards
+_MOVE = {"FA": "FE", "BA": "BE"}  # the move each kind of generalised arc realises
 
 
-def _for_direction(table: dict, direction: str):
-    """The table's entry for "up" or "down"; any other direction is rejected."""
+def _entry(table: dict, key: str, what: str):
+    """The table's entry for key; a key it lacks is rejected, naming its keys."""
     try:
-        return table[direction]
+        return table[key]
     except KeyError:
-        raise BadArgument(f"direction must be 'up' or 'down', not {direction!r}") from None
+        raise BadArgument(f"{what} must be {' or '.join(map(repr, table))}, not {key!r}") from None
 
 
 class BypassSystem:
@@ -100,7 +102,7 @@ class BypassSystem:
     followed by a jump across a segment wherever one leaves.
 
     No method changes a system (subsystem and surgery_step build new
-    ones), so the memoised systems of fbs and bbs are shared as they are.
+    ones), so the memoised systems of fbs are shared as they are.
     """
 
     __slots__ = ("m", "mate", "darts", "arc_ids")
@@ -265,7 +267,7 @@ def _rewire(mate: list[int], m: int, darts, aid: int, direction: str) -> bool:
     x0, x1, y0, y1 = darts[4 * aid : 4 * aid + 4]
     handles = (x0, y0, y1 ^ 1, y1, x1, x0 ^ 1)
     joined = []
-    for a, b in _for_direction(_GLUES, direction):
+    for a, b in _entry(_GLUES, direction, "direction"):
         x, y = handles[a], handles[b]
         p, q = mate[x], mate[y]
         if p == y:
@@ -344,9 +346,11 @@ def _move_ends(w: Word, i: int, j: int) -> tuple[int, int] | None:
 
 def move_exists(w: Word, kind: str, i: int, j: int) -> bool:
     """Existence of the generalised move: FE needs the i'th minus left of
-    the j'th plus, BE the j'th plus left of the i'th minus."""
+    the j'th plus, BE the j'th plus left of the i'th minus; any other
+    kind is rejected."""
+    forwards = _entry(_FORWARDS, kind, "kind")
     ends = _move_ends(w, i, j)
-    return ends is not None and (ends[0] < ends[1]) == (kind == "FE")
+    return ends is not None and (ends[0] < ends[1]) == forwards
 
 
 def strict_move_exists(w: Word, kind: str, i: int, j: int) -> bool:
@@ -394,9 +398,9 @@ class AttachingArc:
     signature is the class as find_attaching_arcs enumerates it: its
     three chords and the order of its sites on the crossed chord (see
     _arc_signatures), from which the triviality, direction and kind are
-    read; single_arc_system realises it.  forwards and fa_indices, set
-    for nontrivial arcs on basis diagrams only, are read off the basis
-    word when first asked for.
+    read; single_arc_system realises it, and classes differing in it
+    alone are unequal.  forwards and fa_indices, set for nontrivial arcs
+    on basis diagrams only, are read off the basis word when asked for.
     """
 
     diagram: ChordDiagram
@@ -406,7 +410,7 @@ class AttachingArc:
     triviality: str               # "nontrivial" | "slightly_trivial" | "supertrivial"
     direction: str | None = None  # for trivial arcs: "upwards" | "downwards"
     super_kind: str | None = None  # for supertrivial arcs: "direct" | "indirect"
-    signature: tuple = field(default=(), compare=False, repr=False)
+    signature: tuple = field(default=(), repr=False)
 
     forwards = property(lambda self: self._basis_reading[0])
     fa_indices = property(lambda self: self._basis_reading[1])
@@ -583,7 +587,7 @@ def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
         return ZERO
     if arc.diagram != diagram_or_zero:
         raise ArcNotOnDiagram("arc realised on a different diagram")
-    step = _for_direction(_STEPS, direction)
+    step = _entry(_STEPS, direction, "direction")
     diagram = arc.diagram
     if arc.triviality != "nontrivial":
         return diagram if arc.direction == direction + "wards" else ZERO
@@ -663,8 +667,7 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
     Memoised: the coarse systems of many pairs share their arcs, and a
     GeneralisedArc is frozen, so one instance serves every caller.
     """
-    move = "FE" if kind == "FA" else "BE"
-    if not move_exists(w, move, i, j):
+    if not move_exists(w, _entry(_MOVE, kind, "kind"), i, j):
         raise ArcNotDefined(f"{kind}({i},{j}) does not exist on {w}")
     minus, plus = _move_ends(w, i, j)
     if kind == "FA":
@@ -793,8 +796,8 @@ def nicely_ordered_system(w: Word, gens: list[GeneralisedArc]) -> BypassSystem:
     return _place_generalised(w, gens, kind)
 
 
-def cfbs(w1: Word, w2: Word) -> BypassSystem:
-    """Coarse forwards bypass system of a comparable pair, on the lower diagram."""
+def _forwards_members(w1: Word, w2: Word) -> list[GeneralisedArc]:
+    """The members FA(i, j) of cfbs: i ascending, j never decreasing."""
     if not partial_leq(w1, w2):
         raise NotComparable(f"{w1} is not below {w2}")
     minus = w2.positions(MINUS)
@@ -803,11 +806,11 @@ def cfbs(w1: Word, w2: Word) -> BypassSystem:
         j = minus[i - 1] - (i - 1)  # the pluses of w2 before its i'th minus
         if j >= 1 and move_exists(w1, "FE", i, j):
             gens.append(generalised_arc(w1, "FA", i, j))
-    return nicely_ordered_system(w1, gens)
+    return gens
 
 
-def cbbs(w1: Word, w2: Word) -> BypassSystem:
-    """Coarse backwards bypass system of a comparable pair, on the upper diagram."""
+def _backwards_members(w1: Word, w2: Word) -> list[GeneralisedArc]:
+    """The members BA(i, j) of cbbs: j descending, i never increasing."""
     if not partial_leq(w1, w2):
         raise NotComparable(f"{w1} is not below {w2}")
     plus = w1.positions(PLUS)
@@ -816,37 +819,49 @@ def cbbs(w1: Word, w2: Word) -> BypassSystem:
         i = plus[j - 1] - (j - 1)  # the minuses of w1 before its j'th plus
         if i >= 1 and move_exists(w2, "BE", i, j):
             gens.append(generalised_arc(w2, "BA", i, j))
-    return nicely_ordered_system(w2, gens)
+    return gens
 
 
-def _minimal_subsystem(system: BypassSystem, direction: str, target: ChordDiagram) -> BypassSystem:
-    """Greedy reverse deletions until no single arc can be dropped."""
-    keep = list(system.arc_ids)
-    if surgery_along_system(system, direction, keep) != target:
-        raise BrokenInvariant(f"{direction}wards surgery along the whole system misses its target")
-    changed = True
-    while changed:
-        changed = False
-        for aid in list(reversed(keep)):
-            trial = [x for x in keep if x != aid]
-            if surgery_along_system(system, direction, trial) == target:
-                keep = trial
-                changed = True
-    return system.subsystem(keep)
+def cfbs(w1: Word, w2: Word) -> BypassSystem:
+    """Coarse forwards bypass system of a comparable pair, on the lower diagram."""
+    return nicely_ordered_system(w1, _forwards_members(w1, w2))
+
+
+def cbbs(w1: Word, w2: Word) -> BypassSystem:
+    """Coarse backwards bypass system of a comparable pair, on the upper diagram."""
+    return nicely_ordered_system(w2, _backwards_members(w1, w2))
+
+
+def _kept_members(w: Word, gens, keep, direction: str, target: ChordDiagram) -> BypassSystem:
+    """The nicely ordered system of gens cut down to the pieces of each
+    member k with keep[k] (member k's (crossings - 1) // 2 pieces are
+    contiguous); surgery along it must reach target."""
+    ids, start = [], 0
+    for g, kept in zip(gens, keep):
+        pieces = (g.crossings - 1) // 2
+        ids += range(start, start + pieces) if kept else ()
+        start += pieces
+    system = nicely_ordered_system(w, gens).subsystem(ids)
+    if surgery_along_system(system, direction) != target:
+        raise BrokenInvariant(f"{direction}wards surgery along the kept members misses its target")
+    return system
 
 
 @lru_cache(maxsize=None)
 def fbs(w1: Word, w2: Word) -> BypassSystem:
-    """A minimal forwards bypass system: upwards surgery yields the upper diagram."""
-    system = cfbs(w1, w2)
-    return _minimal_subsystem(system, "up", sfh.basis_diagram(w2))
+    """The minimal forwards bypass system, upwards onto the upper diagram: of
+    the members FA(i, j) of cfbs, the first of each run of equal j (least i)."""
+    gens = _forwards_members(w1, w2)
+    keep = [k == 0 or g.j != gens[k - 1].j for k, g in enumerate(gens)]
+    return _kept_members(w1, gens, keep, "up", sfh.basis_diagram(w2))
 
 
-@lru_cache(maxsize=None)
 def bbs(w1: Word, w2: Word) -> BypassSystem:
-    """A minimal backwards bypass system: downwards surgery yields the lower diagram."""
-    system = cbbs(w1, w2)
-    return _minimal_subsystem(system, "down", sfh.basis_diagram(w1))
+    """The minimal backwards bypass system, downwards onto the lower diagram: of
+    the members BA(i, j) of cbbs, the last of each run of equal i (least j)."""
+    gens = _backwards_members(w1, w2)
+    keep = [k == len(gens) - 1 or g.i != gens[k + 1].i for k, g in enumerate(gens)]
+    return _kept_members(w2, gens, keep, "down", sfh.basis_diagram(w1))
 
 
 # -- pinwheels -----------------------------------------------------------------
@@ -860,7 +875,7 @@ def has_pinwheel(system: BypassSystem, direction: str) -> bool:
     shows up as a region only after the other arcs are deleted, and every
     nonempty subset is tried.
     """
-    want = _for_direction(_PINWHEEL_TRAVERSAL, direction)
+    want = _entry(_PINWHEEL_TRAVERSAL, direction, "direction")
     ids = system.arc_ids
     for mask in range(1, 1 << len(ids)):
         sub = system.subsystem([aid for bit, aid in enumerate(ids) if (mask >> bit) & 1])

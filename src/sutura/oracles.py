@@ -12,9 +12,9 @@ import itertools
 from functools import lru_cache
 
 from . import stacking
-from .arcs import find_attaching_arcs, surgery
+from .arcs import BypassSystem, find_attaching_arcs, surgery, surgery_along_system
 from .diagram import ChordDiagram, delete_points, euler_class, is_zero, rotate_points
-from .errors import GradingMismatch
+from .errors import BrokenInvariant, GradingMismatch
 from .sfh import SfhElement, basis_diagram, bypass_rewire, decompose, root_point
 from .words import MINUS, PLUS, Word, all_words
 
@@ -214,6 +214,27 @@ def up_moves_by_arcs(diagram: ChordDiagram) -> list[ChordDiagram]:
         for c in find_attaching_arcs(diagram)
         if c.triviality == "nontrivial"
     ]
+
+
+def minimal_subsystem_by_deletion(
+    system: BypassSystem, direction: str, target: ChordDiagram
+) -> BypassSystem:
+    """A minimal subsystem by search: drop arcs one at a time, last first,
+    while surgery along the rest still reaches the target, and sweep again
+    until no single arc can be dropped.  fbs and bbs must land on the same
+    arcs by their keep rule, with no trial surgery."""
+    keep = list(system.arc_ids)
+    if surgery_along_system(system, direction, keep) != target:
+        raise BrokenInvariant(f"{direction}wards surgery along the whole system misses its target")
+    changed = True
+    while changed:
+        changed = False
+        for aid in list(reversed(keep)):
+            trial = [x for x in keep if x != aid]
+            if surgery_along_system(system, direction, trial) == target:
+                keep = trial
+                changed = True
+    return system.subsystem(keep)
 
 
 def brute_force_category(bottom: ChordDiagram, top: ChordDiagram):

@@ -270,11 +270,13 @@ def check_bypass_systems(
     word_n_max: int, random_cases: int, random_n_max: int, seed: int = 0
 ) -> list[str]:
     problems = []
+    search = oracles.minimal_subsystem_by_deletion
     for n in range(0, word_n_max + 1):
         for nm, np_ in _gradings(n):
             for (w1, w2) in comparable_pairs(nm, np_):
+                lower, upper = sfh.basis_diagram(w1), sfh.basis_diagram(w2)
                 system = arcs.fbs(w1, w2)
-                if arcs.surgery_along_system(system, "up") != sfh.basis_diagram(w2):
+                if arcs.surgery_along_system(system, "up") != upper:
                     problems.append(f"fbs up {w1},{w2}")
                 if w1 != w2:
                     down = arcs.surgery_along_system(system, "down")
@@ -282,6 +284,11 @@ def check_bypass_systems(
                         problems.append(f"fbs down {w1},{w2}")
                 if arcs.has_pinwheel(system, "up") or arcs.has_pinwheel(system, "down"):
                     problems.append(f"fbs pinwheel {w1},{w2}")
+                # the keep rules land on the arcs that the deletion search keeps
+                if system.arc_ids != search(arcs.cfbs(w1, w2), "up", upper).arc_ids:
+                    problems.append(f"fbs keeps other arcs than the search {w1},{w2}")
+                if arcs.bbs(w1, w2).arc_ids != search(arcs.cbbs(w1, w2), "down", lower).arc_ids:
+                    problems.append(f"bbs keeps other arcs than the search {w1},{w2}")
     by_size = {n: dg.enumerate_diagrams(n) for n in range(2, random_n_max + 1)}
     rng = random.Random(seed)
     done = 0

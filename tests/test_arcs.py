@@ -316,6 +316,28 @@ def test_arc_classes_are_pinned():
     assert digest.hexdigest() == "09dfaa22dedf75bf911f1957ae5c15e3588b447eccc04c12c3d391125acc654f"
 
 
+def test_distinct_arc_classes_are_unequal():
+    # classes that differ only in the order of their sites are distinct
+    for n in range(1, 7):
+        for d in D.enumerate_diagrams(n):
+            classes = arcs.find_attaching_arcs(d)
+            assert len(set(classes)) == len(classes)
+
+
+def test_unknown_move_kind_is_rejected():
+    w = word("-+-+")
+    for call in (
+        lambda: arcs.move_exists(w, "fe", 1, 1),
+        lambda: arcs.move_exists(w, "xx", 0, 0),
+        lambda: arcs.strict_move_exists(w, "be", 2, 1),
+        lambda: arcs.elementary_move(w, "xx", 2, 1),
+        lambda: arcs.generalised_arc(w, "fa", 2, 1),
+        lambda: arcs.generalised_arc(w, "FE", 1, 1),
+    ):
+        with pytest.raises(BadArgument):
+            call()
+
+
 def test_up_moves_match_the_arc_route():
     # one chord-triple rewire per nontrivial class: the same successors,
     # with multiplicity, as upward surgery along each classified arc

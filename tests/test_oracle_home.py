@@ -24,6 +24,7 @@ ORACLES = {
     "_after_minuses",
     "rotation_by_matrix",
     "up_moves_by_arcs",
+    "minimal_subsystem_by_deletion",
     "brute_force_category",
     "diagram_exists_in",
     "morphism_exists_nested",
@@ -43,6 +44,7 @@ GONE = {
     "_placement_key",
     "path_faces",
     "f1_side",
+    "_minimal_subsystem",
 }
 
 

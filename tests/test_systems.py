@@ -7,7 +7,7 @@ import pytest
 
 from sutura import arcs
 from sutura import diagram as D
-from sutura import sfh
+from sutura import oracles, sfh
 from sutura.errors import (
     BadArgument,
     BrokenInvariant,
@@ -97,7 +97,39 @@ def test_minimal_subsystem_unreachable_target_is_an_error():
     # checked explicitly, so it holds under -O as well
     w1, w2 = word("--+"), word("+--")
     with pytest.raises(BrokenInvariant):
-        arcs._minimal_subsystem(arcs.cfbs(w1, w2), "up", sfh.basis_diagram(w1))
+        oracles.minimal_subsystem_by_deletion(arcs.cfbs(w1, w2), "up", sfh.basis_diagram(w1))
+
+
+def test_fbs_bbs_keep_the_arcs_the_deletion_search_keeps():
+    # the keep rule (first member of each run of equal j for fbs, last of
+    # each run of equal i for bbs) lands on the arcs that greedy reverse
+    # deletion keeps, on every comparable pair of length <= 7
+    for n in range(8):
+        for nm, np_ in gradings(n):
+            for (w1, w2) in comparable_pairs(nm, np_):
+                up = oracles.minimal_subsystem_by_deletion(
+                    arcs.cfbs(w1, w2), "up", sfh.basis_diagram(w2)
+                )
+                down = oracles.minimal_subsystem_by_deletion(
+                    arcs.cbbs(w1, w2), "down", sfh.basis_diagram(w1)
+                )
+                assert arcs.fbs(w1, w2).arc_ids == up.arc_ids, (w1, w2)
+                assert arcs.bbs(w1, w2).arc_ids == down.arc_ids, (w1, w2)
+
+
+def test_kept_members_missing_their_target_is_an_error(monkeypatch):
+    # checked explicitly, so it holds under -O as well: each system is
+    # made to aim at the other word's diagram
+    w1, w2 = word("--+"), word("+--")
+    real = sfh.basis_diagram
+    arcs.fbs.cache_clear()
+    for build, target, instead in ((arcs.fbs, w2, w1), (arcs.bbs, w1, w2)):
+        monkeypatch.setattr(arcs.sfh, "basis_diagram", lambda w: real(instead if w == target else w))
+        with pytest.raises(BrokenInvariant):
+            build(w1, w2)
+    monkeypatch.undo()
+    arcs.fbs.cache_clear()
+    assert arcs.surgery_along_system(arcs.fbs(w1, w2), "up") == sfh.basis_diagram(w2)
 
 
 def test_fbs_bbs_minimality_and_pair_diagram():
