@@ -17,11 +17,11 @@ Surgery along one arc glues its six site ends pairwise one step round
 its hexagon: each glue splices the mates of two ends together and drops
 both, and a glue that joins the two ends of one path closes a loop
 (ZERO).  The other arcs' sites ride along untouched, so a system is
-surgered arc by arc in any order.  The regions of a system, the faces
-cut along the arc segments, are the orbits of one permutation on its
-ends, the face step of diagram.region_orbits followed by a jump across
-each segment: planarity is an Euler count of them, and a pinwheel is
-one of them.  A generalised arc is the chords that separate its two
+surgered arc by arc, in the order of its arc ids.  The regions of a
+system, the faces cut along the arc segments, are the orbits of one
+permutation on its ends, the face step of diagram.region_orbits
+followed by a jump across each segment: planarity is an Euler count of
+them, and a pinwheel is one of them.  A generalised arc is the chords that separate its two
 outer regions, read off the pairing with no face walked.
 """
 
@@ -101,8 +101,8 @@ class BypassSystem:
     regions are the orbits of one walk on the live ends, the face step
     followed by a jump across a segment wherever one leaves.
 
-    No method changes a system (subsystem and surgery_step build new
-    ones), so the memoised systems of fbs are shared as they are.
+    No method changes a system (subsystem builds a new one), so the
+    memoised systems of fbs are shared as they are.
     """
 
     __slots__ = ("m", "mate", "darts", "arc_ids")
@@ -149,20 +149,6 @@ class BypassSystem:
     def diagram(self) -> ChordDiagram:
         """The diagram the strands join, which the sites leave unchanged."""
         return ChordDiagram(_strand_pairing(self.mate, self.m))
-
-    def strands(self) -> list[tuple[tuple[int, int], list[int]]]:
-        """Each strand as ((low end, high end), its sites from the low end),
-        ascending in the low end as ChordDiagram.chords()."""
-        m, mate = self.m, self.mate
-        out = []
-        for a in range(m):
-            sites, z = [], mate[a]
-            while z >= m:
-                sites.append((z - m) >> 1)
-                z = mate[z ^ 1]
-            if a < z:
-                out.append(((a, z), sites))
-        return out
 
     def regions(self) -> list[list[int]]:
         """The regions the arc segments cut the faces into, boundary points
@@ -287,15 +273,6 @@ def _rewire(mate: list[int], m: int, darts, aid: int, direction: str) -> bool:
     return True
 
 
-def surgery_step(system: BypassSystem, arc_id: int, direction: str):
-    """One bypass surgery along arc arc_id; the system of the other arcs
-    on the surgered diagram, or ZERO."""
-    mate = list(system.mate)
-    if not _rewire(mate, system.m, system.darts, arc_id, direction):
-        return ZERO
-    return BypassSystem(system.m, mate, system.darts, [a for a in system.arc_ids if a != arc_id])
-
-
 class Faces:
     """Faces of a bare diagram.
 
@@ -398,9 +375,10 @@ class AttachingArc:
     signature is the class as find_attaching_arcs enumerates it: its
     three chords and the order of its sites on the crossed chord (see
     _arc_signatures), from which the triviality, direction and kind are
-    read; single_arc_system realises it, and classes differing in it
-    alone are unequal.  forwards and fa_indices, set for nontrivial arcs
-    on basis diagrams only, are read off the basis word when asked for.
+    read; _single_arc_sites places its sites, and classes differing in
+    it alone are unequal.  forwards and fa_indices, set for nontrivial
+    arcs on basis diagrams only, are read off the basis word when asked
+    for.
     """
 
     diagram: ChordDiagram
@@ -607,22 +585,6 @@ def bypass_triple(diagram: ChordDiagram, arc: AttachingArc):
     return diagram, up, down
 
 
-def induced_arc(diagram: ChordDiagram, arc: AttachingArc, direction: str) -> AttachingArc:
-    """On the surgered diagram, the arc continuing the triple cycle.
-
-    Located by search: the class on the new diagram whose same-direction
-    surgery moves one more step around the bypass triple.
-    """
-    first = surgery(diagram, arc, direction)
-    other = surgery(diagram, arc, "down" if direction == "up" else "up")
-    for cand in find_attaching_arcs(first):
-        if cand.triviality == "nontrivial" and surgery(first, cand, direction) == other:
-            back = surgery(first, cand, "down" if direction == "up" else "up")
-            if back == diagram:
-                return cand
-    raise ArcNotDefined("no continuation arc found (should not happen)")
-
-
 # -- generalised arcs and bypass systems ---------------------------------------
 
 
@@ -696,12 +658,6 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
 _SPLIT_OFFSETS = {"FA": (-1, 1), "BA": (1, -1)}
 
 
-def single_arc_system(arc: AttachingArc) -> BypassSystem:
-    """One attaching arc realised as a bypass system of arc 0."""
-    sites, bits = _single_arc_sites(Faces(arc.diagram), arc.signature)
-    return BypassSystem.build(arc.diagram, sites, bits, [0])
-
-
 def surgery_along_system(system: BypassSystem, direction: str, subset=None):
     """Surger every arc (or the given subset) in one shared realisation."""
     todo = system.arc_ids if subset is None else set(subset)
@@ -764,11 +720,6 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
     system = BypassSystem.build(diagram, strand_sites, bits, range(len(bits) // 3))
     system.validate()
     return system
-
-
-def arc_to_system(g: GeneralisedArc) -> BypassSystem:
-    """Split one generalised arc into its bypass system of genuine arcs."""
-    return _place_generalised(g.word, [g], g.kind)
 
 
 def nicely_ordered_system(w: Word, gens: list[GeneralisedArc]) -> BypassSystem:

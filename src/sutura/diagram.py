@@ -11,7 +11,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadArgument, BadPartition, BrokenInvariant, CrossingChords, OddStep, ParseError
+from .errors import BadArgument, BadPartition, CrossingChords, OddStep, ParseError
 
 
 class _Zero:
@@ -52,20 +52,9 @@ class ChordDiagram:
 
     # -- structure ---------------------------------------------------------
 
-    def partner(self, point: int) -> int:
-        return self.pairing[point % (2 * self.n)]
-
     def chords(self) -> list[tuple[int, int]]:
         """Chords as (low, high) pairs, ascending in the first element."""
         return [(i, p) for i, p in enumerate(self.pairing) if i < p]
-
-    def chord_index(self, point: int) -> int:
-        """Index into chords() of the chord through a point."""
-        low = min(point, self.partner(point))
-        for k, (a, _) in enumerate(self.chords()):
-            if a == low:
-                return k
-        raise BrokenInvariant(f"no chord of {self} starts at point {low}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ChordDiagram) and self.pairing == other.pairing

@@ -1,5 +1,6 @@
 """GF(2) spaces of chord diagrams: basis decomposition, graded operators,
-the extreme-word correspondence, and the rotation operator.
+merge on elements, the extreme-word correspondence, and the rotation
+operator.
 
 Elements are finite sets of equal-length words (mod-2 sums of basis
 vectors).  decompose() writes any diagram in this basis by repeatedly
@@ -9,6 +10,10 @@ phi() and is_basis() fold the same walk to its two extreme words only.
 Peeling, and the creation and annihilation operators on diagrams, add
 or remove two adjacent points with diagram.insert_chord and
 diagram.delete_points, which own the renumbering of the other points.
+Each operator acts on words and on diagrams, and the two agree:
+decompose(op.diagram_action(d)) == op(decompose(d)) for B-, B+, A+, A-
+and every slot of creation and annihilation.  merge_elements extends
+diagram.merge bilinearly.  verify's operator check replays both facts.
 Basis diagrams are creation operators on the vacuum: one fold over a
 word's letters builds the diagram and numbers its chords by the letter
 that created each, from the base point (B-/B+, undone by the peel) or
@@ -28,6 +33,7 @@ from .diagram import (
     euler_class,
     insert_chord,
     is_zero,
+    merge,
     rotate_points,
 )
 from .errors import (
@@ -501,8 +507,6 @@ def merge_elements(x1: SfhElement | None, x2: SfhElement | None) -> SfhElement:
     None stands for the empty (0-chord) tensor factor, reducing the
     operation to a creation operator.
     """
-    from .diagram import merge
-
     if x1 is None and x2 is None:
         return SfhElement((Word(),))
     if x1 is None:

@@ -77,21 +77,12 @@ def cancel_outermost(bottom: ChordDiagram, top: ChordDiagram):
         raise SizeMismatch("stacking needs equal chord counts")
     if bottom.n <= 1:
         raise NoCommonOutermost("refusing to reduce past one chord")
-    m = 2 * bottom.n
+    b, t = bottom.pairing, top.pairing
+    m = len(b)
     for u in range(m):
-        v = (u + 1) % m
-        if bottom.partner(u) == v and top.partner(u) == v:
-            return tuple(ChordDiagram(delete_points(d.pairing, u)) for d in (bottom, top))
+        if b[u] == t[u] == (u + 1) % m:
+            return ChordDiagram(delete_points(b, u)), ChordDiagram(delete_points(t, u))
     raise NoCommonOutermost("no outermost chord shared at the same position")
-
-
-def arc_is_inner(bottom: ChordDiagram, top: ChordDiagram, arc) -> bool:
-    """A bypass along the arc can be dug out of the tight cobordism."""
-    if m_geometric(bottom, top) != 1:
-        raise NotTight("the stacked pair is not tight")
-    if arc.triviality != "nontrivial":
-        raise TrivialArc("innerness is asked of nontrivial arcs")
-    return m_geometric(_arcs.surgery(bottom, arc, "up"), top) == 1
 
 
 @lru_cache(maxsize=None)

@@ -15,13 +15,15 @@ from typing import Callable
 
 from . import arcs, oracles, sfh, simplicial, stacking
 from . import diagram as dg
-from .errors import BadArgument
+from .errors import BadArgument, NoCommonOutermost
 from .words import (
     all_words,
     catalan,
     comparable_pairs,
     interval,
+    monotone_to_pair,
     narayana,
+    pair_to_monotone,
     partial_leq,
     word,
 )
@@ -100,12 +102,36 @@ def check_operator_algebra(n_max: int, seed: int = 0) -> list[str]:
                     problems.append(f"A+B+ at {(nm, np_)}")
                 if not sfh.apply_operator(sfh.A_MINUS, sfh.apply_operator(sfh.B_MINUS, x)).is_zero():
                     problems.append(f"A-B- at {(nm, np_)}")
+    # each operator acts on a diagram as it acts on the diagram's
+    # decomposition, on diagrams whose images have words of length < n_max
+    for n in range(1, n_max):
+        for d in dg.enumerate_diagrams(n):
+            x = sfh.decompose(d)
+            nm, np_ = x.grading()
+            ops = [sfh.B_MINUS, sfh.B_PLUS, sfh.A_PLUS, sfh.A_MINUS]
+            for side, top in (("west", nm), ("east", np_)):
+                ops += [make(side, i) for make in (sfh.creation, sfh.annihilation) for i in range(top + 1)]
+            for op in ops:
+                if sfh.decompose(op.diagram_action(d)) != op(x):
+                    problems.append(f"{op.name} on {dg.serialize(d)}")
+    # merge is bilinear: a merged diagram decomposes as the merge of the
+    # decompositions of its halves (None is the empty half)
+    for n1 in range(n_max):
+        for n2 in range(n_max - n1):
+            for a in dg.enumerate_diagrams(n1) if n1 else [None]:
+                for b in dg.enumerate_diagrams(n2) if n2 else [None]:
+                    halves = [None if h is None else sfh.decompose(h) for h in (a, b)]
+                    if sfh.decompose(dg.merge(a, b)) != sfh.merge_elements(*halves):
+                        problems.append(f"merge of {n1} and {n2} chords")
     return problems
 
 
 def check_main_theorem(n_max: int) -> list[str]:
     problems = []
     for n in range(0, n_max + 1):
+        by_class: dict[int, set] = {}
+        for x in dg.enumerate_diagrams(n + 1):
+            by_class.setdefault(dg.euler_class(x), set()).add(x)
         for nm, np_ in _gradings(n):
             pairs = comparable_pairs(nm, np_)
             e = np_ - nm
@@ -118,13 +144,15 @@ def check_main_theorem(n_max: int) -> list[str]:
                     problems.append(f"phi roundtrip {w1},{w2}")
                 if d in seen:
                     problems.append(f"from_pair collision {w1},{w2}")
+                # the staircase of the pair takes n+ + 1 values and gives the pair back
+                f = pair_to_monotone(w1, w2)
+                if len(set(f)) != np_ + 1 or monotone_to_pair(f) != (w1, w2):
+                    problems.append(f"staircase roundtrip {w1},{w2}")
                 seen[d] = (w1, w2)
                 for w in sfh.decompose(d).words:
                     if not (partial_leq(w1, w) and partial_leq(w, w2)):
                         problems.append(f"sandwich fails inside [{w1},{w2}]")
-            diagrams = set(dg.enumerate_diagrams(n + 1))
-            by_e = {x for x in diagrams if dg.euler_class(x) == e}
-            if set(seen) != by_e:
+            if set(seen) != by_class[e]:
                 problems.append(f"phi not onto at {(nm, np_)}")
     # the concrete instances
     decs = {
@@ -188,6 +216,20 @@ def check_stackability(pair_n_max: int, table_n_max: int) -> list[str]:
                     geo = stacking.m_geometric(sfh.basis_diagram(w0), sfh.basis_diagram(w1))
                     if geo != int(partial_leq(w0, w1)):
                         problems.append(f"basis m vs order {w0},{w1}")
+    # cancelling a shared outermost chord keeps stackability; pairs of two
+    # euler classes are skipped, as both of their stackings are 0
+    for n in range(2, table_n_max + 1):
+        e = {d: dg.euler_class(d) for d in dg.enumerate_diagrams(n)}
+        for a in e:
+            for b in e:
+                if e[a] != e[b]:
+                    continue
+                try:
+                    a2, b2 = stacking.cancel_outermost(a, b)
+                except NoCommonOutermost:
+                    continue
+                if stacking.m_geometric(a2, b2) != stacking.m_geometric(a, b):
+                    problems.append(f"outermost cancellation {dg.serialize(a)} / {dg.serialize(b)}")
     for n in range(1, table_n_max + 1):
         for d in dg.enumerate_diagrams(n):
             for c in arcs.find_attaching_arcs(d):
@@ -273,15 +315,38 @@ def check_bypass_systems(
     search = oracles.minimal_subsystem_by_deletion
     for n in range(0, word_n_max + 1):
         for nm, np_ in _gradings(n):
+            for w in all_words(nm, np_):
+                # the generalised arc FA(i, j) realises the move FE(i, j)
+                # upwards, BA(i, j) the move BE(i, j) downwards, and the move
+                # is strict exactly when its arc is one bypass (three chords)
+                for i in range(1, nm + 1):
+                    for j in range(1, np_ + 1):
+                        forwards = arcs.move_exists(w, "FE", i, j)
+                        kind, move, direction = ("FA", "FE", "up") if forwards else ("BA", "BE", "down")
+                        g = arcs.generalised_arc(w, kind, i, j)
+                        moved = arcs.surgery_along_system(arcs.nicely_ordered_system(w, [g]), direction)
+                        if moved != sfh.basis_diagram(arcs.elementary_move(w, move, i, j)):
+                            problems.append(f"{kind}({i},{j}) on {w}")
+                        if arcs.strict_move_exists(w, move, i, j) != (g.crossings == 3):
+                            problems.append(f"strict {move}({i},{j}) on {w}")
             for (w1, w2) in comparable_pairs(nm, np_):
                 lower, upper = sfh.basis_diagram(w1), sfh.basis_diagram(w2)
                 system = arcs.fbs(w1, w2)
-                if arcs.surgery_along_system(system, "up") != upper:
+                ends = {way: arcs.surgery_along_system(system, way) for way in ("up", "down")}
+                if ends["up"] != upper:
                     problems.append(f"fbs up {w1},{w2}")
                 if w1 != w2:
-                    down = arcs.surgery_along_system(system, "down")
+                    down = ends["down"]
                     if dg.is_zero(down) or down != sfh.from_pair(w1, w2):
                         problems.append(f"fbs down {w1},{w2}")
+                # the bypass-system relation: surgery one way is the mod-2
+                # sum of surgeries the other way along every subset
+                for direction, opposite in (("up", "down"), ("down", "up")):
+                    total = sfh.SfhElement.sum(
+                        sfh.decompose(out).words for out in arcs.expand_subsets(system, opposite)
+                    )
+                    if total != sfh.decompose(ends[direction]):
+                        problems.append(f"fbs subset relation {direction} {w1},{w2}")
                 if arcs.has_pinwheel(system, "up") or arcs.has_pinwheel(system, "down"):
                     problems.append(f"fbs pinwheel {w1},{w2}")
                 # the keep rules land on the arcs that the deletion search keeps

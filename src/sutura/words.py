@@ -303,7 +303,9 @@ def pair_to_monotone(w0: Word, w1: Word) -> tuple[int, ...]:
 
 
 def monotone_to_pair(f: tuple[int, ...]) -> tuple[Word, Word]:
-    """Inverse of pair_to_monotone."""
+    """Inverse of pair_to_monotone.  Past the padding plus, w0 has a plus at
+    each rise of f and w1 at each value of f, so each has one plus fewer
+    than f has values."""
     n1 = len(f)
     if n1 < 1:
         raise NotMonotone("empty function")
@@ -315,14 +317,12 @@ def monotone_to_pair(f: tuple[int, ...]) -> tuple[Word, Word]:
     if f[0] != 1:
         raise NotMonotone("f(1) must be 1")
     values = set(f)
-    bits1 = [PLUS if i in values else MINUS for i in range(1, n1 + 1)]
-    jumps = {i for i in range(1, n1 + 1) if f[i - 1] > (f[i - 2] if i >= 2 else 0)}
-    bits0 = [PLUS if i in jumps else MINUS for i in range(1, n1 + 1)]
-    w0 = Word(bits0[1:])
-    w1 = Word(bits1[1:])
-    if bits0[0] != PLUS or bits1[0] != PLUS:
-        raise NotMonotone("decoded words lost their padding plus")
-    return w0, w1
+    key0 = key1 = 1  # the sentinel bits
+    for i in range(1, n1):
+        key0 = key0 << 1 | (f[i] > f[i - 1])
+        key1 = key1 << 1 | (i + 1 in values)
+    n_plus = len(values) - 1
+    return Word._of(key0, n1 - 1, n_plus), Word._of(key1, n1 - 1, n_plus)
 
 
 @dataclass(frozen=True)
@@ -346,13 +346,3 @@ def interval(w0: Word, w1: Word) -> WordInterval:
         for q in _minus_moves_right(tuple(w0.positions(MINUS)), tuple(w1.positions(MINUS)))
     )
     return WordInterval(w0, w1, members)
-
-
-def minimum_word(n_minus: int, n_plus: int) -> Word:
-    """(-)^n- (+)^n+, the unique minimum of W(n-, n+)."""
-    return Word((MINUS,) * n_minus + (PLUS,) * n_plus)
-
-
-def maximum_word(n_minus: int, n_plus: int) -> Word:
-    """(+)^n+ (-)^n-, the unique maximum of W(n-, n+)."""
-    return Word((PLUS,) * n_plus + (MINUS,) * n_minus)

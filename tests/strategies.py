@@ -1,9 +1,11 @@
-"""Hypothesis strategies, word gradings and diagram shapes shared by the
-test modules."""
+"""Hypothesis strategies, word gradings, diagram shapes and the
+test-only builders and readers shared by the test modules."""
 
 from hypothesis import strategies as st
 
+from sutura import arcs
 from sutura import diagram as D
+from sutura.words import MINUS, PLUS, Word
 
 
 def matching(draw, n):
@@ -39,3 +41,35 @@ def deep_split_diagram(k: int, j: int) -> D.ChordDiagram:
     b, e = 2 * k + 2, 2 * k + 2 * j + 5
     chords += [(b, e), (b + 1, e - 1)] + [(b + 2 + 2 * i, b + 3 + 2 * i) for i in range(j)]
     return D.from_pairing(chords)
+
+
+def minimum_word(n_minus: int, n_plus: int) -> Word:
+    """(-)^n- (+)^n+, the unique minimum of W(n-, n+)."""
+    return Word((MINUS,) * n_minus + (PLUS,) * n_plus)
+
+
+def maximum_word(n_minus: int, n_plus: int) -> Word:
+    """(+)^n+ (-)^n-, the unique maximum of W(n-, n+)."""
+    return Word((PLUS,) * n_plus + (MINUS,) * n_minus)
+
+
+def single_arc_system(arc: arcs.AttachingArc) -> arcs.BypassSystem:
+    """One attaching arc realised as a bypass system of arc 0, its sites
+    placed as random_system places a drawn class."""
+    sites, bits = arcs._single_arc_sites(arcs.Faces(arc.diagram), arc.signature)
+    return arcs.BypassSystem.build(arc.diagram, sites, bits, [0])
+
+
+def strands(system: arcs.BypassSystem) -> list[tuple[tuple[int, int], list[int]]]:
+    """Each strand of a system as ((low end, high end), its sites from the
+    low end), ascending in the low end as ChordDiagram.chords()."""
+    m, mate = system.m, system.mate
+    out = []
+    for a in range(m):
+        sites, z = [], mate[a]
+        while z >= m:
+            sites.append((z - m) >> 1)
+            z = mate[z ^ 1]
+        if a < z:
+            out.append(((a, z), sites))
+    return out

@@ -17,7 +17,7 @@ from sutura.errors import (
 )
 from sutura.words import MINUS, PLUS, all_words, comparable_pairs, word
 
-from strategies import gradings
+from strategies import gradings, single_arc_system, strands
 
 
 def nontrivial_arcs(d):
@@ -163,6 +163,19 @@ def test_triples_sum_to_zero():
                 assert total.is_zero()
 
 
+def _induced_arc(diagram, arc, direction):
+    """On the surgered diagram, the arc continuing the triple cycle: the
+    class whose same-direction surgery moves one more step around the
+    bypass triple, found by search."""
+    back = "down" if direction == "up" else "up"
+    first = arcs.surgery(diagram, arc, direction)
+    other = arcs.surgery(diagram, arc, back)
+    for cand in nontrivial_arcs(first):
+        if arcs.surgery(first, cand, direction) == other and arcs.surgery(first, cand, back) == diagram:
+            return cand
+    raise AssertionError("no continuation arc found")
+
+
 def test_triple_cycle_via_induced_arcs():
     for w in (word("-+"), word("+-+"), word("--+")):
         g = sfh.basis_diagram(w)
@@ -170,9 +183,15 @@ def test_triple_cycle_via_induced_arcs():
             cur_d, cur_c = g, c
             for _ in range(3):
                 nxt = arcs.surgery(cur_d, cur_c, "up")
-                cur_c = arcs.induced_arc(cur_d, cur_c, "up")
+                cur_c = _induced_arc(cur_d, cur_c, "up")
                 cur_d = nxt
             assert cur_d == g
+
+
+def _chord_index(d, point):
+    """Index into d.chords() of the chord through a point."""
+    low = min(point, d.pairing[point])
+    return next(k for k, (a, _b) in enumerate(d.chords()) if a == low)
 
 
 def test_generic_engine_matches_decompose_split():
@@ -182,8 +201,8 @@ def test_generic_engine_matches_decompose_split():
             if q in (1, 2 * n - 1):
                 continue
             want = {sfh.bypass_rewire(d.pairing, (2 * n - 1, 0, 1), step) for step in (1, -1)}
-            si2 = d.chord_index(0)
-            ends = {d.chord_index(2 * n - 1), d.chord_index(1)}
+            si2 = _chord_index(d, 0)
+            ends = {_chord_index(d, 2 * n - 1), _chord_index(d, 1)}
             found = False
             for c in nontrivial_arcs(d):
                 if c.middle[0] != si2 or {c.end1[0], c.end2[0]} != ends:
@@ -234,7 +253,7 @@ def test_block_adjacent_generalised_arc_is_single():
                         if arcs.strict_move_exists(w, "FE", i, j):
                             g = arcs.generalised_arc(w, "FA", i, j)
                             assert g.crossings == 3
-                            assert len(arcs.arc_to_system(g)) == 1
+                            assert len(arcs.nicely_ordered_system(w, [g])) == 1
 
 
 def test_triple_relation_is_symmetric():
@@ -260,13 +279,13 @@ def test_single_arc_route_matches_planar_map_route():
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
             for c in arcs.find_attaching_arcs(d):
-                system = arcs.single_arc_system(c)
+                system = single_arc_system(c)
                 system.validate()
                 for direction in ("up", "down"):
                     want = arcs.surgery_along_system(system, direction)
                     assert arcs.surgery(d, c, direction) == want, (d, c, direction)
                 if c.triviality == "supertrivial":
-                    _ends, order = system.strands()[c.middle[0]]  # arc 0: site = index
+                    _ends, order = strands(system)[c.middle[0]]  # arc 0: site = index
                     assert (order[1] == 1) == (c.super_kind == "direct"), (d, c)
 
 
@@ -312,7 +331,7 @@ def test_arc_classes_are_pinned():
             for c in arcs.find_attaching_arcs(d):
                 cls = (c.end1, c.middle, c.end2, c.triviality, c.direction, c.super_kind)
                 digest.update(repr(cls).encode())
-                digest.update(json.dumps(arcs.single_arc_system(c).to_json()).encode())
+                digest.update(json.dumps(single_arc_system(c).to_json()).encode())
     assert digest.hexdigest() == "09dfaa22dedf75bf911f1957ae5c15e3588b447eccc04c12c3d391125acc654f"
 
 
@@ -367,7 +386,7 @@ def test_placed_systems_are_pinned():
                 for w1, w2 in comparable_pairs(nm, np_)
                 for build in (arcs.cfbs, arcs.cbbs, arcs.fbs, arcs.bbs)
             ]
-            systems += [arcs.arc_to_system(g) for g in _generalised_arcs(nm, np_)]
+            systems += [arcs.nicely_ordered_system(g.word, [g]) for g in _generalised_arcs(nm, np_)]
             for s in systems:
                 digest.update(repr((s.m, s.mate, s.darts, s.arc_ids)).encode())
     assert digest.hexdigest() == "f76d9dce3c78714e98b1ceeca117e864ee42b6527518abf8b0a8cb3c74a8b6cd"

@@ -330,7 +330,7 @@ def test_merge_images_are_disjoint():
 
 
 def _has_outermost(d, u):
-    return d.partner(u) == (u + 1) % (2 * d.n)
+    return d.pairing[u] == (u + 1) % (2 * d.n)
 
 
 def test_outermost_region_dictionary():

@@ -29,7 +29,8 @@ ORACLES = {
     "diagram_exists_in",
     "morphism_exists_nested",
 }
-# names folded into an oracle or deleted with the route they served
+# names folded into an oracle, deleted with the route they served, or
+# moved to the tests because only tests called them
 GONE = {
     "prefix_sums",
     "rotation_explicit",
@@ -45,6 +46,16 @@ GONE = {
     "path_faces",
     "f1_side",
     "_minimal_subsystem",
+    "arc_to_system",
+    "arc_is_inner",
+    "surgery_step",
+    "induced_arc",
+    "single_arc_system",
+    "strands",
+    "chord_index",
+    "partner",
+    "minimum_word",
+    "maximum_word",
 }
 
 

@@ -11,7 +11,7 @@ from sutura import stacking as S
 from sutura.errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
 from sutura.words import MINUS, all_words, comparable_pairs, interval, partial_leq, word
 
-from strategies import gradings, matching
+from strategies import gradings, matching, maximum_word, minimum_word
 
 
 def union_find_loops(bottom, top, shift=-1):
@@ -146,8 +146,6 @@ def test_basis_m_is_partial_order():
 
 
 def test_is_basis_criterion_via_m():
-    from sutura.words import maximum_word, minimum_word
-
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
             e = D.euler_class(d)
@@ -214,7 +212,7 @@ def test_cancel_outermost_keeps_region_signs():
         ds = D.enumerate_diagrams(n)
         for x in ds:
             for y in ds:
-                shared = [u for u in range(m) if x.partner(u) == y.partner(u) == (u + 1) % m]
+                shared = [u for u in range(m) if x.pairing[u] == y.pairing[u] == (u + 1) % m]
                 if not shared:
                     continue
                 sign = 1 if shared[0] % 2 == 0 else -1
@@ -222,32 +220,6 @@ def test_cancel_outermost_keeps_region_signs():
                 assert D.euler_class(x2) == D.euler_class(x) - sign
                 assert D.euler_class(y2) == D.euler_class(y) - sign
                 assert S.m_geometric(x2, y2) == S.m_geometric(x, y)
-
-
-def test_arc_is_inner():
-    for n in range(2, 5):
-        for d in D.enumerate_diagrams(n):
-            for c in arcs.find_attaching_arcs(d):
-                if c.triviality != "nontrivial":
-                    continue
-                # every nontrivial arc on a self-stacking is outer
-                assert not S.arc_is_inner(d, d, c)
-    g1, g2 = sfh.basis_diagram(word("--+")), sfh.basis_diagram(word("+--"))
-    inner = [
-        c
-        for c in arcs.find_attaching_arcs(g1)
-        if c.triviality == "nontrivial" and S.arc_is_inner(g1, g2, c)
-    ]
-    assert inner, "a tight basis cobordism admits inner bypasses"
-    for c in inner:
-        up = arcs.surgery(g1, c, "up")
-        w = next(iter(sfh.decompose(up).words))
-        assert partial_leq(word("--+"), w) and partial_leq(w, word("+--"))
-    with pytest.raises(NotTight):
-        S.arc_is_inner(g2, g1, inner[0])
-    trivial = next(c for c in arcs.find_attaching_arcs(g1) if c.triviality != "nontrivial")
-    with pytest.raises(TrivialArc):
-        S.arc_is_inner(g1, g1, trivial)
 
 
 def test_diagram_exists_in():
@@ -284,8 +256,6 @@ def test_bounded_category_intervals():
 
 
 def test_universal_bounds_give_all_words():
-    from sutura.words import maximum_word, minimum_word
-
     for n in range(1, 5):
         for nm, np_ in gradings(n):
             cat = S.bounded_category(

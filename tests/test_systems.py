@@ -17,7 +17,7 @@ from sutura.errors import (
 )
 from sutura.words import all_words, comparable_pairs, word
 
-from strategies import gradings
+from strategies import gradings, single_arc_system, strands
 
 
 def test_generalised_arc_systems_realize_moves():
@@ -27,18 +27,20 @@ def test_generalised_arc_systems_realize_moves():
                 for i in range(1, nm + 1):
                     for j in range(1, np_ + 1):
                         if arcs.move_exists(w, "FE", i, j):
-                            system = arcs.arc_to_system(arcs.generalised_arc(w, "FA", i, j))
+                            g = arcs.generalised_arc(w, "FA", i, j)
+                            system = arcs.nicely_ordered_system(w, [g])
                             got = arcs.surgery_along_system(system, "up")
                             assert got == sfh.basis_diagram(arcs.elementary_move(w, "FE", i, j))
                         else:
-                            system = arcs.arc_to_system(arcs.generalised_arc(w, "BA", i, j))
+                            g = arcs.generalised_arc(w, "BA", i, j)
+                            system = arcs.nicely_ordered_system(w, [g])
                             got = arcs.surgery_along_system(system, "down")
                             assert got == sfh.basis_diagram(arcs.elementary_move(w, "BE", i, j))
 
 
 def test_fa_1_4_paper_example():
     g = arcs.generalised_arc(word("--++--++"), "FA", 1, 4)
-    system = arcs.arc_to_system(g)
+    system = arcs.nicely_ordered_system(g.word, [g])
     assert len(system) == 2
     got = arcs.surgery_along_system(system, "up")
     assert sfh.decompose(got).words == {word("++++----")}
@@ -64,6 +66,15 @@ def test_nicely_ordered_validation():
     )
 
 
+def _surgery_step(system, arc_id, direction):
+    """One bypass surgery along arc arc_id: the system of the other arcs
+    on the surgered diagram, or ZERO."""
+    mate = list(system.mate)
+    if not arcs._rewire(mate, system.m, system.darts, arc_id, direction):
+        return D.ZERO
+    return arcs.BypassSystem(system.m, mate, system.darts, [a for a in system.arc_ids if a != arc_id])
+
+
 def test_surgery_order_commutes():
     rng = random.Random(7)
     for n in range(2, 6):
@@ -78,7 +89,7 @@ def test_surgery_order_commutes():
                 for perm in itertools.permutations(ids):
                     pm = system
                     for aid in perm:
-                        pm = arcs.surgery_step(pm, aid, "up")
+                        pm = _surgery_step(pm, aid, "up")
                         assert not D.is_zero(pm)
                     assert pm.diagram() == base
 
@@ -176,7 +187,7 @@ def test_arcs_remain_of_the_three_types_during_surgery():
                 system = arcs.cfbs(w1, w2)
                 pm = system
                 for aid in list(system.arc_ids):
-                    pm2 = arcs.surgery_step(pm, aid, "up")
+                    pm2 = _surgery_step(pm, aid, "up")
                     assert not D.is_zero(pm2)
                     current = pm2.diagram()
                     dec = sfh.decompose(current)
@@ -189,11 +200,11 @@ def test_arcs_remain_of_the_three_types_during_surgery():
 
 def _assert_arc_type(pm, arc_id, current_word):
     own = range(3 * arc_id, 3 * arc_id + 3)  # the arc's sites 0, 1, 2
-    chord_of = {s: ends for ends, sites in pm.strands() for s in sites if s in own}
-    strands = set(chord_of.values())
-    up = arcs.surgery_step(pm, arc_id, "up")
+    chord_of = {s: ends for ends, sites in strands(pm) for s in sites if s in own}
+    chords_met = set(chord_of.values())
+    up = _surgery_step(pm, arc_id, "up")
     same_up = (not D.is_zero(up)) and up.diagram() == pm.diagram()
-    if len(strands) == 3:
+    if len(chords_met) == 3:
         # nontrivial: must be forwards (negative prior outer region)
         base, chords = sfh.base_chords(current_word), pm.diagram().chords()
         faces = arcs.Faces(pm.diagram())
@@ -203,11 +214,11 @@ def _assert_arc_type(pm, arc_id, current_word):
         si, face = min(arc["end1"], arc["end2"], key=lambda end: base.index(chords[end[0]]))
         outer = faces.face_of(si, arcs.LEFT) + faces.face_of(si, arcs.RIGHT) - face
         assert D.orbit_sign(faces.cycles[outer]) == -1, "nontrivial arc stopped being forwards"
-    elif len(strands) == 2:
+    elif len(chords_met) == 2:
         assert same_up, "slightly trivial arc is not upwards"
     else:
         assert same_up, "supertrivial arc is not upwards"
-        (sites,) = [sites for _ends, sites in pm.strands() if own[0] in sites]
+        (sites,) = [sites for _ends, sites in strands(pm) if own[0] in sites]
         assert [s - own[0] for s in sites if s in own][1] == 1, "supertrivial arc is not direct"
 
 
@@ -232,7 +243,7 @@ def test_expand_subsets_identity():
 def test_single_nontrivial_arc_expand():
     g = sfh.basis_diagram(word("-+"))
     c = [x for x in arcs.find_attaching_arcs(g) if x.triviality == "nontrivial"][0]
-    system = arcs.single_arc_system(c)
+    system = single_arc_system(c)
     outs = arcs.expand_subsets(system, "up")
     assert {x.pairing for x in outs} == {g.pairing, arcs.surgery(g, c, "up").pairing}
 
@@ -244,7 +255,7 @@ def test_pinwheels():
     for n in range(1, 5):
         for d in D.enumerate_diagrams(n):
             for c in arcs.find_attaching_arcs(d):
-                system = arcs.single_arc_system(c)
+                system = single_arc_system(c)
                 pw_up = arcs.has_pinwheel(system, "up")
                 pw_down = arcs.has_pinwheel(system, "down")
                 if c.triviality == "nontrivial":
@@ -279,7 +290,7 @@ def test_readers_leave_a_shared_system_unchanged():
                             system.subsystem(sub)
                             arcs.surgery_along_system(system, direction, sub)
                     for aid in ids:
-                        arcs.surgery_step(system, aid, direction)
+                        _surgery_step(system, aid, direction)
                     arcs.has_pinwheel(system, direction)
                     arcs.expand_subsets(system, direction)
                 system.to_json()
@@ -366,7 +377,6 @@ def test_unknown_direction_is_rejected():
     system = arcs.fbs(word("--++"), word("+-+-"))
     for call in (
         lambda: arcs.surgery_along_system(system, "sideways"),
-        lambda: arcs.surgery_step(system, system.arc_ids[0], "sideways"),
         lambda: arcs.has_pinwheel(system, "sideways"),
     ):
         with pytest.raises(BadArgument):

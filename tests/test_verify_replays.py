@@ -1,0 +1,72 @@
+"""Each paper statement that verify replays is live: when the function it
+replays gives a wrong answer, the check that replays it reports a
+problem.  The checks run at small sizes, with no random systems."""
+
+import dataclasses
+
+import pytest
+
+from sutura import arcs, sfh, stacking, verify
+
+
+def _problems_with(prefix, problems):
+    return [p for p in problems if p.startswith(prefix)]
+
+
+def test_a_wrong_elementary_move_is_reported(monkeypatch):
+    monkeypatch.setattr(arcs, "elementary_move", lambda w, kind, i, j: w)
+    problems = verify.check_bypass_systems(3, 0, 2)
+    assert _problems_with("FA(", problems) and _problems_with("BA(", problems)
+
+
+def test_a_wrong_strict_move_test_is_reported(monkeypatch):
+    real = arcs.strict_move_exists
+    monkeypatch.setattr(arcs, "strict_move_exists", lambda w, kind, i, j: not real(w, kind, i, j))
+    assert _problems_with("strict ", verify.check_bypass_systems(3, 0, 2))
+
+
+def test_a_wrong_subset_expansion_is_reported(monkeypatch):
+    monkeypatch.setattr(arcs, "expand_subsets", lambda system, direction: [])
+    assert _problems_with("fbs subset relation", verify.check_bypass_systems(3, 0, 2))
+
+
+@pytest.mark.parametrize("name", ["pair_to_monotone", "monotone_to_pair"])
+def test_a_wrong_staircase_is_reported(monkeypatch, name):
+    real = getattr(verify, name)
+    if name == "pair_to_monotone":
+        # the staircase of (w1, w1), which decodes to the wrong pair
+        wrong = lambda w1, w2: real(w1, w1)
+    else:
+        wrong = lambda f: real(f)[::-1]
+    monkeypatch.setattr(verify, name, wrong)
+    assert _problems_with("staircase roundtrip", verify.check_main_theorem(3))
+
+
+def test_a_wrong_outermost_cancellation_is_reported(monkeypatch):
+    real = stacking.cancel_outermost
+    monkeypatch.setattr(stacking, "cancel_outermost", lambda a, b: real(a, b)[::-1])
+    assert _problems_with("outermost cancellation", verify.check_stackability(1, 4))
+
+
+def _without_word_action(make):
+    """The operator maker with each operator's word rule sending every word to 0."""
+    return lambda side, i: dataclasses.replace(make(side, i), word_action=lambda w: frozenset())
+
+
+@pytest.mark.parametrize(
+    "patch, names",
+    [("creation", ("B-^", "B+^")), ("annihilation", ("A+^", "A-^")), ("diagram_action", ("B-", "A+"))],
+)
+def test_a_wrong_operator_action_is_reported(monkeypatch, patch, names):
+    if patch == "diagram_action":
+        monkeypatch.setattr(sfh.GradedOperator, "diagram_action", lambda op, d: d)
+    else:
+        monkeypatch.setattr(sfh, patch, _without_word_action(getattr(sfh, patch)))
+    problems = verify.check_operator_algebra(3)
+    for name in names:
+        assert _problems_with(name, problems), name
+
+
+def test_a_wrong_element_merge_is_reported(monkeypatch):
+    monkeypatch.setattr(sfh, "merge_elements", lambda x1, x2: sfh.SfhElement.zero())
+    assert _problems_with("merge of", verify.check_operator_algebra(3))

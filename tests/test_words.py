@@ -15,6 +15,8 @@ from sutura.errors import (
 )
 from sutura.words import Word, word
 
+from strategies import maximum_word, minimum_word
+
 
 def test_word_parsing_and_gradings():
     w = word("-+-++")
@@ -153,8 +155,8 @@ def test_partial_leq_matches_both_oracles():
 def test_extreme_words():
     for nm in range(4):
         for np_ in range(4):
-            lo = W.minimum_word(nm, np_)
-            hi = W.maximum_word(nm, np_)
+            lo = minimum_word(nm, np_)
+            hi = maximum_word(nm, np_)
             for w in W.all_words(nm, np_):
                 assert W.partial_leq(lo, w) and W.partial_leq(w, hi)
 
