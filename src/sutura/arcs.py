@@ -28,7 +28,7 @@ outer regions, read off the pairing with no face walked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import sfh
 from .diagram import (
@@ -36,7 +36,6 @@ from .diagram import (
     ZERO,
     _face_cycles,
     is_zero,
-    orbit_sign,
     serialize,
 )
 from .errors import (
@@ -376,9 +375,7 @@ class AttachingArc:
     three chords and the order of its sites on the crossed chord (see
     _arc_signatures), from which the triviality, direction and kind are
     read; _single_arc_sites places its sites, and classes differing in
-    it alone are unequal.  forwards and fa_indices, set for nontrivial
-    arcs on basis diagrams only, are read off the basis word when asked
-    for.
+    it alone are unequal.
     """
 
     diagram: ChordDiagram
@@ -389,43 +386,6 @@ class AttachingArc:
     direction: str | None = None  # for trivial arcs: "upwards" | "downwards"
     super_kind: str | None = None  # for supertrivial arcs: "direct" | "indirect"
     signature: tuple = field(default=(), repr=False)
-
-    forwards = property(lambda self: self._basis_reading[0])
-    fa_indices = property(lambda self: self._basis_reading[1])
-
-    @cached_property
-    def _basis_reading(self) -> tuple[bool | None, tuple[int, int] | None]:
-        """(forwards, fa_indices) of a nontrivial arc on a basis diagram.
-
-        The arc is forwards when the outer region of its prior chord (the
-        earlier of its end chords in the base fold's order, sfh.base_chords),
-        that chord's face away from the arc, is negative.  fa_indices are
-        the (i, j) of the move FE(i, j) or BE(i, j) it realises: the i of
-        the minus (the j of the plus, when backwards) that created the
-        prior chord in the base fold, and the j of the plus (i of the
-        minus) that created the latter chord in the root fold.  A chord
-        that no letter of the wanted sign created would make the reading
-        wrong, so it raises BrokenInvariant.
-        """
-        dec = sfh.decompose(self.diagram) if self.triviality == "nontrivial" else None
-        if dec is None or len(dec.words) != 1:
-            return None, None
-        (w,) = dec.words
-        base, faces, chords = sfh.base_chords(w), Faces(self.diagram), self.diagram.chords()
-        (prior_si, arc_face), (latter_si, _) = sorted(
-            (self.end1, self.end2), key=lambda end: base.index(chords[end[0]])
-        )
-        outer_face = faces.face_of(prior_si, LEFT)
-        if outer_face == arc_face:
-            outer_face = faces.face_of(prior_si, RIGHT)
-        forwards = orbit_sign(faces.cycles[outer_face]) == -1
-        want_prior, want_latter = (MINUS, PLUS) if forwards else (PLUS, MINUS)
-        try:
-            i = w.positions(want_prior).index(base.index(chords[prior_si])) + 1
-            j = w.positions(want_latter).index(sfh.root_chords(w).index(chords[latter_si])) + 1
-        except ValueError:
-            raise BrokenInvariant(f"a nontrivial arc on {w} realises no elementary move") from None
-        return forwards, ((i, j) if forwards else (j, i))
 
 
 def _single_arc_sites(faces: Faces, signature):

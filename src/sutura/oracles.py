@@ -15,7 +15,7 @@ from . import stacking
 from .arcs import BypassSystem, find_attaching_arcs, surgery, surgery_along_system
 from .diagram import ChordDiagram, delete_points, euler_class, is_zero, rotate_points
 from .errors import BrokenInvariant, GradingMismatch
-from .sfh import SfhElement, basis_diagram, bypass_rewire, decompose, root_point
+from .sfh import SfhElement, basis_diagram, bypass_rewire, decompose, root_point, side_sign
 from .words import MINUS, PLUS, Word, all_words
 
 
@@ -203,6 +203,30 @@ def rotation_by_matrix(x: SfhElement) -> SfhElement:
     mat = rotation_matrix(n, n_plus)
     return SfhElement.sum(
         frozenset(wr for row, wr in zip(mat, words) if row[index[w]]) for w in x.words
+    )
+
+
+def boundary_closed_form(side: str, w: Word) -> SfhElement:
+    """The boundary of a basis word from the block-coefficient formula.
+
+    Deleting one sign anywhere inside a block gives the same word, so
+    each block contributes with coefficient its length, plus one more
+    when it is the final symbol run of the word (mod 2 throughout).
+    This is "partial differentiation" by the deleted sign, with the
+    extra final-run term.
+    """
+    positions = w.positions(side_sign(side))
+    runs: list[list[int]] = []  # [start, length] of each maximal run of the sign
+    for p in positions:
+        if runs and runs[-1][0] + runs[-1][1] == p:
+            runs[-1][1] += 1
+        else:
+            runs.append([p, 1])
+    ends_in_kind = bool(positions) and positions[-1] == w.n - 1
+    return SfhElement.sum(
+        frozenset((w.delete(start),))
+        for r, (start, length) in enumerate(runs)
+        if (length + (ends_in_kind and r == len(runs) - 1)) % 2
     )
 
 

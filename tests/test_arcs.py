@@ -24,6 +24,41 @@ def nontrivial_arcs(d):
     return [c for c in arcs.find_attaching_arcs(d) if c.triviality == "nontrivial"]
 
 
+def basis_reading(c):
+    """(forwards, fa_indices) of a nontrivial arc on a basis diagram, and
+    (None, None) for any other arc.
+
+    The arc is forwards when the outer region of its prior chord (the
+    earlier of its end chords in the base fold's order, sfh.base_chords),
+    that chord's face away from the arc, is negative.  fa_indices are
+    the (i, j) of the move FE(i, j) or BE(i, j) it realises: the i of
+    the minus (the j of the plus, when backwards) that created the
+    prior chord in the base fold, and the j of the plus (i of the
+    minus) that created the latter chord in the root fold.  A chord
+    that no letter of the wanted sign created would make the reading
+    wrong, so it raises BrokenInvariant.
+    """
+    dec = sfh.decompose(c.diagram) if c.triviality == "nontrivial" else None
+    if dec is None or len(dec.words) != 1:
+        return None, None
+    (w,) = dec.words
+    base, faces, chords = sfh.base_chords(w), arcs.Faces(c.diagram), c.diagram.chords()
+    (prior_si, arc_face), (latter_si, _) = sorted(
+        (c.end1, c.end2), key=lambda end: base.index(chords[end[0]])
+    )
+    outer_face = faces.face_of(prior_si, arcs.LEFT)
+    if outer_face == arc_face:
+        outer_face = faces.face_of(prior_si, arcs.RIGHT)
+    forwards = D.orbit_sign(faces.cycles[outer_face]) == -1
+    want_prior, want_latter = (MINUS, PLUS) if forwards else (PLUS, MINUS)
+    try:
+        i = w.positions(want_prior).index(base.index(chords[prior_si])) + 1
+        j = w.positions(want_latter).index(sfh.root_chords(w).index(chords[latter_si])) + 1
+    except ValueError:
+        raise BrokenInvariant(f"a nontrivial arc on {w} realises no elementary move") from None
+    return forwards, ((i, j) if forwards else (j, i))
+
+
 def test_elementary_move_paper_examples():
     assert str(arcs.elementary_move(word("---++++"), "FE", 3, 2)) == "--++-++"
     assert str(arcs.elementary_move(word("---++++"), "FE", 2, 2)) == "-++--++"
@@ -66,7 +101,7 @@ def test_minimal_nontrivial_class_and_triple():
     # surgeries generate the full triple
     assert len(nontriv) == 1
     c = nontriv[0]
-    assert c.forwards is True and c.fa_indices == (1, 1)
+    assert basis_reading(c) == (True, (1, 1))
     triple = arcs.bypass_triple(g, c)
     assert {D.serialize(x) for x in triple} == {
         "0-5,1-4,2-3", "0-1,2-5,3-4", "0-3,1-2,4-5",
@@ -78,8 +113,9 @@ def test_word_arc_dictionary():
         for nm, np_ in gradings(n):
             for w in all_words(nm, np_):
                 g = sfh.basis_diagram(w)
-                fwd = {c.fa_indices for c in nontrivial_arcs(g) if c.forwards}
-                bwd = {c.fa_indices for c in nontrivial_arcs(g) if not c.forwards}
+                readings = [basis_reading(c) for c in nontrivial_arcs(g)]
+                fwd = {ij for forwards, ij in readings if forwards}
+                bwd = {ij for forwards, ij in readings if not forwards}
                 fe = {
                     (i, j)
                     for i in range(1, nm + 1)
@@ -101,8 +137,8 @@ def test_single_surgery_realizes_moves():
             for w in all_words(nm, np_):
                 g = sfh.basis_diagram(w)
                 for c in nontrivial_arcs(g):
-                    i, j = c.fa_indices
-                    if c.forwards:
+                    forwards, (i, j) = basis_reading(c)
+                    if forwards:
                         out = arcs.surgery(g, c, "up")
                         assert out == sfh.basis_diagram(arcs.elementary_move(w, "FE", i, j))
                         down = arcs.surgery(g, c, "down")
@@ -295,18 +331,19 @@ def test_bypass_rewire_needs_three_chords():
 
 
 def test_basis_reading_only_on_nontrivial_arcs_of_basis_diagrams():
-    # forwards and fa_indices are read off the basis word on demand; every
-    # other arc reads None for both
+    # forwards and fa_indices are read off the basis word; every other arc
+    # reads None for both
     off_basis = 0
     for n in range(1, 6):
         for d in D.enumerate_diagrams(n):
             basis = sfh.is_basis(d)
             for c in arcs.find_attaching_arcs(d):
+                forwards, fa_indices = basis_reading(c)
                 if basis and c.triviality == "nontrivial":
-                    assert isinstance(c.forwards, bool), (d, c)
-                    assert isinstance(c.fa_indices, tuple) and len(c.fa_indices) == 2, (d, c)
+                    assert isinstance(forwards, bool), (d, c)
+                    assert isinstance(fa_indices, tuple) and len(fa_indices) == 2, (d, c)
                 else:
-                    assert c.forwards is None and c.fa_indices is None, (d, c)
+                    assert forwards is None and fa_indices is None, (d, c)
                     off_basis += not basis and c.triviality == "nontrivial"
     assert off_basis > 0
 

@@ -266,6 +266,16 @@ def test_enumerate_memory_is_the_memo():
     assert peak < 5 * 2**20
 
 
+def test_importing_the_package_loads_no_arc_or_verify_module():
+    # a census sets up with `import sutura` and parse alone; the arc layer,
+    # stacking, the complex, the oracles, verify and the command line load
+    # only when something asks for them
+    heavy = ["arcs", "stacking", "simplicial", "oracles", "verify", "cli"]
+    proc = run_python("-c", "import sys, sutura; print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) & {f"sutura.{m}" for m in heavy} == set()
+
+
 def test_verify_quick_under_optimize():
     # planarity checks must not be assert statements, which -O strips
     proc = run_process("verify", "--level", "quick", "--format", "json", optimize=True)

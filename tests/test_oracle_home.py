@@ -23,14 +23,16 @@ ORACLES = {
     "rotation_matrix",
     "_after_minuses",
     "rotation_by_matrix",
+    "boundary_closed_form",
     "up_moves_by_arcs",
     "minimal_subsystem_by_deletion",
     "brute_force_category",
     "diagram_exists_in",
     "morphism_exists_nested",
 }
-# names folded into an oracle, deleted with the route they served, or
-# moved to the tests because only tests called them
+# names folded into an oracle, deleted with the route they served or as a
+# second copy of a production route, or moved to the tests because only
+# tests called them
 GONE = {
     "prefix_sums",
     "rotation_explicit",
@@ -56,6 +58,13 @@ GONE = {
     "partner",
     "minimum_word",
     "maximum_word",
+    "face",
+    "degeneracy",
+    "_slot_map",
+    "_grading_of",
+    "ChainSlot",
+    "_basis_reading",
+    "fa_indices",
 }
 
 

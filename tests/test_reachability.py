@@ -4,9 +4,10 @@ API reaches.  Every function and method in src/sutura, oracles.py aside
 reached by name from the roots: the `sutura` entry point cli.main, the
 names sutura/__init__.py exports, dunder methods and the short allow-list
 below.  A function reaches every name it reads, as a variable or as an
-attribute; a module-level or class-level assignment reaches the names in
-its value once its target is reached.  Code that only tests call lives
-in the tests."""
+attribute, except the variables it binds itself (its arguments, locals
+and nested definitions); a module-level or class-level assignment
+reaches the names in its value once its target is reached.  Code that
+only tests call lives in the tests."""
 
 import ast
 import pathlib
@@ -33,6 +34,27 @@ def _refs(node: ast.AST) -> set[str]:
     return out
 
 
+def _reads(fn: ast.AST) -> set[str]:
+    """Every name a function reads, less the variables it binds itself: a
+    local that shares its name with a function reaches nothing.  An import
+    inside the function is a read of what it imports."""
+    bound = {n.arg for n in ast.walk(fn) if isinstance(n, ast.arg)}
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            bound.add(n.id)
+        elif n is not fn and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(n.name)
+    out = set()
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Name) and n.id not in bound:
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
 def _scan():
     """(defs, roots): defs maps each name a module or class binds by def or
     assignment to (qualified name, the names it reads, whether it is a
@@ -43,7 +65,7 @@ def _scan():
     def visit(body, prefix):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.setdefault(node.name, []).append((prefix + node.name, _refs(node), True))
+                defs.setdefault(node.name, []).append((prefix + node.name, _reads(node), True))
                 roots.update(*map(_refs, node.decorator_list))
             elif isinstance(node, ast.ClassDef):
                 roots.update(*map(_refs, node.bases + node.decorator_list))
@@ -99,10 +121,16 @@ def test_the_allow_list_is_short_and_current():
 
 
 def test_an_unreached_function_is_found(tmp_path, monkeypatch):
-    # the scan is live: a copy of the package with one orphan function fails
-    for path in SRC.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
-    with open(tmp_path / "words.py", "a") as f:
-        f.write("\n\ndef orphan(w):\n    return w\n")
+    # the scan is live: a copy of the package with one orphan function fails,
+    # also when a reached function (dunder names are roots) binds a local
+    # that shares the orphan's name
+    orphan = "\n\ndef orphan(w):\n    return w\n"
+    shadow = "\n\ndef __reader__(w):\n    orphan = w\n    return orphan\n"
+    package = SRC
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
-    assert _unreached() == ["words.orphan"]
+    for extra in (orphan, orphan + shadow):
+        for path in package.glob("*.py"):
+            (tmp_path / path.name).write_text(path.read_text())
+        with open(tmp_path / "words.py", "a") as f:
+            f.write(extra)
+        assert _unreached() == ["words.orphan"], extra

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from sutura import arcs, sfh, stacking, verify
+from sutura import arcs, oracles, sfh, simplicial, stacking, verify
 
 
 def _problems_with(prefix, problems):
@@ -70,3 +70,27 @@ def test_a_wrong_operator_action_is_reported(monkeypatch, patch, names):
 def test_a_wrong_element_merge_is_reported(monkeypatch):
     monkeypatch.setattr(sfh, "merge_elements", lambda x1, x2: sfh.SfhElement.zero())
     assert _problems_with("merge of", verify.check_operator_algebra(3))
+
+
+def test_a_wrong_creation_word_is_reported(monkeypatch):
+    # every degeneracy puts its sign in front of the word
+    monkeypatch.setattr(sfh, "creation_word", lambda w, sign, i: frozenset((w.insert(0, sign),)))
+    assert _problems_with("face/degeneracy table", verify.check_simplicial(3, 3, 3))
+
+
+def test_a_wrong_boundary_oracle_is_reported(monkeypatch):
+    monkeypatch.setattr(oracles, "boundary_closed_form", lambda side, w: sfh.SfhElement.zero())
+    problems = verify.check_simplicial(3, 3, 3)
+    assert _problems_with("west boundary closed form", problems)
+    assert _problems_with("east boundary closed form", problems)
+
+
+def test_a_boundary_that_drops_a_face_is_reported(monkeypatch):
+    # the sum of the faces d_1, d_2, ...: adding d_0 mod 2 takes it away
+    real = simplicial.boundary
+    monkeypatch.setattr(
+        simplicial, "boundary", lambda side, x: real(side, x) + sfh.annihilation(side, 0)(x)
+    )
+    problems = verify.check_simplicial(3, 3, 3)
+    for side in ("west", "east"):
+        assert _problems_with(f"{side} boundary is not the sum of the faces", problems), side
