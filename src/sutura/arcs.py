@@ -27,7 +27,7 @@ outer regions, read off the pairing with no face walked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from . import sfh
@@ -363,29 +363,37 @@ def elementary_move(w: Word, kind: str, i: int, j: int) -> Word:
 # -- attaching-arc classes on a bare diagram ----------------------------------
 
 
-@dataclass(frozen=True)
-class AttachingArc:
+class AttachingArc(
+    namedtuple(
+        "AttachingArc",
+        "diagram end1 middle end2 triviality direction super_kind signature",
+        defaults=(None, None, ()),
+    )
+):
     """One homotopy class of attaching arc on a bare diagram.
 
     end1, middle and end2 are the public descriptor: (chord, face) for
     each endpoint and (chord, face_before, face_after) for the middle
     crossing, written with canonical chord ids (position in the
     serialized pair list) and region ids (position in regions()).
+    triviality is "nontrivial", "slightly_trivial" or "supertrivial";
+    direction ("upwards" or "downwards") is set for trivial arcs and
+    super_kind ("direct" or "indirect") for supertrivial ones.
     signature is the class as find_attaching_arcs enumerates it: its
     three chords and the order of its sites on the crossed chord (see
     _arc_signatures), from which the triviality, direction and kind are
     read; _single_arc_sites places its sites, and classes differing in
-    it alone are unequal.
+    it alone are unequal.  The repr leaves it out.
     """
 
-    diagram: ChordDiagram
-    end1: tuple[int, int]
-    middle: tuple[int, int, int]
-    end2: tuple[int, int]
-    triviality: str               # "nontrivial" | "slightly_trivial" | "supertrivial"
-    direction: str | None = None  # for trivial arcs: "upwards" | "downwards"
-    super_kind: str | None = None  # for supertrivial arcs: "direct" | "indirect"
-    signature: tuple = field(default=(), repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return (
+            f"AttachingArc(diagram={self.diagram!r}, end1={self.end1!r}, "
+            f"middle={self.middle!r}, end2={self.end2!r}, triviality={self.triviality!r}, "
+            f"direction={self.direction!r}, super_kind={self.super_kind!r})"
+        )
 
 
 def _single_arc_sites(faces: Faces, signature):
@@ -548,23 +556,18 @@ def bypass_triple(diagram: ChordDiagram, arc: AttachingArc):
 # -- generalised arcs and bypass systems ---------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralisedArc:
+class GeneralisedArc(namedtuple("GeneralisedArc", "word kind i j path_edges outward")):
     """A nontrivial generalised attaching arc FA(i,j)/BA(i,j) on a basis diagram.
 
-    The arc runs from the outer region of its prior chord to that of its
-    latter chord, crossing each chord that separates the two once:
-    path_edges lists those chord indices in the order it meets them, and
-    outward[t] is True when it leaves chord path_edges[t] from its
-    inside, the chord's LEFT face (see Faces), and False when it enters.
+    kind is "FA" or "BA".  The arc runs from the outer region of its
+    prior chord to that of its latter chord, crossing each chord that
+    separates the two once: path_edges lists those chord indices in the
+    order it meets them, and outward[t] is True when it leaves chord
+    path_edges[t] from its inside, the chord's LEFT face (see Faces),
+    and False when it enters.
     """
 
-    word: Word
-    kind: str  # "FA" | "BA"
-    i: int
-    j: int
-    path_edges: tuple[int, ...]
-    outward: tuple[bool, ...]
+    __slots__ = ()
 
     @property
     def crossings(self) -> int:

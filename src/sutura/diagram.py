@@ -7,9 +7,10 @@ exactly when k is even, which fixes the signs of all regions.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import BadArgument, BadPartition, CrossingChords, OddStep, ParseError
 
@@ -69,37 +70,73 @@ class ChordDiagram:
         return self.pairing < other.pairing
 
 
+_NOT_INVOLUTION = "pairing is not a fixed-point-free involution"
+
+
 def _validate(pairing: tuple[int, ...]) -> None:
+    """Raise unless pairing is a non-crossing fixed-point-free involution
+    of the ints 0..m-1, in one pass.
+
+    Each chord's low end i checks its high end p (pairing[p] == i) and
+    pushes p; each high end must be the top of that stack.  This is the
+    balanced-bracket test: it rules out a crossing a<b<c<d with a-c and
+    b-d paired, and it gives each chord ends of opposite parity, since
+    the points strictly inside a chord are matched among themselves.
+    """
     m = len(pairing)
     if m == 0 or m % 2:
         raise BadPartition("need an even, positive number of points")
+    stack = [m]  # no point is m, so a high end never matches this floor
     for i, p in enumerate(pairing):
-        if not (0 <= p < m) or p == i or pairing[p] != i:
-            raise BadPartition("pairing is not a fixed-point-free involution")
-    # Balanced-bracket test: equivalent to having no crossing a<b<c<d with
-    # a-c and b-d paired.  It also gives each chord opposite-parity ends:
-    # the points strictly inside a chord are matched among themselves, so
-    # there is an even number of them.
-    stack: list[int] = []
-    for i, p in enumerate(pairing):
+        if type(p) is not int:
+            raise BadPartition(_NOT_INVOLUTION)
         if p > i:
+            if p >= m or pairing[p] != i:
+                raise BadPartition(_NOT_INVOLUTION)
             stack.append(p)
         elif stack.pop() != i:
-            raise CrossingChords("two chords cross")
+            raise _rejection(pairing)
+
+
+def _rejection(pairing: tuple[int, ...]) -> BadPartition | CrossingChords:
+    """The error for a pairing whose high end failed the bracket test: a
+    crossing when the whole pairing is an involution, else BadPartition."""
+    m = len(pairing)
+    for i, p in enumerate(pairing):
+        if type(p) is not int or not (0 <= p < m) or p == i or pairing[p] != i:
+            return BadPartition(_NOT_INVOLUTION)
+    return CrossingChords("two chords cross")
+
+
+def _from_ends(ends: list) -> ChordDiagram:
+    """The diagram with chords ends[0]-ends[1], ends[2]-ends[3], ...; the
+    ends must partition 0..m-1, which the fill checks as it goes."""
+    m = len(ends)
+    pairing = [-1] * m  # -1: no chord ends here yet
+    labels = iter(ends)
+    try:
+        for a, b in zip(labels, labels):
+            if a < 0 or pairing[a] >= 0:
+                break
+            pairing[a] = b
+            if b < 0 or pairing[b] >= 0:
+                break
+            pairing[b] = a
+        else:
+            return ChordDiagram(pairing)
+    except (IndexError, TypeError):  # a label past m - 1, or not an int
+        pass
+    raise BadPartition(f"pairs must partition 0..{m - 1}")
 
 
 def from_pairing(pairs) -> ChordDiagram:
-    """Build and validate a diagram from an iterable of label pairs."""
-    pairs = [tuple(p) for p in pairs]
-    points = [x for p in pairs for x in p]
-    m = len(points)
-    if sorted(points) != list(range(m)):
-        raise BadPartition(f"pairs must partition 0..{m - 1}")
-    pairing = [0] * m
-    for a, b in pairs:
-        pairing[a] = b
-        pairing[b] = a
-    return ChordDiagram(pairing)
+    """Build and validate a diagram from an iterable of label pairs, each
+    two ints, that together partition 0..m-1."""
+    try:
+        ends = [x for a, b in pairs for x in (a, b)]
+    except (TypeError, ValueError) as exc:  # not pairs of two labels
+        raise BadPartition("each pair must hold two labels") from exc
+    return _from_ends(ends)
 
 
 def serialize(diagram: ChordDiagram) -> str:
@@ -108,16 +145,21 @@ def serialize(diagram: ChordDiagram) -> str:
 
 
 def parse(text: str) -> ChordDiagram:
-    """Inverse of serialize."""
-    pairs = []
+    """Inverse of serialize.
+
+    The grammar: comma-separated items, each exactly one "-" between two
+    labels, where a label is any string int() reads (so surrounding
+    whitespace is allowed).  The labels must partition 0..2N-1.
+    """
     try:
-        for item in text.strip().split(","):
-            a, b = item.split("-")
-            pairs.append((int(a), int(b)))
+        body = text.strip()
+        if {*map(str.count, body.split(","), repeat("-"))} != {1}:
+            raise ParseError(f"bad diagram string {text!r}")
+        ends = list(map(int, body.replace("-", ",").split(",")))
     except (ValueError, AttributeError) as exc:
         raise ParseError(f"bad diagram string {text!r}") from exc
     try:
-        return from_pairing(pairs)
+        return _from_ends(ends)
     except BadPartition as exc:
         raise ParseError(str(exc)) from exc
 
@@ -165,14 +207,11 @@ def face_cycles(diagram: ChordDiagram) -> tuple[tuple[int, ...], ...]:
     return _face_cycles(diagram.pairing)
 
 
-@dataclass(frozen=True)
-class Region:
-    """One complementary region of the diagram."""
+class Region(namedtuple("Region", "id sign boundary_arcs boundary_chords")):
+    """One complementary region of the diagram: its id, its sign, and the
+    frozensets of its boundary arcs and boundary chords."""
 
-    id: int
-    sign: int
-    boundary_arcs: frozenset[int]
-    boundary_chords: frozenset[int]
+    __slots__ = ()
 
 
 def regions(diagram: ChordDiagram) -> list[Region]:

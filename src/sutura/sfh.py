@@ -22,9 +22,9 @@ from the root point (each letter appended at the last slot of its side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from .diagram import (
     ChordDiagram,
@@ -302,13 +302,11 @@ def from_pair(w_minus: Word, w_plus: Word) -> ChordDiagram:
 # -- graded operators ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedOperator:
-    """A linear operator given by its action on basis words and on diagrams."""
+class GradedOperator(namedtuple("GradedOperator", "name word_action on_diagram")):
+    """A linear operator given by its name, its action on basis words (a
+    word to a frozenset of words) and its action on diagrams."""
 
-    name: str
-    word_action: Callable[[Word], frozenset[Word]]
-    on_diagram: Callable[[ChordDiagram], object]
+    __slots__ = ()
 
     def __call__(self, x: SfhElement) -> SfhElement:
         return apply_operator(self, x)

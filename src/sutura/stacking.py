@@ -14,7 +14,6 @@ is two orbits of sigma, one per direction of travel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 
@@ -112,21 +111,42 @@ def _reachable(
     return moves
 
 
-@dataclass(frozen=True)
 class BoundedCategory:
     """Poset of diagrams existing inside a tight cobordism.
 
     Objects are sorted by pairing, at the positions index gives; edges[i]
     lists the positions one inner upwards bypass reaches from object i,
-    and bit j of above[i] is set when object i <= object j.
+    and bit j of above[i] is set when object i <= object j.  Two
+    categories are equal when all but index agree (index is read off the
+    objects).
     """
 
-    bottom: ChordDiagram
-    top: ChordDiagram
-    objects: tuple[ChordDiagram, ...]
-    index: dict[ChordDiagram, int] = field(compare=False)
-    edges: tuple[tuple[int, ...], ...]
-    above: tuple[int, ...]
+    __slots__ = ("bottom", "top", "objects", "index", "edges", "above")
+
+    def __init__(
+        self,
+        bottom: ChordDiagram,
+        top: ChordDiagram,
+        objects: tuple[ChordDiagram, ...],
+        index: dict[ChordDiagram, int],
+        edges: tuple[tuple[int, ...], ...],
+        above: tuple[int, ...],
+    ):
+        self.bottom = bottom
+        self.top = top
+        self.objects = objects
+        self.index = index
+        self.edges = edges
+        self.above = above
+
+    def _compared(self) -> tuple:
+        return self.bottom, self.top, self.objects, self.edges, self.above
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BoundedCategory) and self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
 
     def leq(self, a: ChordDiagram, b: ChordDiagram) -> bool:
         i, j = self.index.get(a), self.index.get(b)

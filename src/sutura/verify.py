@@ -10,10 +10,9 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-from . import arcs, oracles, sfh, simplicial, stacking
+from . import arcs, sfh, simplicial, stacking
 from . import diagram as dg
 from .errors import BadArgument, NoCommonOutermost
 from .words import (
@@ -28,13 +27,28 @@ from .words import (
     word,
 )
 
+# The five checks that compare against an independent route import
+# `oracles` when they run, so importing verify, as the `sutura` command
+# does, does not load it.
 
-@dataclass
+
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+    """One check's outcome: its name, whether it passed, the first
+    problems (or "all cases pass") and its runtime."""
+
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CheckResult) and (
+            (self.name, self.passed, self.detail, self.seconds)
+            == (other.name, other.passed, other.detail, other.seconds)
+        )
 
 
 def _gradings(n: int):
@@ -43,6 +57,8 @@ def _gradings(n: int):
 
 
 def check_counting(n_max: int) -> list[str]:
+    from . import oracles
+
     problems = []
     for n in range(1, n_max + 1):
         diagrams = dg.enumerate_diagrams(n)
@@ -62,6 +78,8 @@ def check_counting(n_max: int) -> list[str]:
 
 
 def check_basis_and_triples(word_n_max: int, triple_n_max: int) -> list[str]:
+    from . import oracles
+
     problems = []
     for n in range(0, word_n_max + 1):
         for nm, np_ in _gradings(n):
@@ -311,6 +329,8 @@ def check_categories(word_n_max: int, arc_n_max: int) -> list[str]:
 def check_bypass_systems(
     word_n_max: int, random_cases: int, random_n_max: int, seed: int = 0
 ) -> list[str]:
+    from . import oracles
+
     problems = []
     search = oracles.minimal_subsystem_by_deletion
     for n in range(0, word_n_max + 1):
@@ -388,6 +408,8 @@ _R53 = (
 
 
 def check_rotation(n_max: int, m_n_max: int) -> list[str]:
+    from . import oracles
+
     problems = []
     displayed = {
         (2, 1): ((0, 1), (1, 1)),
@@ -427,6 +449,8 @@ def check_rotation(n_max: int, m_n_max: int) -> list[str]:
 
 
 def check_simplicial(n_max: int, rank_n_max: int, ident_n_max: int) -> list[str]:
+    from . import oracles
+
     problems = simplicial.verify_double_complex(n_max)
     problems += simplicial.verify_homology_trivial(n_max, rank_n_max)
     for n in range(0, n_max + 1):

@@ -16,7 +16,7 @@ only this module reads the key.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 from operator import attrgetter
 
@@ -325,13 +325,11 @@ def monotone_to_pair(f: tuple[int, ...]) -> tuple[Word, Word]:
     return Word._of(key0, n1 - 1, n_plus), Word._of(key1, n1 - 1, n_plus)
 
 
-@dataclass(frozen=True)
-class WordInterval:
-    """The interval {w : lower <= w <= upper} of W(n-, n+)."""
+class WordInterval(namedtuple("WordInterval", "lower upper members", defaults=(frozenset(),))):
+    """The interval {w : lower <= w <= upper} of W(n-, n+): its two ends
+    and the frozenset of its members (empty unless given)."""
 
-    lower: Word
-    upper: Word
-    members: frozenset[Word] = field(default_factory=frozenset)
+    __slots__ = ()
 
 
 def interval(w0: Word, w1: Word) -> WordInterval:

@@ -276,6 +276,32 @@ def test_importing_the_package_loads_no_arc_or_verify_module():
     assert set(proc.stdout.split()) & {f"sutura.{m}" for m in heavy} == set()
 
 
+def _modules_after_import(module):
+    """The modules a fresh interpreter holds after importing one module;
+    -S keeps site (and whatever it imports) out of the count."""
+    proc = run_python("-S", "-c", f"import sys, {module}; print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["sutura", "sutura.cli"])
+def test_importing_loads_no_dataclasses_inspect_or_typing(module):
+    # every command pays for what `import sutura.cli` loads; these three
+    # (with the ast, dis and tokenize modules they pull in) cost more
+    # than most commands' work
+    assert _modules_after_import(module) & {"dataclasses", "inspect", "typing"} == set()
+
+
+def test_the_command_line_loads_every_layer_but_the_oracles():
+    # no command runs the oracles, so only a verify check loads them; the
+    # layers stay eager because the benchmark's tracer imports sutura.cli
+    # to load every layer before it wraps their functions
+    loaded = _modules_after_import("sutura.cli")
+    assert "sutura.oracles" not in loaded
+    for layer in ("arcs", "stacking", "simplicial", "verify"):
+        assert f"sutura.{layer}" in loaded, layer
+
+
 def test_verify_quick_under_optimize():
     # planarity checks must not be assert statements, which -O strips
     proc = run_process("verify", "--level", "quick", "--format", "json", optimize=True)

@@ -2,8 +2,6 @@
 replays gives a wrong answer, the check that replays it reports a
 problem.  The checks run at small sizes, with no random systems."""
 
-import dataclasses
-
 import pytest
 
 from sutura import arcs, oracles, sfh, simplicial, stacking, verify
@@ -50,7 +48,12 @@ def test_a_wrong_outermost_cancellation_is_reported(monkeypatch):
 
 def _without_word_action(make):
     """The operator maker with each operator's word rule sending every word to 0."""
-    return lambda side, i: dataclasses.replace(make(side, i), word_action=lambda w: frozenset())
+
+    def make_without(side, i):
+        op = make(side, i)
+        return sfh.GradedOperator(op.name, lambda w: frozenset(), op.on_diagram)
+
+    return make_without
 
 
 @pytest.mark.parametrize(
