@@ -17,12 +17,14 @@ Surgery along one arc glues its six site ends pairwise one step round
 its hexagon: each glue splices the mates of two ends together and drops
 both, and a glue that joins the two ends of one path closes a loop
 (ZERO).  The other arcs' sites ride along untouched, so a system is
-surgered arc by arc, in the order of its arc ids.  The regions of a
-system, the faces cut along the arc segments, are the orbits of one
-permutation on its ends, the face step of diagram.region_orbits
-followed by a jump across each segment: planarity is an Euler count of
-them, and a pinwheel is one of them.  A generalised arc is the chords that separate its two
-outer regions, read off the pairing with no face walked.
+surgered arc by arc, in the order of its arc ids.  A system has a
+pinwheel in a direction exactly when surgery that way along some subset
+of its arcs closes a loop.  The regions of a system, the faces cut
+along the arc segments, are the orbits of one permutation on its ends,
+the face step of diagram.region_orbits followed by a jump across each
+segment: planarity is an Euler count of them.  A generalised arc is the
+chords that separate its two outer regions, read off the pairing with
+no face walked.
 """
 
 from __future__ import annotations
@@ -53,21 +55,17 @@ from .words import MINUS, PLUS, Word, partial_leq
 
 LEFT, RIGHT = 1, -1
 
-# Which hexagon rotation is the upwards surgery, and which pinwheel
-# chirality obstructs it, by direction.  Both are pinned by the word-level
-# effect of single bypass moves on basis diagrams (tests assert the
-# anchoring examples; swapping the "up" and "down" entries of either table
+# Which hexagon rotation is the upwards surgery, by direction: pinned by
+# the word-level effect of single bypass moves on basis diagrams (tests
+# assert the anchoring examples; swapping the "up" and "down" entries
 # makes those fail).  _STEPS gives each rotation as a bypass_rewire step; a
 # test pins it to _GLUES.
 #
 # The six handles of an arc's hexagon, in cyclic order, are its site ends
 # (see _rewire); each direction glues three pairs of them, one step round
 # from the pairs (0, 5), (1, 4), (2, 3) that the sites themselves join.
-# Walked with the region on its left, each side of a pinwheel runs from
-# its endpoint to the crossing (EC) or back (CE).
 _GLUES = {"up": ((1, 2), (0, 3), (4, 5)), "down": ((0, 1), (2, 5), (3, 4))}
 _STEPS = {"up": 1, "down": -1}
-_PINWHEEL_TRAVERSAL = {"up": "EC", "down": "CE"}
 _FORWARDS = {"FE": True, "BE": False}  # whether each move kind is forwards
 _MOVE = {"FA": "FE", "BA": "BE"}  # the move each kind of generalised arc realises
 
@@ -241,8 +239,9 @@ def _strand_pairing(mate: list[int], m: int) -> list[int]:
     return pairing
 
 
-def _rewire(mate: list[int], m: int, darts, aid: int, direction: str) -> bool:
-    """Surger arc aid in place; False when a glue closes a loop.
+def _rewire(mate: list[int], m: int, darts, aid: int, glues) -> bool:
+    """Surger arc aid in place by one direction's glues (_GLUES); False
+    when a glue closes a loop.
 
     The hexagon's handles in cyclic order are: site 0's end facing
     segment 0, site 1's end facing segment 1, site 2's other end, site
@@ -252,7 +251,7 @@ def _rewire(mate: list[int], m: int, darts, aid: int, direction: str) -> bool:
     x0, x1, y0, y1 = darts[4 * aid : 4 * aid + 4]
     handles = (x0, y0, y1 ^ 1, y1, x1, x0 ^ 1)
     joined = []
-    for a, b in _entry(_GLUES, direction, "direction"):
+    for a, b in glues:
         x, y = handles[a], handles[b]
         p, q = mate[x], mate[y]
         if p == y:
@@ -622,25 +621,40 @@ _SPLIT_OFFSETS = {"FA": (-1, 1), "BA": (1, -1)}
 
 
 def surgery_along_system(system: BypassSystem, direction: str, subset=None):
-    """Surger every arc (or the given subset) in one shared realisation."""
-    todo = system.arc_ids if subset is None else set(subset)
+    """Surger every arc (or the given subset of arc ids) in one shared
+    realisation; ZERO when a glue closes a loop."""
+    glues = _entry(_GLUES, direction, "direction")
+    todo = set(system.arc_ids if subset is None else subset)
+    if missing := todo.difference(system.arc_ids):
+        raise BadArgument(f"the system has no arcs {sorted(missing)}")
     mate = list(system.mate)
     for aid in system.arc_ids:
-        if aid in todo and not _rewire(mate, system.m, system.darts, aid, direction):
+        if aid in todo and not _rewire(mate, system.m, system.darts, aid, glues):
             return ZERO
     # untouched arcs ride along on the strands read off here
     return ChordDiagram(_strand_pairing(mate, system.m))
 
 
-def expand_subsets(system: BypassSystem, direction: str):
-    """Mod-2 multiset of surgeries over all subsets of the system."""
-    odd: dict = {}  # result -> odd multiplicity so far, in first-seen order
+def _subset_surgeries(system: BypassSystem, direction: str):
+    """Surgery along each subset of the system's arcs, the empty one first."""
     ids = system.arc_ids
     for mask in range(1 << len(ids)):
         subset = [a for bit, a in enumerate(ids) if (mask >> bit) & 1]
-        result = surgery_along_system(system, direction, subset)
+        yield surgery_along_system(system, direction, subset)
+
+
+def expand_subsets(system: BypassSystem, direction: str):
+    """Mod-2 multiset of surgeries over all subsets of the system."""
+    odd: dict = {}  # result -> odd multiplicity so far, in first-seen order
+    for result in _subset_surgeries(system, direction):
         odd[result] = not odd.get(result, False)
     return [result for result, keep in odd.items() if keep]
+
+
+def has_pinwheel(system: BypassSystem, direction: str) -> bool:
+    """Whether the system has a pinwheel of the given direction: surgery
+    that way along some subset of its arcs closes a loop."""
+    return any(map(is_zero, _subset_surgeries(system, direction)))
 
 
 def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> BypassSystem:
@@ -776,51 +790,6 @@ def bbs(w1: Word, w2: Word) -> BypassSystem:
     gens = _backwards_members(w1, w2)
     keep = [k == len(gens) - 1 or g.i != gens[k + 1].i for k, g in enumerate(gens)]
     return _kept_members(w2, gens, keep, "down", sfh.basis_diagram(w1))
-
-
-# -- pinwheels -----------------------------------------------------------------
-
-
-def has_pinwheel(system: BypassSystem, direction: str) -> bool:
-    """Detect a pinwheel of the given direction in the realised system.
-
-    A pinwheel's sides come from some subset of the arcs, and arcs
-    outside that subset are free to cross its interior; so the pinwheel
-    shows up as a region only after the other arcs are deleted, and every
-    nonempty subset is tried.
-    """
-    want = _entry(_PINWHEEL_TRAVERSAL, direction, "direction")
-    ids = system.arc_ids
-    for mask in range(1, 1 << len(ids)):
-        sub = system.subsystem([aid for bit, aid in enumerate(ids) if (mask >> bit) & 1])
-        if any(_is_pinwheel(sub, orbit, want) for orbit in sub.regions()):
-            return True
-    return False
-
-
-def _is_pinwheel(system: BypassSystem, orbit: list[int], want: str) -> bool:
-    """Whether a region (BypassSystem.regions) is a pinwheel whose sides,
-    the segments it lands on, all run in the sense want.
-
-    A pinwheel meets no boundary point, takes each side arc once, and
-    holds no end of a side arc's third site, which would meet it again.
-    """
-    m, darts = system.m, system.darts
-    if min(orbit) < m:
-        return False
-    on, side_arcs = set(orbit), set()
-    for x in orbit:
-        aid, i = divmod((x - m) >> 1, 3)
-        ends = darts[4 * aid : 4 * aid + 4]  # segment 0 leaves ends[:2], segment 1 ends[2:]
-        if x not in ends:
-            continue
-        if aid in side_arcs or ("EC" if i == 1 else "CE") != want:
-            return False
-        side_arcs.add(aid)
-        third = m + 2 * (3 * aid + (2 if x in ends[:2] else 0))
-        if third in on or third + 1 in on:
-            return False
-    return True
 
 
 def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | None:

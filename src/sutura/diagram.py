@@ -45,7 +45,10 @@ class ChordDiagram:
     __slots__ = ("n", "pairing")
 
     def __init__(self, pairing, _validated: bool = False):
-        pairing = tuple(pairing)
+        try:
+            pairing = tuple(pairing)
+        except TypeError:
+            raise BadPartition("a pairing must be a sequence of ints") from None
         self.pairing = pairing
         self.n = len(pairing) // 2
         if not _validated:
@@ -156,7 +159,7 @@ def parse(text: str) -> ChordDiagram:
         if {*map(str.count, body.split(","), repeat("-"))} != {1}:
             raise ParseError(f"bad diagram string {text!r}")
         ends = list(map(int, body.replace("-", ",").split(",")))
-    except (ValueError, AttributeError) as exc:
+    except (ValueError, AttributeError, TypeError) as exc:  # TypeError: bytes
         raise ParseError(f"bad diagram string {text!r}") from exc
     try:
         return _from_ends(ends)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from . import stacking
 from .arcs import BypassSystem, find_attaching_arcs, surgery, surgery_along_system
 from .diagram import ChordDiagram, delete_points, euler_class, is_zero, rotate_points
-from .errors import BrokenInvariant, GradingMismatch
+from .errors import BadArgument, BrokenInvariant, GradingMismatch
 from .sfh import SfhElement, basis_diagram, bypass_rewire, decompose, root_point, side_sign
 from .words import MINUS, PLUS, Word, all_words
 
@@ -259,6 +259,57 @@ def minimal_subsystem_by_deletion(
                 keep = trial
                 changed = True
     return system.subsystem(keep)
+
+
+# Walked with the region on its left, each side of a pinwheel runs from
+# its endpoint to the crossing (EC) or back (CE); the sense that obstructs
+# surgery, by direction.
+_PINWHEEL_TRAVERSAL = {"up": "EC", "down": "CE"}
+
+
+def has_pinwheel_by_regions(system: BypassSystem, direction: str) -> bool:
+    """A pinwheel of the given direction, read off the regions.
+
+    A pinwheel's sides come from some subset of the arcs, and arcs
+    outside that subset are free to cross its interior; so the pinwheel
+    shows up as a region only after the other arcs are deleted, and every
+    nonempty subset is tried.  arcs.has_pinwheel must agree: there a
+    pinwheel is a subset whose surgery closes a loop.
+    """
+    if direction not in _PINWHEEL_TRAVERSAL:
+        raise BadArgument(f"direction must be 'up' or 'down', not {direction!r}")
+    want = _PINWHEEL_TRAVERSAL[direction]
+    ids = system.arc_ids
+    for mask in range(1, 1 << len(ids)):
+        sub = system.subsystem([aid for bit, aid in enumerate(ids) if (mask >> bit) & 1])
+        if any(_is_pinwheel(sub, orbit, want) for orbit in sub.regions()):
+            return True
+    return False
+
+
+def _is_pinwheel(system: BypassSystem, orbit: list[int], want: str) -> bool:
+    """Whether a region (BypassSystem.regions) is a pinwheel whose sides,
+    the segments it lands on, all run in the sense want.
+
+    A pinwheel meets no boundary point, takes each side arc once, and
+    holds no end of a side arc's third site, which would meet it again.
+    """
+    m, darts = system.m, system.darts
+    if min(orbit) < m:
+        return False
+    on, side_arcs = set(orbit), set()
+    for x in orbit:
+        aid, i = divmod((x - m) >> 1, 3)
+        ends = darts[4 * aid : 4 * aid + 4]  # segment 0 leaves ends[:2], segment 1 ends[2:]
+        if x not in ends:
+            continue
+        if aid in side_arcs or ("EC" if i == 1 else "CE") != want:
+            return False
+        side_arcs.add(aid)
+        third = m + 2 * (3 * aid + (2 if x in ends[:2] else 0))
+        if third in on or third + 1 in on:
+            return False
+    return True
 
 
 def brute_force_category(bottom: ChordDiagram, top: ChordDiagram):

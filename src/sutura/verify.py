@@ -359,16 +359,13 @@ def check_bypass_systems(
                     down = ends["down"]
                     if dg.is_zero(down) or down != sfh.from_pair(w1, w2):
                         problems.append(f"fbs down {w1},{w2}")
-                # the bypass-system relation: surgery one way is the mod-2
-                # sum of surgeries the other way along every subset
-                for direction, opposite in (("up", "down"), ("down", "up")):
-                    total = sfh.SfhElement.sum(
-                        sfh.decompose(out).words for out in arcs.expand_subsets(system, opposite)
-                    )
-                    if total != sfh.decompose(ends[direction]):
-                        problems.append(f"fbs subset relation {direction} {w1},{w2}")
-                if arcs.has_pinwheel(system, "up") or arcs.has_pinwheel(system, "down"):
-                    problems.append(f"fbs pinwheel {w1},{w2}")
+                for direction in _relation_breaks(system, ends):
+                    problems.append(f"fbs subset relation {direction} {w1},{w2}")
+                # neither route finds a pinwheel: no subset's surgery closes
+                # a loop, and no region of a subsystem is one
+                for way in ("up", "down"):
+                    if arcs.has_pinwheel(system, way) or oracles.has_pinwheel_by_regions(system, way):
+                        problems.append(f"fbs pinwheel {way} {w1},{w2}")
                 # the keep rules land on the arcs that the deletion search keeps
                 if system.arc_ids != search(arcs.cfbs(w1, w2), "up", upper).arc_ids:
                     problems.append(f"fbs keeps other arcs than the search {w1},{w2}")
@@ -384,13 +381,36 @@ def check_bypass_systems(
         if system is None:
             continue
         done += 1
-        if not arcs.has_pinwheel(system, "up"):
-            result = arcs.surgery_along_system(system, "up")
-            if dg.is_zero(result):
-                problems.append(f"pinwheel-free surgery died on {dg.serialize(d)}")
-            elif stacking.m_geometric(d, result) != 1:
-                problems.append(f"pinwheel-free but overtwisted on {dg.serialize(d)}")
+        up = arcs.has_pinwheel(system, "up")
+        if up != oracles.has_pinwheel_by_regions(system, "up"):
+            problems.append(f"pinwheel routes differ up on {dg.serialize(d)}")
+        if up:
+            continue
+        ends = {"up": arcs.surgery_along_system(system, "up")}
+        if dg.is_zero(ends["up"]):
+            problems.append(f"pinwheel-free surgery died on {dg.serialize(d)}")
+        elif stacking.m_geometric(d, ends["up"]) != 1:
+            problems.append(f"pinwheel-free but overtwisted on {dg.serialize(d)}")
+        # the relation needs no pinwheel either way (a pinwheel can break it)
+        if not arcs.has_pinwheel(system, "down"):
+            ends["down"] = arcs.surgery_along_system(system, "down")
+            for direction in _relation_breaks(system, ends):
+                problems.append(f"subset relation {direction} on pinwheel-free {dg.serialize(d)}")
     return problems
+
+
+def _relation_breaks(system, ends: dict) -> list[str]:
+    """The directions in which the bypass-system relation fails, given
+    the surgery along the whole system each way: surgery one way is the
+    mod-2 sum of surgeries the other way along every subset."""
+    return [
+        direction
+        for direction, opposite in (("up", "down"), ("down", "up"))
+        if sfh.SfhElement.sum(
+            sfh.decompose(out).words for out in arcs.expand_subsets(system, opposite)
+        )
+        != sfh.decompose(ends[direction])
+    ]
 
 
 _R53 = (

@@ -26,6 +26,9 @@ ORACLES = {
     "boundary_closed_form",
     "up_moves_by_arcs",
     "minimal_subsystem_by_deletion",
+    "has_pinwheel_by_regions",
+    "_is_pinwheel",
+    "_PINWHEEL_TRAVERSAL",
     "brute_force_category",
     "diagram_exists_in",
     "morphism_exists_nested",

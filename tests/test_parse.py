@@ -3,7 +3,8 @@ parser and the two-pass validator they replace, kept here as oracles:
 on every input both give the same pairing, or raise the same class with
 the same message.  The only differences are the bad inputs the old route
 let through as built-in exceptions or as labels that are not ints, which
-are listed and now raise BadPartition."""
+are listed and now raise BadPartition (ParseError for bytes given to
+parse)."""
 
 import random
 
@@ -209,9 +210,11 @@ def test_involutions_validate_as_before(pairing):
 # from_pairing: a pair of four labels or of one (ValueError from unpacking),
 # a float label (TypeError), bool labels (accepted, printing as "0-True"),
 # an int where a pair belongs (TypeError); ChordDiagram: float and bool
-# entries (TypeError, or accepted)
+# entries (TypeError, or accepted) and a pairing that is not a sequence
+# (TypeError from tuple()); parse: bytes, split with a str (TypeError)
 LEAKED_PAIRS = [[(0, 1, 2, 3)], [(0,), (1,)], [(0, 1.0)], [(True, False)], [0, 1], [(0, 1), (2, 3.0)]]
-LEAKED_PAIRINGS = [(1.0, 0), (1, 0.0), (True, False), (3, 2, True, 0)]
+LEAKED_PAIRINGS = [(1.0, 0), (1, 0.0), (True, False), (3, 2, True, 0), 5, None]
+LEAKED_TEXTS = [b"0-1", b"0-3,1-2"]
 
 
 @pytest.mark.parametrize("pairs", LEAKED_PAIRS)
@@ -226,6 +229,12 @@ def test_non_int_pairings_raise_bad_partition(pairing):
         D.ChordDiagram(pairing)
 
 
+@pytest.mark.parametrize("text", LEAKED_TEXTS)
+def test_bytes_raise_parse_error(text):
+    with pytest.raises(ParseError):
+        D.parse(text)
+
+
 def test_the_listed_inputs_are_the_old_route_s_leaks():
     # each listed input got past the old route as a built-in exception or
     # as a diagram: the list names real differences, not new ones
@@ -235,3 +244,6 @@ def test_the_listed_inputs_are_the_old_route_s_leaks():
     for pairing in LEAKED_PAIRINGS:
         result = validation(validate_in_two_passes, pairing)
         assert result[0] == "built" or not issubclass(result[1], BadPartition), pairing
+    for text in LEAKED_TEXTS:
+        result = outcome(parse_by_items, text)
+        assert result[0] == "raised" and not issubclass(result[1], ParseError), text

@@ -70,7 +70,7 @@ def _surgery_step(system, arc_id, direction):
     """One bypass surgery along arc arc_id: the system of the other arcs
     on the surgered diagram, or ZERO."""
     mate = list(system.mate)
-    if not arcs._rewire(mate, system.m, system.darts, arc_id, direction):
+    if not arcs._rewire(mate, system.m, system.darts, arc_id, arcs._GLUES[direction]):
         return D.ZERO
     return arcs.BypassSystem(system.m, mate, system.darts, [a for a in system.arc_ids if a != arc_id])
 
@@ -374,10 +374,40 @@ def test_expand_subsets_on_random_systems():
 
 
 def test_unknown_direction_is_rejected():
+    # surgery along a system checks its direction and its subset once, so
+    # a system with no arcs, which glues nothing, rejects them too
     system = arcs.fbs(word("--++"), word("+-+-"))
+    bare = arcs.BypassSystem.bare(D.VACUUM)
     for call in (
         lambda: arcs.surgery_along_system(system, "sideways"),
         lambda: arcs.has_pinwheel(system, "sideways"),
+        lambda: arcs.surgery_along_system(bare, "sideways"),
+        lambda: arcs.expand_subsets(bare, "sideways"),
+        lambda: arcs.has_pinwheel(bare, "sideways"),
+        lambda: arcs.surgery_along_system(system, "up", [99]),
+        lambda: arcs.surgery_along_system(bare, "up", [0]),
     ):
         with pytest.raises(BadArgument):
             call()
+
+
+def test_pinwheels_by_loops_and_by_regions_agree():
+    # a pinwheel is a subset whose surgery closes a loop, and a region of
+    # the subsystem of its sides
+    systems = [
+        single_arc_system(c)
+        for n in range(1, 5)
+        for d in D.enumerate_diagrams(n)
+        for c in arcs.find_attaching_arcs(d)
+    ]
+    for n in range(6):
+        for nm, np_ in gradings(n):
+            for (w1, w2) in comparable_pairs(nm, np_):
+                systems += (make(w1, w2) for make in (arcs.fbs, arcs.bbs, arcs.cfbs, arcs.cbbs))
+    found = 0
+    for system in systems:
+        for direction in ("up", "down"):
+            loop = arcs.has_pinwheel(system, direction)
+            assert loop == oracles.has_pinwheel_by_regions(system, direction), system.to_json()
+            found += loop
+    assert found > 0

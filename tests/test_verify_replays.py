@@ -1,6 +1,6 @@
 """Each paper statement that verify replays is live: when the function it
 replays gives a wrong answer, the check that replays it reports a
-problem.  The checks run at small sizes, with no random systems."""
+problem.  The checks run at small sizes, with few random systems."""
 
 import pytest
 
@@ -26,6 +26,40 @@ def test_a_wrong_strict_move_test_is_reported(monkeypatch):
 def test_a_wrong_subset_expansion_is_reported(monkeypatch):
     monkeypatch.setattr(arcs, "expand_subsets", lambda system, direction: [])
     assert _problems_with("fbs subset relation", verify.check_bypass_systems(3, 0, 2))
+
+
+def test_a_pinwheel_test_that_misses_a_loop_is_reported(monkeypatch):
+    # the first upward loop that a random system's subsets close goes unseen
+    real = arcs.has_pinwheel
+    missed = []
+
+    def missing_one(system, direction):
+        found = real(system, direction)
+        if found and direction == "up" and not missed:
+            missed.append(system)
+            return False
+        return found
+
+    monkeypatch.setattr(arcs, "has_pinwheel", missing_one)
+    problems = verify.check_bypass_systems(0, 200, 6)
+    assert missed and _problems_with("pinwheel routes differ up", problems)
+
+
+def test_a_wrong_surgery_on_a_pinwheel_free_system_is_reported(monkeypatch):
+    # the first downward surgery along a whole random system goes upwards;
+    # only systems with no pinwheel either way are surgered downwards whole
+    real = arcs.surgery_along_system
+    wrong = []
+
+    def wrong_once(system, direction, subset=None):
+        if subset is None and direction == "down" and len(system) and not wrong:
+            wrong.append(system)
+            direction = "up"
+        return real(system, direction, subset)
+
+    monkeypatch.setattr(arcs, "surgery_along_system", wrong_once)
+    problems = verify.check_bypass_systems(0, 200, 6)
+    assert wrong and _problems_with("subset relation down on pinwheel-free", problems)
 
 
 @pytest.mark.parametrize("name", ["pair_to_monotone", "monotone_to_pair"])
