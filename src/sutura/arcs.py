@@ -38,7 +38,6 @@ from .diagram import (
     ZERO,
     _face_cycles,
     is_zero,
-    serialize,
 )
 from .errors import (
     ArcNotDefined,
@@ -140,13 +139,6 @@ class BypassSystem:
     def bare(cls, diagram: ChordDiagram) -> "BypassSystem":
         return cls.build(diagram, {}, (), ())
 
-    def __len__(self) -> int:
-        return len(self.arc_ids)
-
-    def diagram(self) -> ChordDiagram:
-        """The diagram the strands join, which the sites leave unchanged."""
-        return ChordDiagram(_strand_pairing(self.mate, self.m))
-
     def regions(self) -> list[list[int]]:
         """The regions the arc segments cut the faces into, boundary points
         first: the orbits over the live ends of the face step (an end x
@@ -204,27 +196,6 @@ class BypassSystem:
                     p, q = mate[x], mate[x + 1]
                     mate[p], mate[q] = q, p
         return BypassSystem(self.m, mate, self.darts, [a for a in self.arc_ids if a in keep])
-
-    def to_json(self) -> dict:
-        """Per arc, the chord of each site and the faces its segments run
-        in.  Walked from its strand's low end, a site is reached at the end
-        facing the chord's RIGHT face and left at the LEFT one: build puts
-        the even end first, but surgery may reverse a piece."""
-        diagram = self.diagram()
-        faces, m, mate = Faces(diagram), self.m, self.mate
-        at = {}  # site end -> (chord index, face on its side)
-        for si, (a, _b) in enumerate(diagram.chords()):
-            right, left = (si, faces.face_of(si, RIGHT)), (si, faces.face_of(si, LEFT))
-            z = mate[a]
-            while z >= m:
-                at[z], at[z ^ 1] = right, left
-                z = mate[z ^ 1]
-        arcs_out = []
-        for aid in self.arc_ids:
-            x0, x1, _y0, y1 = self.darts[4 * aid : 4 * aid + 4]
-            (si0, f1), (si1, _f), (si2, f2) = at[x0], at[x1], at[y1]
-            arcs_out.append({"end1": [si0, f1], "middle": [si1, f1, f2], "end2": [si2, f2]})
-        return {"diagram": serialize(diagram), "arcs": arcs_out}
 
 
 def _strand_pairing(mate: list[int], m: int) -> list[int]:
@@ -627,26 +598,39 @@ def surgery_along_system(system: BypassSystem, direction: str, subset=None):
     todo = set(system.arc_ids if subset is None else subset)
     if missing := todo.difference(system.arc_ids):
         raise BadArgument(f"the system has no arcs {sorted(missing)}")
+    return _diagram_of(system, _surgered(system, glues, todo))
+
+
+def _surgered(system: BypassSystem, glues, todo) -> list[int] | None:
+    """The matching after surgery along the arcs of todo, in arc id order,
+    or None when a glue closes a loop."""
     mate = list(system.mate)
     for aid in system.arc_ids:
         if aid in todo and not _rewire(mate, system.m, system.darts, aid, glues):
-            return ZERO
-    # untouched arcs ride along on the strands read off here
-    return ChordDiagram(_strand_pairing(mate, system.m))
+            return None
+    return mate
+
+
+def _diagram_of(system: BypassSystem, mate: list[int] | None):
+    """The diagram a surgered matching's strands join, or ZERO for None;
+    untouched arcs ride along on the strands."""
+    return ZERO if mate is None else ChordDiagram(_strand_pairing(mate, system.m))
 
 
 def _subset_surgeries(system: BypassSystem, direction: str):
-    """Surgery along each subset of the system's arcs, the empty one first."""
+    """The surgered matching of each subset of the system's arcs, the
+    empty one first, or None where a glue closes a loop."""
+    glues = _entry(_GLUES, direction, "direction")
     ids = system.arc_ids
     for mask in range(1 << len(ids)):
-        subset = [a for bit, a in enumerate(ids) if (mask >> bit) & 1]
-        yield surgery_along_system(system, direction, subset)
+        yield _surgered(system, glues, {a for bit, a in enumerate(ids) if (mask >> bit) & 1})
 
 
 def expand_subsets(system: BypassSystem, direction: str):
     """Mod-2 multiset of surgeries over all subsets of the system."""
     odd: dict = {}  # result -> odd multiplicity so far, in first-seen order
-    for result in _subset_surgeries(system, direction):
+    for mate in _subset_surgeries(system, direction):
+        result = _diagram_of(system, mate)
         odd[result] = not odd.get(result, False)
     return [result for result, keep in odd.items() if keep]
 
@@ -654,7 +638,7 @@ def expand_subsets(system: BypassSystem, direction: str):
 def has_pinwheel(system: BypassSystem, direction: str) -> bool:
     """Whether the system has a pinwheel of the given direction: surgery
     that way along some subset of its arcs closes a loop."""
-    return any(map(is_zero, _subset_surgeries(system, direction)))
+    return any(mate is None for mate in _subset_surgeries(system, direction))
 
 
 def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> BypassSystem:

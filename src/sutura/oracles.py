@@ -13,9 +13,9 @@ from functools import lru_cache
 
 from . import stacking
 from .arcs import BypassSystem, find_attaching_arcs, surgery, surgery_along_system
-from .diagram import ChordDiagram, delete_points, euler_class, is_zero, rotate_points
+from .diagram import ChordDiagram, delete_points, euler_class, is_zero
 from .errors import BadArgument, BrokenInvariant, GradingMismatch
-from .sfh import SfhElement, basis_diagram, bypass_rewire, decompose, root_point, side_sign
+from .sfh import SfhElement, bypass_rewire, root_point, side_sign
 from .words import MINUS, PLUS, Word, all_words
 
 
@@ -56,10 +56,10 @@ def count_monotone(n1: int, distinct: int) -> int:
 
 def basis_diagram_from_root(w: Word) -> ChordDiagram:
     """The basis diagram of w, built by the root point algorithm."""
-    return _root_walk(w)[0]
+    return root_walk(w)[0]
 
 
-def _root_walk(w: Word) -> tuple[ChordDiagram, list[tuple[int, int]]]:
+def root_walk(w: Word) -> tuple[ChordDiagram, list[tuple[int, int]]]:
     """The root point algorithm, and the chord it draws for each letter.
 
     Starting at the root point, it reads w right to left: a '-' draws a
@@ -128,9 +128,50 @@ def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]
     return result
 
 
-def rotation_geometric(x: SfhElement) -> SfhElement:
-    """Move the base point two marked points: relabel by -2 and re-decompose."""
-    return SfhElement.sum(decompose(rotate_points(basis_diagram(w), -2)).words for w in x.words)
+def _blocks(w: Word) -> list[tuple[int, int]]:
+    """Block exponents [(a1,b1),...,(ak,bk)] for (-)^a1 (+)^b1 ...
+
+    a1 may be 0 (word starts with +) and bk may be 0 (word ends
+    with -); all other exponents are nonzero.
+    """
+    runs = [(sign, len(list(g))) for sign, g in itertools.groupby(w.bits)]
+    if not runs or runs[0][0] == PLUS:
+        runs.insert(0, (MINUS, 0))
+    if runs[-1][0] == MINUS:
+        runs.append((PLUS, 0))
+    return [(runs[i][1], runs[i + 1][1]) for i in range(0, len(runs), 2)]
+
+
+def rotation_closed_form(x: SfhElement) -> SfhElement:
+    """The rotation from the block formula: each basis word gives one term
+    per grouping of its blocks into consecutive parts."""
+    out: frozenset[Word] = frozenset()
+    for w in x.words:
+        blocks = _blocks(w)
+        k = len(blocks)
+        for cut_mask in range(1 << (k - 1)):
+            parts: list[tuple[int, int]] = []
+            a_sum = b_sum = 0
+            for idx, (a, b) in enumerate(blocks):
+                a_sum += a
+                b_sum += b
+                if idx == k - 1 or (cut_mask >> idx) & 1:
+                    parts.append((a_sum, b_sum))
+                    a_sum = b_sum = 0
+            bits: list[int] = []
+            # the first part trades a plus for a minus and the last part
+            # trades it back, so a lone part is (+)^b (-)^a; with k >= 2
+            # blocks b1 and ak are nonzero, so no exponent goes negative
+            for p, (a, b) in enumerate(parts):
+                if p == 0:
+                    b -= 1
+                    a += 1
+                if p == len(parts) - 1:
+                    b += 1
+                    a -= 1
+                bits.extend((PLUS,) * b + (MINUS,) * a)
+            out ^= {Word(bits)}
+    return SfhElement(out)
 
 
 def _after_minuses(count: int, w: Word) -> Word:
@@ -167,7 +208,7 @@ def rotation_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
         for c_i, v in enumerate(prev_words):
             if not prev[r_i][c_i]:
                 continue
-            for j in range(v.blocks()[0][0] + 1):
+            for j in range(_blocks(v)[0][0] + 1):
                 mat[row][index[v.insert(j, PLUS)]] = 1
     # rows (-)^(j+1) + u: copies of R_{n-j-2,k-1} at columns (-)^j + - v
     for j in range(0, n - k):

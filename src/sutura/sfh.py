@@ -14,10 +14,13 @@ Each operator acts on words and on diagrams, and the two agree:
 decompose(op.diagram_action(d)) == op(decompose(d)) for B-, B+, A+, A-
 and every slot of creation and annihilation.  merge_elements extends
 diagram.merge bilinearly.  verify's operator check replays both facts.
-Basis diagrams are creation operators on the vacuum: one fold over a
-word's letters builds the diagram and numbers its chords by the letter
-that created each, from the base point (B-/B+, undone by the peel) or
-from the root point (each letter appended at the last slot of its side).
+Basis diagrams are creation operators on the vacuum: one fold puts a
+word's letters in front, right to left (B-/B+, undone by the peel),
+builds the diagram and numbers its chords by the letter that created
+each.  Appending each letter at the last slot of its side, left to
+right, builds the same diagram and numbers it from the root point: the
+same numbering shifted by one letter.  rotation() moves the base point
+of a basis diagram and decomposes the result.
 """
 
 from __future__ import annotations
@@ -451,22 +454,17 @@ def root_point(n_chords: int, e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _creation_fold(w: Word, from_root: bool) -> tuple[ChordDiagram, tuple[tuple[int, int], ...]]:
+def _creation_fold(w: Word) -> tuple[ChordDiagram, tuple[tuple[int, int], ...]]:
     """The basis diagram of w, built by creation operators on the vacuum,
     and the chord each letter of w creates, the vacuum's chord last.
 
-    The base fold reads w right to left and puts each letter in front (B-
-    or B+, slot -1).  The root fold reads it left to right and appends
-    each letter at the last slot of its side.  Both build one diagram.
-    owner[p] is the letter whose chord holds point p.
+    The fold reads w right to left and puts each letter in front (B- or
+    B+, slot -1).  owner[p] is the letter whose chord holds point p.
     """
-    n = w.n
+    n, bits = w.n, w.bits
     pairing, owner = (1, 0), [n, n]
-    placed = [0, 0]  # letters of each sign so far: the root fold's slots
-    for pos in range(n) if from_root else reversed(range(n)):
-        sign = w.bits[pos]
-        s = _creation_point(len(pairing) // 2, sign, placed[sign] if from_root else -1)
-        placed[sign] += 1
+    for pos in reversed(range(n)):
+        s = _creation_point(len(pairing) // 2, bits[pos], -1)
         if s == len(pairing) + 1:  # the chord (m+1, 0): old point 0 becomes m
             owner = [pos, *owner[1:], owner[0], pos]
         else:
@@ -474,26 +472,28 @@ def _creation_fold(w: Word, from_root: bool) -> tuple[ChordDiagram, tuple[tuple[
         pairing = insert_chord(pairing, s)
     high = {letter: p for p, letter in enumerate(owner)}  # each chord's later point
     chords = tuple((pairing[high[k]], high[k]) for k in range(n + 1))
-    if not from_root and root_point(n + 1, w.e) not in chords[n]:
-        raise BrokenInvariant(f"the base fold's vacuum chord of {w} misses the root point")
-    if from_root and 0 not in chords[n]:
-        raise BrokenInvariant(f"the root fold's vacuum chord of {w} misses the base point")
+    if root_point(n + 1, w.e) not in chords[n]:
+        raise BrokenInvariant(f"the vacuum chord of {w} misses the root point")
     return ChordDiagram(pairing, _validated=True), chords
 
 
 def basis_diagram(w: Word) -> ChordDiagram:
     """The diagram of the basis element indexed by w (n+1 chords)."""
-    return _creation_fold(w, False)[0]
+    return _creation_fold(w)[0]
 
 
 def base_chords(w: Word) -> tuple[tuple[int, int], ...]:
     """Entry p is the chord letter p of w creates in the base fold."""
-    return _creation_fold(w, False)[1]
+    return _creation_fold(w)[1]
 
 
 def root_chords(w: Word) -> tuple[tuple[int, int], ...]:
-    """Entry p is the chord letter p of w creates in the root fold."""
-    return _creation_fold(w, True)[1]
+    """Entry p is the chord letter p of w creates in the root fold, which
+    reads w left to right and appends each letter at the last slot of its
+    side: entry p is base_chords(w)[p + 1], and the vacuum's chord is the
+    one the first letter creates in the base fold."""
+    base = _creation_fold(w)[1]
+    return base[1:] + base[:1]
 
 
 # -- merge on elements --------------------------------------------------------
@@ -524,38 +524,7 @@ def merge_elements(x1: SfhElement | None, x2: SfhElement | None) -> SfhElement:
 # -- rotation -----------------------------------------------------------------
 
 
-def rotation_explicit_word(w: Word) -> frozenset[Word]:
-    """Closed-form rotation: one term per grouping of the block sequence."""
-    blocks = w.blocks()
-    k = len(blocks)
-    if k == 1:
-        a, b = blocks[0]
-        return _one(Word((PLUS,) * b + (MINUS,) * a))
-    out: frozenset[Word] = frozenset()
-    # compositions of (1..k) into consecutive parts
-    for cut_mask in range(1 << (k - 1)):
-        parts: list[tuple[int, int]] = []
-        a_sum = b_sum = 0
-        for idx, (a, b) in enumerate(blocks):
-            a_sum += a
-            b_sum += b
-            if idx == k - 1 or (cut_mask >> idx) & 1:
-                parts.append((a_sum, b_sum))
-                a_sum = b_sum = 0
-        bits: list[int] = []
-        # with k >= 2 blocks b1 and ak are nonzero, so no exponent goes negative
-        for p, (a, b) in enumerate(parts):
-            if p == 0:
-                b -= 1
-                a += 1
-            if p == len(parts) - 1:
-                b += 1
-                a -= 1
-            bits.extend((PLUS,) * b + (MINUS,) * a)
-        out ^= _one(Word(bits))
-    return out
-
-
 def rotation(x: SfhElement) -> SfhElement:
-    """The rotation operator: the closed form on each basis word."""
-    return SfhElement._sum(map(rotation_explicit_word, x.words))
+    """The rotation operator: move the base point of each basis diagram
+    two marked points (relabel by -2) and decompose."""
+    return SfhElement._sum(decompose(rotate_points(basis_diagram(w), -2)).words for w in x.words)

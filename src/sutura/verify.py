@@ -86,6 +86,11 @@ def check_basis_and_triples(word_n_max: int, triple_n_max: int) -> list[str]:
             for w in all_words(nm, np_):
                 if sfh.decompose(sfh.basis_diagram(w)).words != frozenset([w]):
                     problems.append(f"basis decomposition of {w}")
+                # the paper's root-point walk draws the basis diagram, one
+                # chord per letter in the root numbering
+                walked, chords = oracles.root_walk(w)
+                if walked != sfh.basis_diagram(w) or list(sfh.root_chords(w)[:n]) != chords:
+                    problems.append(f"root-point walk of {w}")
     for n in range(1, triple_n_max + 1):
         for d in dg.enumerate_diagrams(n):
             if oracles.decompose_from_root(d) != sfh.decompose(d):
@@ -448,7 +453,7 @@ def check_rotation(n_max: int, m_n_max: int) -> list[str]:
         for nm, np_ in _gradings(n):
             for w in all_words(nm, np_):
                 x = sfh.SfhElement.basis(w)
-                a = oracles.rotation_geometric(x)
+                a = oracles.rotation_closed_form(x)
                 b = oracles.rotation_by_matrix(x)
                 c = sfh.rotation(x)
                 if not (a == b == c):
@@ -571,6 +576,3 @@ def run_verification(level: str = "quick", seed: int = 0) -> list[CheckResult]:
         results.append(CheckResult(name, not problems, detail, elapsed))
     return results
 
-
-def budgets(level: str = "full") -> dict[str, float]:
-    return {name: budget for name, _fn, budget in _criteria(level, 0)}

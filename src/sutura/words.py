@@ -103,19 +103,6 @@ class Word:
         low = self._key & ((1 << k) - 1)
         return Word._of((self._key >> k + 1) << k | low, self.n - 1, self.n_plus - (self._key >> k & 1))
 
-    def blocks(self) -> list[tuple[int, int]]:
-        """Block exponents [(a1,b1),...,(ak,bk)] for (-)^a1 (+)^b1 ...
-
-        a1 may be 0 (word starts with +) and bk may be 0 (word ends
-        with -); all other exponents are nonzero.
-        """
-        runs = [(sign, len(list(g))) for sign, g in itertools.groupby(self.bits)]
-        if not runs or runs[0][0] == PLUS:
-            runs.insert(0, (MINUS, 0))
-        if runs[-1][0] == MINUS:
-            runs.append((PLUS, 0))
-        return [(runs[i][1], runs[i + 1][1]) for i in range(0, len(runs), 2)]
-
     def __str__(self) -> str:
         return "".join(_CHARS[b] for b in self.bits)
 

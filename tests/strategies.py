@@ -60,6 +60,33 @@ def single_arc_system(arc: arcs.AttachingArc) -> arcs.BypassSystem:
     return arcs.BypassSystem.build(arc.diagram, sites, bits, [0])
 
 
+def system_diagram(system: arcs.BypassSystem) -> D.ChordDiagram:
+    """The diagram the strands join, which the sites leave unchanged."""
+    return D.ChordDiagram(arcs._strand_pairing(system.mate, system.m))
+
+
+def system_json(system: arcs.BypassSystem) -> dict:
+    """Per arc, the chord of each site and the faces its segments run
+    in.  Walked from its strand's low end, a site is reached at the end
+    facing the chord's RIGHT face and left at the LEFT one: build puts
+    the even end first, but surgery may reverse a piece."""
+    diagram = system_diagram(system)
+    faces, m, mate = arcs.Faces(diagram), system.m, system.mate
+    at = {}  # site end -> (chord index, face on its side)
+    for si, (a, _b) in enumerate(diagram.chords()):
+        right, left = (si, faces.face_of(si, arcs.RIGHT)), (si, faces.face_of(si, arcs.LEFT))
+        z = mate[a]
+        while z >= m:
+            at[z], at[z ^ 1] = right, left
+            z = mate[z ^ 1]
+    arcs_out = []
+    for aid in system.arc_ids:
+        x0, x1, _y0, y1 = system.darts[4 * aid : 4 * aid + 4]
+        (si0, f1), (si1, _f), (si2, f2) = at[x0], at[x1], at[y1]
+        arcs_out.append({"end1": [si0, f1], "middle": [si1, f1, f2], "end2": [si2, f2]})
+    return {"diagram": D.serialize(diagram), "arcs": arcs_out}
+
+
 def strands(system: arcs.BypassSystem) -> list[tuple[tuple[int, int], list[int]]]:
     """Each strand of a system as ((low end, high end), its sites from the
     low end), ascending in the low end as ChordDiagram.chords()."""

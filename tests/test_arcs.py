@@ -17,7 +17,7 @@ from sutura.errors import (
 )
 from sutura.words import MINUS, PLUS, all_words, comparable_pairs, word
 
-from strategies import gradings, single_arc_system, strands
+from strategies import gradings, single_arc_system, strands, system_json
 
 
 def nontrivial_arcs(d):
@@ -289,7 +289,7 @@ def test_block_adjacent_generalised_arc_is_single():
                         if arcs.strict_move_exists(w, "FE", i, j):
                             g = arcs.generalised_arc(w, "FA", i, j)
                             assert g.crossings == 3
-                            assert len(arcs.nicely_ordered_system(w, [g])) == 1
+                            assert len(arcs.nicely_ordered_system(w, [g]).arc_ids) == 1
 
 
 def test_triple_relation_is_symmetric():
@@ -368,7 +368,7 @@ def test_arc_classes_are_pinned():
             for c in arcs.find_attaching_arcs(d):
                 cls = (c.end1, c.middle, c.end2, c.triviality, c.direction, c.super_kind)
                 digest.update(repr(cls).encode())
-                digest.update(json.dumps(single_arc_system(c).to_json()).encode())
+                digest.update(json.dumps(system_json(single_arc_system(c))).encode())
     assert digest.hexdigest() == "09dfaa22dedf75bf911f1957ae5c15e3588b447eccc04c12c3d391125acc654f"
 
 

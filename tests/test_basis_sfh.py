@@ -40,7 +40,7 @@ def test_base_and_root_constructions_agree():
     for n in range(0, 9):
         for nm, np_ in gradings(n):
             for w in all_words(nm, np_):
-                walked, chords = oracles._root_walk(w)
+                walked, chords = oracles.root_walk(w)
                 assert sfh.basis_diagram(w) == walked == oracles.basis_diagram_from_root(w), w
                 assert list(sfh.root_chords(w)[:n]) == chords, w
 

@@ -177,7 +177,7 @@ def test_unknown_verify_level_is_rejected(level):
     with pytest.raises(SuturaError):
         verify.run_verification(level, 0)
     with pytest.raises(SuturaError):
-        verify.budgets(level)
+        verify._criteria(level, 0)
 
 
 def child_env():

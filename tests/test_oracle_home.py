@@ -18,8 +18,9 @@ ORACLES = {
     "_decompose_root_pairing",
     "_decompose_root_cache",
     "basis_diagram_from_root",
-    "_root_walk",
-    "rotation_geometric",
+    "root_walk",
+    "rotation_closed_form",
+    "_blocks",
     "rotation_matrix",
     "_after_minuses",
     "rotation_by_matrix",
@@ -68,6 +69,8 @@ GONE = {
     "ChainSlot",
     "_basis_reading",
     "fa_indices",
+    "rotation_geometric",
+    "rotation_explicit_word",
 }
 
 

@@ -18,9 +18,7 @@ import sutura
 SRC = pathlib.Path(sutura.__file__).parent
 
 # name -> why it is a root although nothing in the package reaches it
-ALLOWED = {
-    "budgets": "verify's runtime budget of each check by name: the API the CLI tests read",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _refs(node: ast.AST) -> set[str]:

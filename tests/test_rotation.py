@@ -1,8 +1,10 @@
+import random
+
 from sutura import diagram as D
 from sutura import oracles, sfh
 from sutura import stacking as S
 from sutura.verify import _R53
-from sutura.words import all_words, word
+from sutura.words import Word, all_words, word
 
 from strategies import gradings
 
@@ -42,10 +44,18 @@ def test_three_implementations_agree():
         for nm, np_ in gradings(n):
             for w in all_words(nm, np_):
                 x = sfh.SfhElement.basis(w)
-                a = oracles.rotation_geometric(x)
+                a = oracles.rotation_closed_form(x)
                 b = oracles.rotation_by_matrix(x)
                 c = sfh.rotation(x)
                 assert a == b == c, w
+
+
+def test_rotation_matches_the_closed_form_on_long_words():
+    # past the matrix oracle's reach: seeded words of 10 to 18 letters
+    rng = random.Random(0)
+    for _ in range(40):
+        x = sfh.SfhElement.basis(Word(rng.randrange(2) for _ in range(rng.randrange(10, 19))))
+        assert sfh.rotation(x) == oracles.rotation_closed_form(x), x
 
 
 def test_rotation_order():

@@ -52,7 +52,7 @@ def test_a_wrong_surgery_on_a_pinwheel_free_system_is_reported(monkeypatch):
     wrong = []
 
     def wrong_once(system, direction, subset=None):
-        if subset is None and direction == "down" and len(system) and not wrong:
+        if subset is None and direction == "down" and system.arc_ids and not wrong:
             wrong.append(system)
             direction = "up"
         return real(system, direction, subset)
@@ -60,6 +60,12 @@ def test_a_wrong_surgery_on_a_pinwheel_free_system_is_reported(monkeypatch):
     monkeypatch.setattr(arcs, "surgery_along_system", wrong_once)
     problems = verify.check_bypass_systems(0, 200, 6)
     assert wrong and _problems_with("subset relation down on pinwheel-free", problems)
+
+
+def test_an_unshifted_root_numbering_is_reported(monkeypatch):
+    # the base numbering as it is, not shifted by one letter
+    monkeypatch.setattr(sfh, "root_chords", sfh.base_chords)
+    assert _problems_with("root-point walk of", verify.check_basis_and_triples(3, 1))
 
 
 @pytest.mark.parametrize("name", ["pair_to_monotone", "monotone_to_pair"])
