@@ -110,17 +110,17 @@ class BypassSystem:
         self.arc_ids = tuple(arc_ids)
 
     @classmethod
-    def build(cls, diagram: ChordDiagram, strand_sites: dict, bits, arc_ids) -> "BypassSystem":
+    def build(cls, diagram: ChordDiagram, strand_sites: dict, bits) -> "BypassSystem":
         """Place sites on the chords of a diagram.
 
         strand_sites maps a chord index (into diagram.chords()) to its
-        sites in order from the chord's low end; arc_ids are 0..A-1.
-        bits[s] picks the end of site s facing its segment (segment 0 at
-        the crossing): 1 for the second end, whose side is the chord's
-        LEFT face (Faces.face_of).
+        sites in order from the chord's low end.  bits[s] picks the end of
+        site s facing its segment (segment 0 at the crossing): 1 for the
+        second end, whose side is the chord's LEFT face (Faces.face_of).
+        bits holds three per arc, so the arc ids are 0..len(bits) // 3 - 1.
         """
         m = 2 * diagram.n
-        arc_ids = tuple(arc_ids)
+        arc_ids = range(len(bits) // 3)
         mate = list(diagram.pairing) + [-1] * (6 * len(arc_ids))
         for si, (a, b) in enumerate(diagram.chords()):
             prev = a
@@ -137,7 +137,7 @@ class BypassSystem:
 
     @classmethod
     def bare(cls, diagram: ChordDiagram) -> "BypassSystem":
-        return cls.build(diagram, {}, (), ())
+        return cls.build(diagram, {}, ())
 
     def regions(self) -> list[list[int]]:
         """The regions the arc segments cut the faces into, boundary points
@@ -333,37 +333,36 @@ def elementary_move(w: Word, kind: str, i: int, j: int) -> Word:
 # -- attaching-arc classes on a bare diagram ----------------------------------
 
 
-class AttachingArc(
-    namedtuple(
-        "AttachingArc",
-        "diagram end1 middle end2 triviality direction super_kind signature",
-        defaults=(None, None, ()),
-    )
-):
-    """One homotopy class of attaching arc on a bare diagram.
+_TRIVIALITY = {1: "nontrivial", 2: "slightly_trivial", 3: "supertrivial"}
 
-    end1, middle and end2 are the public descriptor: (chord, face) for
-    each endpoint and (chord, face_before, face_after) for the middle
-    crossing, written with canonical chord ids (position in the
-    serialized pair list) and region ids (position in regions()).
-    triviality is "nontrivial", "slightly_trivial" or "supertrivial";
-    direction ("upwards" or "downwards") is set for trivial arcs and
-    super_kind ("direct" or "indirect") for supertrivial ones.
-    signature is the class as find_attaching_arcs enumerates it: its
-    three chords and the order of its sites on the crossed chord (see
-    _arc_signatures), from which the triviality, direction and kind are
-    read; _single_arc_sites places its sites, and classes differing in
-    it alone are unequal.  The repr leaves it out.
+
+class AttachingArc(namedtuple("AttachingArc", "diagram signature")):
+    """One homotopy class of attaching arc on a bare diagram, held as its
+    signature: its three chords and the order of its sites on the
+    crossed chord (see _arc_signatures).  _single_arc_sites places its
+    sites, and classes differing in the order alone are unequal.
+
+    An arc is nontrivial, slightly trivial or supertrivial as one, two or
+    three of its sites lie on the crossed chord.  A trivial arc is
+    downwards exactly when that order is an even permutation (for a
+    slightly trivial arc: end 1 before the crossing, or end 2 after it).
     """
 
     __slots__ = ()
 
-    def __repr__(self) -> str:
-        return (
-            f"AttachingArc(diagram={self.diagram!r}, end1={self.end1!r}, "
-            f"middle={self.middle!r}, end2={self.end2!r}, triviality={self.triviality!r}, "
-            f"direction={self.direction!r}, super_kind={self.super_kind!r})"
-        )
+    @property
+    def triviality(self) -> str:
+        """One of "nontrivial", "slightly_trivial" and "supertrivial"."""
+        return _TRIVIALITY[len(self.signature[3])]
+
+    @property
+    def direction(self) -> str | None:
+        """For a trivial arc "upwards" or "downwards", for a nontrivial one None."""
+        order = self.signature[3]
+        if len(order) == 1:
+            return None
+        inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1 :])
+        return "upwards" if inversions % 2 else "downwards"
 
 
 def _single_arc_sites(faces: Faces, signature):
@@ -384,50 +383,10 @@ def _single_arc_sites(faces: Faces, signature):
     return sites, (_facing(faces, si1, f1), 0, _facing(faces, si3, f2))
 
 
-_TRIVIALITY = {1: "nontrivial", 2: "slightly_trivial", 3: "supertrivial"}
-
-
-def _classify(diagram: ChordDiagram, faces: Faces, signature) -> AttachingArc:
-    """The class of one signature, read off its sites on the crossed chord.
-
-    An arc is nontrivial, slightly trivial or supertrivial as one, two or
-    three of its sites lie on the crossed chord.  A trivial arc is
-    downwards exactly when that order is an even permutation (for a
-    slightly trivial arc: end 1 before the crossing, or end 2 after it),
-    and a supertrivial arc is direct exactly when the crossing is its
-    middle site.
-    """
-    si2, si1, si3, order = signature
-    f1, f2 = faces.face_of(si2, RIGHT), faces.face_of(si2, LEFT)
-    direction = super_kind = None
-    if len(order) > 1:
-        inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1 :])
-        direction = "upwards" if inversions % 2 else "downwards"
-        if len(order) == 3:
-            super_kind = "direct" if order[1] == 1 else "indirect"
-    return AttachingArc(
-        diagram,
-        end1=(si1, f1),
-        middle=(si2, f1, f2),
-        end2=(si3, f2),
-        triviality=_TRIVIALITY[len(order)],
-        direction=direction,
-        super_kind=super_kind,
-        signature=signature,
-    )
-
-
 def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
-    """One class per homotopy class of attaching arc, classified on the pairing.
-
-    The signatures come from the memo of _arc_signatures, in its order,
-    and each is classified by the order of its sites (_classify); the
-    classification is redone on every call and not memoised, since most
-    classes are trivial (822 nontrivial among the 12,490 classes of the
-    196 diagrams the full verification asks about).
-    """
-    faces = Faces(diagram)
-    return [_classify(diagram, faces, sig) for sig in _arc_signatures(diagram)]
+    """One class per homotopy class of attaching arc, in the order of the
+    memo of _arc_signatures."""
+    return [AttachingArc(diagram, signature) for signature in _arc_signatures(diagram)]
 
 
 def up_moves(diagram: ChordDiagram) -> list[ChordDiagram]:
@@ -443,7 +402,7 @@ def up_moves(diagram: ChordDiagram) -> list[ChordDiagram]:
     pairing, step = diagram.pairing, _STEPS["up"]
     walk_of = {k: walk for walk in _face_cycles(pairing) for k in walk}
     return [
-        ChordDiagram(sfh.bypass_rewire(pairing, (x, a, y), step), _validated=True)
+        ChordDiagram._of(sfh.bypass_rewire(pairing, (x, a, y), step))
         for a, b in diagram.chords()
         for x in walk_of[a]
         if x != a
@@ -508,8 +467,8 @@ def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
     if arc.triviality != "nontrivial":
         return diagram if arc.direction == direction + "wards" else ZERO
     chords = diagram.chords()
-    points = [chords[si][0] for si in (arc.end1[0], arc.middle[0], arc.end2[0])]
-    return ChordDiagram(sfh.bypass_rewire(diagram.pairing, points, step), _validated=True)
+    points = [chords[si][0] for si in arc.signature[:3]]
+    return ChordDiagram._of(sfh.bypass_rewire(diagram.pairing, points, step))
 
 
 def bypass_triple(diagram: ChordDiagram, arc: AttachingArc):
@@ -678,7 +637,7 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
         si: [s for *_key, s in sorted(placed[si], reverse=a != 0)]
         for si, (a, _b) in enumerate(chords)
     }
-    system = BypassSystem.build(diagram, strand_sites, bits, range(len(bits) // 3))
+    system = BypassSystem.build(diagram, strand_sites, bits)
     system.validate()
     return system
 
@@ -800,7 +759,7 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
             for idx in sites[si]:
                 lst = trial[si]
                 lst.insert(rng.randrange(len(lst) + 1), 3 * placed + idx)
-        trial_system = BypassSystem.build(diagram, trial, bits + cls_bits, range(placed + 1))
+        trial_system = BypassSystem.build(diagram, trial, bits + cls_bits)
         try:
             trial_system.validate()
         except NotPlanar:

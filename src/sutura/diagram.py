@@ -44,15 +44,22 @@ class ChordDiagram:
 
     __slots__ = ("n", "pairing")
 
-    def __init__(self, pairing, _validated: bool = False):
+    def __init__(self, pairing):
         try:
             pairing = tuple(pairing)
         except TypeError:
             raise BadPartition("a pairing must be a sequence of ints") from None
+        _validate(pairing)
         self.pairing = pairing
         self.n = len(pairing) // 2
-        if not _validated:
-            _validate(pairing)
+
+    @classmethod
+    def _of(cls, pairing: tuple[int, ...]) -> "ChordDiagram":
+        """The diagram of a pairing tuple the package built itself, taken
+        with no check."""
+        d = object.__new__(cls)
+        d.pairing, d.n = pairing, len(pairing) // 2
+        return d
 
     # -- structure ---------------------------------------------------------
 
@@ -302,7 +309,7 @@ def iter_diagrams(n: int) -> Iterator[ChordDiagram]:
             for _ in fill(lo + 1, mate):
                 yield from fill(mate + 1, hi)
 
-    return (ChordDiagram(tuple(pairing), _validated=True) for _ in fill(0, 2 * n))
+    return (ChordDiagram._of(tuple(pairing)) for _ in fill(0, 2 * n))
 
 
 def rotate_points(diagram: ChordDiagram, steps: int) -> ChordDiagram:
@@ -313,7 +320,7 @@ def rotate_points(diagram: ChordDiagram, steps: int) -> ChordDiagram:
     pairing = [0] * m
     for i, p in enumerate(diagram.pairing):
         pairing[(i + steps) % m] = (p + steps) % m
-    return ChordDiagram(tuple(pairing), _validated=True)
+    return ChordDiagram._of(tuple(pairing))
 
 
 # Adding or removing two adjacent points renumbers the rest one way: the
@@ -366,7 +373,7 @@ def merge(d1: ChordDiagram | None, d2: ChordDiagram | None) -> ChordDiagram:
     """
     head = (1, 0) if d1 is None else insert_chord(d1.pairing, 2 * d1.n + 1)
     tail = () if d2 is None else tuple(x + len(head) for x in d2.pairing)
-    return ChordDiagram(head + tail, _validated=True)
+    return ChordDiagram._of(head + tail)
 
 
 def unique_split(diagram: ChordDiagram) -> tuple[ChordDiagram | None, ChordDiagram | None]:
@@ -375,8 +382,8 @@ def unique_split(diagram: ChordDiagram) -> tuple[ChordDiagram | None, ChordDiagr
     head = delete_points(diagram.pairing[: q + 1], q)
     tail = tuple(x - q - 1 for x in diagram.pairing[q + 1 :])
     return (
-        ChordDiagram(head, _validated=True) if head else None,
-        ChordDiagram(tail, _validated=True) if tail else None,
+        ChordDiagram._of(head) if head else None,
+        ChordDiagram._of(tail) if tail else None,
     )
 
 
@@ -392,4 +399,4 @@ def to_json_dict(diagram: ChordDiagram) -> dict:
     }
 
 
-VACUUM = ChordDiagram((1, 0), _validated=True)
+VACUUM = ChordDiagram._of((1, 0))

@@ -54,11 +54,6 @@ def count_monotone(n1: int, distinct: int) -> int:
     return count
 
 
-def basis_diagram_from_root(w: Word) -> ChordDiagram:
-    """The basis diagram of w, built by the root point algorithm."""
-    return root_walk(w)[0]
-
-
 def root_walk(w: Word) -> tuple[ChordDiagram, list[tuple[int, int]]]:
     """The root point algorithm, and the chord it draws for each letter.
 

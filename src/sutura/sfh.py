@@ -474,7 +474,7 @@ def _creation_fold(w: Word) -> tuple[ChordDiagram, tuple[tuple[int, int], ...]]:
     chords = tuple((pairing[high[k]], high[k]) for k in range(n + 1))
     if root_point(n + 1, w.e) not in chords[n]:
         raise BrokenInvariant(f"the vacuum chord of {w} misses the root point")
-    return ChordDiagram(pairing, _validated=True), chords
+    return ChordDiagram._of(pairing), chords
 
 
 def basis_diagram(w: Word) -> ChordDiagram:

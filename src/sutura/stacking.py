@@ -116,9 +116,8 @@ class BoundedCategory:
 
     Objects are sorted by pairing, at the positions index gives; edges[i]
     lists the positions one inner upwards bypass reaches from object i,
-    and bit j of above[i] is set when object i <= object j.  Two
-    categories are equal when all but index agree (index is read off the
-    objects).
+    and bit j of above[i] is set when object i <= object j.  index is
+    built from the objects, so it is not compared.
     """
 
     __slots__ = ("bottom", "top", "objects", "index", "edges", "above")
@@ -128,14 +127,13 @@ class BoundedCategory:
         bottom: ChordDiagram,
         top: ChordDiagram,
         objects: tuple[ChordDiagram, ...],
-        index: dict[ChordDiagram, int],
         edges: tuple[tuple[int, ...], ...],
         above: tuple[int, ...],
     ):
         self.bottom = bottom
         self.top = top
         self.objects = objects
-        self.index = index
+        self.index = {d: i for i, d in enumerate(objects)}
         self.edges = edges
         self.above = above
 
@@ -193,7 +191,7 @@ def bounded_category(bottom: ChordDiagram, top: ChordDiagram) -> BoundedCategory
             above[i] = bits
     except CycleError as exc:
         raise BrokenInvariant("inner upwards bypasses lead back to a diagram") from exc
-    return BoundedCategory(bottom, top, objects, index, edges, tuple(above))
+    return BoundedCategory(bottom, top, objects, edges, tuple(above))
 
 
 def bypass_cobordism_category(bottom: ChordDiagram, arc) -> tuple[int, int, BoundedCategory]:
@@ -208,7 +206,8 @@ def bypass_cobordism_category(bottom: ChordDiagram, arc) -> tuple[int, int, Boun
         raise TrivialArc("bypass cobordisms attach along nontrivial arcs")
     top = _arcs.surgery(bottom, arc, "up")
     faces = _arcs.Faces(bottom)
-    (si0, f1), si1, (si2, f2) = arc.end1, arc.middle[0], arc.end2
+    si1, si0, si2, _order = arc.signature  # the crossed chord, then the end chords
+    f1, f2 = faces.face_of(si1, _arcs.RIGHT), faces.face_of(si1, _arcs.LEFT)
     # the inner + region (with its endpoint chord) first, then the inner -
     if orbit_sign(faces.cycles[f1]) != 1:
         (si0, f1), (si2, f2) = (si2, f2), (si0, f1)

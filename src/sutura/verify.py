@@ -279,7 +279,7 @@ def check_categories(word_n_max: int, arc_n_max: int) -> list[str]:
         for nm, np_ in _gradings(n):
             for (w1, w2) in comparable_pairs(nm, np_):
                 cat = stacking.bounded_category(sfh.basis_diagram(w1), sfh.basis_diagram(w2))
-                members = interval(w1, w2).members
+                members = interval(w1, w2)
                 mapping = {}
                 for obj in cat.objects:
                     dec = sfh.decompose(obj).words

@@ -16,7 +16,6 @@ only this module reads the key.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from math import comb
 from operator import attrgetter
 
@@ -35,7 +34,10 @@ class Word:
     __slots__ = ("_key", "n", "n_plus")
 
     def __init__(self, bits=()):
-        bits = tuple(bits)
+        try:
+            bits = tuple(bits)
+        except TypeError:
+            raise ParseError("word bits must be a sequence of 0 (-) and 1 (+)") from None
         n_plus = bits.count(PLUS)
         if bits.count(MINUS) + n_plus != len(bits):
             raise ParseError("word bits must be 0 (-) or 1 (+)")
@@ -53,7 +55,11 @@ class Word:
     @classmethod
     def parse(cls, text: str) -> "Word":
         try:
-            return cls(_SYMBOLS[ch] for ch in text.strip())
+            body = text.strip()
+        except AttributeError:
+            raise ParseError(f"a word must be a string, not {text!r}") from None
+        try:
+            return cls(_SYMBOLS[ch] for ch in body)
         except KeyError as exc:
             raise ParseError(f"bad word symbol {exc.args[0]!r}") from exc
 
@@ -312,22 +318,14 @@ def monotone_to_pair(f: tuple[int, ...]) -> tuple[Word, Word]:
     return Word._of(key0, n1 - 1, n_plus), Word._of(key1, n1 - 1, n_plus)
 
 
-class WordInterval(namedtuple("WordInterval", "lower upper members", defaults=(frozenset(),))):
-    """The interval {w : lower <= w <= upper} of W(n-, n+): its two ends
-    and the frozenset of its members (empty unless given)."""
-
-    __slots__ = ()
-
-
-def interval(w0: Word, w1: Word) -> WordInterval:
-    """The poset interval [w0, w1], built from the minus positions that lie
-    between those of w0 and those of w1."""
+def interval(w0: Word, w1: Word) -> frozenset[Word]:
+    """The members of the poset interval [w0, w1], built from the minus
+    positions that lie between those of w0 and those of w1."""
     if not partial_leq(w0, w1):
         raise NotComparable(f"{w0} is not below {w1}")
     n, n_plus = w0.n, w0.n_plus
     all_plus = (2 << n) - 1  # the sentinel and n plus signs
-    members = frozenset(
+    return frozenset(
         Word._of(all_plus ^ sum(1 << n - 1 - p for p in q), n, n_plus)
         for q in _minus_moves_right(tuple(w0.positions(MINUS)), tuple(w1.positions(MINUS)))
     )
-    return WordInterval(w0, w1, members)

@@ -53,11 +53,33 @@ def maximum_word(n_minus: int, n_plus: int) -> Word:
     return Word((PLUS,) * n_plus + (MINUS,) * n_minus)
 
 
+def arc_descriptor(arc: arcs.AttachingArc) -> tuple:
+    """(end1, middle, end2) of an arc class: (chord, face) for each
+    endpoint and (chord, face before, face after) for the crossing, with
+    chord ids the positions in diagram.chords() and face ids those of
+    arcs.Faces.  The arc crosses from its crossed chord's RIGHT face,
+    where its first end rests, to the LEFT face, where its second does."""
+    crossed, first, second, _order = arc.signature
+    faces = arcs.Faces(arc.diagram)
+    f1, f2 = faces.face_of(crossed, arcs.RIGHT), faces.face_of(crossed, arcs.LEFT)
+    return (first, f1), (crossed, f1, f2), (second, f2)
+
+
+def super_kind(arc: arcs.AttachingArc) -> str | None:
+    """"direct" when the crossing is the middle one of a supertrivial
+    arc's three sites on its crossed chord, else "indirect"; None for an
+    arc that is not supertrivial."""
+    order = arc.signature[3]
+    if len(order) != 3:
+        return None
+    return "direct" if order[1] == 1 else "indirect"
+
+
 def single_arc_system(arc: arcs.AttachingArc) -> arcs.BypassSystem:
     """One attaching arc realised as a bypass system of arc 0, its sites
     placed as random_system places a drawn class."""
     sites, bits = arcs._single_arc_sites(arcs.Faces(arc.diagram), arc.signature)
-    return arcs.BypassSystem.build(arc.diagram, sites, bits, [0])
+    return arcs.BypassSystem.build(arc.diagram, sites, bits)
 
 
 def system_diagram(system: arcs.BypassSystem) -> D.ChordDiagram:

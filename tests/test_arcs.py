@@ -17,7 +17,7 @@ from sutura.errors import (
 )
 from sutura.words import MINUS, PLUS, all_words, comparable_pairs, word
 
-from strategies import gradings, single_arc_system, strands, system_json
+from strategies import arc_descriptor, gradings, single_arc_system, strands, super_kind, system_json
 
 
 def nontrivial_arcs(d):
@@ -43,8 +43,9 @@ def basis_reading(c):
         return None, None
     (w,) = dec.words
     base, faces, chords = sfh.base_chords(w), arcs.Faces(c.diagram), c.diagram.chords()
+    end1, _middle, end2 = arc_descriptor(c)
     (prior_si, arc_face), (latter_si, _) = sorted(
-        (c.end1, c.end2), key=lambda end: base.index(chords[end[0]])
+        (end1, end2), key=lambda end: base.index(chords[end[0]])
     )
     outer_face = faces.face_of(prior_si, arcs.LEFT)
     if outer_face == arc_face:
@@ -91,7 +92,7 @@ def test_vacuum_classes_supertrivial():
     assert classes
     assert all(c.triviality == "supertrivial" for c in classes)
     assert all(c.direction in ("upwards", "downwards") for c in classes)
-    assert all(c.super_kind in ("direct", "indirect") for c in classes)
+    assert all(super_kind(c) in ("direct", "indirect") for c in classes)
 
 
 def test_minimal_nontrivial_class_and_triple():
@@ -241,7 +242,8 @@ def test_generic_engine_matches_decompose_split():
             ends = {_chord_index(d, 2 * n - 1), _chord_index(d, 1)}
             found = False
             for c in nontrivial_arcs(d):
-                if c.middle[0] != si2 or {c.end1[0], c.end2[0]} != ends:
+                crossed, first, second, _order = c.signature
+                if crossed != si2 or {first, second} != ends:
                     continue
                 up = arcs.surgery(d, c, "up")
                 down = arcs.surgery(d, c, "down")
@@ -321,8 +323,8 @@ def test_single_arc_route_matches_planar_map_route():
                     want = arcs.surgery_along_system(system, direction)
                     assert arcs.surgery(d, c, direction) == want, (d, c, direction)
                 if c.triviality == "supertrivial":
-                    _ends, order = strands(system)[c.middle[0]]  # arc 0: site = index
-                    assert (order[1] == 1) == (c.super_kind == "direct"), (d, c)
+                    _ends, order = strands(system)[c.signature[0]]  # arc 0: site = index
+                    assert (order[1] == 1) == (super_kind(c) == "direct"), (d, c)
 
 
 def test_bypass_rewire_needs_three_chords():
@@ -349,12 +351,17 @@ def test_basis_reading_only_on_nontrivial_arcs_of_basis_diagrams():
 
 
 def test_cached_arc_routes_match_the_classification():
-    # _arc_signatures is memoised beside the uncached find_attaching_arcs,
-    # and must agree with it class by class
+    # a class is its memoised signature; its triviality, read off how many
+    # of its sites lie on the crossed chord, agrees with how many distinct
+    # chords it meets, and only a trivial class has a direction
+    kinds = {3: "nontrivial", 2: "slightly_trivial", 1: "supertrivial"}
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
             classes = arcs.find_attaching_arcs(d)
             assert arcs._arc_signatures(d) == tuple(c.signature for c in classes)
+            for c in classes:
+                assert c.triviality == kinds[len(set(c.signature[:3]))], c
+                assert (c.direction is None) == (c.triviality == "nontrivial"), c
 
 
 def test_arc_classes_are_pinned():
@@ -366,7 +373,7 @@ def test_arc_classes_are_pinned():
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
             for c in arcs.find_attaching_arcs(d):
-                cls = (c.end1, c.middle, c.end2, c.triviality, c.direction, c.super_kind)
+                cls = (*arc_descriptor(c), c.triviality, c.direction, super_kind(c))
                 digest.update(repr(cls).encode())
                 digest.update(json.dumps(system_json(single_arc_system(c))).encode())
     assert digest.hexdigest() == "09dfaa22dedf75bf911f1957ae5c15e3588b447eccc04c12c3d391125acc654f"

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -20,6 +21,22 @@ def test_from_pairing_examples():
         D.from_pairing([(0, 1), (2, 4)])
     with pytest.raises(BadPartition):
         D.from_pairing([(0, 0), (1, 2)])
+
+
+def test_public_constructor_always_validates():
+    # trusted construction is the private ChordDiagram._of; the public
+    # constructor takes the pairing alone and checks every one
+    assert list(inspect.signature(D.ChordDiagram).parameters) == ["pairing"]
+    with pytest.raises(TypeError):
+        D.ChordDiagram((0, 0), True)
+    with pytest.raises(TypeError):
+        D.ChordDiagram((0, 0), _validated=True)
+    for bad in ((0, 0), (1, 0, 3)):
+        with pytest.raises(BadPartition):
+            D.ChordDiagram(bad)
+    with pytest.raises(CrossingChords):
+        D.ChordDiagram((2, 3, 0, 1))
+    assert D.ChordDiagram._of((1, 0)) == D.ChordDiagram([1, 0]) == D.VACUUM
 
 
 def test_parity_consequence_is_checked():

@@ -17,7 +17,6 @@ ORACLES = {
     "decompose_from_root",
     "_decompose_root_pairing",
     "_decompose_root_cache",
-    "basis_diagram_from_root",
     "root_walk",
     "rotation_closed_form",
     "_blocks",
@@ -71,6 +70,7 @@ GONE = {
     "fa_indices",
     "rotation_geometric",
     "rotation_explicit_word",
+    "basis_diagram_from_root",
 }
 
 

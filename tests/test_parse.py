@@ -44,7 +44,7 @@ def from_pairing_by_sort(pairs):
         pairing[a] = b
         pairing[b] = a
     validate_in_two_passes(pairing)
-    return D.ChordDiagram(pairing, _validated=True)
+    return D.ChordDiagram._of(tuple(pairing))
 
 
 def parse_by_items(text):
@@ -73,7 +73,7 @@ def outcome(fn, arg):
 def validation(fn, pairing):
     """outcome() of a validator, which returns None: the pairing when fn
     accepts it."""
-    return outcome(lambda p: fn(p) or D.ChordDiagram(p, _validated=True), pairing)
+    return outcome(lambda p: fn(p) or D.ChordDiagram._of(tuple(p)), pairing)
 
 
 def same_parse(text):

@@ -1,15 +1,16 @@
 """The record types keep their value semantics: equal fields make equal
 records with equal hashes, a field that differs makes them unequal, the
-shared ones cannot be changed, and BoundedCategory, AttachingArc,
-WordInterval and CheckResult keep their own rules (index is not
-compared; the signature is compared but not shown; members default to
-empty; a result is mutable, so it has no hash)."""
+shared ones cannot be changed, and each holds only what it is built
+from.  BoundedCategory builds its index from its objects, so the index
+is not compared; an AttachingArc is its diagram and signature, with its
+triviality and direction read off the signature; a CheckResult is
+mutable, so it has no hash."""
 
 import pytest
 
 from sutura import arcs, sfh, stacking, verify
 from sutura import diagram as D
-from sutura.words import WordInterval, interval, word
+from sutura.words import word
 
 
 def _equal(a, b):
@@ -29,16 +30,6 @@ def test_region():
     assert r != D.Region(0, -1, r.boundary_arcs, r.boundary_chords)
 
 
-def test_word_interval():
-    lo, hi = word("--+"), word("+--")
-    iv = interval(lo, hi)
-    _equal(iv, interval(lo, hi))
-    assert iv == WordInterval(lo, hi, iv.members)
-    assert WordInterval(lo, hi).members == frozenset()
-    assert WordInterval(lo, hi) != iv
-    _equal(WordInterval(lo, hi), WordInterval(lo, hi, frozenset()))
-
-
 def test_graded_operator():
     op = sfh.creation("west", 1)
     _equal(op, sfh.GradedOperator(op.name, op.word_action, op.on_diagram))
@@ -55,9 +46,12 @@ def test_bounded_category_ignores_index():
     again = stacking.bounded_category(low, high)
     assert cat is not again
     _equal(cat, again)
-    reindexed = stacking.BoundedCategory(cat.bottom, cat.top, cat.objects, {}, cat.edges, cat.above)
-    _equal(cat, reindexed)
-    fewer = stacking.BoundedCategory(cat.bottom, cat.top, cat.objects, cat.index, cat.edges, cat.above[:-1])
+    rebuilt = stacking.BoundedCategory(cat.bottom, cat.top, cat.objects, cat.edges, cat.above)
+    _equal(cat, rebuilt)
+    assert rebuilt.index == cat.index == {d: i for i, d in enumerate(cat.objects)}
+    assert all(rebuilt.leq(a, b) == cat.leq(a, b) for a in cat.objects for b in cat.objects)
+    assert rebuilt.leq(low, high)
+    fewer = stacking.BoundedCategory(cat.bottom, cat.top, cat.objects, cat.edges, cat.above[:-1])
     assert cat != fewer
 
 
@@ -66,14 +60,17 @@ def test_attaching_arc():
     classes = arcs.find_attaching_arcs(d)
     for c, again in zip(classes, arcs.find_attaching_arcs(d)):
         _equal(c, again)
-    c = classes[0]
-    fields = ("diagram", "end1", "middle", "end2", "triviality", "direction", "super_kind")
-    assert repr(c) == "AttachingArc(" + ", ".join(f"{f}={getattr(c, f)!r}" for f in fields) + ")"
-    assert "signature" not in repr(c)
-    other = arcs.AttachingArc(*(getattr(c, f) for f in fields), signature=c.signature + ("x",))
-    assert repr(other) == repr(c) and other != c
-    bare = arcs.AttachingArc(d, c.end1, c.middle, c.end2, c.triviality)
-    assert (bare.direction, bare.super_kind, bare.signature) == (None, None, ())
+    assert arcs.AttachingArc._fields == ("diagram", "signature")
+    c = next(c for c in classes if c.triviality == "nontrivial")
+    _equal(c, arcs.AttachingArc(d, c.signature))
+    assert repr(c) == f"AttachingArc(diagram={d!r}, signature={c.signature!r})"
+    with pytest.raises(AttributeError):
+        c.triviality = "supertrivial"
+    # nothing read off the signature can be given beside it
+    with pytest.raises(TypeError):
+        arcs.AttachingArc(d)
+    with pytest.raises(TypeError):
+        arcs.AttachingArc(d, c.signature, "supertrivial")
 
 
 def test_generalised_arc_is_shared_and_immutable():

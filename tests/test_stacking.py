@@ -231,7 +231,7 @@ def test_diagram_exists_in():
                     assert not oracles.diagram_exists_in(other, d, d)
     g1, g2 = sfh.basis_diagram(word("--+")), sfh.basis_diagram(word("+--"))
     members = {
-        sfh.basis_diagram(w) for w in interval(word("--+"), word("+--")).members
+        sfh.basis_diagram(w) for w in interval(word("--+"), word("+--"))
     }
     for d in D.enumerate_diagrams(4):
         assert oracles.diagram_exists_in(d, g1, g2) == (d in members)
@@ -249,7 +249,7 @@ def test_bounded_category_intervals():
                     dec = sfh.decompose(obj).words
                     assert len(dec) == 1
                     mapping[obj] = next(iter(dec))
-                assert set(mapping.values()) == set(interval(w1, w2).members)
+                assert set(mapping.values()) == set(interval(w1, w2))
                 for a in cat.objects:
                     for b in cat.objects:
                         assert cat.leq(a, b) == partial_leq(mapping[a], mapping[b])

@@ -311,9 +311,9 @@ def test_crossing_segments_are_not_planar():
     # that random_system draws and rejects
     d = D.parse("0-1,2-3")
     bits = (0, 0, 1, 0, 0, 1)
-    arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, bits, [0, 1]).validate()
+    arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, bits).validate()
     with pytest.raises(NotPlanar):
-        arcs.BypassSystem.build(d, {1: [2, 0, 3, 1, 4, 5]}, bits, [0, 1]).validate()
+        arcs.BypassSystem.build(d, {1: [2, 0, 3, 1, 4, 5]}, bits).validate()
 
 
 def test_segment_joining_two_faces_is_not_planar():
@@ -323,7 +323,7 @@ def test_segment_joining_two_faces_is_not_planar():
     # second in the LEFT face, each end site facing its segment's face
     d = D.parse("0-1,2-3")
     with pytest.raises(NotPlanar):
-        arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, (0, 0, 1, 1, 0, 1), [0, 1]).validate()
+        arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, (0, 0, 1, 1, 0, 1)).validate()
 
 
 def test_random_multi_arc_pinwheels_are_pinned():

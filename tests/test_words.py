@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import sutura
 from sutura import oracles
 from sutura import words as W
 from sutura.errors import (
@@ -24,6 +25,23 @@ def test_word_parsing_and_gradings():
     assert str(w) == "-+-++"
     with pytest.raises(ParseError):
         word("-+x")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sutura.word(None),
+        lambda: sutura.word(5),
+        lambda: sutura.Word(5),
+        lambda: sutura.Word(None),
+    ],
+    ids=["word(None)", "word(5)", "Word(5)", "Word(None)"],
+)
+def test_non_strings_raise_parse_error(build):
+    # a value that is neither a string nor a sequence of bits is a
+    # ParseError, not a built-in exception from reading it
+    with pytest.raises(ParseError):
+        build()
 
 
 def test_word_counts_and_rejection():
@@ -222,13 +240,13 @@ def test_monotone_count_matches_narayana():
 
 def test_interval():
     w = word("-+-")
-    assert W.interval(w, w).members == frozenset([w])
+    assert W.interval(w, w) == frozenset([w])
     iv = W.interval(word("--+"), word("+--"))
-    assert iv.members == frozenset(W.all_words(2, 1))
+    assert iv == frozenset(W.all_words(2, 1))
     # the four-term decomposition of the paper's example diagram is a
     # proper subset of this five-element interval
     iv = W.interval(word("--++"), word("+-+-"))
-    assert {str(w) for w in iv.members} == {"--++", "-+-+", "-++-", "+--+", "+-+-"}
+    assert {str(w) for w in iv} == {"--++", "-+-+", "-++-", "+--+", "+-+-"}
     with pytest.raises(NotComparable):
         W.interval(word("+-"), word("-+"))
 
@@ -240,7 +258,7 @@ def test_interval_matches_filter_oracle():
             ws = W.all_words(nm, n - nm)
             for w0, w1 in W.comparable_pairs(nm, n - nm):
                 want = {w for w in ws if W.partial_leq(w0, w) and W.partial_leq(w, w1)}
-                assert W.interval(w0, w1).members == want
+                assert W.interval(w0, w1) == want
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 10 ** 6))
