@@ -38,6 +38,7 @@ from .diagram import (
     ZERO,
     _face_cycles,
     is_zero,
+    serialize,
 )
 from .errors import (
     ArcNotDefined,
@@ -464,6 +465,8 @@ def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
         raise ArcNotOnDiagram("arc realised on a different diagram")
     step = _entry(_STEPS, direction, "direction")
     diagram = arc.diagram
+    if arc.signature not in _arc_signatures(diagram):
+        raise ArcNotOnDiagram(f"{arc.signature} is no arc class of {serialize(diagram)}")
     if arc.triviality != "nontrivial":
         return diagram if arc.direction == direction + "wards" else ZERO
     chords = diagram.chords()

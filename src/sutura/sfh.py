@@ -5,8 +5,10 @@ operator.
 Elements are finite sets of equal-length words (mod-2 sums of basis
 vectors).  decompose() writes any diagram in this basis by repeatedly
 peeling outermost chords at the base point and, when none exists there,
-splitting along the bypass triple of the arc hugging the base point;
-phi() and is_basis() fold the same walk to its two extreme words only.
+splitting along the bypass triple of the arc hugging the base point.
+Each path of that walk spells one word, so phi() and is_basis() follow
+single paths of it, with no memo and no word set: w- takes - at every
+split and w+ takes +, and a basis diagram's walk meets no split.
 Peeling, and the creation and annihilation operators on diagrams, add
 or remove two adjacent points with diagram.insert_chord and
 diagram.delete_points, which own the renumbering of the other points.
@@ -49,7 +51,7 @@ from .errors import (
     TrivialArc,
     ZeroElement,
 )
-from .words import MINUS, PLUS, Word, lex_extremes, lex_sorted, partial_leq, prefixed
+from .words import MINUS, PLUS, Word, from_mask, lex_sorted, partial_leq, prefixed
 
 
 class SfhElement:
@@ -132,12 +134,8 @@ class SfhElement:
 
 # -- decomposition -----------------------------------------------------------
 
-# The one memo of both folds of the decomposition walk (_walk): an entry is
-# the element dec(pairing), written by decompose, or the pair (w-, w+) of its
-# lex extremes, written by phi and is_basis, which build no word set.  The
-# element fold reads a pair as a miss and overwrites it in place, keeping
-# the key object the pair was stored under.
-_decompose_cache: dict[tuple[int, ...], SfhElement | tuple[Word, Word]] = {}
+# The memo of decompose: dec(pairing) for every pairing its walk has met.
+_decompose_cache: dict[tuple[int, ...], SfhElement] = {}
 
 
 def bypass_rewire(pairing: tuple[int, ...], points, step: int) -> tuple[int, ...]:
@@ -176,22 +174,24 @@ def _hug_split(pairing: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(up), tuple(down)
 
 
-def _walk(pairing: tuple[int, ...], fold):
-    # The one peel/split rule of the decomposition, computing the value of
-    # one fold (below) at every pairing it meets.
+_LEAF = SfhElement._of(frozenset((Word(),)))
+
+
+def _walk(pairing: tuple[int, ...]) -> SfhElement:
+    # The one peel/split rule of the decomposition, writing dec of every
+    # pairing it meets to the memo.
     # Outermost chords at the base point are peeled in a loop and only
     # bypass splits recurse, so deeply nested diagrams need no deep stack;
     # splits nested deeper than the interpreter's stack are rejected by
-    # _evaluate.
+    # decompose.
     # Every pairing met becomes a memo entry, the two halves of a split
     # included: each half is a diagram whose decomposition is asked for
     # again, as a row of its own or inside another split.
-    read, leaf, peel, join = fold
     peeled: list[tuple[tuple[int, ...], int]] = []
-    while (x := read(_decompose_cache.get(pairing))) is None:
+    while (x := _decompose_cache.get(pairing)) is None:
         m, q = len(pairing), pairing[0]
         if m == 2:
-            x = _decompose_cache[pairing] = leaf
+            x = _decompose_cache[pairing] = _LEAF
             break
         if q == 1:
             peeled.append((pairing, PLUS))
@@ -206,81 +206,131 @@ def _walk(pairing: tuple[int, ...], fold):
             # start with +.  The two word sets are disjoint, the mod-2 sum
             # cancels nothing, and in lex order dec(pairing) is dec(up)
             # followed by dec(down).
-            up, down = _hug_split(pairing)
-            x = _decompose_cache[pairing] = join(_value(up, fold), _value(down, fold))
+            # most halves are entries already, and a hit needs no walk
+            up, down = (_decompose_cache.get(h) or _walk(h) for h in _hug_split(pairing))
+            x = _decompose_cache[pairing] = SfhElement._of(up.words | down.words)
             break
     for outer, letter in reversed(peeled):
-        x = _decompose_cache[outer] = peel(x, letter)
+        x = _decompose_cache[outer] = SfhElement._of(prefixed(x.words, letter))
     return x
 
 
-def _value(pairing: tuple[int, ...], fold):
-    """The fold's value on a pairing: its memo entry when the fold can read
-    it, else a walk.  A split looks its halves up here first, since most of
-    them are entries already."""
-    x = fold[0](_decompose_cache.get(pairing))
-    return _walk(pairing, fold) if x is None else x
+def decompose(diagram) -> SfhElement:
+    """The unique expression of a diagram in the word basis (memoised).
 
-
-def _evaluate(diagram: ChordDiagram, fold):
-    """The fold's value on a diagram, or TooDeep when its splits nest past
-    the interpreter's stack.  The memo then holds only finished values:
-    each entry is written whole, once the values it is made from are."""
+    TooDeep when its splits nest past the interpreter's stack; the memo
+    then holds only finished values, since each entry is written whole,
+    once the values it is made from are."""
+    if is_zero(diagram):
+        return SfhElement.zero()
     try:
-        return _value(diagram.pairing, fold)
+        return _walk(diagram.pairing)
     except RecursionError:
         raise TooDeep(f"the bypass splits of a {diagram.n}-chord diagram nest too deeply") from None
 
 
-def _peel_ends(ends: tuple[Word, Word], sign: int) -> tuple[Word, Word]:
-    lo, hi = ends
-    first = lo.insert(0, sign)
-    return (first, first) if lo is hi else (first, hi.insert(0, sign))
+def _path(p, lo: int, hi: int, at_hi: bool, mask: int, take: int | None):
+    """Follow one path of the peel/split rule from a state to the leaf,
+    taking `take` at every split, or stop at the first split when take is
+    None, and return the state there.
 
-
-# A fold is (read: a memo entry as this fold's value, None for a miss;
-# leaf: the value on the one-chord pairing; peel: a value with a sign put
-# in front of every word; join: the value of a split from those of its
-# step +1 and step -1 halves).
-_ELEMENT = (
-    lambda x: x if isinstance(x, SfhElement) else None,  # an ends pair is a miss
-    SfhElement._of(frozenset((Word(),))),
-    lambda x, sign: SfhElement._of(prefixed(x.words, sign)),
-    lambda up, down: SfhElement._of(up.words | down.words),
-)
-# The lex extremes (w-, w+).  A split lists the whole step +1 half first,
-# so w- comes from that half and w+ from the step -1 half.  Where the two
-# are one word they are one object, so a peel builds it once.
-_ENDS = (
-    lambda x: lex_extremes(x.words) if isinstance(x, SfhElement) else x,
-    (Word(),) * 2,
-    _peel_ends,
-    lambda up, down: (up[0], down[1]),
-)
-
-
-def decompose(diagram) -> SfhElement:
-    """The unique expression of a diagram in the word basis (memoised)."""
-    if is_zero(diagram):
-        return SfhElement.zero()
-    return _evaluate(diagram, _ELEMENT)
+    A peel removes the base point and one of its neighbours, so the live
+    points are the run of labels lo..hi, in that cyclic order, with the
+    base point at hi after a - and at lo otherwise: the renumbering of
+    delete_points, read without renumbering.  A state is (lo, hi, base
+    point at hi, the letters so far as a mask, first letter highest); the
+    leaf is hi = lo + 1.  A split rewires four partners of a list copy p
+    of the pairing, the half it takes followed by the peel that half
+    forces: with q, a and b the partners of the base point, its
+    predecessor and its successor, - joins successor-a and b-q, and +
+    joins b-predecessor and q-a.  When take is None p is only read."""
+    while hi - lo > 1:
+        # one statement an update, and + as the literal bit 1: a tuple
+        # assignment of four, or a global read, costs more in this loop
+        if at_hi:  # successor lo, predecessor hi - 1
+            q = p[hi]
+            if q == lo:
+                lo += 1
+                hi -= 1
+                at_hi = False
+                mask = mask << 1 | 1
+                continue
+            if q == hi - 1:
+                hi -= 2
+                mask <<= 1
+                continue
+            succ = lo
+            pred = hi - 1
+        else:  # successor lo + 1, predecessor hi
+            q = p[lo]
+            if q == lo + 1:
+                lo += 2
+                mask = mask << 1 | 1
+                continue
+            if q == hi:
+                lo += 1
+                hi -= 1
+                at_hi = True
+                mask <<= 1
+                continue
+            succ = lo + 1
+            pred = hi
+        if take is None:
+            break
+        a = p[pred]
+        b = p[succ]
+        if take:  # PLUS
+            p[b] = pred
+            p[pred] = b
+            p[q] = a
+            p[a] = q
+            if at_hi:
+                lo += 1
+                hi -= 1
+                at_hi = False
+            else:
+                lo += 2
+            mask = mask << 1 | 1
+        else:
+            p[succ] = a
+            p[a] = succ
+            p[b] = q
+            p[q] = b
+            if at_hi:
+                hi -= 2
+            else:
+                lo += 1
+                hi -= 1
+                at_hi = True
+            mask <<= 1
+    return lo, hi, at_hi, mask
 
 
 def is_basis(diagram: ChordDiagram) -> bool:
-    """True when the diagram is one of the basis diagrams: the words of its
-    decomposition are distinct, so it has one word when w- = w+."""
+    """True when the diagram is one of the basis diagrams: its walk meets
+    no split, since the two halves of a split have disjoint, non-empty
+    word sets."""
     if is_zero(diagram):
         return False
-    lo, hi = _evaluate(diagram, _ENDS)
-    return lo == hi
+    lo, hi, _, _ = _path(diagram.pairing, 0, 2 * diagram.n - 1, False, 0, None)
+    return hi - lo == 1
 
 
 def phi(diagram) -> tuple[Word, Word]:
-    """Lexicographic extremes (w-, w+) of the basis decomposition, read off
-    the decomposition walk with no word set built."""
+    """Lexicographic extremes (w-, w+) of the basis decomposition.  A split
+    lists the whole step +1 half, whose words start with -, first, so w-
+    is the path that takes - at every split and w+ the one that takes +;
+    the two share the letters before the first split, and are one word
+    when there is none."""
     if is_zero(diagram):
         raise ZeroElement("zero has no extreme words")
-    return _evaluate(diagram, _ENDS)
+    n, p = diagram.n - 1, diagram.pairing
+    lo, hi, at_hi, mask = _path(p, 0, 2 * n + 1, False, 0, None)
+    if hi - lo == 1:
+        w = from_mask(mask, n)
+        return w, w
+    w_minus = _path(list(p), lo, hi, at_hi, mask, MINUS)[3]
+    return from_mask(w_minus, n), from_mask(_path(list(p), lo, hi, at_hi, mask, PLUS)[3], n)
 
 
 def from_pair(w_minus: Word, w_plus: Word) -> ChordDiagram:

@@ -201,9 +201,12 @@ def check_parity(n_max: int, tangled_n_max: int) -> list[str]:
     problems = []
     for n in range(1, n_max + 1):
         for d in dg.enumerate_diagrams(n):
-            words = sfh.decompose(d).words
+            words = sfh.decompose(d).sorted_words()
             if len(words) != 1 and len(words) % 2 != 0:
                 problems.append(f"odd non-basis decomposition {dg.serialize(d)}")
+            # phi and is_basis walk paths of the same rule with no word set
+            if sfh.phi(d) != (words[0], words[-1]) or sfh.is_basis(d) != (len(words) == 1):
+                problems.append(f"phi or is_basis off the decomposition at {dg.serialize(d)}")
     for n in range(1, tangled_n_max + 1):
         for d in dg.enumerate_diagrams(n):
             words = sfh.decompose(d).words

@@ -9,8 +9,9 @@ and the sentinel bit 1 << n keeps "-" and "--" apart.  A word also keeps
 n and n+; n-, e and the grading (n-, n+) are read from those two counts,
 and bits is a tuple derived from the key.
 Other modules read sign positions and edit words through Word.positions,
-Word.insert, Word.delete and, for a whole set of words at once, prefixed;
-only this module reads the key.
+Word.insert, Word.delete and, for a whole set of words at once, prefixed,
+and build a word from its letters as a mask with from_mask; only this
+module reads the key.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ MINUS = 0
 PLUS = 1
 
 _SYMBOLS = {"-": MINUS, "+": PLUS}
-_CHARS = {MINUS: "-", PLUS: "+"}
+_CHARS = str.maketrans("01", "-+")  # a key's letter bits as the letters
 
 
 class Word:
@@ -110,7 +111,7 @@ class Word:
         return Word._of((self._key >> k + 1) << k | low, self.n - 1, self.n_plus - (self._key >> k & 1))
 
     def __str__(self) -> str:
-        return "".join(_CHARS[b] for b in self.bits)
+        return bin(self._key)[3:].translate(_CHARS)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -148,6 +149,16 @@ def prefixed(words: frozenset[Word], sign: int) -> frozenset[Word]:
         x._key, x.n, x.n_plus = w._key + step, n + 1, w.n_plus + sign
         out.append(x)
     return frozenset(out)
+
+
+def from_mask(mask: int, n: int) -> Word:
+    """The word of length n whose letters are the bits of mask, first
+    letter highest: bit n-1-p is 1 when letter p is '+'."""
+    if n < 0 or mask < 0 or mask >> n:
+        raise BadArgument(f"mask {mask} has no {n}-letter word")
+    w = object.__new__(Word)  # Word._of, inlined: phi builds two words a diagram
+    w._key, w.n, w.n_plus = 1 << n | mask, n, mask.bit_count()
+    return w
 
 
 def word(text: str) -> Word:
@@ -190,21 +201,6 @@ def lex_compare(w1: Word, w2: Word) -> int:
 def lex_sorted(words) -> list[Word]:
     """Words of one length in lexicographic order."""
     return sorted(words, key=attrgetter("_key"))
-
-
-def lex_extremes(words) -> tuple[Word, Word]:
-    """The lexicographically first and last of a non-empty set of words of
-    one length, read in one pass with no sort."""
-    it = iter(words)
-    lo = hi = next(it)
-    lo_key = hi_key = lo._key
-    for w in it:
-        k = w._key
-        if k < lo_key:
-            lo, lo_key = w, k
-        elif k > hi_key:
-            hi, hi_key = w, k
-    return lo, hi
 
 
 def all_words(n_minus: int, n_plus: int) -> list[Word]:

@@ -173,6 +173,14 @@ def test_surgery_absorbs_zero_and_checks_diagram():
         arcs.surgery(sfh.basis_diagram(word("+-")), c, "up")
     with pytest.raises(BadArgument):
         arcs.surgery(g, c, "sideways")
+    # four outermost chords have no nontrivial class (each chord's inner
+    # face holds that chord alone), so a signature naming three of them
+    # is no class, and surgery must not rewire chords no bypass joins
+    four = D.parse("0-1,2-3,4-5,6-7")
+    fake = arcs.AttachingArc(four, (0, 1, 2, (1,)))
+    for direction in ("up", "down"):
+        with pytest.raises(ArcNotOnDiagram):
+            arcs.surgery(four, fake, direction)
     with pytest.raises(TrivialArc):
         trivial = next(
             x for x in arcs.find_attaching_arcs(g) if x.triviality != "nontrivial"

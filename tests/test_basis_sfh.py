@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from sutura import diagram as D
 from sutura import oracles, sfh
 from sutura.errors import BrokenInvariant, TooDeep, ZeroElement
-from sutura.words import MINUS, PLUS, Word, all_words, lex_extremes, word
+from sutura.words import MINUS, PLUS, Word, all_words, word
 
 from strategies import deep_split_diagram, diagrams, gradings
 
@@ -128,59 +128,68 @@ def test_phi_is_the_ends_of_the_sorted_decomposition():
 
 @pytest.mark.parametrize("order", ["phi", "decompose", "interleaved"])
 def test_ends_fold_agrees_with_decompose(order, monkeypatch):
-    # phi and is_basis fold the decomposition walk to its two extreme words
-    # and share the memo with decompose, whose entries they read and which
-    # overwrites theirs; from a cold memo, in any order of calls, they agree
-    # with the word sets and leave the keys that decompose alone leaves
+    # phi and is_basis read the two ends of the decomposition off one path
+    # each, with no memo: from a cold memo, in any order of calls with
+    # decompose, they agree with its word sets and leave _decompose_cache
+    # as they find it
     diagrams = [d for n in range(1, 10) for d in D.enumerate_diagrams(n)]
     monkeypatch.setattr(sfh, "_decompose_cache", {})
-    for d in diagrams:
-        sfh.decompose(d)
-    keys = set(sfh._decompose_cache)
-    monkeypatch.setattr(sfh, "_decompose_cache", {})
+    memo = sfh._decompose_cache
     if order == "interleaved":
         random.Random(20).shuffle(diagrams)
+
+    def answer(d):
+        size = len(memo)
+        got = sfh.phi(d), sfh.is_basis(d)
+        assert len(memo) == size, d
+        return got
+
     first = {}
     for i, d in enumerate(diagrams):
         if order == "phi" or order == "interleaved" and i % 2:
-            first[d] = (sfh.phi(d), sfh.is_basis(d))
+            first[d] = answer(d)
         else:
             sfh.decompose(d)
-    assert set(sfh._decompose_cache) == keys
+    if order == "phi":
+        assert memo == {}
+    kept = dict(memo)  # decompose keeps its entries, and phi writes none
     for d in diagrams:
         words = sfh.decompose(d).words
-        ends = lex_extremes(words)
-        for got in (first.get(d), (sfh.phi(d), sfh.is_basis(d))):
+        ends = min(words), max(words)
+        for got in (first.get(d), answer(d)):
             if got is None:
                 continue
             phi, basis = got
             assert phi == ends, d
             assert [(w.n, w.n_plus) for w in phi] == [(w.n, w.n_plus) for w in ends], d
             assert basis == (len(words) == 1), d
-    assert set(sfh._decompose_cache) == keys
+    assert all(memo[k] is x for k, x in kept.items())
 
 
 def test_ends_fold_builds_no_word_set(monkeypatch):
-    # phi and is_basis leave (w-, w+) pairs in the memo, not elements;
-    # decompose replaces each with its element under the same keys
+    # phi and is_basis build no element and run no decomposition walk: with
+    # both made to fail, they still answer every diagram, the memo stays
+    # empty, and the answers are the ends of decompose's word sets
     diagrams = [d for n in range(1, 8) for d in D.enumerate_diagrams(n)]
     monkeypatch.setattr(sfh, "_decompose_cache", {})
+
+    def fail(*args):
+        raise AssertionError("phi and is_basis built a word set")
+
+    with monkeypatch.context() as m:
+        m.setattr(sfh, "_walk", fail)
+        m.setattr(sfh.SfhElement, "_of", staticmethod(fail))
+        got = {d: (sfh.phi(d), sfh.is_basis(d)) for d in diagrams}
+    assert sfh._decompose_cache == {}
     for d in diagrams:
-        sfh.phi(d)
-        sfh.is_basis(d)
-    memo = sfh._decompose_cache
-    size = len(memo)
-    assert not any(isinstance(x, sfh.SfhElement) for x in memo.values())
-    for d in diagrams:
-        sfh.decompose(d)
-    assert all(isinstance(x, sfh.SfhElement) for x in memo.values())
-    assert len(memo) == size
+        words = sfh.decompose(d).words
+        assert got[d] == ((min(words), max(words)), len(words) == 1), d
 
 
 @pytest.mark.parametrize("shape", ["nested", "comb"])
 def test_decompose_from_root_agrees_on_1200_chords(shape, monkeypatch):
     # both routes peel one chord per step; neither may recurse that deep,
-    # and nor may the fold of phi and is_basis, run first on the cold memo
+    # and nor may the walks of phi and is_basis
     n = 1200
     if shape == "nested":
         pairs = ((i, 2 * n - 1 - i) for i in range(n))
@@ -213,10 +222,18 @@ def _lowest_stack_limit() -> int:
 @pytest.mark.parametrize("fold", ["decompose", "phi", "is_basis"])
 def test_too_deep_walk_leaves_only_finished_entries(fold, monkeypatch):
     # with the stack limit raised step by step from just above this frame,
-    # the walk first fails at every depth of its splits, each time with
+    # decompose first fails at every depth of its splits, each time with
     # TooDeep and a memo whose every entry is the value the root-point
-    # oracle gives, and then completes from that memo
+    # oracle gives, and then completes from that memo; phi and is_basis
+    # walk one path each in a loop, so they answer at the lowest limit,
+    # where decompose is TooDeep, and leave no entry
     d = deep_split_diagram(4, 4)
+    dec = oracles.decompose_from_root(d)
+    want = {
+        "decompose": dec,
+        "phi": (min(dec.words), max(dec.words)),
+        "is_basis": len(dec.words) == 1,
+    }[fold]
     monkeypatch.setattr(sfh, "_decompose_cache", {})
     low, limit = _lowest_stack_limit(), sys.getrecursionlimit()
     sizes = []
@@ -224,18 +241,21 @@ def test_too_deep_walk_leaves_only_finished_entries(fold, monkeypatch):
         for cap in range(low + 4, low + 100):
             sys.setrecursionlimit(cap)
             try:
-                getattr(sfh, fold)(d)
+                got = getattr(sfh, fold)(d)
                 break
             except TooDeep:
                 sizes.append(len(sfh._decompose_cache))
+        if fold != "decompose":
+            assert cap == low + 4 and sfh._decompose_cache == {}
+            with pytest.raises(TooDeep):
+                sfh.decompose(d)
     finally:
         sys.setrecursionlimit(limit)
-    assert len(sizes) > 10 and 0 < max(sizes) < len(sfh._decompose_cache)
+    assert got == want
+    if fold == "decompose":
+        assert len(sizes) > 10 and 0 < max(sizes) < len(sfh._decompose_cache)
     for pairing, x in sfh._decompose_cache.items():
-        words = oracles.decompose_from_root(D.ChordDiagram(pairing)).words
-        assert (x.words if isinstance(x, sfh.SfhElement) else x) == (
-            words if fold == "decompose" else lex_extremes(words)
-        ), pairing
+        assert x == oracles.decompose_from_root(D.ChordDiagram(pairing)), pairing
 
 
 def test_zero_from_pair_is_an_error_not_an_assert(monkeypatch):

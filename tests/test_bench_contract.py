@@ -99,7 +99,6 @@ def test_census_worker_keeps_its_contract(tmp_path):
     layers = json.loads(trace.read_text())["layers"]
     calls = layers["calls"]
     assert calls["diagram.euler_class"] == 132
-    # phi and is_basis fold the walk to the extreme words: no word set
+    # phi and is_basis walk one path each: no word set and no memo entry
     assert calls.get("sfh.decompose", 0) == 0
-    # one memo entry per diagram with 1 to 6 chords: 1 + 2 + 5 + 14 + 42 + 132
-    assert layers["decompose_entries"] == 196
+    assert layers["decompose_entries"] == 0

@@ -153,7 +153,7 @@ def test_decompose_deeply_nested(capsys):
     assert len(only) == n - 1
 
 
-@pytest.mark.parametrize("command", ["decompose", "render", "stack"])
+@pytest.mark.parametrize("command", ["decompose", "stack"])
 def test_too_deep_diagram_is_a_domain_error(command):
     # the decomposition walk's bypass splits nest past the interpreter's
     # stack: one error line and exit 1, not a RecursionError traceback
@@ -161,6 +161,14 @@ def test_too_deep_diagram_is_a_domain_error(command):
     proc = run_process(command, deep, *([deep] if command == "stack" else []))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+
+
+def test_render_draws_a_diagram_too_deep_to_decompose():
+    # render asks only is_basis, which walks one path with no recursion
+    deep = deep_split_diagram(599, 500)
+    proc = run_process("render", dg.serialize(deep), "--format", "svg")
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.count("<line") == deep.n == 1102
 
 
 def test_verify_quick(capsys):
@@ -255,15 +263,16 @@ print(code, tracemalloc.get_traced_memory()[1])
 """
 
 
-def test_enumerate_memory_is_the_memo():
-    # a new process starts with a cold memo; the 4862 rows of enumerate 9
-    # are streamed, so the peak is the phi memo (about 3.4 MiB), not the
-    # output (the rows and their JSON held at once peaked at 8.8 MiB)
+def test_enumerate_memory_is_one_batch_of_rows():
+    # the 4862 rows of enumerate 9 are streamed and phi keeps no memo, so
+    # the peak is a batch of rows (about 0.9 MB), not the output (the rows
+    # and their JSON held at once peaked at 8.8 MiB) nor a memo of every
+    # pairing the decomposition walk meets (about 3.4 MiB)
     proc = run_python("-c", ENUMERATE_MEMORY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     code, peak = map(int, proc.stdout.split())
     assert code == 0
-    assert peak < 5 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_importing_the_package_loads_no_arc_or_verify_module():

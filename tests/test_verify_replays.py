@@ -62,6 +62,24 @@ def test_a_wrong_surgery_on_a_pinwheel_free_system_is_reported(monkeypatch):
     assert wrong and _problems_with("subset relation down on pinwheel-free", problems)
 
 
+def test_a_walk_that_takes_the_wrong_half_at_one_split_is_reported(monkeypatch):
+    # the first path walked from a split takes the other half there; with
+    # at most three chords a decomposition has at most two words, so that
+    # path meets no other split
+    real = sfh._path
+    wrong = []
+
+    def wrong_once(p, lo, hi, at_hi, mask, take):
+        if take is not None and not wrong:
+            wrong.append(take)
+            take = 1 - take
+        return real(p, lo, hi, at_hi, mask, take)
+
+    monkeypatch.setattr(sfh, "_path", wrong_once)
+    problems = verify.check_parity(3, 0)
+    assert wrong and _problems_with("phi or is_basis off the decomposition", problems)
+
+
 def test_an_unshifted_root_numbering_is_reported(monkeypatch):
     # the base numbering as it is, not shifted by one letter
     monkeypatch.setattr(sfh, "root_chords", sfh.base_chords)

@@ -84,6 +84,11 @@ def test_word_matches_string_oracle():
             nm, np_ = t.count("-"), t.count("+")
             assert (w.n, w.n_plus, w.grading, w.e, str(w)) == (n, np_, (nm, np_), np_ - nm, t)
             assert w.bits == tuple("-+".index(c) for c in t)
+            # str reads the key's bits at once; the letters joined one by one
+            # are the reference, the empty word included
+            assert str(w) == "".join("-+"[b] for b in w.bits)
+            mask = sum(b << n - 1 - p for p, b in enumerate(w.bits))
+            assert W.from_mask(mask, n) == w and W.from_mask(mask, n).n_plus == np_
             assert w.positions(W.MINUS) == [i for i, c in enumerate(t) if c == "-"]
             assert w.positions(W.PLUS) == [i for i, c in enumerate(t) if c == "+"]
             for p in range(n + 1):
@@ -108,14 +113,19 @@ def test_word_matches_string_oracle():
         assert word(a) != word(b) and word(b) not in {word(a)}
 
 
+@pytest.mark.parametrize("mask, n", [(-1, 3), (8, 3), (1, 0), (0, -1)])
+def test_from_mask_rejects_a_mask_that_is_no_word(mask, n):
+    with pytest.raises(BadArgument):
+        W.from_mask(mask, n)
+
+
 def test_prefixed_and_lex_extremes():
     for n in range(9):
         ws = frozenset(word("".join(t)) for t in itertools.product("-+", repeat=n))
         for sign in (W.MINUS, W.PLUS):
             assert W.prefixed(ws, sign) == {w.insert(0, sign) for w in ws}
-        assert W.lex_extremes(ws) == (min(ws), max(ws))
-        for w in ws:
-            assert W.lex_extremes({w}) == (w, w)
+        ordered = W.lex_sorted(ws)
+        assert (min(ws), max(ws)) == (ordered[0], ordered[-1])
     assert W.prefixed(frozenset(), W.PLUS) == frozenset()
     with pytest.raises(ParseError):
         W.prefixed(frozenset([word("-")]), 2)
