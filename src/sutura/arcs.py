@@ -8,8 +8,8 @@ the order of its contact points along any chord it meets more than once.
 Bypass surgery re-matches the six ends cut at an arc's three contact
 points one step around the surrounding hexagon; the two nontrivial
 re-matchings are the two surgery directions.  A single arc is classified
-and surgered on the bare pairing (sfh.bypass_rewire, the rewire that
-decompose writes out for the arc hugging the base point).  A
+and surgered on the bare pairing (sfh.bypass_rewire; the split of the
+decomposition walk is its two steps on the arc hugging the base point).  A
 BypassSystem realises a set of disjoint arcs as one perfect matching on
 integer ends: the 2N boundary points, and two ends
 for each contact site, one on each strand piece the site separates.

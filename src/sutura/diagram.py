@@ -342,7 +342,7 @@ def delete_points(pairing: tuple[int, ...], t: int) -> tuple[int, ...]:
         pairing = list(pairing)
         pairing[b], pairing[c] = c, b
     # Lists, not generators: tuple() of a generator over-allocates, and
-    # the results live on as decompose memo keys.
+    # the results live on as the pairings of diagrams.
     if u == 0:
         kept = pairing[1 : m - 1]  # old points 1..m-2, of which m-2 becomes 0
         return tuple([x if x < m - 2 else 0 for x in kept[-1:] + kept[:-1]])

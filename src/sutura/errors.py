@@ -95,4 +95,5 @@ class BrokenInvariant(SuturaError):
 
 
 class TooDeep(SuturaError):
-    """A diagram's bypass splits nest deeper than the decomposition walk's stack."""
+    """A diagram's decomposition cannot be built: counting its paths nests
+    past the interpreter's stack, or it has more words than a set can hold."""

@@ -3,14 +3,16 @@ merge on elements, the extreme-word correspondence, and the rotation
 operator.
 
 Elements are finite sets of equal-length words (mod-2 sums of basis
-vectors).  decompose() writes any diagram in this basis by repeatedly
-peeling outermost chords at the base point and, when none exists there,
+vectors).  A diagram is written in this basis by repeatedly peeling
+outermost chords at the base point and, when none exists there,
 splitting along the bypass triple of the arc hugging the base point.
-Each path of that walk spells one word, so phi() and is_basis() follow
-single paths of it, with no memo and no word set: w- takes - at every
-split and w+ takes +, and a basis diagram's walk meets no split.
-Peeling, and the creation and annihilation operators on diagrams, add
-or remove two adjacent points with diagram.insert_chord and
+Each path of that rule from the diagram to the leaf spells one word, and
+_path, which follows the rule on a window of the pairing, is its one
+encoding: decompose() walks every path and builds each word once,
+phi() follows two paths (w- takes - at every split and w+ takes +),
+is_basis() asks whether the walk meets a split, and _path_count() counts
+the paths.  The creation and annihilation operators on diagrams add or
+remove two adjacent points with diagram.insert_chord and
 diagram.delete_points, which own the renumbering of the other points.
 Each operator acts on words and on diagrams, and the two agree:
 decompose(op.diagram_action(d)) == op(decompose(d)) for B-, B+, A+, A-
@@ -27,6 +29,7 @@ of a basis diagram and decomposes the result.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
@@ -51,7 +54,7 @@ from .errors import (
     TrivialArc,
     ZeroElement,
 )
-from .words import MINUS, PLUS, Word, from_mask, lex_sorted, partial_leq, prefixed
+from .words import MINUS, PLUS, Word, from_mask, lex_sorted, partial_leq
 
 
 class SfhElement:
@@ -134,7 +137,7 @@ class SfhElement:
 
 # -- decomposition -----------------------------------------------------------
 
-# The memo of decompose: dec(pairing) for every pairing its walk has met.
+# The memo of decompose: the element of every diagram it was asked for.
 _decompose_cache: dict[tuple[int, ...], SfhElement] = {}
 
 
@@ -156,94 +159,23 @@ def bypass_rewire(pairing: tuple[int, ...], points, step: int) -> tuple[int, ...
     return tuple(out)
 
 
-def _hug_split(pairing: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """bypass_rewire(pairing, (m-1, 0, 1), +1) and (..., -1), written out.
-
-    With q, b and a the partners of 0, 1 and m-1, and neither 1 nor m-1
-    equal to q, the chord (0, q) puts 1 and b on one side of it and m-1
-    and a on the other, so the six ends are already in hexagon order:
-    0 < 1 < b < q < a < m-1.  Step +1 joins 0-(m-1), 1-a and b-q; step -1
-    joins 0-1, b-(m-1) and q-a.
-    """
-    m = len(pairing)
-    q, b, a = pairing[0], pairing[1], pairing[m - 1]
-    up = list(pairing)
-    up[0], up[m - 1], up[1], up[a], up[b], up[q] = m - 1, 0, a, 1, q, b
-    down = list(pairing)
-    down[0], down[1], down[b], down[m - 1], down[q], down[a] = 1, 0, m - 1, b, a, q
-    return tuple(up), tuple(down)
-
-
-_LEAF = SfhElement._of(frozenset((Word(),)))
-
-
-def _walk(pairing: tuple[int, ...]) -> SfhElement:
-    # The one peel/split rule of the decomposition, writing dec of every
-    # pairing it meets to the memo.
-    # Outermost chords at the base point are peeled in a loop and only
-    # bypass splits recurse, so deeply nested diagrams need no deep stack;
-    # splits nested deeper than the interpreter's stack are rejected by
-    # decompose.
-    # Every pairing met becomes a memo entry, the two halves of a split
-    # included: each half is a diagram whose decomposition is asked for
-    # again, as a row of its own or inside another split.
-    peeled: list[tuple[tuple[int, ...], int]] = []
-    while (x := _decompose_cache.get(pairing)) is None:
-        m, q = len(pairing), pairing[0]
-        if m == 2:
-            x = _decompose_cache[pairing] = _LEAF
-            break
-        if q == 1:
-            peeled.append((pairing, PLUS))
-            pairing = delete_points(pairing, 0)
-        elif q == m - 1:
-            peeled.append((pairing, MINUS))
-            pairing = delete_points(pairing, m - 1)
-        else:
-            # The split along the arc hugging the base point.  Its step +1
-            # half has the outermost chord (0, m-1), so each of its words
-            # starts with -; the step -1 half has (0, 1), and its words
-            # start with +.  The two word sets are disjoint, the mod-2 sum
-            # cancels nothing, and in lex order dec(pairing) is dec(up)
-            # followed by dec(down).
-            # most halves are entries already, and a hit needs no walk
-            up, down = (_decompose_cache.get(h) or _walk(h) for h in _hug_split(pairing))
-            x = _decompose_cache[pairing] = SfhElement._of(up.words | down.words)
-            break
-    for outer, letter in reversed(peeled):
-        x = _decompose_cache[outer] = SfhElement._of(prefixed(x.words, letter))
-    return x
-
-
-def decompose(diagram) -> SfhElement:
-    """The unique expression of a diagram in the word basis (memoised).
-
-    TooDeep when its splits nest past the interpreter's stack; the memo
-    then holds only finished values, since each entry is written whole,
-    once the values it is made from are."""
-    if is_zero(diagram):
-        return SfhElement.zero()
-    try:
-        return _walk(diagram.pairing)
-    except RecursionError:
-        raise TooDeep(f"the bypass splits of a {diagram.n}-chord diagram nest too deeply") from None
-
-
-def _path(p, lo: int, hi: int, at_hi: bool, mask: int, take: int | None):
-    """Follow one path of the peel/split rule from a state to the leaf,
-    taking `take` at every split, or stop at the first split when take is
-    None, and return the state there.
+def _path(p, lo: int, hi: int, at_hi: bool, mask: int, take: int, splits: int):
+    """Follow the peel/split rule from a state, taking `take` at each of
+    the next `splits` splits, and return the state at the split after
+    them or at the leaf.
 
     A peel removes the base point and one of its neighbours, so the live
     points are the run of labels lo..hi, in that cyclic order, with the
     base point at hi after a - and at lo otherwise: the renumbering of
     delete_points, read without renumbering.  A state is (lo, hi, base
     point at hi, the letters so far as a mask, first letter highest); the
-    leaf is hi = lo + 1.  A split rewires four partners of a list copy p
-    of the pairing, the half it takes followed by the peel that half
-    forces: with q, a and b the partners of the base point, its
-    predecessor and its successor, - joins successor-a and b-q, and +
-    joins b-predecessor and q-a.  When take is None p is only read."""
+    leaf is hi = lo + 1.  A split is bypass_rewire(pairing, (predecessor,
+    base point, successor), +1 for -, -1 for +) on the live points, and
+    it rewires four partners of the list p in place, the half it takes
+    followed by the peel that half forces: with q, a and b the partners
+    of the base point, its predecessor and its successor, - joins
+    successor-a and b-q, and + joins b-predecessor and q-a.  With splits
+    0, p is only read."""
     while hi - lo > 1:
         # one statement an update, and + as the literal bit 1: a tuple
         # assignment of four, or a global read, costs more in this loop
@@ -275,8 +207,9 @@ def _path(p, lo: int, hi: int, at_hi: bool, mask: int, take: int | None):
                 continue
             succ = lo + 1
             pred = hi
-        if take is None:
+        if not splits:
             break
+        splits -= 1
         a = p[pred]
         b = p[succ]
         if take:  # PLUS
@@ -306,13 +239,77 @@ def _path(p, lo: int, hi: int, at_hi: bool, mask: int, take: int | None):
     return lo, hi, at_hi, mask
 
 
+def _path_count(pairing: tuple[int, ...]) -> int:
+    """The number of paths from a pairing to the leaf, which is the size of
+    its decomposition: a fold over the rule, memoised on each split's
+    state less its letters (lo, base point at hi, the live partners).  It
+    recurses once per split along a path."""
+    memo: dict[tuple, int] = {}
+
+    def count(p, lo, hi, at_hi):
+        if hi - lo == 1:
+            return 1
+        key = (lo, at_hi, tuple(p[lo : hi + 1]))
+        total = memo.get(key)
+        if total is None:
+            q = p.copy()
+            total = memo[key] = (
+                count(q, *_path(q, lo, hi, at_hi, 0, MINUS, 1)[:3])
+                + count(p, *_path(p, lo, hi, at_hi, 0, PLUS, 1)[:3])
+            )
+        return total
+
+    p = list(pairing)
+    return count(p, *_path(p, 0, len(p) - 1, False, 0, MINUS, 0)[:3])
+
+
+def decompose(diagram) -> SfhElement:
+    """The unique expression of a diagram in the word basis (memoised).
+
+    Each path of the peel/split rule from the diagram to the leaf spells
+    one word, and each word one path, so the walk follows every path
+    once: at each split it puts the - half, on a copy of the pairing, on
+    a stack and goes on with the + half.  The two halves' words start
+    with different letters, so the mod-2 sum cancels nothing.  The memo
+    keeps the answers asked for and nothing the walk meets.  Nothing
+    recurses, except that a diagram with more paths possible than a set
+    can hold has its paths counted first: TooDeep when that count nests
+    past the interpreter's stack or exceeds what a set can hold."""
+    if is_zero(diagram):
+        return SfhElement.zero()
+    pairing = diagram.pairing
+    x = _decompose_cache.get(pairing)
+    if x is not None:
+        return x
+    n = diagram.n - 1
+    if 1 << n > sys.maxsize:
+        try:
+            count = _path_count(pairing)
+        except RecursionError:
+            raise TooDeep(f"the bypass splits of a {diagram.n}-chord diagram nest too deeply") from None
+        if count > sys.maxsize:
+            raise TooDeep(f"a {diagram.n}-chord diagram has more than {sys.maxsize} words")
+    words = []
+    p = list(pairing)
+    todo = [(p, *_path(p, 0, 2 * n + 1, False, 0, MINUS, 0))]
+    while todo:
+        p, lo, hi, at_hi, mask = todo.pop()
+        while hi - lo > 1:
+            q = p.copy()
+            todo.append((q, *_path(q, lo, hi, at_hi, mask, MINUS, 1)))
+            lo, hi, at_hi, mask = _path(p, lo, hi, at_hi, mask, PLUS, 1)
+        words.append(from_mask(mask, n))
+    x = _decompose_cache[pairing] = SfhElement._of(frozenset(words))
+    return x
+
+
 def is_basis(diagram: ChordDiagram) -> bool:
     """True when the diagram is one of the basis diagrams: its walk meets
     no split, since the two halves of a split have disjoint, non-empty
     word sets."""
     if is_zero(diagram):
         return False
-    lo, hi, _, _ = _path(diagram.pairing, 0, 2 * diagram.n - 1, False, 0, None)
+    lo, hi, _, _ = _path(diagram.pairing, 0, 2 * diagram.n - 1, False, 0, MINUS, 0)
     return hi - lo == 1
 
 
@@ -325,12 +322,12 @@ def phi(diagram) -> tuple[Word, Word]:
     if is_zero(diagram):
         raise ZeroElement("zero has no extreme words")
     n, p = diagram.n - 1, diagram.pairing
-    lo, hi, at_hi, mask = _path(p, 0, 2 * n + 1, False, 0, None)
+    lo, hi, at_hi, mask = _path(p, 0, 2 * n + 1, False, 0, MINUS, 0)
     if hi - lo == 1:
         w = from_mask(mask, n)
         return w, w
-    w_minus = _path(list(p), lo, hi, at_hi, mask, MINUS)[3]
-    return from_mask(w_minus, n), from_mask(_path(list(p), lo, hi, at_hi, mask, PLUS)[3], n)
+    w_minus = _path(list(p), lo, hi, at_hi, mask, MINUS, n)[3]
+    return from_mask(w_minus, n), from_mask(_path(list(p), lo, hi, at_hi, mask, PLUS, n)[3], n)
 
 
 def from_pair(w_minus: Word, w_plus: Word) -> ChordDiagram:

@@ -9,9 +9,8 @@ and the sentinel bit 1 << n keeps "-" and "--" apart.  A word also keeps
 n and n+; n-, e and the grading (n-, n+) are read from those two counts,
 and bits is a tuple derived from the key.
 Other modules read sign positions and edit words through Word.positions,
-Word.insert, Word.delete and, for a whole set of words at once, prefixed,
-and build a word from its letters as a mask with from_mask; only this
-module reads the key.
+Word.insert and Word.delete, and build a word from its letters as a mask
+with from_mask; only this module reads the key.
 """
 
 from __future__ import annotations
@@ -129,26 +128,6 @@ class Word:
 
     def __le__(self, other: "Word") -> bool:
         return self == other or self < other
-
-
-def prefixed(words: frozenset[Word], sign: int) -> frozenset[Word]:
-    """Each word of a set of one length with sign put in front, in one pass.
-
-    On length n the new first letter is bit n of the new key, and the
-    sentinel moves up to bit n + 1, so each key grows by (1 + sign) << n.
-    """
-    if sign not in (MINUS, PLUS):
-        raise ParseError("word bits must be 0 (-) or 1 (+)")
-    if not words:
-        return words
-    n = next(iter(words)).n
-    step, new = (1 + sign) << n, object.__new__
-    out = []
-    for w in words:  # Word._of, inlined: this loop is most of a peel's cost
-        x = new(Word)
-        x._key, x.n, x.n_plus = w._key + step, n + 1, w.n_plus + sign
-        out.append(x)
-    return frozenset(out)
 
 
 def from_mask(mask: int, n: int) -> Word:

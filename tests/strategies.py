@@ -1,6 +1,8 @@
 """Hypothesis strategies, word gradings, diagram shapes and the
 test-only builders and readers shared by the test modules."""
 
+import itertools
+
 from hypothesis import strategies as st
 
 from sutura import arcs
@@ -41,6 +43,26 @@ def deep_split_diagram(k: int, j: int) -> D.ChordDiagram:
     b, e = 2 * k + 2, 2 * k + 2 * j + 5
     chords += [(b, e), (b + 1, e - 1)] + [(b + 2 + 2 * i, b + 3 + 2 * i) for i in range(j)]
     return D.from_pairing(chords)
+
+
+def uniform_diagram(n: int, rng) -> D.ChordDiagram:
+    """A diagram drawn uniformly among those with n chords.  Of the
+    rotations of a shuffled run of n opening and n + 1 closing brackets,
+    the one that starts after the first lowest prefix sum keeps every
+    proper prefix sum at or above zero (the cycle lemma); without its
+    final closing bracket it is a uniform bracket word, read as chords."""
+    steps = [1] * n + [-1] * (n + 1)
+    rng.shuffle(steps)
+    sums = list(itertools.accumulate(steps))
+    start = sums.index(min(sums)) + 1
+    pairing, opened = [0] * (2 * n), []
+    for i, step in enumerate((steps[start:] + steps[:start])[:-1]):
+        if step > 0:
+            opened.append(i)
+        else:
+            j = opened.pop()
+            pairing[i], pairing[j] = j, i
+    return D.ChordDiagram(pairing)
 
 
 def minimum_word(n_minus: int, n_plus: int) -> Word:

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from sutura import oracles, sfh
 from sutura.errors import BrokenInvariant, TooDeep, ZeroElement
 from sutura.words import MINUS, PLUS, Word, all_words, word
 
-from strategies import deep_split_diagram, diagrams, gradings
+from strategies import deep_split_diagram, diagrams, gradings, uniform_diagram
 
 
 def test_basis_diagram_frozen_oracles():
@@ -96,27 +97,49 @@ def _split_diagrams():
                 yield d
 
 
-def test_hug_split_is_the_bypass_triple():
-    # decompose writes out the two rewires of the arc hugging the base
-    # point; bypass_rewire stays the one generic rewire
+def test_split_cancels_nothing():
+    # a split is the bypass triple of the arc hugging the base point: the
+    # step +1 half starts every word with -, the step -1 half with +, so
+    # the mod-2 sum of the halves is their disjoint union
     count = 0
     for d in _split_diagrams():
         p, m = d.pairing, 2 * d.n
-        hug = (m - 1, 0, 1)
-        assert sfh._hug_split(p) == (sfh.bypass_rewire(p, hug, 1), sfh.bypass_rewire(p, hug, -1))
-        count += 1
-    assert count == 2806
-
-
-def test_split_cancels_nothing():
-    # the step +1 half starts every word with -, the step -1 half with +,
-    # so the mod-2 sum of the halves is their disjoint union
-    for d in _split_diagrams():
-        up, down = (sfh.decompose(D.ChordDiagram(h)).words for h in sfh._hug_split(d.pairing))
+        up, down = (sfh.decompose(D.ChordDiagram(sfh.bypass_rewire(p, (m - 1, 0, 1), s))).words for s in (1, -1))
         assert all(w.bits[0] == MINUS for w in up)
         assert all(w.bits[0] == PLUS for w in down)
         assert not up & down
         assert sfh.decompose(d).words == up | down
+        count += 1
+    assert count == 2806
+
+
+def test_path_count_is_the_size_of_the_decomposition():
+    for n in range(1, 10):
+        for d in D.enumerate_diagrams(n):
+            assert sfh._path_count(d.pairing) == len(sfh.decompose(d).words), d
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_decompose_from_root_agrees_on_random_diagrams(n):
+    rng = random.Random(n)
+    for _ in range(8):
+        d = uniform_diagram(n, rng)
+        assert sfh.decompose(d) == oracles.decompose_from_root(d), d
+
+
+def test_decompose_memory_is_its_word_set(monkeypatch):
+    # the walk keeps a stack of one pairing per split on its path and the
+    # words it has reached; the memo keeps the answer alone
+    d = deep_split_diagram(14, 14)
+    monkeypatch.setattr(sfh, "_decompose_cache", {})
+    tracemalloc.start()
+    try:
+        words = sfh.decompose(d).words
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 49150 and list(sfh._decompose_cache) == [d.pairing]
+    assert peak < 16 << 20, peak
 
 
 def test_phi_is_the_ends_of_the_sorted_decomposition():
@@ -177,7 +200,8 @@ def test_ends_fold_builds_no_word_set(monkeypatch):
         raise AssertionError("phi and is_basis built a word set")
 
     with monkeypatch.context() as m:
-        m.setattr(sfh, "_walk", fail)
+        m.setattr(sfh, "decompose", fail)
+        m.setattr(sfh, "_path_count", fail)
         m.setattr(sfh.SfhElement, "_of", staticmethod(fail))
         got = {d: (sfh.phi(d), sfh.is_basis(d)) for d in diagrams}
     assert sfh._decompose_cache == {}
@@ -221,12 +245,9 @@ def _lowest_stack_limit() -> int:
 
 @pytest.mark.parametrize("fold", ["decompose", "phi", "is_basis"])
 def test_too_deep_walk_leaves_only_finished_entries(fold, monkeypatch):
-    # with the stack limit raised step by step from just above this frame,
-    # decompose first fails at every depth of its splits, each time with
-    # TooDeep and a memo whose every entry is the value the root-point
-    # oracle gives, and then completes from that memo; phi and is_basis
-    # walk one path each in a loop, so they answer at the lowest limit,
-    # where decompose is TooDeep, and leave no entry
+    # no walk recurses on a diagram whose paths a set can hold, so each
+    # answers at the lowest stack limit; decompose's answer is then the
+    # memo's one entry, and phi and is_basis leave none
     d = deep_split_diagram(4, 4)
     dec = oracles.decompose_from_root(d)
     want = {
@@ -236,26 +257,31 @@ def test_too_deep_walk_leaves_only_finished_entries(fold, monkeypatch):
     }[fold]
     monkeypatch.setattr(sfh, "_decompose_cache", {})
     low, limit = _lowest_stack_limit(), sys.getrecursionlimit()
-    sizes = []
     try:
-        for cap in range(low + 4, low + 100):
-            sys.setrecursionlimit(cap)
-            try:
-                got = getattr(sfh, fold)(d)
-                break
-            except TooDeep:
-                sizes.append(len(sfh._decompose_cache))
-        if fold != "decompose":
-            assert cap == low + 4 and sfh._decompose_cache == {}
-            with pytest.raises(TooDeep):
-                sfh.decompose(d)
+        sys.setrecursionlimit(low + 4)
+        got = getattr(sfh, fold)(d)
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
-    if fold == "decompose":
-        assert len(sizes) > 10 and 0 < max(sizes) < len(sfh._decompose_cache)
-    for pairing, x in sfh._decompose_cache.items():
-        assert x == oracles.decompose_from_root(D.ChordDiagram(pairing)), pairing
+    assert sfh._decompose_cache == ({d.pairing: dec} if fold == "decompose" else {})
+
+
+def test_a_count_past_the_stack_is_too_deep(monkeypatch):
+    # past 64 chords decompose counts its paths first, in a fold that
+    # recurses once per split along a path: past the stack that is TooDeep
+    # with no memo entry, and with room the walk gives the root route's answer
+    d = deep_split_diagram(60, 6)
+    monkeypatch.setattr(sfh, "_decompose_cache", {})
+    low, limit = _lowest_stack_limit(), sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(low + 4)
+        with pytest.raises(TooDeep):
+            sfh.decompose(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sfh._decompose_cache == {}
+    assert sfh.decompose(d) == oracles.decompose_from_root(d)
+    assert len(sfh.decompose(d).words) == sfh._path_count(d.pairing) == 254
 
 
 def test_zero_from_pair_is_an_error_not_an_assert(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -159,6 +160,21 @@ def test_too_deep_diagram_is_a_domain_error(command):
     # stack: one error line and exit 1, not a RecursionError traceback
     deep = dg.serialize(deep_split_diagram(599, 500))
     proc = run_process(command, deep, *([deep] if command == "stack" else []))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+
+
+@pytest.mark.parametrize("command", ["decompose", "stack"])
+def test_too_many_words_is_a_domain_error(command):
+    # 2^251 words, on paths whose splits nest 501 deep, within the stack:
+    # the path count refuses the diagram before a word is built, so the
+    # child ends in seconds and within a 1.5 GB address space
+    deep = dg.serialize(deep_split_diagram(300, 250))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sutura.cli", command, deep, *([deep] if command == "stack" else [])],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29)),
+    )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
 

@@ -63,19 +63,21 @@ def test_a_wrong_surgery_on_a_pinwheel_free_system_is_reported(monkeypatch):
 
 
 def test_a_walk_that_takes_the_wrong_half_at_one_split_is_reported(monkeypatch):
-    # the first path walked from a split takes the other half there; with
-    # at most three chords a decomposition has at most two words, so that
-    # path meets no other split
+    # the first path walked from a split, decompose's - half, takes the +
+    # half there, so one word is lost; with at most three chords a
+    # decomposition has at most two words, so that path meets no other
+    # split.  The wrong answer goes to a memo of this test's own.
     real = sfh._path
     wrong = []
 
-    def wrong_once(p, lo, hi, at_hi, mask, take):
-        if take is not None and not wrong:
+    def wrong_once(p, lo, hi, at_hi, mask, take, splits):
+        if splits and not wrong:
             wrong.append(take)
             take = 1 - take
-        return real(p, lo, hi, at_hi, mask, take)
+        return real(p, lo, hi, at_hi, mask, take, splits)
 
     monkeypatch.setattr(sfh, "_path", wrong_once)
+    monkeypatch.setattr(sfh, "_decompose_cache", {})
     problems = verify.check_parity(3, 0)
     assert wrong and _problems_with("phi or is_basis off the decomposition", problems)
 

@@ -1,7 +1,7 @@
 """The storage of a Word is read, sliced or joined only in words.py, so the
 format of words can change in one module: every other module reads words
-through Word.n, Word.n_plus, Word.bits and Word.positions, and edits them
-through Word.insert, Word.delete and words.prefixed."""
+through Word.n, Word.n_plus, Word.bits and Word.positions, edits them
+through Word.insert and Word.delete, and builds them with words.from_mask."""
 
 import ast
 import pathlib

@@ -119,16 +119,11 @@ def test_from_mask_rejects_a_mask_that_is_no_word(mask, n):
         W.from_mask(mask, n)
 
 
-def test_prefixed_and_lex_extremes():
+def test_lex_sorted_extremes():
     for n in range(9):
         ws = frozenset(word("".join(t)) for t in itertools.product("-+", repeat=n))
-        for sign in (W.MINUS, W.PLUS):
-            assert W.prefixed(ws, sign) == {w.insert(0, sign) for w in ws}
         ordered = W.lex_sorted(ws)
         assert (min(ws), max(ws)) == (ordered[0], ordered[-1])
-    assert W.prefixed(frozenset(), W.PLUS) == frozenset()
-    with pytest.raises(ParseError):
-        W.prefixed(frozenset([word("-")]), 2)
 
 
 def test_lex_compare():
