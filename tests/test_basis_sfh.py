@@ -97,6 +97,22 @@ def _split_diagrams():
                 yield d
 
 
+def test_hug_split_is_the_bypass_triple():
+    # the walk rewires the arc hugging the base point in place; with the
+    # chord its forced peel removes put back, each half is bypass_rewire
+    count = 0
+    for d in _split_diagrams():
+        p, m = d.pairing, 2 * d.n
+        hug = (m - 1, 0, 1)
+        for take, step, peeled in ((MINUS, 1, (0, m - 1)), (PLUS, -1, (0, 1))):
+            half = list(p)
+            sfh._path(half, 0, m - 1, False, 0, take, 1)
+            half[peeled[0]], half[peeled[1]] = peeled[1], peeled[0]
+            assert tuple(half) == sfh.bypass_rewire(p, hug, step)
+        count += 1
+    assert count == 2806
+
+
 def test_split_cancels_nothing():
     # a split is the bypass triple of the arc hugging the base point: the
     # step +1 half starts every word with -, the step -1 half with +, so
