@@ -13,13 +13,16 @@ decomposition walk is its two steps on the arc hugging the base point).  A
 BypassSystem realises a set of disjoint arcs as one perfect matching on
 integer ends: the 2N boundary points, and two ends
 for each contact site, one on each strand piece the site separates.
-Surgery along one arc glues its six site ends pairwise one step round
-its hexagon: each glue splices the mates of two ends together and drops
-both, and a glue that joins the two ends of one path closes a loop
-(ZERO).  The other arcs' sites ride along untouched, so a system is
-surgered arc by arc, in the order of its arc ids.  A system has a
-pinwheel in a direction exactly when surgery that way along some subset
-of its arcs closes a loop.  The regions of a system, the faces cut
+Surgery along a set of its arcs is one read-only walk of the strands:
+a strand crosses a site to its other end, except at a surgered arc's
+site end, where it turns to the end that the arc's hexagon, re-matched
+by the same bypass_rewire step, joins it to.  The result is the
+diagram the walks from the boundary points join, or ZERO when they
+leave a site end uncrossed (a closed curve).  It is the final strands,
+so no order of the arcs enters, and the bypass-system relation holds
+under it.  A system has a pinwheel in a direction exactly when surgery
+that way along some subset of its arcs closes a curve; a pinwheel
+makes the layer overtwisted.  The regions of a system, the faces cut
 along the arc segments, are the orbits of one permutation on its ends,
 the face step of diagram.region_orbits followed by a jump across each
 segment: planarity is an Euler count of them.  A generalised arc is the
@@ -55,16 +58,16 @@ from .words import MINUS, PLUS, Word, partial_leq
 
 LEFT, RIGHT = 1, -1
 
-# Which hexagon rotation is the upwards surgery, by direction: pinned by
-# the word-level effect of single bypass moves on basis diagrams (tests
-# assert the anchoring examples; swapping the "up" and "down" entries
-# makes those fail).  _STEPS gives each rotation as a bypass_rewire step; a
-# test pins it to _GLUES.
+# Which hexagon rotation is the upwards surgery, by direction, as a
+# bypass_rewire step: pinned by the word-level effect of single bypass
+# moves on basis diagrams (tests assert the anchoring examples; swapping
+# the "up" and "down" entries makes those fail).
 #
 # The six handles of an arc's hexagon, in cyclic order, are its site ends
-# (see _rewire); each direction glues three pairs of them, one step round
-# from the pairs (0, 5), (1, 4), (2, 3) that the sites themselves join.
-_GLUES = {"up": ((1, 2), (0, 3), (4, 5)), "down": ((0, 1), (2, 5), (3, 4))}
+# (see _onward), and the sites themselves join handle j to handle
+# 5 - j (_HEXAGON).  A direction re-matches them by bypass_rewire's
+# opposite step (_glue; a test pins the three pairs each way).
+_HEXAGON = (5, 4, 3, 2, 1, 0)
 _STEPS = {"up": 1, "down": -1}
 _FORWARDS = {"FE": True, "BE": False}  # whether each move kind is forwards
 _MOVE = {"FA": "FE", "BA": "BE"}  # the move each kind of generalised arc realises
@@ -197,50 +200,6 @@ class BypassSystem:
                     p, q = mate[x], mate[x + 1]
                     mate[p], mate[q] = q, p
         return BypassSystem(self.m, mate, self.darts, [a for a in self.arc_ids if a in keep])
-
-
-def _strand_pairing(mate: list[int], m: int) -> list[int]:
-    """The pairing of boundary points that the strands join."""
-    pairing = [-1] * m
-    for p in range(m):
-        if pairing[p] < 0:
-            z = mate[p]
-            while z >= m:
-                z = mate[z ^ 1]
-            pairing[p], pairing[z] = z, p
-    return pairing
-
-
-def _rewire(mate: list[int], m: int, darts, aid: int, glues) -> bool:
-    """Surger arc aid in place by one direction's glues (_GLUES); False
-    when a glue closes a loop.
-
-    The hexagon's handles in cyclic order are: site 0's end facing
-    segment 0, site 1's end facing segment 1, site 2's other end, site
-    2's end facing segment 1, site 1's end facing segment 0, site 0's
-    other end.  Each glue splices mate[x] to mate[y] and drops x and y.
-    """
-    x0, x1, y0, y1 = darts[4 * aid : 4 * aid + 4]
-    handles = (x0, y0, y1 ^ 1, y1, x1, x0 ^ 1)
-    joined = []
-    for a, b in glues:
-        x, y = handles[a], handles[b]
-        p, q = mate[x], mate[y]
-        if p == y:
-            return False
-        mate[p], mate[q] = q, p
-        joined += (p, q)
-    # a glue may also close a path through other arcs' sites: walk on from
-    # each new junction until a boundary point or back to the start
-    for p in joined:
-        if p < m or p in handles:
-            continue
-        x = p
-        while (z := mate[x]) >= m:
-            x = z ^ 1
-            if x == p:
-                return False
-    return True
 
 
 class Faces:
@@ -553,54 +512,92 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
 _SPLIT_OFFSETS = {"FA": (-1, 1), "BA": (1, -1)}
 
 
-def surgery_along_system(system: BypassSystem, direction: str, subset=None):
-    """Surger every arc (or the given subset of arc ids) in one shared
-    realisation; ZERO when a glue closes a loop."""
-    glues = _entry(_GLUES, direction, "direction")
-    todo = set(system.arc_ids if subset is None else subset)
-    if missing := todo.difference(system.arc_ids):
-        raise BadArgument(f"the system has no arcs {sorted(missing)}")
-    return _diagram_of(system, _surgered(system, glues, todo))
+def surgery_along_system(system: BypassSystem, direction: str):
+    """Surger every arc of the system at once: the diagram its final
+    strands join, or ZERO when they close a curve."""
+    pairing = _strands(system, _onward(system, direction))
+    return ZERO if pairing is None else ChordDiagram(pairing)
 
 
-def _surgered(system: BypassSystem, glues, todo) -> list[int] | None:
-    """The matching after surgery along the arcs of todo, in arc id order,
-    or None when a glue closes a loop."""
-    mate = list(system.mate)
+@lru_cache(maxsize=None)
+def _glue(step: int) -> tuple[int, ...]:
+    """The pairing of an arc's six hexagon handles after surgery by step."""
+    return sfh.bypass_rewire(_HEXAGON, (0, 1, 2), -step)
+
+
+def _onward(system: BypassSystem, direction: str) -> list[int]:
+    """For each site end z of the arcs, the end that a strand arriving at
+    z reaches next after surgery in the direction along every arc: it
+    turns to the end that the arc's re-matched hexagon joins z to, and
+    runs along that piece to its mate.
+
+    The hexagon's handles in cyclic order are: site 0's end facing
+    segment 0, site 1's end facing segment 1, site 2's other end, site
+    2's end facing segment 1, site 1's end facing segment 0, site 0's
+    other end.
+    """
+    mate, glue = system.mate, _glue(_entry(_STEPS, direction, "direction"))
+    onward = list(mate)
     for aid in system.arc_ids:
-        if aid in todo and not _rewire(mate, system.m, system.darts, aid, glues):
-            return None
-    return mate
+        x0, x1, y0, y1 = system.darts[4 * aid : 4 * aid + 4]
+        handles = (x0, y0, y1 ^ 1, y1, x1, x0 ^ 1)
+        for h, g in zip(handles, glue):
+            onward[h] = mate[handles[g]]
+    return onward
 
 
-def _diagram_of(system: BypassSystem, mate: list[int] | None):
-    """The diagram a surgered matching's strands join, or ZERO for None;
-    untouched arcs ride along on the strands."""
-    return ZERO if mate is None else ChordDiagram(_strand_pairing(mate, system.m))
+def _strands(system: BypassSystem, onward: list[int]) -> list[int] | None:
+    """The pairing of boundary points that the strands join, a strand
+    arriving at site end z going on to onward[z] (see _onward), or None
+    for a closed curve.
+
+    Every live site end lies on a strand or on a closed curve, and a
+    walk crosses two ends at a step, so a closed curve is there exactly
+    when the walks take fewer than three steps per arc.
+    """
+    m, mate = system.m, system.mate
+    pairing, steps = [-1] * m, 0
+    for p in range(m):
+        if pairing[p] < 0:
+            z = mate[p]
+            while z >= m:
+                z = onward[z]
+                steps += 1
+            pairing[p], pairing[z] = z, p
+    return pairing if steps == 3 * len(system.arc_ids) else None
 
 
-def _subset_surgeries(system: BypassSystem, direction: str):
-    """The surgered matching of each subset of the system's arcs, the
-    empty one first, or None where a glue closes a loop."""
-    glues = _entry(_GLUES, direction, "direction")
-    ids = system.arc_ids
-    for mask in range(1 << len(ids)):
-        yield _surgered(system, glues, {a for bit, a in enumerate(ids) if (mask >> bit) & 1})
+def _subset_strands(system: BypassSystem, direction: str, first: int = 0):
+    """_strands after surgery along each subset of the system's arcs, in
+    the binary order of their masks from first on (0: the empty subset).
+    A subset sets each arc's six entries as with no surgery, crossing
+    from z to z ^ 1, or as with surgery along every arc."""
+    m, mate = system.m, system.mate
+    onward = _onward(system, direction)
+    ways = [
+        (lo, ([mate[z ^ 1] for z in range(lo, lo + 6)], onward[lo : lo + 6]))
+        for lo in (m + 6 * aid for aid in system.arc_ids)
+    ]
+    for mask in range(first, 1 << len(ways)):
+        for bit, (lo, way) in enumerate(ways):
+            onward[lo : lo + 6] = way[(mask >> bit) & 1]
+        yield _strands(system, onward)
 
 
 def expand_subsets(system: BypassSystem, direction: str):
     """Mod-2 multiset of surgeries over all subsets of the system."""
     odd: dict = {}  # result -> odd multiplicity so far, in first-seen order
-    for mate in _subset_surgeries(system, direction):
-        result = _diagram_of(system, mate)
+    for pairing in _subset_strands(system, direction):
+        result = ZERO if pairing is None else ChordDiagram(pairing)
         odd[result] = not odd.get(result, False)
     return [result for result, keep in odd.items() if keep]
 
 
 def has_pinwheel(system: BypassSystem, direction: str) -> bool:
     """Whether the system has a pinwheel of the given direction: surgery
-    that way along some subset of its arcs closes a loop."""
-    return any(mate is None for mate in _subset_surgeries(system, direction))
+    that way along some subset of its arcs closes a curve.  The empty
+    subset closes none, so the walk starts after it."""
+    return any(pairing is None for pairing in _subset_strands(system, direction, 1))
 
 
 def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> BypassSystem:

@@ -284,14 +284,14 @@ def minimal_subsystem_by_deletion(
     until no single arc can be dropped.  fbs and bbs must land on the same
     arcs by their keep rule, with no trial surgery."""
     keep = list(system.arc_ids)
-    if surgery_along_system(system, direction, keep) != target:
+    if surgery_along_system(system, direction) != target:
         raise BrokenInvariant(f"{direction}wards surgery along the whole system misses its target")
     changed = True
     while changed:
         changed = False
         for aid in list(reversed(keep)):
             trial = [x for x in keep if x != aid]
-            if surgery_along_system(system, direction, trial) == target:
+            if surgery_along_system(system.subsystem(trial), direction) == target:
                 keep = trial
                 changed = True
     return system.subsystem(keep)

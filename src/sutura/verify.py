@@ -399,7 +399,8 @@ def check_bypass_systems(
             problems.append(f"pinwheel-free surgery died on {dg.serialize(d)}")
         elif stacking.m_geometric(d, ends["up"]) != 1:
             problems.append(f"pinwheel-free but overtwisted on {dg.serialize(d)}")
-        # the relation needs no pinwheel either way (a pinwheel can break it)
+        # the relation holds with pinwheels too (the tests replay it on
+        # every draw); here only the draws with none either way pay for it
         if not arcs.has_pinwheel(system, "down"):
             ends["down"] = arcs.surgery_along_system(system, "down")
             for direction in _relation_breaks(system, ends):

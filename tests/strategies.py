@@ -2,6 +2,7 @@
 test-only builders and readers shared by the test modules."""
 
 import itertools
+import random
 
 from hypothesis import strategies as st
 
@@ -65,6 +66,21 @@ def uniform_diagram(n: int, rng) -> D.ChordDiagram:
     return D.ChordDiagram(pairing)
 
 
+def bypass_draws(seed: int, cases: int, n_max: int):
+    """The random systems that verify.check_bypass_systems(_, cases,
+    n_max, seed) draws, in its order: a diagram of 2..n_max chords, then
+    1..4 arcs placed on it, skipping the draws random_system gives up on."""
+    by_size = {n: D.enumerate_diagrams(n) for n in range(2, n_max + 1)}
+    rng = random.Random(seed)
+    done = 0
+    while done < cases:
+        ds = by_size[rng.randrange(2, n_max + 1)]
+        system = arcs.random_system(ds[rng.randrange(len(ds))], rng.randrange(1, 5), rng)
+        if system is not None:
+            done += 1
+            yield system
+
+
 def minimum_word(n_minus: int, n_plus: int) -> Word:
     """(-)^n- (+)^n+, the unique minimum of W(n-, n+)."""
     return Word((MINUS,) * n_minus + (PLUS,) * n_plus)
@@ -105,8 +121,51 @@ def single_arc_system(arc: arcs.AttachingArc) -> arcs.BypassSystem:
 
 
 def system_diagram(system: arcs.BypassSystem) -> D.ChordDiagram:
-    """The diagram the strands join, which the sites leave unchanged."""
-    return D.ChordDiagram(arcs._strand_pairing(system.mate, system.m))
+    """The diagram the strands join, which the sites leave unchanged: the
+    strand walk with no arc surgered, that of the system of no arcs."""
+    return arcs.surgery_along_system(system.subsystem(()), "up")
+
+
+# The glues of the splice route, as literal data: each direction joins
+# three pairs of an arc's six hexagon handles (in the order of
+# arcs._onward), one step round from the pairs (0, 5), (1, 4), (2, 3)
+# that the sites themselves join.
+GLUES = {"up": ((1, 2), (0, 3), (4, 5)), "down": ((0, 1), (2, 5), (3, 4))}
+
+
+def hexagon_handles(system: arcs.BypassSystem, arc_id: int) -> tuple[int, ...]:
+    """The six handles of an arc's hexagon, in cyclic order."""
+    x0, x1, y0, y1 = system.darts[4 * arc_id : 4 * arc_id + 4]
+    return (x0, y0, y1 ^ 1, y1, x1, x0 ^ 1)
+
+
+def surgery_step(system: arcs.BypassSystem, arc_id: int, direction: str):
+    """One bypass surgery along arc arc_id by splicing a copy of the
+    matching, the route the strand walk is checked against: the system
+    of the other arcs on the surgered diagram, or ZERO when a glue
+    closes a loop.  Each glue (a, b) splices the mates of handles a and
+    b together and drops both; a glue closes a loop when it joins the
+    two ends of one piece, or when the walk on from a new junction
+    through the other arcs' sites comes back to it."""
+    m, mate = system.m, list(system.mate)
+    handles = hexagon_handles(system, arc_id)
+    joined = []
+    for a, b in GLUES[direction]:
+        x, y = handles[a], handles[b]
+        p, q = mate[x], mate[y]
+        if p == y:
+            return D.ZERO
+        mate[p], mate[q] = q, p
+        joined += (p, q)
+    for p in joined:
+        if p < m or p in handles:
+            continue
+        x = p
+        while (z := mate[x]) >= m:
+            x = z ^ 1
+            if x == p:
+                return D.ZERO
+    return arcs.BypassSystem(m, mate, system.darts, [a for a in system.arc_ids if a != arc_id])
 
 
 def system_json(system: arcs.BypassSystem) -> dict:

@@ -51,11 +51,11 @@ def test_a_wrong_surgery_on_a_pinwheel_free_system_is_reported(monkeypatch):
     real = arcs.surgery_along_system
     wrong = []
 
-    def wrong_once(system, direction, subset=None):
-        if subset is None and direction == "down" and system.arc_ids and not wrong:
+    def wrong_once(system, direction):
+        if direction == "down" and system.arc_ids and not wrong:
             wrong.append(system)
             direction = "up"
-        return real(system, direction, subset)
+        return real(system, direction)
 
     monkeypatch.setattr(arcs, "surgery_along_system", wrong_once)
     problems = verify.check_bypass_systems(0, 200, 6)
