@@ -81,6 +81,9 @@ def _chunks(items, size):
 
 def cmd_decompose(args) -> int:
     d = dg.parse(args.diagram)
+    # N chords have at most 2^(N-1) words: only past the cap are they counted
+    if 1 << d.n - 1 > args.cap and (count := sfh.word_count(d)) > args.cap:
+        raise CapExceeded(f"a {d.n}-chord diagram has {count} words, past the cap {args.cap}; raise --cap")
     words = [str(w) for w in sfh.decompose(d).sorted_words()]
     if args.format == "json":
         print(json.dumps({"words": words}))
@@ -285,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="basis decomposition of a diagram")
     p.add_argument("diagram")
+    p.add_argument("--cap", type=int, default=1 << 20, metavar="WORDS")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_decompose)
 

@@ -8,12 +8,12 @@ outermost chords at the base point and, when none exists there,
 splitting along the bypass triple of the arc hugging the base point.
 Each path of that rule from the diagram to the leaf spells one word, and
 _path, which follows the rule on a window of the pairing, is its one
-encoding: decompose() walks every path and builds each word once,
-phi() follows two paths (w- takes - at every split and w+ takes +),
-is_basis() asks whether the walk meets a split, and _path_count() counts
-the paths.  The creation and annihilation operators on diagrams add or
-remove two adjacent points with diagram.insert_chord and
-diagram.delete_points, which own the renumbering of the other points.
+encoding: decompose() walks every path, builds each word once and keeps
+nothing, phi() follows two paths (w- takes - at every split and w+
+takes +), is_basis() asks whether the walk meets a split, and
+_path_count() counts the paths.  The creation and annihilation operators
+on diagrams add or remove two adjacent points with diagram.insert_chord
+and diagram.delete_points, which own the renumbering of the other points.
 Each operator acts on words and on diagrams, and the two agree:
 decompose(op.diagram_action(d)) == op(decompose(d)) for B-, B+, A+, A-
 and every slot of creation and annihilation.  merge_elements extends
@@ -137,8 +137,8 @@ class SfhElement:
 
 # -- decomposition -----------------------------------------------------------
 
-# The memo of decompose: the element of every diagram it was asked for.
-_decompose_cache: dict[tuple[int, ...], SfhElement] = {}
+# Never written: bench/tracer.py reads its length until it reads memos by name.
+_decompose_cache: dict = {}
 
 
 def bypass_rewire(pairing: tuple[int, ...], points, step: int) -> tuple[int, ...]:
@@ -263,34 +263,33 @@ def _path_count(pairing: tuple[int, ...]) -> int:
     return count(p, *_path(p, 0, len(p) - 1, False, 0, MINUS, 0)[:3])
 
 
+def word_count(diagram: ChordDiagram) -> int:
+    """The size of a diagram's decomposition, with no word built: TooDeep
+    when counting its paths nests past the interpreter's stack."""
+    try:
+        return _path_count(diagram.pairing)
+    except RecursionError:
+        raise TooDeep(f"the bypass splits of a {diagram.n}-chord diagram nest too deeply") from None
+
+
 def decompose(diagram) -> SfhElement:
-    """The unique expression of a diagram in the word basis (memoised).
+    """The unique expression of a diagram in the word basis.
 
     Each path of the peel/split rule from the diagram to the leaf spells
     one word, and each word one path, so the walk follows every path
     once: at each split it puts the - half, on a copy of the pairing, on
     a stack and goes on with the + half.  The two halves' words start
-    with different letters, so the mod-2 sum cancels nothing.  The memo
-    keeps the answers asked for and nothing the walk meets.  Nothing
-    recurses, except that a diagram with more paths possible than a set
-    can hold has its paths counted first: TooDeep when that count nests
-    past the interpreter's stack or exceeds what a set can hold."""
+    with different letters, so the mod-2 sum cancels nothing.  Nothing is
+    kept, and nothing recurses, except that a diagram with more paths
+    possible than a set can hold has its words counted first: TooDeep
+    past the stack or past what a set can hold."""
     if is_zero(diagram):
         return SfhElement.zero()
-    pairing = diagram.pairing
-    x = _decompose_cache.get(pairing)
-    if x is not None:
-        return x
     n = diagram.n - 1
-    if 1 << n > sys.maxsize:
-        try:
-            count = _path_count(pairing)
-        except RecursionError:
-            raise TooDeep(f"the bypass splits of a {diagram.n}-chord diagram nest too deeply") from None
-        if count > sys.maxsize:
-            raise TooDeep(f"a {diagram.n}-chord diagram has more than {sys.maxsize} words")
+    if 1 << n > sys.maxsize and word_count(diagram) > sys.maxsize:
+        raise TooDeep(f"a {diagram.n}-chord diagram has more than {sys.maxsize} words")
     words = []
-    p = list(pairing)
+    p = list(diagram.pairing)
     todo = [(p, *_path(p, 0, 2 * n + 1, False, 0, MINUS, 0))]
     while todo:
         p, lo, hi, at_hi, mask = todo.pop()
@@ -299,8 +298,7 @@ def decompose(diagram) -> SfhElement:
             todo.append((q, *_path(q, lo, hi, at_hi, mask, MINUS, 1)))
             lo, hi, at_hi, mask = _path(p, lo, hi, at_hi, mask, PLUS, 1)
         words.append(from_mask(mask, n))
-    x = _decompose_cache[pairing] = SfhElement._of(frozenset(words))
-    return x
+    return SfhElement._of(frozenset(words))
 
 
 def is_basis(diagram: ChordDiagram) -> bool:

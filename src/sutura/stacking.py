@@ -51,20 +51,23 @@ def m_geometric(bottom: ChordDiagram, top: ChordDiagram) -> int:
     return 1 if loop_count(bottom, top) == 1 else 0
 
 
-def m_algebraic(bottom: ChordDiagram, top: ChordDiagram) -> int:
-    """Parity of comparable pairs between the two basis decompositions.
+def form(x: sfh.SfhElement, y: sfh.SfhElement) -> int:
+    """Parity of the pairs u <= v, u a word of x and v one of y, of one
+    grading: the bilinear form of the partial order."""
+    ys = y.words
+    return sum(partial_leq(u, v) for u in x.words for v in ys) % 2
 
-    Every word of a diagram's decomposition has the grading its chord
-    count and euler class fix, and words of two gradings are never
-    comparable; within one, each pair is one words.partial_leq test on
-    the two words' stored letters.
-    """
+
+def m_algebraic(bottom: ChordDiagram, top: ChordDiagram) -> int:
+    """The form on the two basis decompositions, each built once.  The
+    chord count and euler class fix the grading of every word, and words
+    of two gradings are never comparable."""
     if bottom.n != top.n:
         raise SizeMismatch("stacking needs equal chord counts")
     if euler_class(bottom) != euler_class(top):
         return 0
-    tops = sfh.decompose(top).words
-    return sum(partial_leq(a, b) for a in sfh.decompose(bottom).words for b in tops) % 2
+    x = sfh.decompose(bottom)
+    return form(x, x if top == bottom else sfh.decompose(top))
 
 
 def cancel_outermost(bottom: ChordDiagram, top: ChordDiagram):

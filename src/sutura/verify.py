@@ -92,14 +92,16 @@ def check_basis_and_triples(word_n_max: int, triple_n_max: int) -> list[str]:
                 if walked != sfh.basis_diagram(w) or list(sfh.root_chords(w)[:n]) != chords:
                     problems.append(f"root-point walk of {w}")
     for n in range(1, triple_n_max + 1):
-        for d in dg.enumerate_diagrams(n):
-            if oracles.decompose_from_root(d) != sfh.decompose(d):
+        # each diagram decomposed once, bypass triples included
+        dec = {d: sfh.decompose(d) for d in dg.enumerate_diagrams(n)}
+        for d, x in dec.items():
+            if oracles.decompose_from_root(d) != x:
                 problems.append(f"root decomposition of {dg.serialize(d)}")
             for c in arcs.find_attaching_arcs(d):
                 if c.triviality != "nontrivial":
                     continue
                 a, b, cc = arcs.bypass_triple(d, c)
-                total = sfh.decompose(a) + sfh.decompose(b) + sfh.decompose(cc)
+                total = dec[a] + dec[b] + dec[cc]
                 if not total.is_zero():
                     problems.append(f"triple on {dg.serialize(d)}")
     return problems
@@ -127,9 +129,10 @@ def check_operator_algebra(n_max: int, seed: int = 0) -> list[str]:
                     problems.append(f"A-B- at {(nm, np_)}")
     # each operator acts on a diagram as it acts on the diagram's
     # decomposition, on diagrams whose images have words of length < n_max
+    dec = {None: None}  # the empty half of a merge
     for n in range(1, n_max):
         for d in dg.enumerate_diagrams(n):
-            x = sfh.decompose(d)
+            x = dec[d] = sfh.decompose(d)
             nm, np_ = x.grading()
             ops = [sfh.B_MINUS, sfh.B_PLUS, sfh.A_PLUS, sfh.A_MINUS]
             for side, top in (("west", nm), ("east", np_)):
@@ -143,8 +146,7 @@ def check_operator_algebra(n_max: int, seed: int = 0) -> list[str]:
         for n2 in range(n_max - n1):
             for a in dg.enumerate_diagrams(n1) if n1 else [None]:
                 for b in dg.enumerate_diagrams(n2) if n2 else [None]:
-                    halves = [None if h is None else sfh.decompose(h) for h in (a, b)]
-                    if sfh.decompose(dg.merge(a, b)) != sfh.merge_elements(*halves):
+                    if sfh.decompose(dg.merge(a, b)) != sfh.merge_elements(dec[a], dec[b]):
                         problems.append(f"merge of {n1} and {n2} chords")
     return problems
 
@@ -207,15 +209,9 @@ def check_parity(n_max: int, tangled_n_max: int) -> list[str]:
             # phi and is_basis walk paths of the same rule with no word set
             if sfh.phi(d) != (words[0], words[-1]) or sfh.is_basis(d) != (len(words) == 1):
                 problems.append(f"phi or is_basis off the decomposition at {dg.serialize(d)}")
-    for n in range(1, tangled_n_max + 1):
-        for d in dg.enumerate_diagrams(n):
-            words = sfh.decompose(d).words
-            if len(words) == 1:
+            if n > tangled_n_max or len(words) == 1:
                 continue
-            lo, hi = sfh.phi(d)
-            for w in words:
-                if w in (lo, hi):
-                    continue
+            for w in words[1:-1]:
                 pre = sum(1 for v in words if partial_leq(v, w))
                 post = sum(1 for v in words if partial_leq(w, v))
                 if pre % 2 or post % 2:
@@ -228,12 +224,14 @@ def check_parity(n_max: int, tangled_n_max: int) -> list[str]:
 def check_stackability(pair_n_max: int, table_n_max: int) -> list[str]:
     problems = []
     for n in range(1, pair_n_max + 1):
-        diagrams = dg.enumerate_diagrams(n)
-        for a in diagrams:
-            if stacking.m_geometric(a, a) != 1:
+        # each diagram decomposed once; two euler classes stack to 0
+        dec = {d: sfh.decompose(d) for d in dg.enumerate_diagrams(n)}
+        e = {d: dg.euler_class(d) for d in dec}
+        for a, x in dec.items():
+            if stacking.m_geometric(a, a) != 1 or stacking.m_algebraic(a, a) != 1:
                 problems.append(f"self-stacking {dg.serialize(a)}")
-            for b in diagrams:
-                if stacking.m_geometric(a, b) != stacking.m_algebraic(a, b):
+            for b, y in dec.items():
+                if stacking.m_geometric(a, b) != (stacking.form(x, y) if e[a] == e[b] else 0):
                     problems.append(f"m mismatch {dg.serialize(a)} / {dg.serialize(b)}")
     for n in range(0, table_n_max):
         for nm, np_ in _gradings(n):
@@ -455,16 +453,17 @@ def check_rotation(n_max: int, m_n_max: int) -> list[str]:
         problems.append("R_{5,2} equals R_{5,3}")
     for n in range(0, n_max + 1):
         for nm, np_ in _gradings(n):
-            for w in all_words(nm, np_):
+            # rotation keeps the grading
+            image = {w: sfh.rotation(sfh.SfhElement.basis(w)) for w in all_words(nm, np_)}
+            for w, c in image.items():
                 x = sfh.SfhElement.basis(w)
                 a = oracles.rotation_closed_form(x)
                 b = oracles.rotation_by_matrix(x)
-                c = sfh.rotation(x)
                 if not (a == b == c):
                     problems.append(f"rotation implementations differ at {w}")
                 y = x
                 for _ in range(n + 1):
-                    y = sfh.rotation(y)
+                    y = sfh.SfhElement._sum(image[v].words for v in y.words if v in image)
                 if y != x:
                     problems.append(f"rotation order at {w}")
     for n in range(1, m_n_max + 1):

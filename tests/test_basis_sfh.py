@@ -143,19 +143,37 @@ def test_decompose_from_root_agrees_on_random_diagrams(n):
         assert sfh.decompose(d) == oracles.decompose_from_root(d), d
 
 
-def test_decompose_memory_is_its_word_set(monkeypatch):
+def test_decompose_memory_is_its_word_set():
     # the walk keeps a stack of one pairing per split on its path and the
-    # words it has reached; the memo keeps the answer alone
+    # words it has reached, and once its answer is dropped nothing
     d = deep_split_diagram(14, 14)
-    monkeypatch.setattr(sfh, "_decompose_cache", {})
     tracemalloc.start()
     try:
-        words = sfh.decompose(d).words
-        peak = tracemalloc.get_traced_memory()[1]
+        start = tracemalloc.get_traced_memory()[0]
+        size = len(sfh.decompose(d).words)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(words) == 49150 and list(sfh._decompose_cache) == [d.pairing]
-    assert peak < 16 << 20, peak
+    assert size == 49150
+    assert peak - start < 16 << 20, peak - start
+    assert kept - start < 4 << 10, kept - start
+
+
+def test_decompose_keeps_nothing_of_the_diagrams_it_was_asked_for():
+    # every diagram with at most eight chords, 2,055 of them, decomposed
+    # and dropped: a memo of their answers held about 1.1 MiB
+    diagrams = [d for n in range(1, 9) for d in D.enumerate_diagrams(n)]
+    assert len(diagrams) == 2055
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sizes = sum(len(sfh.decompose(d).words) for d in diagrams)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert sizes == sum(sfh._path_count(d.pairing) for d in diagrams)
+    assert kept < 64 << 10, kept
+    assert sfh.decompose(diagrams[-1]) is not sfh.decompose(diagrams[-1])
 
 
 def test_phi_is_the_ends_of_the_sorted_decomposition():
@@ -166,22 +184,16 @@ def test_phi_is_the_ends_of_the_sorted_decomposition():
 
 
 @pytest.mark.parametrize("order", ["phi", "decompose", "interleaved"])
-def test_ends_fold_agrees_with_decompose(order, monkeypatch):
+def test_ends_fold_agrees_with_decompose(order):
     # phi and is_basis read the two ends of the decomposition off one path
-    # each, with no memo: from a cold memo, in any order of calls with
-    # decompose, they agree with its word sets and leave _decompose_cache
-    # as they find it
+    # each: in any order of calls with decompose, which rewires list
+    # copies of the pairing, they agree with its word sets
     diagrams = [d for n in range(1, 10) for d in D.enumerate_diagrams(n)]
-    monkeypatch.setattr(sfh, "_decompose_cache", {})
-    memo = sfh._decompose_cache
     if order == "interleaved":
         random.Random(20).shuffle(diagrams)
 
     def answer(d):
-        size = len(memo)
-        got = sfh.phi(d), sfh.is_basis(d)
-        assert len(memo) == size, d
-        return got
+        return sfh.phi(d), sfh.is_basis(d)
 
     first = {}
     for i, d in enumerate(diagrams):
@@ -189,9 +201,6 @@ def test_ends_fold_agrees_with_decompose(order, monkeypatch):
             first[d] = answer(d)
         else:
             sfh.decompose(d)
-    if order == "phi":
-        assert memo == {}
-    kept = dict(memo)  # decompose keeps its entries, and phi writes none
     for d in diagrams:
         words = sfh.decompose(d).words
         ends = min(words), max(words)
@@ -202,15 +211,13 @@ def test_ends_fold_agrees_with_decompose(order, monkeypatch):
             assert phi == ends, d
             assert [(w.n, w.n_plus) for w in phi] == [(w.n, w.n_plus) for w in ends], d
             assert basis == (len(words) == 1), d
-    assert all(memo[k] is x for k, x in kept.items())
 
 
 def test_ends_fold_builds_no_word_set(monkeypatch):
     # phi and is_basis build no element and run no decomposition walk: with
-    # both made to fail, they still answer every diagram, the memo stays
-    # empty, and the answers are the ends of decompose's word sets
+    # both made to fail, they still answer every diagram, and the answers
+    # are the ends of decompose's word sets
     diagrams = [d for n in range(1, 8) for d in D.enumerate_diagrams(n)]
-    monkeypatch.setattr(sfh, "_decompose_cache", {})
 
     def fail(*args):
         raise AssertionError("phi and is_basis built a word set")
@@ -220,7 +227,6 @@ def test_ends_fold_builds_no_word_set(monkeypatch):
         m.setattr(sfh, "_path_count", fail)
         m.setattr(sfh.SfhElement, "_of", staticmethod(fail))
         got = {d: (sfh.phi(d), sfh.is_basis(d)) for d in diagrams}
-    assert sfh._decompose_cache == {}
     for d in diagrams:
         words = sfh.decompose(d).words
         assert got[d] == ((min(words), max(words)), len(words) == 1), d
@@ -236,8 +242,8 @@ def test_decompose_from_root_agrees_on_1200_chords(shape, monkeypatch):
     else:
         pairs = ((2 * i, 2 * i + 1) for i in range(n))
     d = D.from_pairing(pairs)
-    # fresh memo tables, dropped after the test with their long pairings
-    monkeypatch.setattr(sfh, "_decompose_cache", {})
+    # a fresh memo for the root route, dropped after the test with its long
+    # pairings
     monkeypatch.setattr(oracles, "_decompose_root_cache", {})
     (only,) = oracles.decompose_from_root(d).words
     assert sfh.phi(d) == (only, only) and sfh.is_basis(d)
@@ -260,10 +266,9 @@ def _lowest_stack_limit() -> int:
 
 
 @pytest.mark.parametrize("fold", ["decompose", "phi", "is_basis"])
-def test_too_deep_walk_leaves_only_finished_entries(fold, monkeypatch):
+def test_too_deep_walk_leaves_only_finished_entries(fold):
     # no walk recurses on a diagram whose paths a set can hold, so each
-    # answers at the lowest stack limit; decompose's answer is then the
-    # memo's one entry, and phi and is_basis leave none
+    # answers at the lowest stack limit
     d = deep_split_diagram(4, 4)
     dec = oracles.decompose_from_root(d)
     want = {
@@ -271,7 +276,6 @@ def test_too_deep_walk_leaves_only_finished_entries(fold, monkeypatch):
         "phi": (min(dec.words), max(dec.words)),
         "is_basis": len(dec.words) == 1,
     }[fold]
-    monkeypatch.setattr(sfh, "_decompose_cache", {})
     low, limit = _lowest_stack_limit(), sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(low + 4)
@@ -279,25 +283,24 @@ def test_too_deep_walk_leaves_only_finished_entries(fold, monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
-    assert sfh._decompose_cache == ({d.pairing: dec} if fold == "decompose" else {})
 
 
-def test_a_count_past_the_stack_is_too_deep(monkeypatch):
+def test_a_count_past_the_stack_is_too_deep():
     # past 64 chords decompose counts its paths first, in a fold that
-    # recurses once per split along a path: past the stack that is TooDeep
-    # with no memo entry, and with room the walk gives the root route's answer
+    # recurses once per split along a path: past the stack that is TooDeep,
+    # for the count alone too, and with room the walk gives the root
+    # route's answer
     d = deep_split_diagram(60, 6)
-    monkeypatch.setattr(sfh, "_decompose_cache", {})
     low, limit = _lowest_stack_limit(), sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(low + 4)
-        with pytest.raises(TooDeep):
-            sfh.decompose(d)
+        for fold in (sfh.decompose, sfh.word_count):
+            with pytest.raises(TooDeep):
+                fold(d)
     finally:
         sys.setrecursionlimit(limit)
-    assert sfh._decompose_cache == {}
     assert sfh.decompose(d) == oracles.decompose_from_root(d)
-    assert len(sfh.decompose(d).words) == sfh._path_count(d.pairing) == 254
+    assert len(sfh.decompose(d).words) == sfh.word_count(d) == 254
 
 
 def test_zero_from_pair_is_an_error_not_an_assert(monkeypatch):

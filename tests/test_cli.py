@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,7 +141,6 @@ def test_cache_dir_is_not_read(tmp_path, monkeypatch, capsys):
     # a poisoned memo file left in SUTURA_CACHE_DIR must not change answers
     (tmp_path / "decompose.kv").write_text("1,0\t+-\n")
     monkeypatch.setenv("SUTURA_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(sfh, "_decompose_cache", {})  # cold, as in a new process
     code, out, _ = run(capsys, "decompose", "0-1")
     assert code == 0 and out == "v_\n"
 
@@ -177,6 +177,33 @@ def test_too_many_words_is_a_domain_error(command):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+
+
+def test_decompose_past_the_default_cap_is_refused_before_a_word_is_built():
+    # 73 chords and 4,294,967,294 words: the path count refuses the diagram
+    # at the default cap, naming the option, so the child ends at once and
+    # well within a 512 MiB address space
+    deep = dg.serialize(deep_split_diagram(40, 30))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sutura.cli", "decompose", deep],
+        capture_output=True, text=True, env=child_env(), timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)),
+    )
+    took = time.perf_counter() - start
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+    assert "4294967294 words" in proc.stderr and "--cap" in proc.stderr
+    assert took < 1.0, took
+
+
+def test_decompose_cap_counts_words(capsys):
+    # two words: a cap of one refuses the diagram and writes nothing, a cap
+    # of two lets it through
+    code, out, err = run(capsys, "decompose", "0-3,1-2,4-5", "--cap", "1")
+    assert code == 1 and out == "" and "past the cap 1; raise --cap" in err
+    code, out, _ = run(capsys, "decompose", "0-3,1-2,4-5", "--cap", "2")
+    assert code == 0 and out == "v_-+ + v_+-\n"
 
 
 def test_render_draws_a_diagram_too_deep_to_decompose():
@@ -325,6 +352,14 @@ def test_the_command_line_loads_every_layer_but_the_oracles():
     assert "sutura.oracles" not in loaded
     for layer in ("arcs", "stacking", "simplicial", "verify"):
         assert f"sutura.{layer}" in loaded, layer
+
+
+def test_verify_loads_its_layers_and_no_oracles():
+    # a verify-full round sets up with this import in a fresh interpreter;
+    # the oracles load only when a check that compares against them runs
+    loaded = {m for m in _modules_after_import("sutura.verify") if m.startswith("sutura.")}
+    layers = ("arcs", "diagram", "errors", "sfh", "simplicial", "stacking", "verify", "words")
+    assert loaded == {f"sutura.{m}" for m in layers}
 
 
 def test_verify_quick_under_optimize():

@@ -2,9 +2,12 @@
 replays gives a wrong answer, the check that replays it reports a
 problem.  The checks run at small sizes, with few random systems."""
 
+from collections import Counter
+
 import pytest
 
 from sutura import arcs, oracles, sfh, simplicial, stacking, verify
+from sutura.words import catalan
 
 
 def _problems_with(prefix, problems):
@@ -66,7 +69,7 @@ def test_a_walk_that_takes_the_wrong_half_at_one_split_is_reported(monkeypatch):
     # the first path walked from a split, decompose's - half, takes the +
     # half there, so one word is lost; with at most three chords a
     # decomposition has at most two words, so that path meets no other
-    # split.  The wrong answer goes to a memo of this test's own.
+    # split.
     real = sfh._path
     wrong = []
 
@@ -77,7 +80,6 @@ def test_a_walk_that_takes_the_wrong_half_at_one_split_is_reported(monkeypatch):
         return real(p, lo, hi, at_hi, mask, take, splits)
 
     monkeypatch.setattr(sfh, "_path", wrong_once)
-    monkeypatch.setattr(sfh, "_decompose_cache", {})
     problems = verify.check_parity(3, 0)
     assert wrong and _problems_with("phi or is_basis off the decomposition", problems)
 
@@ -104,6 +106,43 @@ def test_a_wrong_outermost_cancellation_is_reported(monkeypatch):
     real = stacking.cancel_outermost
     monkeypatch.setattr(stacking, "cancel_outermost", lambda a, b: real(a, b)[::-1])
     assert _problems_with("outermost cancellation", verify.check_stackability(1, 4))
+
+
+def test_a_form_of_the_wrong_parity_is_reported(monkeypatch):
+    # m_algebraic is the form on two decompositions, so a diagram stacked
+    # on itself is reported as well as the pairs of the table
+    real = stacking.form
+    monkeypatch.setattr(stacking, "form", lambda x, y: 1 - real(x, y))
+    problems = verify.check_stackability(3, 1)
+    assert _problems_with("m mismatch", problems) and _problems_with("self-stacking", problems)
+
+
+@pytest.mark.parametrize("check, sizes", [("check_stackability", (6, 5)), ("check_parity", (7, 6))])
+def test_a_check_decomposes_each_diagram_once(check, sizes, monkeypatch):
+    # decompose keeps no memo, so the checks keep each size's decompositions
+    # themselves; m_algebraic, which the stackability check calls on each
+    # diagram stacked on itself, decomposes that diagram once more, and once
+    real_decompose, real_m = sfh.decompose, stacking.m_algebraic
+    outside, inside, depth = Counter(), Counter(), [0]
+
+    def counted(d):
+        (inside if depth[0] else outside)[d.pairing] += 1
+        return real_decompose(d)
+
+    def m_algebraic(bottom, top):
+        depth[0] += 1
+        try:
+            return real_m(bottom, top)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sfh, "decompose", counted)
+    monkeypatch.setattr(stacking, "m_algebraic", m_algebraic)
+    assert getattr(verify, check)(*sizes) == []
+    assert len(outside) == sum(catalan(n) for n in range(1, sizes[0] + 1))
+    assert set(outside.values()) == {1}
+    assert set(inside.values()) == ({1} if check == "check_stackability" else set())
+    assert inside.keys() <= outside.keys()
 
 
 def _without_word_action(make):
