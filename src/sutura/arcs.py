@@ -66,9 +66,11 @@ LEFT, RIGHT = 1, -1
 # The six handles of an arc's hexagon, in cyclic order, are its site ends
 # (see _onward), and the sites themselves join handle j to handle
 # 5 - j (_HEXAGON).  A direction re-matches them by bypass_rewire's
-# opposite step (_glue; a test pins the three pairs each way).
+# opposite step: _GLUE holds the handles' pairing after surgery, by
+# direction (a test pins the three pairs each way).
 _HEXAGON = (5, 4, 3, 2, 1, 0)
 _STEPS = {"up": 1, "down": -1}
+_GLUE = {way: sfh.bypass_rewire(_HEXAGON, (0, 1, 2), -step) for way, step in _STEPS.items()}
 _FORWARDS = {"FE": True, "BE": False}  # whether each move kind is forwards
 _MOVE = {"FA": "FE", "BA": "BE"}  # the move each kind of generalised arc realises
 
@@ -101,8 +103,8 @@ class BypassSystem:
     regions are the orbits of one walk on the live ends, the face step
     followed by a jump across a segment wherever one leaves.
 
-    No method changes a system (subsystem builds a new one), so the
-    memoised systems of fbs are shared as they are.
+    No method changes a system (subsystem builds a new one), so a
+    system can be handed to any number of readers.
     """
 
     __slots__ = ("m", "mate", "darts", "arc_ids")
@@ -388,23 +390,23 @@ def _arc_signatures(diagram: ChordDiagram) -> tuple[tuple, ...]:
     at most three sites, so keeping them costs little memory.
     """
     faces = Faces(diagram)
+    firsts = _placements((1,), 0)
+    seconds = {first: _placements(first, 2) for first in ((1,), *firsts)}
     out = []
     for si2 in range(diagram.n):
         right = sorted(faces.strands_around(faces.face_of(si2, RIGHT)))
         left = sorted(faces.strands_around(faces.face_of(si2, LEFT)))
         for si1 in right:
-            for first in _placements((1,), 0) if si1 == si2 else ((1,),):
+            for first in firsts if si1 == si2 else ((1,),):
                 for si3 in left:
-                    for order in _placements(first, 2) if si3 == si2 else (first,):
+                    for order in seconds[first] if si3 == si2 else (first,):
                         out.append((si2, si1, si3, order))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _placements(order: tuple[int, ...], site: int) -> tuple[tuple[int, ...], ...]:
     """order with site put in each slot after the crossing (site 1), nearest
-    first, then in each slot before it, nearest first.  Memoised, so that
-    the signatures of every diagram share their order tuples."""
+    first, then in each slot before it, nearest first."""
     c = order.index(1)
     slots = (*range(c + 1, len(order) + 1), *range(c, -1, -1))
     return tuple(order[:k] + (site,) + order[k:] for k in slots)
@@ -519,12 +521,6 @@ def surgery_along_system(system: BypassSystem, direction: str):
     return ZERO if pairing is None else ChordDiagram(pairing)
 
 
-@lru_cache(maxsize=None)
-def _glue(step: int) -> tuple[int, ...]:
-    """The pairing of an arc's six hexagon handles after surgery by step."""
-    return sfh.bypass_rewire(_HEXAGON, (0, 1, 2), -step)
-
-
 def _onward(system: BypassSystem, direction: str) -> list[int]:
     """For each site end z of the arcs, the end that a strand arriving at
     z reaches next after surgery in the direction along every arc: it
@@ -536,7 +532,7 @@ def _onward(system: BypassSystem, direction: str) -> list[int]:
     2's end facing segment 1, site 1's end facing segment 0, site 0's
     other end.
     """
-    mate, glue = system.mate, _glue(_entry(_STEPS, direction, "direction"))
+    mate, glue = system.mate, _entry(_GLUE, direction, "direction")
     onward = list(mate)
     for aid in system.arc_ids:
         x0, x1, y0, y1 = system.darts[4 * aid : 4 * aid + 4]
@@ -718,10 +714,12 @@ def _kept_members(w: Word, gens, keep, direction: str, target: ChordDiagram) -> 
     return system
 
 
-@lru_cache(maxsize=None)
+# Keeps nothing; decorated only because bench/tracer.py:147 reads its cache_info().
+@lru_cache(maxsize=0)
 def fbs(w1: Word, w2: Word) -> BypassSystem:
     """The minimal forwards bypass system, upwards onto the upper diagram: of
-    the members FA(i, j) of cfbs, the first of each run of equal j (least i)."""
+    the members FA(i, j) of cfbs, the first of each run of equal j (least i).
+    Each call builds a new system."""
     gens = _forwards_members(w1, w2)
     keep = [k == 0 or g.j != gens[k - 1].j for k, g in enumerate(gens)]
     return _kept_members(w1, gens, keep, "up", sfh.basis_diagram(w2))

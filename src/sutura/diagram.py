@@ -266,21 +266,11 @@ def euler_class(diagram: ChordDiagram) -> int:
 def enumerate_diagrams(n: int) -> list[ChordDiagram]:
     """All diagrams with n chords, in increasing pairing order.
 
-    Each call returns a fresh list, copied from the memo of _all_diagrams.
-    A caller that walks the diagrams once, as `sutura enumerate` does,
-    takes them from iter_diagrams and holds none of them.
+    Each call builds the list afresh from iter_diagrams.  A caller that
+    walks the diagrams once, as `sutura enumerate` does, takes them from
+    iter_diagrams and holds none of them.
     """
-    return list(_all_diagrams(n))
-
-
-@lru_cache(maxsize=None)
-def _all_diagrams(n: int) -> tuple[ChordDiagram, ...]:
-    """The diagrams of iter_diagrams, built once per size.
-
-    Memoised: the verification sweeps ask for the same few sizes again
-    and again (90 calls over 8 sizes in the full verification).
-    """
-    return tuple(iter_diagrams(n))
+    return list(iter_diagrams(n))
 
 
 def iter_diagrams(n: int) -> Iterator[ChordDiagram]:

@@ -85,25 +85,23 @@ def root_walk(w: Word) -> tuple[ChordDiagram, list[tuple[int, int]]]:
     return ChordDiagram(pairing), chords
 
 
-_decompose_root_cache: dict[tuple[int, ...], frozenset[Word]] = {}
-
-
 def decompose_from_root(diagram) -> SfhElement:
     """Basis decomposition computed from the root point (right to left)."""
     if is_zero(diagram):
         return SfhElement.zero()
-    return SfhElement(_decompose_root_pairing(diagram.pairing, euler_class(diagram)))
+    return SfhElement(_decompose_root_pairing(diagram.pairing, euler_class(diagram), {}))
 
 
-def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]:
+def _decompose_root_pairing(pairing: tuple[int, ...], e: int, memo: dict) -> frozenset[Word]:
     # As sfh.decompose, from the root point r: outermost chords at the
-    # root are peeled in a loop and only bypass splits recurse.
+    # root are peeled in a loop and only bypass splits recurse.  The memo,
+    # one per decompose_from_root call, shares the halves the splits meet.
     peeled: list[tuple[tuple[int, ...], int]] = []
-    while pairing not in _decompose_root_cache:
+    while pairing not in memo:
         m = len(pairing)
         r = root_point(m // 2, e)
         if m == 2:
-            _decompose_root_cache[pairing] = frozenset((Word(),))
+            memo[pairing] = frozenset((Word(),))
         elif pairing[(r - 1) % m] == r:
             peeled.append((pairing, PLUS))
             pairing, e = delete_points(pairing, (r - 1) % m), e - 1
@@ -112,14 +110,13 @@ def _decompose_root_pairing(pairing: tuple[int, ...], e: int) -> frozenset[Word]
             pairing, e = delete_points(pairing, r), e + 1
         else:
             hug = ((r - 1) % m, r, (r + 1) % m)
-            left, right = bypass_rewire(pairing, hug, 1), bypass_rewire(pairing, hug, -1)
-            _decompose_root_cache[pairing] = (
-                _decompose_root_pairing(left, e) ^ _decompose_root_pairing(right, e)
-            )
-    result = _decompose_root_cache[pairing]
+            left = _decompose_root_pairing(bypass_rewire(pairing, hug, 1), e, memo)
+            right = _decompose_root_pairing(bypass_rewire(pairing, hug, -1), e, memo)
+            memo[pairing] = left ^ right
+    result = memo[pairing]
     for outer, letter in reversed(peeled):
         result = frozenset(w.insert(w.n, letter) for w in result)
-        _decompose_root_cache[outer] = result
+        memo[outer] = result
     return result
 
 

@@ -113,8 +113,6 @@ class SfhElement:
     def __add__(self, other: "SfhElement") -> "SfhElement":
         return SfhElement(self.words ^ other.words)
 
-    __xor__ = __add__
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SfhElement) and self.words == other.words
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable
 
 from . import arcs, sfh, simplicial, stacking
@@ -32,23 +32,11 @@ from .words import (
 # does, does not load it.
 
 
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name passed detail seconds")):
     """One check's outcome: its name, whether it passed, the first
     problems (or "all cases pass") and its runtime."""
 
-    __slots__ = ("name", "passed", "detail", "seconds")
-
-    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-        self.seconds = seconds
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CheckResult) and (
-            (self.name, self.passed, self.detail, self.seconds)
-            == (other.name, other.passed, other.detail, other.seconds)
-        )
+    __slots__ = ()
 
 
 def _gradings(n: int):
@@ -283,15 +271,15 @@ def check_categories(word_n_max: int, arc_n_max: int) -> list[str]:
                 members = interval(w1, w2)
                 mapping = {}
                 for obj in cat.objects:
-                    dec = sfh.decompose(obj).words
-                    if len(dec) != 1:
+                    lo, hi = sfh.phi(obj)
+                    if lo != hi:
                         problems.append(f"non-basis object in [{w1},{w2}]")
                         continue
-                    mapping[obj] = next(iter(dec))
+                    mapping[obj] = lo
                 if set(mapping.values()) != set(members):
                     problems.append(f"objects differ from interval [{w1},{w2}]")
-                for a in cat.objects:
-                    for b in cat.objects:
+                for a in mapping:
+                    for b in mapping:
                         if cat.leq(a, b) != partial_leq(mapping[a], mapping[b]):
                             problems.append(f"order differs in [{w1},{w2}]")
     for n in range(1, arc_n_max + 1):
@@ -363,7 +351,7 @@ def check_bypass_systems(
                     problems.append(f"fbs up {w1},{w2}")
                 if w1 != w2:
                     down = ends["down"]
-                    if dg.is_zero(down) or down != sfh.from_pair(w1, w2):
+                    if dg.is_zero(down) or sfh.phi(down) != (w1, w2):
                         problems.append(f"fbs down {w1},{w2}")
                 for direction in _relation_breaks(system, ends):
                     problems.append(f"fbs subset relation {direction} {w1},{w2}")

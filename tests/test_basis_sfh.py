@@ -233,7 +233,7 @@ def test_ends_fold_builds_no_word_set(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", ["nested", "comb"])
-def test_decompose_from_root_agrees_on_1200_chords(shape, monkeypatch):
+def test_decompose_from_root_agrees_on_1200_chords(shape):
     # both routes peel one chord per step; neither may recurse that deep,
     # and nor may the walks of phi and is_basis
     n = 1200
@@ -242,9 +242,6 @@ def test_decompose_from_root_agrees_on_1200_chords(shape, monkeypatch):
     else:
         pairs = ((2 * i, 2 * i + 1) for i in range(n))
     d = D.from_pairing(pairs)
-    # a fresh memo for the root route, dropped after the test with its long
-    # pairings
-    monkeypatch.setattr(oracles, "_decompose_root_cache", {})
     (only,) = oracles.decompose_from_root(d).words
     assert sfh.phi(d) == (only, only) and sfh.is_basis(d)
     assert sfh.decompose(d).words == {only} and len(only.bits) == n - 1

@@ -16,7 +16,6 @@ ORACLES = {
     "count_monotone",
     "decompose_from_root",
     "_decompose_root_pairing",
-    "_decompose_root_cache",
     "root_walk",
     "rotation_closed_form",
     "_blocks",
@@ -71,6 +70,7 @@ GONE = {
     "rotation_geometric",
     "rotation_explicit_word",
     "basis_diagram_from_root",
+    "_decompose_root_cache",
 }
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from sutura import arcs, oracles, sfh, simplicial, stacking, verify
-from sutura.words import catalan
+from sutura.words import catalan, word
 
 
 def _problems_with(prefix, problems):
@@ -29,6 +29,39 @@ def test_a_wrong_strict_move_test_is_reported(monkeypatch):
 def test_a_wrong_subset_expansion_is_reported(monkeypatch):
     monkeypatch.setattr(arcs, "expand_subsets", lambda system, direction: [])
     assert _problems_with("fbs subset relation", verify.check_bypass_systems(3, 0, 2))
+
+
+def test_a_wrong_downward_surgery_along_fbs_is_reported(monkeypatch):
+    # surgery along a system fbs built always goes upwards; the check reads
+    # the pair off the result with phi, not by surgering along fbs once more
+    real_fbs, real_surgery = arcs.fbs, arcs.surgery_along_system
+    made = []
+
+    def fbs(w1, w2):
+        made.append(real_fbs(w1, w2))
+        return made[-1]
+
+    def surgery(system, direction):
+        return real_surgery(system, "up" if any(system is s for s in made) else direction)
+
+    monkeypatch.setattr(arcs, "fbs", fbs)
+    monkeypatch.setattr(arcs, "surgery_along_system", surgery)
+    assert _problems_with("fbs down", verify.check_bypass_systems(3, 0, 2))
+
+
+def test_a_category_with_a_non_basis_object_is_reported(monkeypatch):
+    # the first object of each category is swapped for a diagram whose
+    # decomposition has two words
+    real = stacking.bounded_category
+    other = sfh.from_pair(word("-+"), word("+-"))
+
+    def with_other(bottom, top):
+        cat = real(bottom, top)
+        objects = (other, *cat.objects[1:])
+        return stacking.BoundedCategory(cat.bottom, cat.top, objects, cat.edges, cat.above)
+
+    monkeypatch.setattr(stacking, "bounded_category", with_other)
+    assert _problems_with("non-basis object in", verify.check_categories(2, 0))
 
 
 def test_a_pinwheel_test_that_misses_a_loop_is_reported(monkeypatch):
