@@ -25,9 +25,9 @@ that way along some subset of its arcs closes a curve; a pinwheel
 makes the layer overtwisted.  The regions of a system, the faces cut
 along the arc segments, are the orbits of one permutation on its ends,
 the face step of diagram.region_orbits followed by a jump across each
-segment: planarity is an Euler count of them.  A generalised arc is the
-chords that separate its two outer regions, read off the pairing with
-no face walked.
+segment: a system is planar when each jump, added in turn, splits the
+one region it walks.  A generalised arc is the chords that separate its
+two outer regions, read off the pairing with no face walked.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .errors import (
     NotNicelyOrdered,
     NotPlanar,
     TrivialArc,
+    ZeroElement,
 )
 from .words import MINUS, PLUS, Word, partial_leq
 
@@ -101,7 +102,7 @@ class BypassSystem:
 
     The sites leave the faces of the diagram as they are (Faces); the
     regions are the orbits of one walk on the live ends, the face step
-    followed by a jump across a segment wherever one leaves.
+    followed by a jump across a segment wherever one leaves (validate).
 
     No method changes a system (subsystem builds a new one), so a
     system can be handed to any number of readers.
@@ -125,75 +126,36 @@ class BypassSystem:
         second end, whose side is the chord's LEFT face (Faces.face_of).
         bits holds three per arc, so the arc ids are 0..len(bits) // 3 - 1.
         """
-        m = 2 * diagram.n
-        arc_ids = range(len(bits) // 3)
-        mate = list(diagram.pairing) + [-1] * (6 * len(arc_ids))
-        for si, (a, b) in enumerate(diagram.chords()):
-            prev = a
-            for s in strand_sites.get(si, ()):
-                x = m + 2 * s
-                mate[prev], mate[x] = x, prev
-                prev = x + 1
-            mate[prev], mate[b] = b, prev
-        darts = []
-        for aid in arc_ids:
-            x0, x1, x2 = (m + 2 * s + bits[s] for s in range(3 * aid, 3 * aid + 3))
-            darts += (x0, x1, x1 ^ 1, x2)
-        return cls(m, mate, darts, arc_ids)
+        if is_zero(diagram):
+            raise ZeroElement("zero has no chords to place sites on")
+        m, n_arcs = 2 * diagram.n, len(bits) // 3
+        mate = list(diagram.pairing) + [-1] * (6 * n_arcs)
+        for si, (a, _b) in enumerate(diagram.chords()):
+            for s in reversed(strand_sites.get(si, ())):
+                _splice(mate, a, m + 2 * s)
+        darts = [x for s in range(0, 3 * n_arcs, 3) for x in _arc_darts(m, s, bits[s : s + 3])]
+        return cls(m, mate, darts, range(n_arcs))
 
     @classmethod
     def bare(cls, diagram: ChordDiagram) -> "BypassSystem":
         return cls.build(diagram, {}, ())
 
-    def regions(self) -> list[list[int]]:
-        """The regions the arc segments cut the faces into, boundary points
-        first: the orbits over the live ends of the face step (an end x
-        leads along its piece to mate[x], a site is crossed to its other
-        end, and boundary point p leads on to p - 1, as in
-        diagram.region_orbits) followed by a jump along the segment
-        leaving, if one does, to its other end.  Walked with the region on
-        its left, an orbit holds the end each of its sides lands on.  A
-        region inside a face may meet no boundary point, so orbits start
-        from site ends too.
-        """
-        m, mate = self.m, self.mate
-        jump = {}
-        for aid in self.arc_ids:
-            x0, x1, y0, y1 = self.darts[4 * aid : 4 * aid + 4]
-            jump[x0], jump[x1], jump[y0], jump[y1] = x1, x0, y1, y0
-        seen = [False] * len(mate)
-        site_ends = (x for aid in self.arc_ids for x in range(m + 6 * aid, m + 6 * aid + 6))
-        orbits = []
-        for start in (*range(m), *site_ends):
-            orbit, x = [], start
-            while not seen[x]:
-                seen[x] = True
-                orbit.append(x)
-                y = mate[x]
-                x = (y - 1) % m if y < m else y ^ 1
-                x = jump.get(x, x)
-            if orbit:
-                orbits.append(orbit)
-        return orbits
-
     def validate(self) -> None:
-        """Check planarity by the Euler count of the disc map.
-
-        The N + 1 faces are the orbits of the face step alone, and each of
-        the 2·#arcs segment jumps composes it with a transposition, which
-        splits one orbit in two or joins two into one.  So there are
-        N + 1 + 2·#arcs regions exactly when the two ends of every segment
-        share a face and no two segments cross.  Raises NotPlanar; the
-        check is explicit, so it holds under -O.
-        """
-        want = self.m // 2 + 1 + 2 * len(self.arc_ids)
-        got = len(self.regions())
-        if got != want:
-            raise NotPlanar(f"{got} regions, not {want}: segments cross or join two faces")
+        """Check planarity.  The N + 1 faces are the orbits of the face
+        step alone (an end x leads along its piece to mate[x], a site is
+        crossed to its other end, and boundary point p leads on to p - 1,
+        as in diagram.region_orbits), and each segment's jump after that
+        step splits one orbit in two or joins two.  So the regions number
+        N + 1 + 2·#arcs, every segment inside one face and no two
+        crossing, exactly when each jump, added in turn, splits (_cut).
+        Raises NotPlanar; the check is explicit, so it holds under -O."""
+        jump = list(range(len(self.mate)))
+        for aid in self.arc_ids:
+            _cut(self.mate, jump, self.m, self.darts[4 * aid : 4 * aid + 4], aid)
 
     def subsystem(self, keep_ids) -> "BypassSystem":
         """The system of the given arcs: the others' sites spliced out of
-        their strands."""
+        their strands, the inverse of _splice."""
         keep = set(keep_ids)
         mate = list(self.mate)
         for aid in self.arc_ids:
@@ -202,6 +164,42 @@ class BypassSystem:
                     p, q = mate[x], mate[x + 1]
                     mate[p], mate[q] = q, p
         return BypassSystem(self.m, mate, self.darts, [a for a in self.arc_ids if a in keep])
+
+
+def _splice(mate: list[int], x: int, z: int) -> None:
+    """Put a site on the strand piece that leaves end x, in place: its end
+    z next to x and its other end z ^ 1 next to the piece's far end."""
+    y = mate[x]
+    mate[x], mate[z] = z, x
+    mate[z ^ 1], mate[y] = y, z ^ 1
+
+
+def _arc_darts(m: int, s: int, bits) -> tuple[int, int, int, int]:
+    """The darts of the arc of sites s, s + 1, s + 2, given their bits."""
+    x0, x1, x2 = (m + 2 * (s + i) + bit for i, bit in enumerate(bits))
+    return x0, x1, x1 ^ 1, x2
+
+
+def _cut(mate, jump: list[int], m: int, darts, aid: int) -> None:
+    """Add arc aid's two segment jumps (darts: its four) to the region
+    walk of validate, each splitting the region whose walk from one end
+    of the segment meets the other end; else NotPlanar, with jump as it
+    was.  A walk takes at most one step per end, so a broken matching
+    raises BrokenInvariant instead of walking for ever."""
+    for seg in (0, 2):
+        x, y = darts[seg : seg + 2]
+        z = x
+        for _ in range(len(mate)):
+            w = mate[z]
+            z = jump[(w - 1) % m if w < m else w ^ 1]
+            if z == y or z == x:
+                break
+        else:
+            raise BrokenInvariant(f"the region walk from end {x} does not close")
+        if z == x:
+            jump[darts[0]], jump[darts[1]] = darts[0], darts[1]
+            raise NotPlanar(f"segment {seg // 2} of arc {aid} crosses a segment or leaves its face")
+        jump[x], jump[y] = y, x
 
 
 class Faces:
@@ -214,6 +212,8 @@ class Faces:
     """
 
     def __init__(self, diagram: ChordDiagram):
+        if is_zero(diagram):
+            raise ZeroElement("zero has no faces")
         self.cycles = _face_cycles(diagram.pairing)
         self._chords = diagram.chords()
         self._chord_at = [0] * (2 * diagram.n)
@@ -361,6 +361,8 @@ def up_moves(diagram: ChordDiagram) -> list[ChordDiagram]:
     chord bounding it once, so each x != a on the walk of arc a and y != b
     on that of arc b give one class.
     """
+    if is_zero(diagram):
+        raise ZeroElement("zero has no bypass moves")
     pairing, step = diagram.pairing, _STEPS["up"]
     walk_of = {k: walk for walk in _face_cycles(pairing) for k in walk}
     return [
@@ -610,30 +612,26 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
     the high end for every other.  At a chord shared by two pieces of
     one split arc, the split offset (_SPLIT_OFFSETS) orders their
     endpoints.  So a chord's sites run in (-member, offset) order from
-    its west end.
+    its west end: spliced in next to it, larger keys first.
     """
     diagram = sfh.basis_diagram(w)
-    chords = diagram.chords()
-    placed: dict[int, list[tuple[int, int, int]]] = {si: [] for si in range(len(chords))}
-    bits: list[int] = []
+    m = 2 * diagram.n
+    # each chord's west end, and which end of a site goes next to it
+    west = [(b, 1) if a else (a, 0) for a, b in diagram.chords()]
     off_first, off_second = _SPLIT_OFFSETS[kind]
-
-    for v, g in enumerate(gens):
+    mate, darts = list(diagram.pairing), []
+    for g in gens:
         E, out = g.path_edges, g.outward
-        n_arcs = (len(E) - 1) // 2
+        n_arcs, first = (len(E) - 1) // 2, len(darts) // 4
+        mate += [-1] * (6 * n_arcs)
         for k in range(n_arcs):
-            s, t = len(bits), 2 * k
-            bits += (int(not out[t]), int(out[t + 1]), int(out[t + 2]))
-            placed[E[t]].append((-v, off_second if k > 0 else 0, s))
-            placed[E[t + 1]].append((-v, 0, s + 1))
-            placed[E[t + 2]].append((-v, off_first if k < n_arcs - 1 else 0, s + 2))
-
-    # sorted (-member, offset, site) runs from the west end, the low end only at 0
-    strand_sites = {
-        si: [s for *_key, s in sorted(placed[si], reverse=a != 0)]
-        for si, (a, _b) in enumerate(chords)
-    }
-    system = BypassSystem.build(diagram, strand_sites, bits)
+            t = 2 * k
+            darts += _arc_darts(m, 3 * (first + k), (int(not out[t]), int(out[t + 1]), int(out[t + 2])))
+        for k in range(n_arcs) if off_first > off_second else reversed(range(n_arcs)):
+            for i in range(3):
+                x, e = west[E[2 * k + i]]
+                _splice(mate, x, m + 2 * (3 * (first + k) + i) + e)
+    system = BypassSystem(m, mate, darts, range(len(darts) // 4))
     system.validate()
     return system
 
@@ -737,33 +735,33 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
     """Randomly realise a system of disjoint attaching arcs, or give up.
 
     Draws class signatures (_arc_signatures, in find_attaching_arcs
-    order) and inserts their sites at random slots, those on the crossed
-    chord in the signature's order, retrying until the joint system is
-    planar.
+    order) and splices their sites into a copy of the matching at random
+    slots (slot k after the k'th site from the chord's low end), keeping
+    the trials whose two segments each split a region (_cut).
     """
+    if n_arcs < 0:
+        raise BadArgument(f"n_arcs must be at least 0, not {n_arcs}")
     signatures = _arc_signatures(diagram)
-    faces = Faces(diagram)
-    strand_sites: dict[int, list[int]] = {si: [] for si in range(diagram.n)}
-    bits: tuple[int, ...] = ()
-    system = BypassSystem.bare(diagram)
-    placed = 0
+    faces, chords, m = Faces(diagram), diagram.chords(), 2 * diagram.n
+    mate, darts, jump = list(diagram.pairing), (), list(range(m + 6 * n_arcs))
+    placed, count = 0, [0] * diagram.n  # count: the sites on each chord
     for _ in range(40 * n_arcs):
         if placed == n_arcs:
             break
-        signature = signatures[rng.randrange(len(signatures))]
-        sites, cls_bits = _single_arc_sites(faces, signature)
-        trial = {si: list(lst) for si, lst in strand_sites.items()}
+        sites, bits = _single_arc_sites(faces, signatures[rng.randrange(len(signatures))])
+        trial, s = mate + [-1] * 6, 3 * placed
         for si in sorted(sites):
-            for idx in sites[si]:
-                lst = trial[si]
-                lst.insert(rng.randrange(len(lst) + 1), 3 * placed + idx)
-        trial_system = BypassSystem.build(diagram, trial, bits + cls_bits)
+            for k, i in enumerate(sites[si]):
+                x = chords[si][0]
+                for _ in range(rng.randrange(count[si] + k + 1)):
+                    x = trial[x] ^ 1
+                _splice(trial, x, m + 2 * (s + i))
+        ends = _arc_darts(m, s, bits)
         try:
-            trial_system.validate()
+            _cut(trial, jump, m, ends, placed)
         except NotPlanar:
             continue
-        strand_sites, bits, system = trial, bits + cls_bits, trial_system
-        placed += 1
-    if placed < n_arcs:
-        return None
-    return system
+        for si, on in sites.items():
+            count[si] += len(on)
+        mate, darts, placed = trial, darts + ends, placed + 1
+    return BypassSystem(m, mate, darts, range(placed)) if placed == n_arcs else None

@@ -294,6 +294,46 @@ def minimal_subsystem_by_deletion(
     return system.subsystem(keep)
 
 
+def system_regions(system: BypassSystem) -> list[list[int]]:
+    """The regions the arc segments cut the faces into, boundary points
+    first: the orbits over the live ends of the face step (an end x
+    leads along its piece to mate[x], a site is crossed to its other
+    end, and boundary point p leads on to p - 1, as in
+    diagram.region_orbits) followed by a jump along the segment
+    leaving, if one does, to its other end.  Walked with the region on
+    its left, an orbit holds the end each of its sides lands on.  A
+    region inside a face may meet no boundary point, so orbits start
+    from site ends too.
+    """
+    m, mate = system.m, system.mate
+    jump = {}
+    for aid in system.arc_ids:
+        x0, x1, y0, y1 = system.darts[4 * aid : 4 * aid + 4]
+        jump[x0], jump[x1], jump[y0], jump[y1] = x1, x0, y1, y0
+    seen = [False] * len(mate)
+    site_ends = (x for aid in system.arc_ids for x in range(m + 6 * aid, m + 6 * aid + 6))
+    orbits = []
+    for start in (*range(m), *site_ends):
+        orbit, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            orbit.append(x)
+            y = mate[x]
+            x = (y - 1) % m if y < m else y ^ 1
+            x = jump.get(x, x)
+        if orbit:
+            orbits.append(orbit)
+    return orbits
+
+
+def planar_by_euler_count(system: BypassSystem) -> bool:
+    """Planarity read off the regions all at once: the N + 1 faces, each
+    of the 2·#arcs segment jumps splitting one orbit in two or joining
+    two, number N + 1 + 2·#arcs regions exactly when every jump splits.
+    BypassSystem.validate must agree, adding the jumps one at a time."""
+    return len(system_regions(system)) == system.m // 2 + 1 + 2 * len(system.arc_ids)
+
+
 # Walked with the region on its left, each side of a pinwheel runs from
 # its endpoint to the crossing (EC) or back (CE); the sense that obstructs
 # surgery, by direction.
@@ -315,13 +355,13 @@ def has_pinwheel_by_regions(system: BypassSystem, direction: str) -> bool:
     ids = system.arc_ids
     for mask in range(1, 1 << len(ids)):
         sub = system.subsystem([aid for bit, aid in enumerate(ids) if (mask >> bit) & 1])
-        if any(_is_pinwheel(sub, orbit, want) for orbit in sub.regions()):
+        if any(_is_pinwheel(sub, orbit, want) for orbit in system_regions(sub)):
             return True
     return False
 
 
 def _is_pinwheel(system: BypassSystem, orbit: list[int], want: str) -> bool:
-    """Whether a region (BypassSystem.regions) is a pinwheel whose sides,
+    """Whether a region (system_regions) is a pinwheel whose sides,
     the segments it lands on, all run in the sense want.
 
     A pinwheel meets no boundary point, takes each side arc once, and

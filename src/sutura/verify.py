@@ -325,7 +325,7 @@ def check_bypass_systems(
 ) -> list[str]:
     from . import oracles
 
-    problems = []
+    problems, dec = [], {}  # dec: each diagram decomposed once (_relation_breaks)
     search = oracles.minimal_subsystem_by_deletion
     for n in range(0, word_n_max + 1):
         for nm, np_ in _gradings(n):
@@ -353,7 +353,7 @@ def check_bypass_systems(
                     down = ends["down"]
                     if dg.is_zero(down) or sfh.phi(down) != (w1, w2):
                         problems.append(f"fbs down {w1},{w2}")
-                for direction in _relation_breaks(system, ends):
+                for direction in _relation_breaks(system, ends, dec):
                     problems.append(f"fbs subset relation {direction} {w1},{w2}")
                 # neither route finds a pinwheel: no subset's surgery closes
                 # a loop, and no region of a subsystem is one
@@ -389,22 +389,24 @@ def check_bypass_systems(
         # every draw); here only the draws with none either way pay for it
         if not arcs.has_pinwheel(system, "down"):
             ends["down"] = arcs.surgery_along_system(system, "down")
-            for direction in _relation_breaks(system, ends):
+            for direction in _relation_breaks(system, ends, dec):
                 problems.append(f"subset relation {direction} on pinwheel-free {dg.serialize(d)}")
     return problems
 
 
-def _relation_breaks(system, ends: dict) -> list[str]:
+def _relation_breaks(system, ends: dict, dec: dict) -> list[str]:
     """The directions in which the bypass-system relation fails, given
     the surgery along the whole system each way: surgery one way is the
-    mod-2 sum of surgeries the other way along every subset."""
+    mod-2 sum of surgeries the other way along every subset.  dec, the
+    check's decompositions by diagram (zero too), gains the new ones."""
+    subsets = {way: arcs.expand_subsets(system, way) for way in ("up", "down")}
+    for d in (*subsets["up"], *subsets["down"], *ends.values()):
+        if d not in dec:
+            dec[d] = sfh.decompose(d)
     return [
         direction
         for direction, opposite in (("up", "down"), ("down", "up"))
-        if sfh.SfhElement.sum(
-            sfh.decompose(out).words for out in arcs.expand_subsets(system, opposite)
-        )
-        != sfh.decompose(ends[direction])
+        if sfh.SfhElement.sum(dec[out].words for out in subsets[opposite]) != dec[ends[direction]]
     ]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter, deque
 
 import pytest
@@ -14,6 +15,7 @@ from sutura.errors import (
     BrokenInvariant,
     MoveUndefined,
     TrivialArc,
+    ZeroElement,
 )
 from sutura.words import MINUS, PLUS, all_words, comparable_pairs, word
 
@@ -163,6 +165,23 @@ def test_trivial_arc_surgery():
                     assert up == d and D.is_zero(down)
                 else:
                     assert down == d and D.is_zero(up)
+
+
+def test_the_arc_layer_rejects_zero_and_negative_arc_counts():
+    # zero has no chords, faces or arcs: each entry point says so with a
+    # SuturaError rather than an AttributeError off the zero marker
+    rng = random.Random(0)
+    for call in (
+        lambda: arcs.find_attaching_arcs(D.ZERO),
+        lambda: arcs.up_moves(D.ZERO),
+        lambda: arcs.random_system(D.ZERO, 1, rng),
+        lambda: arcs.BypassSystem.bare(D.ZERO),
+        lambda: arcs.Faces(D.ZERO),
+    ):
+        with pytest.raises(ZeroElement):
+            call()
+    with pytest.raises(BadArgument):
+        arcs.random_system(D.parse("0-1,2-3"), -1, rng)
 
 
 def test_surgery_absorbs_zero_and_checks_diagram():

@@ -26,6 +26,8 @@ ORACLES = {
     "up_moves_by_arcs",
     "minimal_subsystem_by_deletion",
     "has_pinwheel_by_regions",
+    "system_regions",
+    "planar_by_euler_count",
     "_is_pinwheel",
     "_PINWHEEL_TRAVERSAL",
     "brute_force_category",

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import random
+import signal
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,7 @@ from sutura.errors import (
     NotComparable,
     NotNicelyOrdered,
     NotPlanar,
+    SuturaError,
 )
 from sutura.words import all_words, comparable_pairs, word
 
@@ -337,6 +340,133 @@ def test_segment_joining_two_faces_is_not_planar():
     d = D.parse("0-1,2-3")
     with pytest.raises(NotPlanar):
         arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, (0, 0, 1, 1, 0, 1)).validate()
+
+
+def test_only_the_second_segment_crossing_is_not_planar():
+    # arc 0 and arc 1 lie side by side on chord (2, 3), except that arc
+    # 1's second segment ends beyond arc 0's: its first segment crosses
+    # nothing, and each arc alone is planar
+    d = D.parse("0-1,2-3")
+    bits = (0, 0, 1, 0, 0, 1)
+    system = arcs.BypassSystem.build(d, {1: [0, 1, 3, 4, 2, 5]}, bits)
+    assert all(oracles.planar_by_euler_count(system.subsystem([a])) for a in (0, 1))
+    assert not oracles.planar_by_euler_count(system)
+    with pytest.raises(NotPlanar, match="segment 1 of arc 1"):
+        system.validate()
+
+
+def test_a_matching_that_is_no_involution_is_refused_in_bounded_time():
+    # boundary point 1 matched to itself: the region walk from the arc's
+    # first end never comes back, so only its bound stops it
+    good = arcs.BypassSystem.build(D.parse("0-1,2-3"), {1: [0, 1, 2]}, (0, 0, 1))
+    mate = list(good.mate)
+    mate[1] = 1
+    bad = arcs.BypassSystem(good.m, mate, good.darts, good.arc_ids)
+
+    def hung(signum, frame):
+        raise TimeoutError("validate did not return")
+
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(SuturaError):
+            bad.validate()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, before)
+
+
+def _list_sampler(diagram, n_arcs, rng, trials):
+    """random_system by per-chord site lists, the route the splice
+    sampler replaced: each trial is built whole and appended to trials,
+    and kept when the Euler count of its regions says it is planar."""
+    signatures, faces = arcs._arc_signatures(diagram), arcs.Faces(diagram)
+    strand_sites, bits, placed = {si: [] for si in range(diagram.n)}, (), 0
+    system = arcs.BypassSystem.bare(diagram)
+    for _ in range(40 * n_arcs):
+        if placed == n_arcs:
+            break
+        sites, arc_bits = arcs._single_arc_sites(faces, signatures[rng.randrange(len(signatures))])
+        trial = {si: list(lst) for si, lst in strand_sites.items()}
+        for si in sorted(sites):
+            for i in sites[si]:
+                lst = trial[si]
+                lst.insert(rng.randrange(len(lst) + 1), 3 * placed + i)
+        trials.append(arcs.BypassSystem.build(diagram, trial, bits + arc_bits))
+        if oracles.planar_by_euler_count(trials[-1]):
+            strand_sites, bits, system = trial, bits + arc_bits, trials[-1]
+            placed += 1
+    return system if placed == n_arcs else None
+
+
+def _planar_by_split_test(system):
+    try:
+        system.validate()
+    except NotPlanar:
+        return False
+    return True
+
+
+def test_split_test_is_the_euler_count():
+    # on every trial that seeded draws build, kept or not, and on the
+    # coarse systems: the sampler makes the same random calls and keeps
+    # the same trials as the list route, which keeps them by the count
+    by_size = {n: D.enumerate_diagrams(n) for n in range(2, 7)}
+    trials = []
+    for seed in (0, 1):
+        rng, replay = random.Random(seed), random.Random()
+        for _ in range(600):
+            ds = by_size[rng.randrange(2, 7)]
+            d, n_arcs = ds[rng.randrange(len(ds))], rng.randrange(1, 5)
+            replay.setstate(rng.getstate())
+            system = arcs.random_system(d, n_arcs, rng)
+            want = _list_sampler(d, n_arcs, replay, trials)
+            assert rng.getstate() == replay.getstate()
+            assert (system is None) == (want is None)
+            if system is not None:
+                assert (system.mate, system.darts, system.arc_ids) == (want.mate, want.darts, want.arc_ids)
+    for n in range(7):
+        for nm, np_ in gradings(n):
+            for (w1, w2) in comparable_pairs(nm, np_):
+                trials += (arcs.cfbs(w1, w2), arcs.cbbs(w1, w2))
+    counts = Counter(oracles.planar_by_euler_count(t) for t in trials)
+    assert counts[False] >= 1000
+    for t in trials:
+        assert _planar_by_split_test(t) == oracles.planar_by_euler_count(t), system_json(t)
+
+
+def test_nicely_ordered_systems_are_pinned():
+    # every coarse and minimal system of the comparable pairs with at most
+    # six letters, as (mate, darts, arc_ids): pinned from the route that
+    # sorted each chord's sites and built the matching whole
+    digest = hashlib.sha256()
+    for n in range(7):
+        for nm, np_ in gradings(n):
+            for (w1, w2) in comparable_pairs(nm, np_):
+                for make in (arcs.cfbs, arcs.cbbs, arcs.fbs, arcs.bbs):
+                    system = make(w1, w2)
+                    digest.update(repr((system.mate, system.darts, system.arc_ids)).encode())
+    assert digest.hexdigest() == "38780c153412604eecd03775c25c4c22d973741afc17168160bf3b0e8acd67fa"
+
+
+def test_random_system_builds_one_system_per_draw(monkeypatch):
+    # trials are spliced into a copy of the matching and split-tested;
+    # only the drawn system is built
+    real_init, built = arcs.BypassSystem.__init__, [0]
+
+    def counted(self, *args):
+        built[0] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(arcs.BypassSystem, "__init__", counted)
+    rng = random.Random(3)
+    by_size = {n: D.enumerate_diagrams(n) for n in range(2, 7)}
+    for _ in range(1000):
+        ds = by_size[rng.randrange(2, 7)]
+        built[0] = 0
+        system = arcs.random_system(ds[rng.randrange(len(ds))], rng.randrange(1, 5), rng)
+        assert built[0] == (system is not None)
+    assert not hasattr(arcs.BypassSystem, "regions")
 
 
 def test_random_multi_arc_pinwheels_are_pinned():

@@ -178,6 +178,21 @@ def test_a_check_decomposes_each_diagram_once(check, sizes, monkeypatch):
     assert inside.keys() <= outside.keys()
 
 
+def test_the_bypass_systems_check_decomposes_each_diagram_once(monkeypatch):
+    # the relation replays decompose the surgeries along every subset of
+    # every system, and many of those diagrams recur; the check keeps them
+    real = sfh.decompose
+    seen = Counter()
+
+    def counted(d):
+        seen[d] += 1
+        return real(d)
+
+    monkeypatch.setattr(sfh, "decompose", counted)
+    assert verify.check_bypass_systems(4, 100, 5) == []
+    assert seen and max(seen.values()) == 1
+
+
 def _without_word_action(make):
     """The operator maker with each operator's word rule sending every word to 0."""
 
