@@ -4,6 +4,10 @@ An attaching arc meets the diagram in three points: two endpoints resting
 on chords and one transversal crossing.  Up to homotopy it is recorded by
 which chords it touches, which complementary faces it passes through, and
 the order of its contact points along any chord it meets more than once.
+Every chord is named by one of its boundary points, and a face by the
+walk (diagram.region_orbits) that holds a point: the walk of point k is
+the face that the chord leaving k bounds on k's side, and it meets each
+chord bounding that face at one point.
 
 Bypass surgery re-matches the six ends cut at an arc's three contact
 points one step around the surrounding hexagon; the two nontrivial
@@ -57,8 +61,6 @@ from .errors import (
 )
 from .words import MINUS, PLUS, Word, partial_leq
 
-LEFT, RIGHT = 1, -1
-
 # Which hexagon rotation is the upwards surgery, by direction, as a
 # bypass_rewire step: pinned by the word-level effect of single bypass
 # moves on basis diagrams (tests assert the anchoring examples; swapping
@@ -100,9 +102,9 @@ class BypassSystem:
     are the boundary points and both ends of every site of arc_ids; the
     ends of dropped sites are never reached from them.
 
-    The sites leave the faces of the diagram as they are (Faces); the
-    regions are the orbits of one walk on the live ends, the face step
-    followed by a jump across a segment wherever one leaves (validate).
+    The sites leave the faces of the diagram as they are; the regions
+    are the orbits of one walk on the live ends, the face step followed
+    by a jump across a segment wherever one leaves (validate).
 
     No method changes a system (subsystem builds a new one), so a
     system can be handed to any number of readers.
@@ -117,28 +119,11 @@ class BypassSystem:
         self.arc_ids = tuple(arc_ids)
 
     @classmethod
-    def build(cls, diagram: ChordDiagram, strand_sites: dict, bits) -> "BypassSystem":
-        """Place sites on the chords of a diagram.
-
-        strand_sites maps a chord index (into diagram.chords()) to its
-        sites in order from the chord's low end.  bits[s] picks the end of
-        site s facing its segment (segment 0 at the crossing): 1 for the
-        second end, whose side is the chord's LEFT face (Faces.face_of).
-        bits holds three per arc, so the arc ids are 0..len(bits) // 3 - 1.
-        """
+    def bare(cls, diagram: ChordDiagram) -> "BypassSystem":
+        """The system of no arcs on a diagram."""
         if is_zero(diagram):
             raise ZeroElement("zero has no chords to place sites on")
-        m, n_arcs = 2 * diagram.n, len(bits) // 3
-        mate = list(diagram.pairing) + [-1] * (6 * n_arcs)
-        for si, (a, _b) in enumerate(diagram.chords()):
-            for s in reversed(strand_sites.get(si, ())):
-                _splice(mate, a, m + 2 * s)
-        darts = [x for s in range(0, 3 * n_arcs, 3) for x in _arc_darts(m, s, bits[s : s + 3])]
-        return cls(m, mate, darts, range(n_arcs))
-
-    @classmethod
-    def bare(cls, diagram: ChordDiagram) -> "BypassSystem":
-        return cls.build(diagram, {}, ())
+        return cls(2 * diagram.n, diagram.pairing, (), ())
 
     def validate(self) -> None:
         """Check planarity.  The N + 1 faces are the orbits of the face
@@ -202,46 +187,6 @@ def _cut(mate, jump: list[int], m: int, darts, aid: int) -> None:
         jump[x], jump[y] = y, x
 
 
-class Faces:
-    """Faces of a bare diagram.
-
-    Face f is the orbit cycles[f] of boundary arcs (diagram.region_orbits);
-    the chord after arc k in the walk is the one leaving point k.  A
-    chord's LEFT face is walked from its low end, its RIGHT face from its
-    high end.
-    """
-
-    def __init__(self, diagram: ChordDiagram):
-        if is_zero(diagram):
-            raise ZeroElement("zero has no faces")
-        self.cycles = _face_cycles(diagram.pairing)
-        self._chords = diagram.chords()
-        self._chord_at = [0] * (2 * diagram.n)
-        for si, (a, b) in enumerate(self._chords):
-            self._chord_at[a] = self._chord_at[b] = si
-        self._face_at = [0] * (2 * diagram.n)
-        for f, orbit in enumerate(self.cycles):
-            for k in orbit:
-                self._face_at[k] = f
-
-    def face_of(self, strand_index: int, side: int) -> int:
-        a, b = self._chords[strand_index]
-        return self._face_at[a if side == LEFT else b]
-
-    def strands_around(self, face: int) -> list[int]:
-        """Chord indices along the face's boundary walk, in traversal order."""
-        return [self._chord_at[k] for k in self.cycles[face]]
-
-
-def _facing(faces: Faces, si: int, f: int) -> int:
-    """Site bit (see BypassSystem.build) of a site on chord si facing face f."""
-    if faces.face_of(si, LEFT) == f:
-        return 1
-    if faces.face_of(si, RIGHT) == f:
-        return 0
-    raise NotPlanar(f"chord {si} does not bound face {f}")
-
-
 # -- elementary moves on words ---------------------------------------------------
 
 
@@ -300,9 +245,10 @@ _TRIVIALITY = {1: "nontrivial", 2: "slightly_trivial", 3: "supertrivial"}
 
 class AttachingArc(namedtuple("AttachingArc", "diagram signature")):
     """One homotopy class of attaching arc on a bare diagram, held as its
-    signature: its three chords and the order of its sites on the
-    crossed chord (see _arc_signatures).  _single_arc_sites places its
-    sites, and classes differing in the order alone are unequal.
+    signature: a point of each of its three chords and the order of its
+    sites on the crossed chord (see _arc_signatures).  _single_arc_sites
+    places its sites, and classes differing in the order alone are
+    unequal.
 
     An arc is nontrivial, slightly trivial or supertrivial as one, two or
     three of its sites lie on the crossed chord.  A trivial arc is
@@ -327,28 +273,33 @@ class AttachingArc(namedtuple("AttachingArc", "diagram signature")):
         return "upwards" if inversions % 2 else "downwards"
 
 
-def _single_arc_sites(faces: Faces, signature):
-    """One arc's site indices by chord, from the low end, and their bits.
+def _single_arc_sites(pairing, signature):
+    """One arc's site indices by the low end of their chord, in order from
+    that end, and their bits.
 
-    The crossed chord si2 holds the sites in the signature's order; an
-    end chord other than si2 holds its one end.  The first segment runs
-    in si2's RIGHT face and the second in its LEFT face, so the crossing
-    faces the first (bit 0).
+    The crossed chord holds the sites in the signature's order; an end
+    chord other than it holds its one end.  The first segment runs in
+    the walk of the crossed chord's high end and the second in that of
+    its low end, so the crossing faces the first (bit 0), and an end
+    site faces the walk that holds its point: bit 1 at a low end.
     """
-    si2, si1, si3, order = signature
-    sites = {si2: list(order)}
-    if si1 != si2:
-        sites[si1] = [0]
-    if si3 != si2:
-        sites[si3] = [2]
-    f1, f2 = faces.face_of(si2, RIGHT), faces.face_of(si2, LEFT)
-    return sites, (_facing(faces, si1, f1), 0, _facing(faces, si3, f2))
+    a, x, y, order = signature
+    sites = {a: list(order)}
+    for k, site in ((x, 0), (y, 2)):
+        if (low := min(k, pairing[k])) != a:
+            sites[low] = [site]
+    return sites, (int(x < pairing[x]), 0, int(y < pairing[y]))
 
 
 def find_attaching_arcs(diagram: ChordDiagram) -> list[AttachingArc]:
     """One class per homotopy class of attaching arc, in the order of the
     memo of _arc_signatures."""
     return [AttachingArc(diagram, signature) for signature in _arc_signatures(diagram)]
+
+
+def _walks(pairing) -> dict[int, tuple[int, ...]]:
+    """The walk (diagram.region_orbits) that holds each boundary point."""
+    return {k: walk for walk in _face_cycles(pairing) for k in walk}
 
 
 def up_moves(diagram: ChordDiagram) -> list[ChordDiagram]:
@@ -364,7 +315,7 @@ def up_moves(diagram: ChordDiagram) -> list[ChordDiagram]:
     if is_zero(diagram):
         raise ZeroElement("zero has no bypass moves")
     pairing, step = diagram.pairing, _STEPS["up"]
-    walk_of = {k: walk for walk in _face_cycles(pairing) for k in walk}
+    walk_of = _walks(pairing)
     return [
         ChordDiagram._of(sfh.bypass_rewire(pairing, (x, a, y), step))
         for a, b in diagram.chords()
@@ -377,32 +328,37 @@ def up_moves(diagram: ChordDiagram) -> list[ChordDiagram]:
 
 @lru_cache(maxsize=None)
 def _arc_signatures(diagram: ChordDiagram) -> tuple[tuple, ...]:
-    """The signature (si2, si1, si3, order) of every arc class.
+    """The signature (a, x, y, order) of every arc class.
 
-    The arc crosses chord si2 from its RIGHT face, where its first end
-    rests on chord si1, to its LEFT face, where its second end rests on
-    chord si3; order is its sites on si2 from the low end (0 the first
-    end, 1 the crossing, 2 the second end).  The end chords run through
-    each face's chords in ascending order, the first slowest.  An end on
-    si2 itself takes each slot after the crossing, nearest first, then
-    each slot before it, nearest first.
+    The arc crosses the chord (a, b), a < b, from the walk of b, where
+    its first end rests on the chord through x, to the walk of a, where
+    its second end rests on the chord through y; x and y are points of
+    those walks, so x is b and y is a for an end on the crossed chord.
+    order is its sites on the crossed chord from a (0 the first end, 1
+    the crossing, 2 the second end).  The crossed chords come in the
+    order of their low ends, and the end chords run through each walk's
+    points by their chords' low ends, the first slowest.  An end on the
+    crossed chord takes each slot after the crossing, nearest first,
+    then each slot before it, nearest first.
 
     Memoised: find_attaching_arcs and random_system ask for the same
-    diagrams again and again, and a signature is three chord indices and
-    at most three sites, so keeping them costs little memory.
+    diagrams again and again, and a signature is three points and at
+    most three sites, so keeping them costs little memory.
     """
-    faces = Faces(diagram)
+    if is_zero(diagram):
+        raise ZeroElement("zero has no faces")
+    pairing = diagram.pairing
+    walk_of = _walks(pairing)
     firsts = _placements((1,), 0)
     seconds = {first: _placements(first, 2) for first in ((1,), *firsts)}
     out = []
-    for si2 in range(diagram.n):
-        right = sorted(faces.strands_around(faces.face_of(si2, RIGHT)))
-        left = sorted(faces.strands_around(faces.face_of(si2, LEFT)))
-        for si1 in right:
-            for first in firsts if si1 == si2 else ((1,),):
-                for si3 in left:
-                    for order in seconds[first] if si3 == si2 else (first,):
-                        out.append((si2, si1, si3, order))
+    for a, b in diagram.chords():
+        right, left = (sorted(walk_of[k], key=lambda p: min(p, pairing[p])) for k in (b, a))
+        for x in right:
+            for first in firsts if x == b else ((1,),):
+                for y in left:
+                    for order in seconds[first] if y == a else (first,):
+                        out.append((a, x, y, order))
     return tuple(out)
 
 
@@ -417,7 +373,7 @@ def _placements(order: tuple[int, ...], site: int) -> tuple[tuple[int, ...], ...
 def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
     """Single bypass surgery on the pairing; ZERO absorbs.
 
-    Along a nontrivial arc it is bypass_rewire on the arc's three chords,
+    Along a nontrivial arc it is bypass_rewire on the arc's three points,
     one step round the hexagon per direction.  A trivial arc gives the
     diagram back in its own direction and closes a loop (ZERO) in the
     other.
@@ -432,9 +388,7 @@ def surgery(diagram_or_zero, arc: AttachingArc, direction: str):
         raise ArcNotOnDiagram(f"{arc.signature} is no arc class of {serialize(diagram)}")
     if arc.triviality != "nontrivial":
         return diagram if arc.direction == direction + "wards" else ZERO
-    chords = diagram.chords()
-    points = [chords[si][0] for si in arc.signature[:3]]
-    return ChordDiagram._of(sfh.bypass_rewire(diagram.pairing, points, step))
+    return ChordDiagram._of(sfh.bypass_rewire(diagram.pairing, arc.signature[:3], step))
 
 
 def bypass_triple(diagram: ChordDiagram, arc: AttachingArc):
@@ -456,10 +410,10 @@ class GeneralisedArc(namedtuple("GeneralisedArc", "word kind i j path_edges outw
 
     kind is "FA" or "BA".  The arc runs from the outer region of its
     prior chord to that of its latter chord, crossing each chord that
-    separates the two once: path_edges lists those chord indices in the
-    order it meets them, and outward[t] is True when it leaves chord
-    path_edges[t] from its inside, the chord's LEFT face (see Faces),
-    and False when it enters.
+    separates the two once: path_edges lists the low ends of those
+    chords in the order it meets them, and outward[t] is True when it
+    leaves the chord from its inside, the walk of its low end, and False
+    when it enters.
     """
 
     __slots__ = ()
@@ -496,15 +450,14 @@ def generalised_arc(w: Word, kind: str, i: int, j: int) -> GeneralisedArc:
         prior_c, latter_c, parity = sfh.base_chords(w)[plus], sfh.root_chords(w)[minus], 0
     k1 = next(k for k in prior_c if k % 2 == parity)
     k2 = next(k for k in latter_c if k % 2 != parity)
-    chords = sfh.basis_diagram(w).chords()
     out, into = [], []
-    for si, (a, b) in enumerate(chords):
+    for a, b in sfh.basis_diagram(w).chords():
         holds1, holds2 = a <= k1 < b, a <= k2 < b
         if holds1 != holds2:
-            (out if holds1 else into).append(si)
+            (out if holds1 else into).append(a)
     # chords() is ascending in the low end, so nested chords run outermost first
     path = (*reversed(out), *into)
-    if not path or (chords[path[0]], chords[path[-1]]) != (prior_c, latter_c):
+    if not path or (path[0], path[-1]) != (prior_c[0], latter_c[0]):
         raise ArcNotDefined(f"{kind}({i},{j}): outer regions not joined through the chords")
     if len(path) % 2 != 1:
         raise BrokenInvariant(f"{kind}({i},{j}): a generalised arc must meet an odd number of chords")
@@ -602,9 +555,10 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
     """Realise a nicely ordered family, splitting each generalised arc.
 
     A member meeting chords E splits into the arcs (E[2k], E[2k+1],
-    E[2k+2]).  A start site faces the region after its chord, the RIGHT
-    face (bit 0) when the arc leaves it outwards; crossing and end sites
-    face the region before theirs, the LEFT face (bit 1) when outwards.
+    E[2k+2]).  A start site faces the region after its chord, the walk
+    of its high end (bit 0) when the arc leaves it outwards; crossing and
+    end sites face the region before theirs, the walk of the low end
+    (bit 1) when outwards.
 
     Every later member lies on the same side (the 'southwest' or
     'northwest' choice) of all earlier ones: its sites come nearer each
@@ -614,12 +568,10 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
     endpoints.  So a chord's sites run in (-member, offset) order from
     its west end: spliced in next to it, larger keys first.
     """
-    diagram = sfh.basis_diagram(w)
-    m = 2 * diagram.n
-    # each chord's west end, and which end of a site goes next to it
-    west = [(b, 1) if a else (a, 0) for a, b in diagram.chords()]
+    pairing = sfh.basis_diagram(w).pairing
+    m = len(pairing)
     off_first, off_second = _SPLIT_OFFSETS[kind]
-    mate, darts = list(diagram.pairing), []
+    mate, darts = list(pairing), []
     for g in gens:
         E, out = g.path_edges, g.outward
         n_arcs, first = (len(E) - 1) // 2, len(darts) // 4
@@ -629,7 +581,9 @@ def _place_generalised(w: Word, gens: list[GeneralisedArc], kind: str) -> Bypass
             darts += _arc_darts(m, 3 * (first + k), (int(not out[t]), int(out[t + 1]), int(out[t + 2])))
         for k in range(n_arcs) if off_first > off_second else reversed(range(n_arcs)):
             for i in range(3):
-                x, e = west[E[2 * k + i]]
+                # the chord's west end, and which end of the site goes next to it
+                a = E[2 * k + i]
+                x, e = (pairing[a], 1) if a else (0, 0)
                 _splice(mate, x, m + 2 * (3 * (first + k) + i) + e)
     system = BypassSystem(m, mate, darts, range(len(darts) // 4))
     system.validate()
@@ -742,18 +696,18 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
     if n_arcs < 0:
         raise BadArgument(f"n_arcs must be at least 0, not {n_arcs}")
     signatures = _arc_signatures(diagram)
-    faces, chords, m = Faces(diagram), diagram.chords(), 2 * diagram.n
-    mate, darts, jump = list(diagram.pairing), (), list(range(m + 6 * n_arcs))
-    placed, count = 0, [0] * diagram.n  # count: the sites on each chord
+    pairing, m = diagram.pairing, 2 * diagram.n
+    mate, darts, jump = list(pairing), (), list(range(m + 6 * n_arcs))
+    placed, count = 0, [0] * m  # count: the sites on each chord, at its low end
     for _ in range(40 * n_arcs):
         if placed == n_arcs:
             break
-        sites, bits = _single_arc_sites(faces, signatures[rng.randrange(len(signatures))])
+        sites, bits = _single_arc_sites(pairing, signatures[rng.randrange(len(signatures))])
         trial, s = mate + [-1] * 6, 3 * placed
-        for si in sorted(sites):
-            for k, i in enumerate(sites[si]):
-                x = chords[si][0]
-                for _ in range(rng.randrange(count[si] + k + 1)):
+        for a in sorted(sites):
+            for k, i in enumerate(sites[a]):
+                x = a
+                for _ in range(rng.randrange(count[a] + k + 1)):
                     x = trial[x] ^ 1
                 _splice(trial, x, m + 2 * (s + i))
         ends = _arc_darts(m, s, bits)
@@ -761,7 +715,7 @@ def random_system(diagram: ChordDiagram, n_arcs: int, rng) -> BypassSystem | Non
             _cut(trial, jump, m, ends, placed)
         except NotPlanar:
             continue
-        for si, on in sites.items():
-            count[si] += len(on)
+        for a, on in sites.items():
+            count[a] += len(on)
         mate, darts, placed = trial, darts + ends, placed + 1
     return BypassSystem(m, mate, darts, range(placed)) if placed == n_arcs else None

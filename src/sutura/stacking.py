@@ -19,8 +19,8 @@ from graphlib import CycleError, TopologicalSorter
 
 from . import arcs as _arcs
 from . import sfh
-from .diagram import ChordDiagram, delete_points, euler_class, orbit_sign
-from .errors import BrokenInvariant, NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
+from .diagram import ChordDiagram, delete_points, euler_class, is_zero, orbit_sign
+from .errors import BrokenInvariant, NoCommonOutermost, NotTight, SizeMismatch, TrivialArc, ZeroElement
 from .words import partial_leq
 
 
@@ -28,10 +28,17 @@ from .words import partial_leq
 _CONNECTOR_SHIFT = -1
 
 
-def loop_count(bottom: ChordDiagram, top: ChordDiagram) -> int:
-    """Loops of the rounded suture: half the number of orbits of sigma."""
+def _stackable(bottom: ChordDiagram, top: ChordDiagram) -> None:
+    """Refuse a pair no cylinder glues: zero, or unequal chord counts."""
+    if is_zero(bottom) or is_zero(top):
+        raise ZeroElement("zero has no chords to stack")
     if bottom.n != top.n:
         raise SizeMismatch("stacking needs equal chord counts")
+
+
+def loop_count(bottom: ChordDiagram, top: ChordDiagram) -> int:
+    """Loops of the rounded suture: half the number of orbits of sigma."""
+    _stackable(bottom, top)
     b, t = bottom.pairing, top.pairing
     m, shift = len(b), _CONNECTOR_SHIFT
     sigma = [b[(t[(k + shift) % m] - shift) % m] for k in range(m)]
@@ -62,8 +69,7 @@ def m_algebraic(bottom: ChordDiagram, top: ChordDiagram) -> int:
     """The form on the two basis decompositions, each built once.  The
     chord count and euler class fix the grading of every word, and words
     of two gradings are never comparable."""
-    if bottom.n != top.n:
-        raise SizeMismatch("stacking needs equal chord counts")
+    _stackable(bottom, top)
     if euler_class(bottom) != euler_class(top):
         return 0
     x = sfh.decompose(bottom)
@@ -75,8 +81,7 @@ def cancel_outermost(bottom: ChordDiagram, top: ChordDiagram):
 
     Both diagrams are renumbered by diagram.delete_points.
     """
-    if bottom.n != top.n:
-        raise SizeMismatch("stacking needs equal chord counts")
+    _stackable(bottom, top)
     if bottom.n <= 1:
         raise NoCommonOutermost("refusing to reduce past one chord")
     b, t = bottom.pairing, top.pairing
@@ -200,37 +205,22 @@ def bounded_category(bottom: ChordDiagram, top: ChordDiagram) -> BoundedCategory
 def bypass_cobordism_category(bottom: ChordDiagram, arc) -> tuple[int, int, BoundedCategory]:
     """The category of a single bypass attachment, with its word grading.
 
-    The counts (n-, n+) come from the chords bounding the two inner
-    regions of the arc, read between the crossed chord and the endpoint
-    chord on each side; the resulting category is the full word poset
+    The counts (n-, n+) come from the two inner regions of the arc, the
+    walks of the crossed chord's two ends: each counts the steps its walk
+    takes from the end chord's point to the crossed chord's, that is the
+    crossed chord and the chords between, whose bypasses survive inside
+    the attachment.  The resulting category is the full word poset
     W(n-, n+).
     """
     if arc.triviality != "nontrivial":
         raise TrivialArc("bypass cobordisms attach along nontrivial arcs")
-    top = _arcs.surgery(bottom, arc, "up")
-    faces = _arcs.Faces(bottom)
-    si1, si0, si2, _order = arc.signature  # the crossed chord, then the end chords
-    f1, f2 = faces.face_of(si1, _arcs.RIGHT), faces.face_of(si1, _arcs.LEFT)
+    category = bounded_category(bottom, _arcs.surgery(bottom, arc, "up"))
+    a, x, y, _order = arc.signature  # the crossed chord's low end, then the end points
+    walk_of, b = _arcs._walks(bottom.pairing), bottom.pairing[a]
+    # per inner region: its walk, the crossed chord's point and the end's
+    sides = [(walk_of[b], b, x), (walk_of[a], a, y)]
     # the inner + region (with its endpoint chord) first, then the inner -
-    if orbit_sign(faces.cycles[f1]) != 1:
-        (si0, f1), (si2, f2) = (si2, f2), (si0, f1)
-    n_minus = 1 + _chords_between(faces, f1, si0, si1)
-    n_plus = 1 + _chords_between(faces, f2, si2, si1)
-    category = bounded_category(bottom, top)
+    if orbit_sign(sides[0][0]) != 1:
+        sides.reverse()
+    n_minus, n_plus = ((w.index(c) - w.index(e)) % len(w) for w, c, e in sides)
     return n_minus, n_plus, category
-
-
-def _chords_between(faces, face: int, end_si: int, cross_si: int) -> int:
-    """Number of other chords on the inner region between the arc's two chords.
-
-    Walking the face boundary from the endpoint chord to the crossed
-    chord on the side away from the outer region counts the chords whose
-    bypasses survive inside the attachment.
-    """
-    strand_seq = faces.strands_around(face)
-    k = len(strand_seq)
-    i_end = strand_seq.index(end_si)
-    i_cross = strand_seq.index(cross_si)
-    # walk forward from the endpoint chord to the crossed chord
-    count = (i_cross - i_end) % k - 1
-    return count

@@ -91,15 +91,94 @@ def maximum_word(n_minus: int, n_plus: int) -> Word:
     return Word((PLUS,) * n_plus + (MINUS,) * n_minus)
 
 
+# The chord-index reading of faces, the table the arc layer kept before
+# it named each chord by its points: chord si is diagram.chords()[si],
+# its LEFT face the walk of its low end and its RIGHT face that of its
+# high end.
+LEFT, RIGHT = 1, -1
+
+
+class Faces:
+    """Faces of a bare diagram by chord index: face f is the walk
+    cycles[f] (diagram.region_orbits), whose chord after arc k is the
+    one leaving point k."""
+
+    def __init__(self, diagram: D.ChordDiagram):
+        self.cycles = D.face_cycles(diagram)
+        self._chords = diagram.chords()
+        self._chord_at = [0] * (2 * diagram.n)
+        for si, (a, b) in enumerate(self._chords):
+            self._chord_at[a] = self._chord_at[b] = si
+        self._face_at = [0] * (2 * diagram.n)
+        for f, orbit in enumerate(self.cycles):
+            for k in orbit:
+                self._face_at[k] = f
+
+    def face_of(self, si: int, side: int) -> int:
+        a, b = self._chords[si]
+        return self._face_at[a if side == LEFT else b]
+
+    def strands_around(self, face: int) -> list[int]:
+        """Chord indices along the face's boundary walk, in traversal order."""
+        return [self._chord_at[k] for k in self.cycles[face]]
+
+
+def chord_index_signatures(diagram: D.ChordDiagram) -> tuple:
+    """Every arc class as (crossed, first, second, order) by chord index:
+    the arc crosses chord crossed from its RIGHT face, where its first end
+    rests on chord first, to its LEFT face, where its second end rests on
+    chord second; the end chords run through each face's chord indices in
+    ascending order, the first slowest.  The reference for
+    arcs._arc_signatures, read through chord_signature."""
+    faces = Faces(diagram)
+    firsts = arcs._placements((1,), 0)
+    seconds = {first: arcs._placements(first, 2) for first in ((1,), *firsts)}
+    out = []
+    for crossed in range(diagram.n):
+        right = sorted(faces.strands_around(faces.face_of(crossed, RIGHT)))
+        left = sorted(faces.strands_around(faces.face_of(crossed, LEFT)))
+        for first in right:
+            for o1 in firsts if first == crossed else ((1,),):
+                for second in left:
+                    for order in seconds[o1] if second == crossed else (o1,):
+                        out.append((crossed, first, second, order))
+    return tuple(out)
+
+
+def chord_signature(diagram: D.ChordDiagram, signature: tuple) -> tuple:
+    """A point signature (arcs._arc_signatures) with each point replaced
+    by the index of its chord in diagram.chords()."""
+    index = {a: si for si, (a, _b) in enumerate(diagram.chords())}
+    *points, order = signature
+    return (*(index[min(k, diagram.pairing[k])] for k in points), order)
+
+
+def build_system(diagram: D.ChordDiagram, strand_sites: dict, bits) -> arcs.BypassSystem:
+    """Place sites on the chords of a diagram.
+
+    strand_sites maps a chord's low end to its sites in order from that
+    end.  bits[s] picks the end of site s facing its segment (segment 0
+    at the crossing): 1 for the second end, whose side is the walk of the
+    low end, the chord's LEFT face.  bits holds three per arc, so the arc
+    ids are 0..len(bits) // 3 - 1."""
+    m, n_arcs = 2 * diagram.n, len(bits) // 3
+    mate = list(diagram.pairing) + [-1] * (6 * n_arcs)
+    for a, sites in strand_sites.items():
+        for s in reversed(sites):
+            arcs._splice(mate, a, m + 2 * s)
+    darts = [x for s in range(0, 3 * n_arcs, 3) for x in arcs._arc_darts(m, s, bits[s : s + 3])]
+    return arcs.BypassSystem(m, mate, darts, range(n_arcs))
+
+
 def arc_descriptor(arc: arcs.AttachingArc) -> tuple:
     """(end1, middle, end2) of an arc class: (chord, face) for each
     endpoint and (chord, face before, face after) for the crossing, with
     chord ids the positions in diagram.chords() and face ids those of
-    arcs.Faces.  The arc crosses from its crossed chord's RIGHT face,
-    where its first end rests, to the LEFT face, where its second does."""
-    crossed, first, second, _order = arc.signature
-    faces = arcs.Faces(arc.diagram)
-    f1, f2 = faces.face_of(crossed, arcs.RIGHT), faces.face_of(crossed, arcs.LEFT)
+    Faces.  The arc crosses from its crossed chord's RIGHT face, where
+    its first end rests, to the LEFT face, where its second does."""
+    crossed, first, second, _order = chord_signature(arc.diagram, arc.signature)
+    faces = Faces(arc.diagram)
+    f1, f2 = faces.face_of(crossed, RIGHT), faces.face_of(crossed, LEFT)
     return (first, f1), (crossed, f1, f2), (second, f2)
 
 
@@ -116,8 +195,8 @@ def super_kind(arc: arcs.AttachingArc) -> str | None:
 def single_arc_system(arc: arcs.AttachingArc) -> arcs.BypassSystem:
     """One attaching arc realised as a bypass system of arc 0, its sites
     placed as random_system places a drawn class."""
-    sites, bits = arcs._single_arc_sites(arcs.Faces(arc.diagram), arc.signature)
-    return arcs.BypassSystem.build(arc.diagram, sites, bits)
+    sites, bits = arcs._single_arc_sites(arc.diagram.pairing, arc.signature)
+    return build_system(arc.diagram, sites, bits)
 
 
 def system_diagram(system: arcs.BypassSystem) -> D.ChordDiagram:
@@ -171,13 +250,13 @@ def surgery_step(system: arcs.BypassSystem, arc_id: int, direction: str):
 def system_json(system: arcs.BypassSystem) -> dict:
     """Per arc, the chord of each site and the faces its segments run
     in.  Walked from its strand's low end, a site is reached at the end
-    facing the chord's RIGHT face and left at the LEFT one: build puts
-    the even end first, but surgery may reverse a piece."""
+    facing the chord's RIGHT face and left at the LEFT one: build_system
+    puts the even end first, but surgery may reverse a piece."""
     diagram = system_diagram(system)
-    faces, m, mate = arcs.Faces(diagram), system.m, system.mate
+    faces, m, mate = Faces(diagram), system.m, system.mate
     at = {}  # site end -> (chord index, face on its side)
     for si, (a, _b) in enumerate(diagram.chords()):
-        right, left = (si, faces.face_of(si, arcs.RIGHT)), (si, faces.face_of(si, arcs.LEFT))
+        right, left = (si, faces.face_of(si, RIGHT)), (si, faces.face_of(si, LEFT))
         z = mate[a]
         while z >= m:
             at[z], at[z ^ 1] = right, left

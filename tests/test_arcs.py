@@ -7,7 +7,7 @@ import pytest
 
 from sutura import arcs
 from sutura import diagram as D
-from sutura import oracles, sfh
+from sutura import oracles, sfh, stacking
 from sutura.errors import (
     ArcNotDefined,
     ArcNotOnDiagram,
@@ -19,7 +19,19 @@ from sutura.errors import (
 )
 from sutura.words import MINUS, PLUS, all_words, comparable_pairs, word
 
-from strategies import arc_descriptor, gradings, single_arc_system, strands, super_kind, system_json
+from strategies import (
+    LEFT,
+    RIGHT,
+    Faces,
+    arc_descriptor,
+    chord_index_signatures,
+    chord_signature,
+    gradings,
+    single_arc_system,
+    strands,
+    super_kind,
+    system_json,
+)
 
 
 def nontrivial_arcs(d):
@@ -44,14 +56,14 @@ def basis_reading(c):
     if dec is None or len(dec.words) != 1:
         return None, None
     (w,) = dec.words
-    base, faces, chords = sfh.base_chords(w), arcs.Faces(c.diagram), c.diagram.chords()
+    base, faces, chords = sfh.base_chords(w), Faces(c.diagram), c.diagram.chords()
     end1, _middle, end2 = arc_descriptor(c)
     (prior_si, arc_face), (latter_si, _) = sorted(
         (end1, end2), key=lambda end: base.index(chords[end[0]])
     )
-    outer_face = faces.face_of(prior_si, arcs.LEFT)
+    outer_face = faces.face_of(prior_si, LEFT)
     if outer_face == arc_face:
-        outer_face = faces.face_of(prior_si, arcs.RIGHT)
+        outer_face = faces.face_of(prior_si, RIGHT)
     forwards = D.orbit_sign(faces.cycles[outer_face]) == -1
     want_prior, want_latter = (MINUS, PLUS) if forwards else (PLUS, MINUS)
     try:
@@ -171,12 +183,13 @@ def test_the_arc_layer_rejects_zero_and_negative_arc_counts():
     # zero has no chords, faces or arcs: each entry point says so with a
     # SuturaError rather than an AttributeError off the zero marker
     rng = random.Random(0)
+    arc = nontrivial_arcs(sfh.basis_diagram(word("-+")))[0]
     for call in (
         lambda: arcs.find_attaching_arcs(D.ZERO),
         lambda: arcs.up_moves(D.ZERO),
         lambda: arcs.random_system(D.ZERO, 1, rng),
         lambda: arcs.BypassSystem.bare(D.ZERO),
-        lambda: arcs.Faces(D.ZERO),
+        lambda: stacking.bypass_cobordism_category(D.ZERO, arc),
     ):
         with pytest.raises(ZeroElement):
             call()
@@ -196,7 +209,7 @@ def test_surgery_absorbs_zero_and_checks_diagram():
     # face holds that chord alone), so a signature naming three of them
     # is no class, and surgery must not rewire chords no bypass joins
     four = D.parse("0-1,2-3,4-5,6-7")
-    fake = arcs.AttachingArc(four, (0, 1, 2, (1,)))
+    fake = arcs.AttachingArc(four, (0, 2, 4, (1,)))
     for direction in ("up", "down"):
         with pytest.raises(ArcNotOnDiagram):
             arcs.surgery(four, fake, direction)
@@ -252,12 +265,6 @@ def test_triple_cycle_via_induced_arcs():
             assert cur_d == g
 
 
-def _chord_index(d, point):
-    """Index into d.chords() of the chord through a point."""
-    low = min(point, d.pairing[point])
-    return next(k for k, (a, _b) in enumerate(d.chords()) if a == low)
-
-
 def test_generic_engine_matches_decompose_split():
     for n in range(2, 6):
         for d in D.enumerate_diagrams(n):
@@ -265,12 +272,12 @@ def test_generic_engine_matches_decompose_split():
             if q in (1, 2 * n - 1):
                 continue
             want = {sfh.bypass_rewire(d.pairing, (2 * n - 1, 0, 1), step) for step in (1, -1)}
-            si2 = _chord_index(d, 0)
-            ends = {_chord_index(d, 2 * n - 1), _chord_index(d, 1)}
+            low = {k: min(k, d.pairing[k]) for k in range(2 * n)}  # each point's chord
+            ends = {low[2 * n - 1], low[1]}
             found = False
             for c in nontrivial_arcs(d):
                 crossed, first, second, _order = c.signature
-                if crossed != si2 or {first, second} != ends:
+                if crossed != 0 or {low[first], low[second]} != ends:
                     continue
                 up = arcs.surgery(d, c, "up")
                 down = arcs.surgery(d, c, "down")
@@ -350,7 +357,8 @@ def test_single_arc_route_matches_planar_map_route():
                     want = arcs.surgery_along_system(system, direction)
                     assert arcs.surgery(d, c, direction) == want, (d, c, direction)
                 if c.triviality == "supertrivial":
-                    _ends, order = strands(system)[c.signature[0]]  # arc 0: site = index
+                    a = c.signature[0]
+                    order = dict(strands(system))[a, d.pairing[a]]  # arc 0: site = index
                     assert (order[1] == 1) == (super_kind(c) == "direct"), (d, c)
 
 
@@ -380,15 +388,27 @@ def test_basis_reading_only_on_nontrivial_arcs_of_basis_diagrams():
 def test_cached_arc_routes_match_the_classification():
     # a class is its memoised signature; its triviality, read off how many
     # of its sites lie on the crossed chord, agrees with how many distinct
-    # chords it meets, and only a trivial class has a direction
+    # chords its three points lie on, and only a trivial class has a
+    # direction
     kinds = {3: "nontrivial", 2: "slightly_trivial", 1: "supertrivial"}
     for n in range(1, 7):
         for d in D.enumerate_diagrams(n):
             classes = arcs.find_attaching_arcs(d)
             assert arcs._arc_signatures(d) == tuple(c.signature for c in classes)
             for c in classes:
-                assert c.triviality == kinds[len(set(c.signature[:3]))], c
+                chords_met = {min(k, d.pairing[k]) for k in c.signature[:3]}
+                assert c.triviality == kinds[len(chords_met)], c
                 assert (c.direction is None) == (c.triviality == "nontrivial"), c
+
+
+def test_point_signatures_are_the_chord_index_reading():
+    # each point of a signature names its chord, and the face its end
+    # rests in is the walk that holds the point: through chord indices
+    # the signatures are the face table's, in the same order
+    for n in range(1, 8):
+        for d in D.enumerate_diagrams(n):
+            got = tuple(chord_signature(d, sig) for sig in arcs._arc_signatures(d))
+            assert got == chord_index_signatures(d), d
 
 
 def test_arc_classes_are_pinned():
@@ -471,7 +491,7 @@ def _tree_path(faces, start, goal):
     while queue:
         f = queue.popleft()
         for si in faces.strands_around(f):
-            g = faces.face_of(si, arcs.LEFT) + faces.face_of(si, arcs.RIGHT) - f
+            g = faces.face_of(si, LEFT) + faces.face_of(si, RIGHT) - f
             if g not in prev:
                 prev[g] = (si, f)
                 queue.append(g)
@@ -489,14 +509,14 @@ def test_generalised_arc_path_is_the_region_tree_path():
         for nm, np_ in gradings(n):
             for g in _generalised_arcs(nm, np_):
                 w, d = g.word, sfh.basis_diagram(g.word)
-                faces, chords = arcs.Faces(d), d.chords()
+                faces, chords = Faces(d), d.chords()
                 minus, plus = w.positions(MINUS)[g.i - 1], w.positions(PLUS)[g.j - 1]
                 if g.kind == "FA":
                     ends = ((sfh.base_chords(w)[minus], -1), (sfh.root_chords(w)[plus], 1))
                 else:
                     ends = ((sfh.base_chords(w)[plus], 1), (sfh.root_chords(w)[minus], -1))
                 # each end chord's outer region: its face of the given sign
-                sides = (arcs.LEFT, arcs.RIGHT)
+                sides = (LEFT, RIGHT)
                 start, goal = (
                     next(
                         f
@@ -506,5 +526,5 @@ def test_generalised_arc_path_is_the_region_tree_path():
                     for c, sign in ends
                 )
                 path = _tree_path(faces, start, goal)
-                assert g.path_edges == tuple(si for si, _f in path), g
-                assert g.outward == tuple(faces.face_of(si, arcs.LEFT) == f for si, f in path), g
+                assert g.path_edges == tuple(chords[si][0] for si, _f in path), g
+                assert g.outward == tuple(faces.face_of(si, LEFT) == f for si, f in path), g

@@ -73,6 +73,11 @@ GONE = {
     "rotation_explicit_word",
     "basis_diagram_from_root",
     "_decompose_root_cache",
+    "Faces",
+    "_facing",
+    "_chords_between",
+    "LEFT",
+    "RIGHT",
 }
 
 

@@ -8,7 +8,7 @@ from sutura import arcs
 from sutura import diagram as D
 from sutura import oracles, sfh
 from sutura import stacking as S
-from sutura.errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc
+from sutura.errors import NoCommonOutermost, NotTight, SizeMismatch, TrivialArc, ZeroElement
 from sutura.words import MINUS, all_words, comparable_pairs, interval, partial_leq, word
 
 from strategies import gradings, matching, maximum_word, minimum_word
@@ -69,6 +69,17 @@ def test_m_examples_and_calibration():
             assert S.m_geometric(d, d) == 1
     with pytest.raises(SizeMismatch):
         S.m_geometric(D.VACUUM, g1)
+
+
+def test_the_stacking_layer_rejects_zero():
+    # zero has no chords to stack: each entry point says so with a
+    # SuturaError rather than an AttributeError off the zero marker, on
+    # either end of the cylinder
+    d = sfh.basis_diagram(word("-+"))
+    for call in (S.loop_count, S.m_geometric, S.m_algebraic, S.cancel_outermost, S.bounded_category):
+        for bottom, top in ((D.ZERO, d), (d, D.ZERO), (D.ZERO, D.ZERO)):
+            with pytest.raises(ZeroElement):
+                call(bottom, top)
 
 
 def test_loop_count_matches_union_find_oracle(monkeypatch):

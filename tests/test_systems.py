@@ -22,6 +22,10 @@ from sutura.words import all_words, comparable_pairs, word
 
 from strategies import (
     GLUES,
+    LEFT,
+    RIGHT,
+    Faces,
+    build_system,
     bypass_draws,
     gradings,
     hexagon_handles,
@@ -226,12 +230,12 @@ def _assert_arc_type(pm, arc_id, current_word):
     if len(chords_met) == 3:
         # nontrivial: must be forwards (negative prior outer region)
         base, chords = sfh.base_chords(current_word), system_diagram(pm).chords()
-        faces = arcs.Faces(system_diagram(pm))
+        faces = Faces(system_diagram(pm))
         arc = system_json(pm)["arcs"][pm.arc_ids.index(arc_id)]
         # the end on the prior chord, with the face its segment runs in;
         # the outer region is that chord's other face
         si, face = min(arc["end1"], arc["end2"], key=lambda end: base.index(chords[end[0]]))
-        outer = faces.face_of(si, arcs.LEFT) + faces.face_of(si, arcs.RIGHT) - face
+        outer = faces.face_of(si, LEFT) + faces.face_of(si, RIGHT) - face
         assert D.orbit_sign(faces.cycles[outer]) == -1, "nontrivial arc stopped being forwards"
     elif len(chords_met) == 2:
         assert same_up, "slightly trivial arc is not upwards"
@@ -327,19 +331,20 @@ def test_crossing_segments_are_not_planar():
     # that random_system draws and rejects
     d = D.parse("0-1,2-3")
     bits = (0, 0, 1, 0, 0, 1)
-    arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, bits).validate()
+    build_system(d, {2: [2, 0, 1, 5, 3, 4]}, bits).validate()
     with pytest.raises(NotPlanar):
-        arcs.BypassSystem.build(d, {1: [2, 0, 3, 1, 4, 5]}, bits).validate()
+        build_system(d, {2: [2, 0, 3, 1, 4, 5]}, bits).validate()
 
 
 def test_segment_joining_two_faces_is_not_planar():
     # the planar pair above with one end site of arc 1 turned to the
     # chord's other face; random_system never draws such a trial, since a
-    # class's first segment runs in its crossed chord's RIGHT face and its
-    # second in the LEFT face, each end site facing its segment's face
+    # class's first segment runs in the walk of its crossed chord's high
+    # end and its second in that of its low end, each end site facing
+    # its segment's face
     d = D.parse("0-1,2-3")
     with pytest.raises(NotPlanar):
-        arcs.BypassSystem.build(d, {1: [2, 0, 1, 5, 3, 4]}, (0, 0, 1, 1, 0, 1)).validate()
+        build_system(d, {2: [2, 0, 1, 5, 3, 4]}, (0, 0, 1, 1, 0, 1)).validate()
 
 
 def test_only_the_second_segment_crossing_is_not_planar():
@@ -348,7 +353,7 @@ def test_only_the_second_segment_crossing_is_not_planar():
     # nothing, and each arc alone is planar
     d = D.parse("0-1,2-3")
     bits = (0, 0, 1, 0, 0, 1)
-    system = arcs.BypassSystem.build(d, {1: [0, 1, 3, 4, 2, 5]}, bits)
+    system = build_system(d, {2: [0, 1, 3, 4, 2, 5]}, bits)
     assert all(oracles.planar_by_euler_count(system.subsystem([a])) for a in (0, 1))
     assert not oracles.planar_by_euler_count(system)
     with pytest.raises(NotPlanar, match="segment 1 of arc 1"):
@@ -358,7 +363,7 @@ def test_only_the_second_segment_crossing_is_not_planar():
 def test_a_matching_that_is_no_involution_is_refused_in_bounded_time():
     # boundary point 1 matched to itself: the region walk from the arc's
     # first end never comes back, so only its bound stops it
-    good = arcs.BypassSystem.build(D.parse("0-1,2-3"), {1: [0, 1, 2]}, (0, 0, 1))
+    good = build_system(D.parse("0-1,2-3"), {2: [0, 1, 2]}, (0, 0, 1))
     mate = list(good.mate)
     mate[1] = 1
     bad = arcs.BypassSystem(good.m, mate, good.darts, good.arc_ids)
@@ -380,19 +385,19 @@ def _list_sampler(diagram, n_arcs, rng, trials):
     """random_system by per-chord site lists, the route the splice
     sampler replaced: each trial is built whole and appended to trials,
     and kept when the Euler count of its regions says it is planar."""
-    signatures, faces = arcs._arc_signatures(diagram), arcs.Faces(diagram)
-    strand_sites, bits, placed = {si: [] for si in range(diagram.n)}, (), 0
+    signatures, pairing = arcs._arc_signatures(diagram), diagram.pairing
+    strand_sites, bits, placed = {a: [] for a, _b in diagram.chords()}, (), 0
     system = arcs.BypassSystem.bare(diagram)
     for _ in range(40 * n_arcs):
         if placed == n_arcs:
             break
-        sites, arc_bits = arcs._single_arc_sites(faces, signatures[rng.randrange(len(signatures))])
-        trial = {si: list(lst) for si, lst in strand_sites.items()}
-        for si in sorted(sites):
-            for i in sites[si]:
-                lst = trial[si]
+        sites, arc_bits = arcs._single_arc_sites(pairing, signatures[rng.randrange(len(signatures))])
+        trial = {a: list(lst) for a, lst in strand_sites.items()}
+        for a in sorted(sites):
+            for i in sites[a]:
+                lst = trial[a]
                 lst.insert(rng.randrange(len(lst) + 1), 3 * placed + i)
-        trials.append(arcs.BypassSystem.build(diagram, trial, bits + arc_bits))
+        trials.append(build_system(diagram, trial, bits + arc_bits))
         if oracles.planar_by_euler_count(trials[-1]):
             strand_sites, bits, system = trial, bits + arc_bits, trials[-1]
             placed += 1
