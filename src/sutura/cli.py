@@ -151,9 +151,11 @@ def cmd_verify(args) -> int:
 # -- rendering ----------------------------------------------------------------
 
 
-def _point_xy(p: int, m: int, radius: float, cx: float, cy: float):
+def _point_xy(p: float, m: int, rx: float, ry: float, cx: float, cy: float):
+    """Where boundary point p of m sits on the ellipse of radii rx, ry
+    about (cx, cy): point 0 at the top, labels increasing clockwise."""
     theta = math.pi / 2 - 2 * math.pi * p / m
-    return (cx + radius * math.cos(theta), cy - radius * math.sin(theta))
+    return (cx + rx * math.cos(theta), cy - ry * math.sin(theta))
 
 
 def render_svg(d: dg.ChordDiagram) -> str:
@@ -163,12 +165,12 @@ def render_svg(d: dg.ChordDiagram) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" width="240" height="240" '
         'viewBox="0 0 240 240">'
     ]
-    pts = {p: _point_xy(p, m, R, C, C) for p in range(m)}
+    pts = {p: _point_xy(p, m, R, R, C, C) for p in range(m)}
 
     def fmt(x: float) -> str:
         return f"{x:.2f}"
 
-    for orbit in dg.face_cycles(d):
+    for orbit in dg.regions(d):
         # arc k is drawn from k+1 back to k, then the chord from k to its partner
         x, y = pts[(orbit[0] + 1) % m]
         path = [f"M {fmt(x)} {fmt(y)}"]
@@ -176,7 +178,7 @@ def render_svg(d: dg.ChordDiagram) -> str:
             (ax, ay), (px, py) = pts[k], pts[d.pairing[k]]
             path.append(f"A {fmt(R)} {fmt(R)} 0 0 0 {fmt(ax)} {fmt(ay)}")
             path.append(f"L {fmt(px)} {fmt(py)}")
-        fill = "#cfe8ff" if orbit[0] % 2 == 0 else "#ffd9cf"
+        fill = "#cfe8ff" if dg.orbit_sign(orbit) > 0 else "#ffd9cf"
         out.append(f'<path d="{" ".join(path)} Z" fill="{fill}" stroke="none"/>')
     out.append(f'<circle cx="{fmt(C)}" cy="{fmt(C)}" r="{fmt(R)}" fill="none" stroke="black"/>')
     for a, b in d.chords():
@@ -206,29 +208,27 @@ def render_ascii(d: dg.ChordDiagram) -> str:
     cx, cy = (ASCII_WIDTH - 1) / 2.0, (ASCII_HEIGHT - 1) / 2.0
     rx, ry = cx - 1.0, cy - 1.0
     grid = [[" "] * ASCII_WIDTH for _ in range(ASCII_HEIGHT)]
-
-    def coords(p: int):
-        theta = math.pi / 2 - 2 * math.pi * p / m
-        return (cx + rx * math.cos(theta), cy - ry * math.sin(theta))
-
-    pts = {p: coords(p) for p in range(m)}
+    pts = {p: _point_xy(p, m, rx, ry, cx, cy) for p in range(m)}
     chords = [(pts[a], pts[b]) for a, b in d.chords()]
 
-    def crossings(x: float, y: float) -> int:
-        # ray from (x, y) to a point just inside the boundary arc (0, 1)
-        theta = math.pi / 2 - 2 * math.pi * 0.5 / m
-        ax, ay = cx + 0.93 * rx * math.cos(theta), cy - 0.93 * ry * math.sin(theta)
-        count = 0
-        for (p1, p2) in chords:
-            if _segments_cross((x, y), (ax, ay), p1, p2):
-                count += 1
-        return count
+    def side(x: float, y: float, chord) -> int:
+        # which side of the chord's line (x, y) lies on; 0 when on it
+        (x1, y1), (x2, y2) = chord
+        v = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+        return (v > 1e-12) - (v < -1e-12)
 
+    # Signs alternate across each chord, and a chord's line meets the disc
+    # in the chord alone, so a cell is shaded by the parity of the chord
+    # lines that separate it from a point 0.93 of the way out to the middle
+    # of boundary arc 0: + when even.
+    ax, ay = _point_xy(0.5, m, 0.93 * rx, 0.93 * ry, cx, cy)
+    lines = [(chord, side(ax, ay, chord)) for chord in chords]
     for row in range(ASCII_HEIGHT):
         for col in range(ASCII_WIDTH):
             dx, dy = (col - cx) / rx, (row - cy) / ry
             if dx * dx + dy * dy < 0.92:
-                grid[row][col] = "+" if crossings(col, row) % 2 == 0 else "-"
+                odd = sum(side(col, row, chord) * s < 0 for chord, s in lines) % 2
+                grid[row][col] = "-" if odd else "+"
     for t in range(0, 360, 3):
         theta = math.radians(t)
         col = int(round(cx + rx * math.cos(theta)))
@@ -250,17 +250,6 @@ def render_ascii(d: dg.ChordDiagram) -> str:
         x, y = pts[root]
         grid[int(round(y))][int(round(x))] = "R"
     return "\n".join("".join(row).rstrip() for row in grid) + "\n"
-
-
-def _segments_cross(a, b, c, d_) -> bool:
-    def orient(p, q, r):
-        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        return (v > 1e-12) - (v < -1e-12)
-
-    return (
-        orient(a, b, c) * orient(a, b, d_) < 0
-        and orient(c, d_, a) * orient(c, d_, b) < 0
-    )
 
 
 def cmd_render(args) -> int:

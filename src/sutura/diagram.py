@@ -7,12 +7,11 @@ exactly when k is even, which fixes the signs of all regions.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import repeat
 
-from .errors import BadArgument, BadPartition, CrossingChords, OddStep, ParseError
+from .errors import BadArgument, BadPartition, CrossingChords, OddStep, ParseError, ZeroElement
 
 
 class _Zero:
@@ -151,6 +150,8 @@ def from_pairing(pairs) -> ChordDiagram:
 
 def serialize(diagram: ChordDiagram) -> str:
     """Canonical text form "0-5,1-4,2-3" (ascending first elements)."""
+    if diagram is ZERO:
+        raise ZeroElement("zero has no text form")
     return ",".join(f"{a}-{b}" for a, b in diagram.chords())
 
 
@@ -212,32 +213,12 @@ def orbit_sign(orbit) -> int:
     return 1 if orbit[0] % 2 == 0 else -1
 
 
-def face_cycles(diagram: ChordDiagram) -> tuple[tuple[int, ...], ...]:
-    """Boundary-arc orbits of the N+1 regions (see region_orbits)."""
+def regions(diagram: ChordDiagram) -> tuple[tuple[int, ...], ...]:
+    """The N+1 regions as their walks (region_orbits): each the boundary
+    arcs of one region in walk order, its sign orbit_sign(walk)."""
+    if diagram is ZERO:
+        raise ZeroElement("zero has no regions")
     return _face_cycles(diagram.pairing)
-
-
-class Region(namedtuple("Region", "id sign boundary_arcs boundary_chords")):
-    """One complementary region of the diagram: its id, its sign, and the
-    frozensets of its boundary arcs and boundary chords."""
-
-    __slots__ = ()
-
-
-def regions(diagram: ChordDiagram) -> list[Region]:
-    """All N+1 regions with their signs and boundary data."""
-    chord_at = [0] * (2 * diagram.n)
-    for i, (a, b) in enumerate(diagram.chords()):
-        chord_at[a] = chord_at[b] = i
-    return [
-        Region(
-            i,
-            orbit_sign(orbit),
-            frozenset(orbit),
-            frozenset(chord_at[k] for k in orbit),
-        )
-        for i, orbit in enumerate(face_cycles(diagram))
-    ]
 
 
 def euler_class(diagram: ChordDiagram) -> int:
@@ -252,6 +233,8 @@ def euler_class(diagram: ChordDiagram) -> int:
     e = -1 + #{even low ends} - #{odd low ends}.  region_orbits and
     orbit_sign give the same sum by walking every region.
     """
+    if diagram is ZERO:
+        raise ZeroElement("zero has no euler class")
     pairing = diagram.pairing
     odd_low = 0
     for i in range(1, len(pairing), 2):
@@ -304,6 +287,8 @@ def iter_diagrams(n: int) -> Iterator[ChordDiagram]:
 
 def rotate_points(diagram: ChordDiagram, steps: int) -> ChordDiagram:
     """Relabel every point p -> p + steps (mod 2N); steps must be even."""
+    if diagram is ZERO:
+        raise ZeroElement("zero has no points to rotate")
     if steps % 2:
         raise OddStep("rotation must move by an even number of points")
     m = 2 * diagram.n
@@ -361,6 +346,8 @@ def merge(d1: ChordDiagram | None, d2: ChordDiagram | None) -> ChordDiagram:
     2*N1+2..2N-1 with its base point at 2*N1+2; both keep their
     clockwise order.
     """
+    if d1 is ZERO or d2 is ZERO:
+        raise ZeroElement("zero has no chords to merge")
     head = (1, 0) if d1 is None else insert_chord(d1.pairing, 2 * d1.n + 1)
     tail = () if d2 is None else tuple(x + len(head) for x in d2.pairing)
     return ChordDiagram._of(head + tail)
@@ -368,6 +355,8 @@ def merge(d1: ChordDiagram | None, d2: ChordDiagram | None) -> ChordDiagram:
 
 def unique_split(diagram: ChordDiagram) -> tuple[ChordDiagram | None, ChordDiagram | None]:
     """Inverse of merge, splitting along the chord through the base point."""
+    if diagram is ZERO:
+        raise ZeroElement("zero has no chord to split along")
     q = diagram.pairing[0]
     head = delete_points(diagram.pairing[: q + 1], q)
     tail = tuple(x - q - 1 for x in diagram.pairing[q + 1 :])
@@ -378,14 +367,15 @@ def unique_split(diagram: ChordDiagram) -> tuple[ChordDiagram | None, ChordDiagr
 
 
 def to_json_dict(diagram: ChordDiagram) -> dict:
-    """JSON-exportable summary used by the CLI."""
+    """JSON-exportable summary used by the CLI: the chords, the euler
+    class, and each region (walk) as its sign and its sorted arcs."""
+    if diagram is ZERO:
+        raise ZeroElement("zero has no JSON form")
     return {
         "N": diagram.n,
         "pairs": diagram.chords(),
         "euler_class": euler_class(diagram),
-        "regions": [
-            {"sign": r.sign, "arcs": sorted(r.boundary_arcs)} for r in regions(diagram)
-        ],
+        "regions": [{"sign": orbit_sign(w), "arcs": sorted(w)} for w in regions(diagram)],
     }
 
 

@@ -130,7 +130,8 @@ class SfhElement:
         return one.grading
 
     def __repr__(self) -> str:
-        return "SfhElement({" + ", ".join(str(w) for w in self.sorted_words()) + "})"
+        # each word quoted, so the empty word shows: zero is {}, the vacuum {''}
+        return "SfhElement({" + ", ".join(repr(str(w)) for w in self.sorted_words()) + "})"
 
 
 # -- decomposition -----------------------------------------------------------

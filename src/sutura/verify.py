@@ -118,8 +118,10 @@ def check_operator_algebra(n_max: int, seed: int = 0) -> list[str]:
     # each operator acts on a diagram as it acts on the diagram's
     # decomposition, on diagrams whose images have words of length < n_max
     dec = {None: None}  # the empty half of a merge
+    by_size = {0: [None]}
     for n in range(1, n_max):
-        for d in dg.enumerate_diagrams(n):
+        by_size[n] = dg.enumerate_diagrams(n)
+        for d in by_size[n]:
             x = dec[d] = sfh.decompose(d)
             nm, np_ = x.grading()
             ops = [sfh.B_MINUS, sfh.B_PLUS, sfh.A_PLUS, sfh.A_MINUS]
@@ -132,8 +134,8 @@ def check_operator_algebra(n_max: int, seed: int = 0) -> list[str]:
     # decompositions of its halves (None is the empty half)
     for n1 in range(n_max):
         for n2 in range(n_max - n1):
-            for a in dg.enumerate_diagrams(n1) if n1 else [None]:
-                for b in dg.enumerate_diagrams(n2) if n2 else [None]:
+            for a in by_size[n1]:
+                for b in by_size[n2]:
                     if sfh.decompose(dg.merge(a, b)) != sfh.merge_elements(dec[a], dec[b]):
                         problems.append(f"merge of {n1} and {n2} chords")
     return problems
@@ -211,9 +213,10 @@ def check_parity(n_max: int, tangled_n_max: int) -> list[str]:
 
 def check_stackability(pair_n_max: int, table_n_max: int) -> list[str]:
     problems = []
+    by_size = {n: dg.enumerate_diagrams(n) for n in range(1, max(pair_n_max, table_n_max) + 1)}
     for n in range(1, pair_n_max + 1):
         # each diagram decomposed once; two euler classes stack to 0
-        dec = {d: sfh.decompose(d) for d in dg.enumerate_diagrams(n)}
+        dec = {d: sfh.decompose(d) for d in by_size[n]}
         e = {d: dg.euler_class(d) for d in dec}
         for a, x in dec.items():
             if stacking.m_geometric(a, a) != 1 or stacking.m_algebraic(a, a) != 1:
@@ -231,7 +234,7 @@ def check_stackability(pair_n_max: int, table_n_max: int) -> list[str]:
     # cancelling a shared outermost chord keeps stackability; pairs of two
     # euler classes are skipped, as both of their stackings are 0
     for n in range(2, table_n_max + 1):
-        e = {d: dg.euler_class(d) for d in dg.enumerate_diagrams(n)}
+        e = {d: dg.euler_class(d) for d in by_size[n]}
         for a in e:
             for b in e:
                 if e[a] != e[b]:
@@ -243,7 +246,7 @@ def check_stackability(pair_n_max: int, table_n_max: int) -> list[str]:
                 if stacking.m_geometric(a2, b2) != stacking.m_geometric(a, b):
                     problems.append(f"outermost cancellation {dg.serialize(a)} / {dg.serialize(b)}")
     for n in range(1, table_n_max + 1):
-        for d in dg.enumerate_diagrams(n):
+        for d in by_size[n]:
             for c in arcs.find_attaching_arcs(d):
                 if c.triviality != "nontrivial":
                     continue

@@ -104,7 +104,7 @@ class Faces:
     one leaving point k."""
 
     def __init__(self, diagram: D.ChordDiagram):
-        self.cycles = D.face_cycles(diagram)
+        self.cycles = D.regions(diagram)
         self._chords = diagram.chords()
         self._chord_at = [0] * (2 * diagram.n)
         for si, (a, b) in enumerate(self._chords):

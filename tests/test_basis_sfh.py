@@ -359,6 +359,14 @@ def test_phi_and_sandwich():
         sfh.phi(D.ZERO)
 
 
+def test_repr_tells_zero_from_the_vacuum_element():
+    zero, vacuum = sfh.SfhElement.zero(), sfh.merge_elements(None, None)
+    assert repr(zero) == "SfhElement({})"
+    assert repr(vacuum) == "SfhElement({''})"
+    assert repr(zero) != repr(vacuum)
+    assert repr(sfh.decompose(D.parse("0-3,1-2,4-5"))) == "SfhElement({'-+', '+-'})"
+
+
 def test_merge_elements():
     x = sfh.decompose(D.parse("0-3,1-2,4-5"))
     assert sfh.merge_elements(None, x) == sfh.apply_operator(sfh.B_PLUS, x)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -130,6 +131,18 @@ def test_render_deterministic(capsys):
     assert svg1 == svg2
     assert svg1.count("<line") == 6
     assert 'fill="white"' in svg1  # hollow root marker on a basis diagram
+
+
+def test_render_bytes_are_pinned():
+    # one digest over the svg, the ascii and the JSON form of every diagram
+    # with at most 6 chords
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for d in dg.enumerate_diagrams(n):
+            digest.update(cli.render_svg(d).encode())
+            digest.update(cli.render_ascii(d).encode())
+            digest.update(json.dumps(dg.to_json_dict(d), sort_keys=True).encode())
+    assert digest.hexdigest() == "1a4aa74d16c12d4e02e1ead9ab5140a865636f5eea348885c3405c43d4c9cb36"
 
 
 def test_render_non_basis_has_no_root(capsys):

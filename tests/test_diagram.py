@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sutura import diagram as D
 from sutura import words as W
-from sutura.errors import BadArgument, BadPartition, CrossingChords, OddStep, ParseError
+from sutura.errors import BadArgument, BadPartition, CrossingChords, OddStep, ParseError, ZeroElement
 
 from strategies import diagrams
 
@@ -132,7 +132,7 @@ def test_euler_examples():
 
 def test_regions():
     rs = D.regions(D.VACUUM)
-    assert len(rs) == 2 and {r.sign for r in rs} == {1, -1}
+    assert rs == ((0,), (1,)) and [D.orbit_sign(w) for w in rs] == [1, -1]
     g = D.parse("0-5,1-4,2-3")
     rs = D.regions(g)
     assert len(rs) == 4
@@ -140,20 +140,31 @@ def test_regions():
         for d in D.enumerate_diagrams(n):
             rs = D.regions(d)
             assert len(rs) == n + 1
-            assert sum(r.sign for r in rs) == D.euler_class(d)
-            # signs alternate across each chord
-            by_chord = {}
-            for r in rs:
-                for c in r.boundary_chords:
-                    by_chord.setdefault(c, []).append(r.sign)
-            for signs in by_chord.values():
-                assert sorted(signs) == [-1, 1]
-            assert set(by_chord) == set(range(n))
+            assert sum(map(D.orbit_sign, rs)) == D.euler_class(d)
+            # signs alternate across each chord: the walks holding its two
+            # ends (the walk of arc k holds the chord leaving point k)
+            sign_at = {k: D.orbit_sign(w) for w in rs for k in w}
+            for a, b in d.chords():
+                assert sorted((sign_at[a], sign_at[b])) == [-1, 1]
             # the boundary arcs partition the circle, one parity per region
-            arcs = sorted(k for r in rs for k in r.boundary_arcs)
+            arcs = sorted(k for w in rs for k in w)
             assert arcs == list(range(2 * n))
-            for r in rs:
-                assert {1 if k % 2 == 0 else -1 for k in r.boundary_arcs} == {r.sign}
+            for w in rs:
+                assert {1 if k % 2 == 0 else -1 for k in w} == {D.orbit_sign(w)}
+
+
+def test_the_diagram_layer_rejects_zero():
+    # zero (a surgery that closed a loop) has no chords: each diagram-layer
+    # entry point says so with a SuturaError rather than an AttributeError
+    # off the zero marker
+    for call in (D.serialize, D.euler_class, D.regions, D.to_json_dict, D.unique_split):
+        with pytest.raises(ZeroElement):
+            call(D.ZERO)
+    with pytest.raises(ZeroElement):
+        D.rotate_points(D.ZERO, 2)
+    for d1, d2 in ((D.ZERO, D.VACUUM), (D.VACUUM, D.ZERO), (D.ZERO, None), (None, D.ZERO)):
+        with pytest.raises(ZeroElement):
+            D.merge(d1, d2)
 
 
 def _orbit_euler_class(d):

@@ -1,5 +1,5 @@
-"""Outside diagram.py the package names a chord by one of its points,
-never by its position in ChordDiagram.chords(): no module enumerates that
+"""The package names a chord by one of its points, never by its position
+in ChordDiagram.chords(): no module, diagram.py included, enumerates that
 list, indexes it or looks a chord up in it."""
 
 import ast
@@ -56,12 +56,11 @@ for a, b in d.chords():
     assert _position_reads(ast.parse(source)) == [2, 4, 6, 7]
 
 
-def test_no_module_but_diagram_takes_chord_positions():
+def test_no_module_takes_chord_positions():
     root = pathlib.Path(sutura.__file__).parent
     found = [
         f"{path.name}:{line}"
         for path in sorted(root.glob("*.py"))
-        if path.name != "diagram.py"
         for line in _position_reads(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []

@@ -38,6 +38,9 @@ ORACLES = {
 # second copy of a production route, or moved to the tests because only
 # tests called them
 GONE = {
+    "Region",
+    "face_cycles",
+    "_segments_cross",
     "prefix_sums",
     "rotation_explicit",
     "nontrivial_arcs",

@@ -16,19 +16,6 @@ def _equal(a, b):
     assert a == b and hash(a) == hash(b)
 
 
-def test_region():
-    d = D.parse("0-5,1-4,2-3")
-    first, again = D.regions(d), D.regions(d)
-    for r, s in zip(first, again):
-        assert r is not s
-        _equal(r, s)
-    assert len(set(first)) == len(first)
-    r = first[0]  # the region of arc 0, which is positive
-    assert (r.id, r.sign) == (0, 1)
-    assert r == D.Region(0, 1, r.boundary_arcs, r.boundary_chords)
-    assert r != D.Region(0, -1, r.boundary_arcs, r.boundary_chords)
-
-
 def test_graded_operator():
     op = sfh.creation("west", 1)
     _equal(op, sfh.GradedOperator(op.name, op.word_action, op.on_diagram))
