@@ -219,9 +219,9 @@ def render_ascii(d: dg.ChordDiagram) -> str:
 
     # Signs alternate across each chord, and a chord's line meets the disc
     # in the chord alone, so a cell is shaded by the parity of the chord
-    # lines that separate it from a point 0.93 of the way out to the middle
-    # of boundary arc 0: + when even.
-    ax, ay = _point_xy(0.5, m, 0.93 * rx, 0.93 * ry, cx, cy)
+    # lines that separate it from the middle of boundary arc 0, which only
+    # the positive region of arc 0 touches: + when even.
+    ax, ay = _point_xy(0.5, m, rx, ry, cx, cy)
     lines = [(chord, side(ax, ay, chord)) for chord in chords]
     for row in range(ASCII_HEIGHT):
         for col in range(ASCII_WIDTH):

@@ -13,7 +13,9 @@ nothing, phi() follows two paths (w- takes - at every split and w+
 takes +), is_basis() asks whether the walk meets a split, and
 _path_count() counts the paths.  The creation and annihilation operators
 on diagrams add or remove two adjacent points with diagram.insert_chord
-and diagram.delete_points, which own the renumbering of the other points.
+and diagram.delete_points, which own the renumbering of the other points;
+each kind is one point rule per side slot (_creation_point, _cap), and
+B-/B+ and A+/A- are its slot -1.
 Each operator acts on words and on diagrams, and the two agree:
 decompose(op.diagram_action(d)) == op(decompose(d)) for B-, B+, A+, A-
 and every slot of creation and annihilation.  merge_elements extends
@@ -60,9 +62,10 @@ from .words import MINUS, PLUS, Word, from_mask, lex_sorted, partial_leq
 class SfhElement:
     """A mod-2 combination of basis vectors, stored as a set of words.
 
-    The words share one length.  SfhElement(...), sum, + and apply_operator
-    check it; the package's own builders (_of, _sum) do not, since each word
-    rule here gives words of a length fixed by the length of its input."""
+    The words share one length.  SfhElement(...), sum, + and a
+    GradedOperator's call check it; the package's own builders (_of, _sum)
+    do not, since each word rule here gives words of a length fixed by the
+    length of its input."""
 
     __slots__ = ("words",)
 
@@ -356,18 +359,14 @@ class GradedOperator(namedtuple("GradedOperator", "name word_action on_diagram")
     __slots__ = ()
 
     def __call__(self, x: SfhElement) -> SfhElement:
-        return apply_operator(self, x)
+        """Linear (XOR) extension of the word action.  The class is public
+        and its word rule anyone's, so the sum is the checked one: an image
+        of mixed word lengths raises GradingMismatch."""
+        return SfhElement.sum(map(self.word_action, x.words))
 
     def diagram_action(self, d):
         """The action on one diagram; ZERO (a closed loop) stays ZERO."""
         return ZERO if is_zero(d) else self.on_diagram(d)
-
-
-def apply_operator(op: GradedOperator, x: SfhElement) -> SfhElement:
-    """Linear (XOR) extension of the operator's word action.  The class is
-    public and its word rule anyone's, so the sum is the checked one: an
-    image of mixed word lengths raises GradingMismatch."""
-    return SfhElement.sum(map(op.word_action, x.words))
 
 
 def _one(w: Word) -> frozenset[Word]:
@@ -397,23 +396,18 @@ def _create(d: ChordDiagram, sign: int, i: int) -> ChordDiagram:
     return ChordDiagram(insert_chord(d.pairing, _creation_point(d.n, sign, i)))
 
 
-def _cap(d: ChordDiagram, t: int):
-    """Join the chords at points t and t+1 (mod 2N); ZERO when they are one chord."""
-    if d.pairing[t] == (t + 1) % (2 * d.n):
+def _cap(d: ChordDiagram, sign: int, i: int):
+    """Join the chords at the two points of side slot i, or ZERO when they
+    are one chord: westside (MINUS) slot i is points (-2i-2, -2i-1),
+    eastside (PLUS) slot i is (2i+1, 2i+2), mod 2N.  A cap beside the base
+    point, at slot -1 (A+ and A-) or at the last slot of a grading of one
+    sign, moves the base point two points off that side."""
+    m = 2 * d.n
+    t = (m - 2 * i - 2 if sign == MINUS else 2 * i + 1) % m
+    if d.pairing[t] == (t + 1) % m:
         return ZERO
-    return ChordDiagram(delete_points(d.pairing, t))
-
-
-def _a_plus_diag(d: ChordDiagram):
-    # cap off the boundary between points 0 and 1
-    capped = _cap(d, 0)
-    return capped if is_zero(capped) else rotate_points(capped, 2)
-
-
-def _a_minus_diag(d: ChordDiagram):
-    # cap off the boundary between points 2N-1 and 0
-    capped = _cap(d, 2 * d.n - 1)
-    return capped if is_zero(capped) else rotate_points(capped, -2)
+    capped = ChordDiagram(delete_points(d.pairing, t))
+    return rotate_points(capped, 2 if sign == MINUS else -2) if t in (0, m - 1) else capped
 
 
 def _check_slot(i: int, top: int) -> None:
@@ -458,37 +452,32 @@ def annihilation_word(w: Word, sign: int, i: int) -> frozenset[Word]:
 
 B_MINUS = GradedOperator("B-", _prepend(MINUS), lambda d: _create(d, MINUS, -1))
 B_PLUS = GradedOperator("B+", _prepend(PLUS), lambda d: _create(d, PLUS, -1))
-A_PLUS = GradedOperator("A+", _strip(MINUS), _a_plus_diag)
-A_MINUS = GradedOperator("A-", _strip(PLUS), _a_minus_diag)
+A_PLUS = GradedOperator("A+", _strip(MINUS), lambda d: _cap(d, MINUS, -1))
+A_MINUS = GradedOperator("A-", _strip(PLUS), lambda d: _cap(d, PLUS, -1))
+
+
+def _slot_operator(names, side: str, i: int, word_rule, diagram_rule) -> GradedOperator:
+    """The operator at side slot i of a word rule and a diagram rule, each
+    called as rule(x, sign, i); names holds its westside and eastside name."""
+    sign = side_sign(side)
+
+    def diag(d: ChordDiagram):
+        _check_slot(i, _diagram_grading(d)[sign])
+        return diagram_rule(d, sign, i)
+
+    return GradedOperator(f"{names[sign]}^({side},{i})", lambda w: word_rule(w, sign, i), diag)
 
 
 def creation(side: str, i: int) -> GradedOperator:
     """B- at westside slot i, a chord at points (-2i-3, -2i-2), or B+ at
     eastside slot i, a chord at points (2i+2, 2i+3)."""
-    sign = side_sign(side)
-
-    def diag(d: ChordDiagram) -> ChordDiagram:
-        _check_slot(i, _diagram_grading(d)[sign])
-        return _create(d, sign, i)
-
-    name = "B-" if sign == MINUS else "B+"
-    return GradedOperator(f"{name}^({side},{i})", lambda w: creation_word(w, sign, i), diag)
+    return _slot_operator(("B-", "B+"), side, i, creation_word, _create)
 
 
 def annihilation(side: str, i: int) -> GradedOperator:
     """A+ at westside slot i, joining the chords at points (-2i-2, -2i-1),
     or A- at eastside slot i, joining those at points (2i+1, 2i+2)."""
-    sign = side_sign(side)
-
-    def diag(d: ChordDiagram):
-        _check_slot(i, _diagram_grading(d)[sign])
-        if i == d.n - 1:
-            # a grading of one sign only: the slot wraps to the base point
-            return _a_plus_diag(d) if sign == MINUS else _a_minus_diag(d)
-        return _cap(d, 2 * d.n - 2 * i - 2 if sign == MINUS else 2 * i + 1)
-
-    name = "A+" if sign == MINUS else "A-"
-    return GradedOperator(f"{name}^({side},{i})", lambda w: annihilation_word(w, sign, i), diag)
+    return _slot_operator(("A+", "A-"), side, i, annihilation_word, _cap)
 
 
 def root_point(n_chords: int, e: int) -> int:
@@ -552,9 +541,9 @@ def merge_elements(x1: SfhElement | None, x2: SfhElement | None) -> SfhElement:
     if x1 is None and x2 is None:
         return SfhElement((Word(),))
     if x1 is None:
-        return apply_operator(B_PLUS, x2)
+        return B_PLUS(x2)
     if x2 is None:
-        return apply_operator(B_MINUS, x1)
+        return B_MINUS(x1)
     for x in (x1, x2):
         if x.words and x.grading() is None:
             raise GradingMismatch("merge needs homogeneous operands")

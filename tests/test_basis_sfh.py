@@ -369,8 +369,8 @@ def test_repr_tells_zero_from_the_vacuum_element():
 
 def test_merge_elements():
     x = sfh.decompose(D.parse("0-3,1-2,4-5"))
-    assert sfh.merge_elements(None, x) == sfh.apply_operator(sfh.B_PLUS, x)
-    assert sfh.merge_elements(x, None) == sfh.apply_operator(sfh.B_MINUS, x)
+    assert sfh.merge_elements(None, x) == sfh.B_PLUS(x)
+    assert sfh.merge_elements(x, None) == sfh.B_MINUS(x)
     assert sfh.merge_elements(None, None).words == frozenset([Word()])
     zero = sfh.SfhElement.zero()
     assert sfh.merge_elements(zero, x).is_zero()

@@ -142,7 +142,44 @@ def test_render_bytes_are_pinned():
             digest.update(cli.render_svg(d).encode())
             digest.update(cli.render_ascii(d).encode())
             digest.update(json.dumps(dg.to_json_dict(d), sort_keys=True).encode())
-    assert digest.hexdigest() == "1a4aa74d16c12d4e02e1ead9ab5140a865636f5eea348885c3405c43d4c9cb36"
+    assert digest.hexdigest() == "5cd92b76a323401ffc35bda84fbdbdff6066d7e9e6aecebae3c480ff920d9bfa"
+
+
+def _region_polygons(d):
+    """Each region's sign and its walk as render_svg draws it, on the ascii
+    ellipse: arc k from point k+1 back to point k (as a polyline), then the
+    chord from k to its partner, where the next arc starts."""
+    m = 2 * d.n
+    cx, cy = (cli.ASCII_WIDTH - 1) / 2.0, (cli.ASCII_HEIGHT - 1) / 2.0
+    out = []
+    for walk in dg.regions(d):
+        poly = [
+            cli._point_xy(k + 1 - j / 8, m, cx - 1.0, cy - 1.0, cx, cy) for k in walk for j in range(9)
+        ]
+        out.append((dg.orbit_sign(walk), poly))
+    return out
+
+
+def _inside(x: float, y: float, poly) -> bool:
+    inside = False
+    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+        if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * (x2 - x1) / (y2 - y1):
+            inside = not inside
+    return inside
+
+
+def test_ascii_shading_is_the_sign_of_the_region_holding_each_cell():
+    # the region is found by point-in-polygon on its walk, not by the parity
+    # rule; N = 5 is the first size where the chord 0-1 passes closer to
+    # the rim than a reference point 0.93 of the way out
+    for n in range(1, 6):
+        for d in dg.enumerate_diagrams(n):
+            regions = _region_polygons(d)
+            for row, line in enumerate(cli.render_ascii(d).splitlines()):
+                for col, ch in enumerate(line):
+                    if ch in "+-":
+                        (sign,) = [s for s, poly in regions if _inside(col, row, poly)]
+                        assert ch == "+-"[sign < 0], (dg.serialize(d), row, col)
 
 
 def test_render_non_basis_has_no_root(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -27,10 +28,10 @@ def test_creation_annihilation_algebra():
     for n in range(0, 7):
         for nm, np_ in gradings(n):
             for x in all_elements_sample(nm, np_, rng):
-                assert sfh.apply_operator(sfh.A_PLUS, sfh.apply_operator(sfh.B_MINUS, x)) == x
-                assert sfh.apply_operator(sfh.A_MINUS, sfh.apply_operator(sfh.B_PLUS, x)) == x
-                assert sfh.apply_operator(sfh.A_PLUS, sfh.apply_operator(sfh.B_PLUS, x)).is_zero()
-                assert sfh.apply_operator(sfh.A_MINUS, sfh.apply_operator(sfh.B_MINUS, x)).is_zero()
+                assert sfh.A_PLUS(sfh.B_MINUS(x)) == x
+                assert sfh.A_MINUS(sfh.B_PLUS(x)) == x
+                assert sfh.A_PLUS(sfh.B_PLUS(x)).is_zero()
+                assert sfh.A_MINUS(sfh.B_MINUS(x)).is_zero()
 
 
 def test_diagram_level_agreement():
@@ -39,7 +40,7 @@ def test_diagram_level_agreement():
         for d in D.enumerate_diagrams(n):
             x = sfh.decompose(d)
             for op in ops:
-                assert sfh.decompose(op.diagram_action(d)) == sfh.apply_operator(op, x)
+                assert sfh.decompose(op.diagram_action(d)) == op(x)
 
 
 def _creation_oracle(text, sign, i):
@@ -113,10 +114,10 @@ def test_west_east_diagram_agreement():
             np_ = (n - 1 + e) // 2
             for i in range(nm + 1):
                 for op in (sfh.creation("west", i), sfh.annihilation("west", i)):
-                    assert sfh.decompose(op.diagram_action(d)) == sfh.apply_operator(op, x)
+                    assert sfh.decompose(op.diagram_action(d)) == op(x)
             for j in range(np_ + 1):
                 for op in (sfh.creation("east", j), sfh.annihilation("east", j)):
-                    assert sfh.decompose(op.diagram_action(d)) == sfh.apply_operator(op, x)
+                    assert sfh.decompose(op.diagram_action(d)) == op(x)
 
 
 def test_west_east_inverses():
@@ -138,14 +139,14 @@ def test_direct_sum_recursion():
                 starts_minus = w.bits[0] == 0
                 tail = Word(w.bits[1:])
                 if starts_minus:
-                    assert sfh.apply_operator(sfh.B_MINUS, sfh.SfhElement.basis(tail)) == sfh.SfhElement.basis(w)
+                    assert sfh.B_MINUS(sfh.SfhElement.basis(tail)) == sfh.SfhElement.basis(w)
                 else:
-                    assert sfh.apply_operator(sfh.B_PLUS, sfh.SfhElement.basis(tail)) == sfh.SfhElement.basis(w)
+                    assert sfh.B_PLUS(sfh.SfhElement.basis(tail)) == sfh.SfhElement.basis(w)
 
 
 def test_vacuum_creation():
     x = sfh.SfhElement.basis(Word())
-    assert sfh.apply_operator(sfh.B_MINUS, x) == sfh.SfhElement.basis(word("-"))
+    assert sfh.B_MINUS(x) == sfh.SfhElement.basis(word("-"))
     assert sfh.B_MINUS.diagram_action(D.VACUUM) == sfh.basis_diagram(word("-"))
 
 
@@ -159,6 +160,15 @@ def test_diagram_actions_map_zero_to_zero():
     ops += [make(side, i) for side in ("west", "east") for make in slotted for i in range(3)]
     for op in ops:
         assert op.diagram_action(D.ZERO) is D.ZERO, op.name
+
+
+def test_the_last_slot_of_a_one_sign_grading_is_a_plus_or_a_minus():
+    # with every letter on one side, its last slot caps the points beside
+    # the base point, as A+ (west) and A- (east) do
+    for n in range(8):
+        for sign, side, op in ((MINUS, "west", sfh.A_PLUS), (PLUS, "east", sfh.A_MINUS)):
+            d = sfh.basis_diagram(Word((sign,) * n))
+            assert sfh.annihilation(side, n).diagram_action(d) == op.diagram_action(d), (side, n)
 
 
 def test_mixed_grading_rejected():
@@ -204,6 +214,44 @@ def test_slots_outside_the_grading_are_rejected(flags):
     assert proc.returncode == 0, proc.stderr
     per_operator = ["IndexOutOfRange"] * 2 + ["ok"] * 4 + ["IndexOutOfRange"] * 2
     assert proc.stdout.split() == per_operator * 4
+
+
+def _acts(act, x, show) -> str:
+    try:
+        return show(act(x))
+    except IndexOutOfRange as exc:
+        return type(exc).__name__
+
+
+def _operators(top_minus: int, top_plus: int):
+    """B±, A± and every slot of creation and annihilation from -1 to top+1."""
+    yield from (sfh.B_MINUS, sfh.B_PLUS, sfh.A_PLUS, sfh.A_MINUS)
+    for side, top in (("west", top_minus), ("east", top_plus)):
+        for make in (sfh.creation, sfh.annihilation):
+            for i in range(-1, top + 2):
+                yield make(side, i)
+
+
+def test_operator_actions_are_pinned():
+    # one digest over every operator's word action on every word with
+    # n <= 7 and diagram action on every diagram with N <= 7; a rejected
+    # slot reads as its error's name
+    digest, cases = hashlib.sha256(), 0
+    words = [w for n in range(8) for nm, np_ in gradings(n) for w in all_words(nm, np_)]
+    for w in words:
+        for op in _operators(w.n - w.n_plus, w.n_plus):
+            shown = _acts(op.word_action, w, lambda ws: ",".join(sorted(map(str, ws))))
+            digest.update(f"{op.name}\t{w}\t{shown}\n".encode())
+            cases += 1
+    for n in range(1, 8):
+        for d in D.enumerate_diagrams(n):
+            e = D.euler_class(d)
+            for op in _operators((n - 1 - e) // 2, (n - 1 + e) // 2):
+                shown = _acts(op.diagram_action, d, lambda c: "ZERO" if c is D.ZERO else D.serialize(c))
+                digest.update(f"{op.name}\t{D.serialize(d)}\t{shown}\n".encode())
+                cases += 1
+    assert cases == 24068
+    assert digest.hexdigest() == "a0f80c23b7990369be3590213fcfabfaf96fbab9f3500d64ddb8105aaa46648a"
 
 
 def test_element_sum_is_mod_two():

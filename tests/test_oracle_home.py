@@ -38,6 +38,9 @@ ORACLES = {
 # second copy of a production route, or moved to the tests because only
 # tests called them
 GONE = {
+    "apply_operator",
+    "_a_plus_diag",
+    "_a_minus_diag",
     "Region",
     "face_cycles",
     "_segments_cross",

@@ -91,18 +91,16 @@ def test_chain_homotopy_on_nonempty_words():
         for nm, np_ in gradings(n):
             for w in all_words(nm, np_):
                 x = sfh.SfhElement.basis(w)
-                bm = sfh.apply_operator(sfh.B_MINUS, x)
-                assert SP.boundary("west", bm) + sfh.apply_operator(
-                    sfh.B_MINUS, SP.boundary("west", x)
-                ) == x
+                bm = sfh.B_MINUS(x)
+                assert SP.boundary("west", bm) + sfh.B_MINUS(SP.boundary("west", x)) == x
 
 
 def test_empty_word_is_the_known_corner():
     # the lone failure of the contraction: the vacuum slot of the all-minus
     # diagonal, where the two faces of the single minus sign cancel mod 2
     x = sfh.SfhElement.basis(Word())
-    bm = sfh.apply_operator(sfh.B_MINUS, x)
-    lhs = SP.boundary("west", bm) + sfh.apply_operator(sfh.B_MINUS, SP.boundary("west", x))
+    bm = sfh.B_MINUS(x)
+    lhs = SP.boundary("west", bm) + sfh.B_MINUS(SP.boundary("west", x))
     assert lhs.is_zero()
 
 
